@@ -37,6 +37,7 @@ from .linops import (
     PairingSpec,
     adjoint_apply,
     adjoint_identity_check,
+    adjoint_operator,
     apply,
     complex_embed,
     complex_real_part,
@@ -60,6 +61,7 @@ __all__ = [
     "TheoremViolation",
     "adjoint_apply",
     "adjoint_identity_check",
+    "adjoint_operator",
     "apply",
     "complementarity",
     "complex_embed",

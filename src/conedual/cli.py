@@ -24,13 +24,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .complex_lp import classify_boundary_optima, complex_spec_from_dict
+from .complex_lp import ComplexLPSpec, classify_boundary_optima, complex_spec_from_dict
 from .continuous_lp import (
+    ContinuousLPSpec,
     clp_spec_from_dict,
     discretize_clp,
     kernel_sign_condition,
 )
 from .duality import (
+    ConicProblem,
     problem_from_dict,
     report_to_dict,
     solve,
@@ -94,8 +96,6 @@ def _require(problem, cls, subcommand):
 
 
 def _cmd_solve(args):
-    from .duality import ConicProblem
-
     pb = parse_problem(args.input)
     _require(pb, ConicProblem, "solve")
     report = solve(pb)
@@ -104,8 +104,6 @@ def _cmd_solve(args):
 
 
 def _cmd_farkas(args):
-    from .duality import ConicProblem
-
     pb = parse_problem(args.input)
     _require(pb, ConicProblem, "farkas")
     op = pb.operator()
@@ -118,8 +116,6 @@ def _cmd_farkas(args):
 
 
 def _cmd_verify_interior(args):
-    from .duality import ConicProblem
-
     pb = parse_problem(args.input)
     _require(pb, ConicProblem, "verify-interior")
     report = verify_interior_optima(pb, tol=args.tol)
@@ -128,18 +124,14 @@ def _cmd_verify_interior(args):
 
 
 def _cmd_verify_strict(args):
-    from .duality import ConicProblem
-
     pb = parse_problem(args.input)
     _require(pb, ConicProblem, "verify-strict")
-    report = verify_strict_feasibility(pb, tol=args.tol, seed=args.seed)
+    report = verify_strict_feasibility(pb, tol=args.tol)
     _emit(report_to_dict(report), args)
     return EXIT_OK
 
 
 def _cmd_complex(args):
-    from .complex_lp import ComplexLPSpec
-
     spec = parse_problem(args.input)
     _require(spec, ComplexLPSpec, "complex")
     report = classify_boundary_optima(spec, tol=max(args.tol, 1e-6))
@@ -158,8 +150,6 @@ def _cmd_complex(args):
 
 
 def _cmd_clp(args):
-    from .continuous_lp import ContinuousLPSpec
-
     spec = parse_problem(args.input)
     _require(spec, ContinuousLPSpec, "clp")
     pb = discretize_clp(spec)
@@ -172,18 +162,6 @@ def _cmd_clp(args):
     doc.pop("y_star", None)
     _emit(doc, args)
     return EXIT_OK
-
-
-def _batch_chunk(chunk):
-    seed, start, stop, tol = chunk
-    rows = []
-    for index in range(start, stop):
-        rng = np.random.default_rng((seed, index))
-        from .instances import classify_instance, random_farkas_instance
-
-        a, b, cone = random_farkas_instance(rng)
-        rows.append((index, classify_instance(a, b, cone, tol)))
-    return rows
 
 
 def _cmd_batch(args):
@@ -200,26 +178,15 @@ def _cmd_batch(args):
         return EXIT_VIOLATION if violations else EXIT_OK
 
     if args.jobs <= 1:
-        rows = farkas_batch(args.seed, args.count, tol=args.tol)
-        summary = summarize_batch(rows)
+        rows = farkas_batch(args.seed, range(args.count), tol=args.tol)
     else:
         bounds = np.linspace(0, args.count, args.jobs + 1).astype(int)
-        chunks = [
-            (args.seed, int(bounds[i]), int(bounds[i + 1]), args.tol) for i in range(args.jobs)
-        ]
-        results = []
+        ranges = [range(bounds[i], bounds[i + 1]) for i in range(args.jobs)]
+        rows = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for rows in pool.map(_batch_chunk, chunks):
-                results.extend(rows)
-        results.sort(key=lambda r: r[0])
-        from .instances import InstanceOutcome
-
-        summary = summarize_batch(
-            [
-                InstanceOutcome(index=i, solution_verified=s, certificate_verified=c, indeterminate=d)
-                for i, (s, c, d) in results
-            ]
-        )
+            for chunk in pool.map(farkas_batch, [args.seed] * args.jobs, ranges, [args.tol] * args.jobs):
+                rows.extend(chunk)
+    summary = summarize_batch(rows)
     doc = {"suite": "farkas", "seed": args.seed, **summary}
     _emit(doc, args)
     if summary["both_verified"]:

@@ -28,8 +28,8 @@ import numpy as np
 from .cones import slice_cone, wedge
 from .duality import ConicProblem, solve
 from .errors import TheoremViolation
-from .farkas import farkas_dual, farkas_primal, verify_outcome
-from .linops import OperatorSpec, complex_embed, complex_real_part
+from .farkas import verified_solution
+from .linops import OperatorSpec, adjoint_operator, complex_embed, complex_real_part
 
 __all__ = [
     "ComplexLPSpec",
@@ -186,14 +186,8 @@ def classify_boundary_optima(spec, tol=1e-6, farkas_tol=1e-8):
     """
     pb = build_complex_lp(spec)
     op = pb.operator()
-    out_p = farkas_primal(op, pb.b, pb.S, tol=farkas_tol)
-    primal_solvable = out_p.branch == "solution" and verify_outcome(
-        out_p, op, pb.b, pb.S, tol=10 * farkas_tol
-    )
-    out_d = farkas_dual(op, pb.c, pb.T, tol=farkas_tol)
-    dual_solvable = out_d.branch == "solution" and verify_outcome(
-        out_d, op, pb.c, pb.T, tol=10 * farkas_tol
-    )
+    primal_solvable = verified_solution(op, pb.b, pb.S, tol=farkas_tol) is not None
+    dual_solvable = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol) is not None
 
     report = solve(pb)
     emb_x = complex_embed(spec.m)

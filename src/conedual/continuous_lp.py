@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import orthant
-from .duality import ConicProblem, solve
+from .duality import ConicProblem, feasible_dual, feasible_primal, solve
 from .errors import TheoremViolation
-from .farkas import farkas_dual, farkas_primal, verify_outcome
-from .linops import OperatorSpec, weighted_quadrature
+from .farkas import verified_solution
+from .linops import OperatorSpec, adjoint_operator, weighted_quadrature
 from .simplex import simplex_solve
 
 __all__ = [
@@ -57,12 +57,12 @@ __all__ = [
 ]
 
 
-def _matrix_fn(value, shape, name):
+def _matrix_fn(value, shape):
     """Normalize a constant or callable into a sampled matrix function."""
     if callable(value):
-        return value, None
+        return value
     arr = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return (lambda *args, _a=arr: _a), arr
+    return lambda *args, _a=arr: _a
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ContinuousLPSpec:
             raise ValueError("horizon must be positive")
         if self.n_grid < 2:
             raise ValueError("n_grid must be at least 2")
-        b_fn, _ = _matrix_fn(self.B, (self.m, self.n), "B")
+        b_fn = _matrix_fn(self.B, (self.m, self.n))
         if not callable(self.K):
             const = np.broadcast_to(np.asarray(self.K, dtype=float), (self.m, self.n)).copy()
             zero = np.zeros((self.m, self.n))
@@ -101,8 +101,8 @@ class ContinuousLPSpec:
         else:
             k_fn = self.K
             self._probe_causality(k_fn)
-        rhs_fn, _ = _matrix_fn(self.b, (self.n,), "b")
-        cost_fn, _ = _matrix_fn(self.c, (self.m,), "c")
+        rhs_fn = _matrix_fn(self.b, (self.n,))
+        cost_fn = _matrix_fn(self.c, (self.m,))
         object.__setattr__(self, "_B_fn", b_fn)
         object.__setattr__(self, "_K_fn", k_fn)
         object.__setattr__(self, "_b_fn", rhs_fn)
@@ -234,7 +234,7 @@ class SignConditionReport:
             self.notes = []
 
 
-def _grid_vector(spec, fn_or_vec, per_node, ts):
+def _grid_vector(fn_or_vec, per_node, ts):
     if callable(fn_or_vec):
         return np.concatenate([np.broadcast_to(np.asarray(fn_or_vec(t), dtype=float), (per_node,)) for t in ts])
     arr = np.asarray(fn_or_vec, dtype=float)
@@ -264,10 +264,8 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
 
     pb = discretize_clp(spec)
     ts, _ = grid_points(spec)
-    x_vec = _grid_vector(spec, x_hat, spec.m, ts)
-    y_vec = _grid_vector(spec, y_hat, spec.n, ts)
-    from .duality import feasible_dual, feasible_primal
-
+    x_vec = _grid_vector(x_hat, spec.m, ts)
+    y_vec = _grid_vector(y_hat, spec.n, ts)
     if np.min(x_vec) <= 0 or np.min(y_vec) <= 0:
         report.notes.append("supplied points are not strictly positive; pipeline skipped")
         return report
@@ -277,10 +275,8 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
 
     report.pipeline_ran = True
     op = pb.operator()
-    out_p = farkas_primal(op, pb.b, pb.S, tol=1e-8)
-    ok_p = out_p.branch == "solution" and verify_outcome(out_p, op, pb.b, pb.S, tol=1e-7)
-    out_d = farkas_dual(op, pb.c, pb.T, tol=1e-8)
-    ok_d = out_d.branch == "solution" and verify_outcome(out_d, op, pb.c, pb.T, tol=1e-7)
+    ok_p = verified_solution(op, pb.b, pb.S, tol=1e-8) is not None
+    ok_d = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=1e-8) is not None
     report.systems_solved = (ok_p, ok_d)
     if not (ok_p and ok_d):
         raise TheoremViolation(
@@ -361,7 +357,7 @@ def check_classical_conditions(spec, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _field_to_dict(value, kind_hint):
+def _field_to_dict(value):
     if callable(value):
         raise ValueError("callable data cannot be serialized; sample it onto a grid first")
     return {"kind": "constant", "data": np.asarray(value, dtype=float).tolist()}
@@ -374,10 +370,10 @@ def clp_spec_to_dict(spec):
         "n": spec.n,
         "T": spec.horizon,
         "n_grid": spec.n_grid,
-        "B": _field_to_dict(spec.B, "B"),
-        "K": _field_to_dict(spec.K, "K"),
-        "b": _field_to_dict(spec.b, "b"),
-        "c": _field_to_dict(spec.c, "c"),
+        "B": _field_to_dict(spec.B),
+        "K": _field_to_dict(spec.K),
+        "b": _field_to_dict(spec.b),
+        "c": _field_to_dict(spec.c),
         "bound": spec.bound,
     }
 

@@ -8,12 +8,16 @@ For the primal pair the alternative is between
 and exactly one of the two admits a solution.  The decision is driven by the
 residual minimizer ``gamma`` over the image cone: a near-zero residual value
 yields a solution of (I) from the nonnegative preimage, a clearly positive
-one yields the certificate ``alpha = b - gamma`` of (II).  The dual-side
-alternative swaps the roles of the operator and its adjoint; there the
-certificate is ``x = gamma - c`` and satisfies ``A x in T*`` with
-``<x, c> < 0``.  (The two sign conventions differ because system (II)
-carries ``-A`` while its dual counterpart carries ``A``; both were frozen
-against a brute-force search over small instances, see the tests.)
+one yields the certificate ``alpha = b - gamma`` of (II).
+
+The dual system ``{A^T y = c, y in T}`` is system (I) of the adjoint
+operator ``adjoint_operator(A)``, so the dual side is the primal decision on
+the adjoint, with one sign map: the primal certificate ``alpha`` of the
+adjoint system gives the dual certificate ``x = -alpha = gamma - c``, which
+satisfies ``A x in T*`` with ``<x, c> < 0``.  The adjoint is used as it is,
+not negated as in ``ConicProblem.transpose``: the least-squares solves
+behind the decision are not guaranteed to give bit-identical results when
+both the matrix and the right-hand side are negated.
 
 Residual values inside ``(tol^2, 10 tol^2)`` are reported as indeterminate
 rather than forced into a branch.
@@ -21,16 +25,23 @@ rather than forced into a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import contains, dual, generators
+from .cones import contains, distance, dual, generators
 from .errors import IndeterminateAlternative
-from .linops import adjoint_apply, apply, pairing, pairing_norm
+from .linops import adjoint_apply, adjoint_operator, apply, pairing, pairing_norm
 from .residual import residual_minimize
 
-__all__ = ["FarkasOutcome", "farkas_primal", "farkas_dual", "verify_outcome", "outcome_to_dict"]
+__all__ = [
+    "FarkasOutcome",
+    "farkas_primal",
+    "farkas_dual",
+    "verify_outcome",
+    "verified_solution",
+    "outcome_to_dict",
+]
 
 INDETERMINATE_FACTOR = 10.0
 
@@ -66,8 +77,6 @@ def _dual_membership_residual(cone, v):
     """Distance from ``v`` to the positive dual of ``cone`` (Euclidean
     representation; coincides with the pairing dual for orthants under any
     positive weights)."""
-    from .cones import distance
-
     return distance(dual(cone), v)
 
 
@@ -123,45 +132,17 @@ def farkas_dual(A, c, T, p=None, tol=1e-8):
 
     Solution branch: ``y in T`` with ``||A^T y - c|| <= tol``.  Certificate
     branch: ``x = gamma - c`` (unit length) with ``A x in T*`` and
-    ``<x, c> <= -strict_margin < 0``.
+    ``<x, c> <= -strict_margin < 0``.  This is :func:`farkas_primal` on
+    ``adjoint_operator(A)`` with the certificate negated.
     """
     p = A.pairing_domain if p is None else p
-    c = np.asarray(c, dtype=float)
-    adj = _adjoint_operator(A)
-    res = residual_minimize(adj, c, T, p=p, tol=1e-12)
-    branch = _classify(res.value, tol)
-    if branch == "solution":
-        y = generators(T) @ res.coefficients
-        return FarkasOutcome(
-            branch="solution",
-            side="dual",
-            point=y,
-            eq_residual=pairing_norm(p, adjoint_apply(A, y) - c),
-            residual_value=res.value,
-        )
-    x = res.gamma - c
-    x = x / pairing_norm(p, x)
-    margin = -pairing(p, x, c)
-    cone_res = _dual_membership_residual(T, apply(A, x))
-    return FarkasOutcome(
-        branch="certificate",
-        side="dual",
-        certificate=x,
-        cone_residual=cone_res,
-        strict_margin=margin,
-        residual_value=res.value,
-    )
-
-
-def _adjoint_operator(A):
-    from .linops import OperatorSpec, adjoint_matrix
-
-    return OperatorSpec(
-        matrix=adjoint_matrix(A),
-        label=f"{A.label}^T" if A.label else "adjoint",
-        pairing_domain=A.pairing_codomain,
-        pairing_codomain=A.pairing_domain,
-    )
+    outcome = farkas_primal(adjoint_operator(A), c, T, p=p, tol=tol)
+    outcome.side = "dual"
+    if outcome.certificate is not None:
+        # Subtracting from zero negates and leaves zero entries positive,
+        # as ``gamma - c`` does.
+        outcome.certificate = 0.0 - outcome.certificate
+    return outcome
 
 
 def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
@@ -170,37 +151,41 @@ def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
     Never consults solver internals: equality residuals, cone memberships,
     and strict margins are recomputed from ``A``, ``rhs`` and the cones.
     For certificate branches the strict inequality must clear ``tol``.
+    A dual-side outcome is checked as the primal outcome of the adjoint
+    system, its certificate negated.
     """
     rhs = np.asarray(rhs, dtype=float)
     if dual_cone is None:
         dual_cone = dual(cone)
-    if outcome.side == "primal":
-        p_eq = A.pairing_codomain
-        if outcome.branch == "solution":
-            if outcome.point is None:
-                return False
-            eq = pairing_norm(p_eq, apply(A, outcome.point) - rhs)
-            return eq <= tol and contains(cone, outcome.point, tol)
-        if outcome.certificate is None:
-            return False
-        alpha = outcome.certificate
-        image = -adjoint_apply(A, alpha)
-        margin = -pairing(p_eq, alpha, -rhs)
-        return contains(dual_cone, image, tol) and margin > tol
     if outcome.side == "dual":
-        p_eq = A.pairing_domain
-        if outcome.branch == "solution":
-            if outcome.point is None:
-                return False
-            eq = pairing_norm(p_eq, adjoint_apply(A, outcome.point) - rhs)
-            return eq <= tol and contains(cone, outcome.point, tol)
-        if outcome.certificate is None:
+        certificate = None if outcome.certificate is None else -outcome.certificate
+        outcome = replace(outcome, side="primal", certificate=certificate)
+        A = adjoint_operator(A)
+    elif outcome.side != "primal":
+        raise ValueError(f"unknown outcome side {outcome.side!r}")
+    p_eq = A.pairing_codomain
+    if outcome.branch == "solution":
+        if outcome.point is None:
             return False
-        x = outcome.certificate
-        image = apply(A, x)
-        margin = -pairing(p_eq, x, rhs)
-        return contains(dual_cone, image, tol) and margin > tol
-    raise ValueError(f"unknown outcome side {outcome.side!r}")
+        eq = pairing_norm(p_eq, apply(A, outcome.point) - rhs)
+        return eq <= tol and contains(cone, outcome.point, tol)
+    if outcome.certificate is None:
+        return False
+    alpha = outcome.certificate
+    image = -adjoint_apply(A, alpha)
+    margin = -pairing(p_eq, alpha, -rhs)
+    return contains(dual_cone, image, tol) and margin > tol
+
+
+def verified_solution(A, rhs, cone, p=None, tol=1e-8):
+    """A solution of ``{A x = rhs, x in cone}`` from :func:`farkas_primal`,
+    re-checked by :func:`verify_outcome` at ``10 tol``; None when none
+    verifies.  The dual system ``{A^T y = c, y in T}`` is this system for
+    ``adjoint_operator(A)``."""
+    outcome = farkas_primal(A, rhs, cone, p=p, tol=tol)
+    if outcome.branch == "solution" and verify_outcome(outcome, A, rhs, cone, tol=10 * tol):
+        return outcome.point
+    return None
 
 
 def outcome_to_dict(outcome):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import contains, dual, generators, orthant, wedge
-from .duality import ConicProblem
-from .errors import IndeterminateAlternative
+from .duality import ConicProblem, verify_interior_optima
+from .errors import IndeterminateAlternative, TheoremViolation
 from .farkas import farkas_primal
 from .linops import OperatorSpec, pairing
 from .residual import residual_minimize, separating_vector
@@ -157,10 +157,12 @@ def classify_instance(a, b, cone, tol=1e-8):
     return solution_ok, certificate_ok, indeterminate
 
 
-def farkas_batch(seed, count, tol=1e-8, dim_range=(2, 6)):
-    """Classify ``count`` random instances; returns aggregate counts."""
+def farkas_batch(seed, indices, tol=1e-8, dim_range=(2, 6)):
+    """Classify the random instances ``(seed, index)`` for ``index`` in the
+    range ``indices``; returns one :class:`InstanceOutcome` per index, so
+    batches over consecutive ranges concatenate into one batch."""
     rows = []
-    for index in range(count):
+    for index in indices:
         rng = np.random.default_rng((seed, index))
         a, b, cone = random_farkas_instance(rng, dim_range)
         solution_ok, certificate_ok, indeterminate = classify_instance(a, b, cone, tol)
@@ -191,9 +193,6 @@ def summarize_batch(rows):
 def interior_batch(seed, count, tol=1e-8, dim=3):
     """Run the interior-optima verification on constructed instances;
     returns (passes, violations, gaps)."""
-    from .duality import verify_interior_optima
-    from .errors import TheoremViolation
-
     passes = 0
     violations = 0
     gaps = []

@@ -25,6 +25,7 @@ __all__ = [
     "apply",
     "adjoint_apply",
     "adjoint_matrix",
+    "adjoint_operator",
     "ComplexEmbedding",
     "complex_embed",
     "AdjointCheckReport",
@@ -182,6 +183,22 @@ def adjoint_apply(op, y):
     """``x = A^T y`` with the adjoint taken against the declared pairings."""
     y = _as_vector(y, dim=op.codomain_dim, name="y")
     return adjoint_matrix(op) @ y
+
+
+def adjoint_operator(op):
+    """The pairing adjoint ``A^T`` as an operator from ``Y`` to ``X``.
+
+    The pairings swap places and the adjoint of the adjoint is installed as
+    ``op.matrix`` itself, so ``adjoint_operator(adjoint_operator(op))`` acts
+    exactly as ``op`` does, bit for bit.
+    """
+    return OperatorSpec(
+        matrix=adjoint_matrix(op),
+        label=op.label[:-2] if op.label.endswith("^T") else f"{op.label}^T",
+        pairing_domain=op.pairing_codomain,
+        pairing_codomain=op.pairing_domain,
+        adjoint_override=op.matrix,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import dual, interior_contains, orthant
+from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,
     complementarity,
@@ -21,7 +23,7 @@ from conedual.duality import (
 from conedual.errors import TheoremViolation
 from conedual.farkas import farkas_primal
 from conedual.instances import interior_optimum_problem
-from conedual.linops import OperatorSpec, pairing
+from conedual.linops import OperatorSpec, adjoint_matrix, pairing
 
 I2 = np.eye(2)
 
@@ -257,9 +259,56 @@ def test_strict_feasibility_detects_conclusion_failure():
         verify_strict_feasibility(pb)
 
 
-def test_scaling_probe_on_orthant():
-    report = verify_strict_feasibility(centered_kernel_problem(), n_probe=1000, seed=3)
-    assert report.flags.scaling_probe_ok
+def weighted_clp_problem():
+    spec = ContinuousLPSpec(
+        m=1, n=2, horizon=1.0, n_grid=8, B=[[1.0, 0.5]], K=[[0.3, -0.2]], b=[0.4, 0.7], c=[1.0]
+    )
+    return discretize_clp(spec)
+
+
+def game_slice_problem():
+    spec = ComplexLPSpec(
+        A=[[1 + 0.5j, 0.2 - 0.3j]],
+        b=[1 + 0.2j],
+        c=[0.5 + 0.1j, 1 - 0.2j],
+        alpha=[0.7, 0.5],
+        beta=[0.6],
+        game_slice=True,
+    )
+    return build_complex_lp(spec)
+
+
+def same_bits(u, v):
+    if u is None or v is None:
+        return u is None and v is None
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("make", [weighted_clp_problem, game_slice_problem])
+def test_double_transpose_reproduces_pair(make):
+    pb = make()
+    pt = pb.transpose()
+    assert same_bits(pt.b, -pb.c) and same_bits(pt.c, -pb.b)
+    assert pt.S is pb.T and pt.T is pb.S
+    assert pt.pairing_X is pb.pairing_Y and pt.pairing_Y is pb.pairing_X
+    back = pt.transpose()
+    assert same_bits(back.A.matrix, pb.A.matrix)
+    assert same_bits(back.operator().matrix, pb.operator().matrix)
+    assert same_bits(adjoint_matrix(back.operator()), adjoint_matrix(pb.operator()))
+    assert same_bits(back.b, pb.b) and same_bits(back.c, pb.c)
+    assert back.S is pb.S and back.T is pb.T
+    assert back.pairing_X is pb.pairing_X and back.pairing_Y is pb.pairing_Y
+
+
+@pytest.mark.parametrize("make", [identity_problem, weighted_clp_problem, game_slice_problem])
+def test_solve_transpose_swaps_and_negates_report(make):
+    pb = make()
+    report = solve(pb)
+    swapped = solve(pb.transpose())
+    assert report.status_primal == report.status_dual == "optimal"
+    assert swapped.v_primal == -report.v_dual and swapped.v_dual == -report.v_primal
+    assert (swapped.status_primal, swapped.status_dual) == (report.status_dual, report.status_primal)
+    assert same_bits(swapped.x_star, report.y_star) and same_bits(swapped.y_star, report.x_star)
 
 
 def test_problem_json_round_trip():

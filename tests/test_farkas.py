@@ -11,7 +11,7 @@ from conedual.instances import (
     infeasible_farkas_instance,
     random_farkas_instance,
 )
-from conedual.linops import OperatorSpec, pairing
+from conedual.linops import OperatorSpec, adjoint_operator, pairing
 
 I2 = OperatorSpec(matrix=np.eye(2))
 
@@ -178,3 +178,32 @@ def test_outcome_serialization():
     assert doc["branch"] == "certificate"
     assert doc["point"] is None
     assert set(doc["residuals"]) == {"eq_residual", "cone_residual", "strict_margin"}
+
+
+def test_dual_decision_is_primal_decision_on_adjoint():
+    rng = np.random.default_rng(113)
+    cases = [
+        (I2, np.array([2.0, 3.0]), orthant(2)),
+        (I2, np.array([0.0, -1.0]), orthant(2)),
+        (OperatorSpec(matrix=np.zeros((2, 2))), np.array([1.0, 0.0]), orthant(2)),
+    ]
+    for _ in range(20):
+        t_cone = wedge(rng.uniform(0.3, 1.2)) if rng.random() < 0.5 else orthant(2)
+        cases.append((OperatorSpec(matrix=rng.uniform(-1, 1, size=(2, 2))), rng.uniform(-1, 1, size=2), t_cone))
+    branches = set()
+    for a, c, t_cone in cases:
+        try:
+            out = farkas_dual(a, c, t_cone)
+        except IndeterminateAlternative:
+            continue
+        ref = farkas_primal(adjoint_operator(a), c, t_cone)
+        branches.add(out.branch)
+        assert (out.side, ref.side) == ("dual", "primal")
+        assert out.branch == ref.branch
+        assert out.residuals == ref.residuals and out.residual_value == ref.residual_value
+        if out.branch == "solution":
+            assert out.certificate is None and np.array_equal(out.point, ref.point)
+        else:
+            assert out.point is None and np.array_equal(out.certificate, -ref.certificate)
+        assert verify_outcome(out, a, c, t_cone) == verify_outcome(ref, adjoint_operator(a), c, t_cone)
+    assert branches == {"solution", "certificate"}

@@ -7,6 +7,8 @@ from conedual.linops import (
     OperatorSpec,
     adjoint_apply,
     adjoint_identity_check,
+    adjoint_matrix,
+    adjoint_operator,
     apply,
     complex_embed,
     complex_real_part,
@@ -57,6 +59,25 @@ def test_weighted_adjoint_identity():
         rhs = pairing(op.pairing_domain, x, adjoint_apply(op, y))
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
+
+
+def test_double_adjoint_reproduces_operator():
+    rng = np.random.default_rng(11)
+    op = OperatorSpec(
+        matrix=rng.normal(size=(4, 3)),
+        label="k",
+        pairing_domain=weighted_quadrature(np.full(3, 0.5)),
+        pairing_codomain=weighted_quadrature(rng.uniform(0.2, 2.0, size=4)),
+    )
+    adj = adjoint_operator(op)
+    assert adj.matrix.tobytes() == adjoint_matrix(op).tobytes()
+    assert (adj.pairing_domain, adj.pairing_codomain) == (op.pairing_codomain, op.pairing_domain)
+    assert adjoint_identity_check(adj).passed
+    back = adjoint_operator(adj)
+    assert back.matrix.tobytes() == op.matrix.tobytes()
+    assert adjoint_matrix(back).tobytes() == adjoint_matrix(op).tobytes()
+    assert back.label == op.label
+    assert (back.pairing_domain, back.pairing_codomain) == (op.pairing_domain, op.pairing_codomain)
 
 
 def test_pairing_examples():
