@@ -27,12 +27,19 @@ independently breaks that identity; it is available for diagnostics via
     (A x)_j = B(t_j)^T x_j - h * sum_{k > j} K(t_j, t_k)^T x_k,
 
 which samples the kernel only on its support ``s <= t``.
+
+Each field is sampled onto the grid once, as arrays, and each array is
+validated once (finite, within ``bound``): a constant is broadcast, a
+callable is called once per node, and the kernel once per node pair with
+``s <= t``.  Discretization, the sign conditions and the classical checks
+all read those arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +64,12 @@ __all__ = [
 ]
 
 
-def _matrix_fn(value, shape):
-    """Normalize a constant or callable into a sampled matrix function."""
-    if callable(value):
-        return value
-    arr = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return lambda *args, _a=arr: _a
+def _shaped(value, shape):
+    """``value`` as a float array of ``shape``; constants broadcast."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,15 @@ class ContinuousLPSpec:
             raise ValueError("horizon must be positive")
         if self.n_grid < 2:
             raise ValueError("n_grid must be at least 2")
-        b_fn = _matrix_fn(self.B, (self.m, self.n))
-        if not callable(self.K):
-            const = np.broadcast_to(np.asarray(self.K, dtype=float), (self.m, self.n)).copy()
-            zero = np.zeros((self.m, self.n))
-            k_fn = lambda s, t, _c=const, _z=zero: (_c if s <= t else _z)  # noqa: E731
-        else:
-            k_fn = self.K
-            self._probe_causality(k_fn)
-        rhs_fn = _matrix_fn(self.b, (self.n,))
-        cost_fn = _matrix_fn(self.c, (self.m,))
-        object.__setattr__(self, "_B_fn", b_fn)
-        object.__setattr__(self, "_K_fn", k_fn)
-        object.__setattr__(self, "_b_fn", rhs_fn)
-        object.__setattr__(self, "_c_fn", cost_fn)
+        for name, shape in self._shapes().items():
+            value = getattr(self, name)
+            if not callable(value):
+                _shaped(value, shape)  # raises on a shape mismatch
+        if callable(self.K):
+            self._probe_causality(self.K)
+
+    def _shapes(self):
+        return {"B": (self.m, self.n), "K": (self.m, self.n), "b": (self.n,), "c": (self.m,)}
 
     def _probe_causality(self, k_fn, n_probe=25):
         rng = np.random.default_rng(12345)
@@ -122,34 +124,88 @@ class ContinuousLPSpec:
                 )
 
     def sample_B(self, t):
-        return self._sample(self._B_fn(t), (self.m, self.n), "B")
+        return self._sample("B", t)
 
     def sample_K(self, s, t):
         if s > t:
             return np.zeros((self.m, self.n))
-        return self._sample(self._K_fn(s, t), (self.m, self.n), "K")
+        return self._sample("K", s, t)
 
     def sample_b(self, t):
-        return self._sample(self._b_fn(t), (self.n,), "b")
+        return self._sample("b", t)
 
     def sample_c(self, t):
-        return self._sample(self._c_fn(t), (self.m,), "c")
+        return self._sample("c", t)
 
-    def _sample(self, value, shape, name):
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != shape:
-            arr = np.broadcast_to(arr, shape)
+    def _sample(self, name, *args):
+        value = getattr(self, name)
+        arr = _shaped(value(*args) if callable(value) else value, self._shapes()[name])
+        return np.array(self._check(arr, name), dtype=float)
+
+    def _sample_nodes(self, name, nodes):
+        """``name`` at every argument tuple of ``nodes``, stacked and
+        validated once; a constant is broadcast without a call."""
+        value = getattr(self, name)
+        shape = self._shapes()[name]
+        if callable(value):
+            arr = np.empty((len(nodes),) + shape)
+            for i, args in enumerate(nodes):
+                arr[i] = _shaped(value(*args), shape)
+        else:
+            arr = np.broadcast_to(_shaped(value, shape), (len(nodes),) + shape).copy()
+        return self._check(arr, name)
+
+    def _check(self, arr, name):
+        """``arr`` unchanged if all its entries are finite and within ``bound``."""
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} returned non-finite values")
         if np.max(np.abs(arr), initial=0.0) > self.bound:
             raise ValueError(f"{name} sample exceeds the declared bound {self.bound}")
-        return np.array(arr, dtype=float)
+        return arr
 
 
 def grid_points(spec):
     """Midpoint nodes ``t_k = (k + 1/2) h`` with ``h = horizon / n_grid``."""
     h = spec.horizon / spec.n_grid
     return (np.arange(spec.n_grid) + 0.5) * h, h
+
+
+class _GridSamples(NamedTuple):
+    """The data of a :class:`ContinuousLPSpec` on its midpoint grid.
+
+    ``B`` is ``(N, m, n)``, ``b`` is ``(N, n)`` and ``c`` is ``(N, m)``.
+    ``K`` is ``(N, N, m, n)`` with ``K[j, k] = K(t_j, t_k)`` on the support
+    ``j <= k`` and zero below it.
+    """
+
+    ts: np.ndarray
+    h: float
+    B: np.ndarray
+    K: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def kernel_support(self):
+        """The ``(N (N + 1) / 2, m, n)`` kernel samples with ``s <= t``."""
+        return self.K[np.triu_indices(self.ts.size)]
+
+
+def _sample_grid(spec):
+    ts, h = grid_points(spec)
+    nodes = [(t,) for t in ts]
+    # Fields are sampled and validated in the order B, K, b, c.
+    big_b = spec._sample_nodes("B", nodes)
+    upper = np.triu_indices(spec.n_grid)
+    kernel = np.zeros((spec.n_grid, spec.n_grid, spec.m, spec.n))
+    kernel[upper] = spec._sample_nodes("K", list(zip(ts[upper[0]], ts[upper[1]])))
+    return _GridSamples(
+        ts=ts,
+        h=h,
+        B=big_b,
+        K=kernel,
+        b=spec._sample_nodes("b", nodes),
+        c=spec._sample_nodes("c", nodes),
+    )
 
 
 def discretize_clp(spec):
@@ -159,25 +215,28 @@ def discretize_clp(spec):
     uniform-weight quadratures, and the operator's adjoint is its exact
     pairing transpose.
     """
-    ts, h = grid_points(spec)
+    return _discretize(spec, _sample_grid(spec))
+
+
+def _discretize(spec, grid):
     n_nodes = spec.n_grid
     rows = spec.n * n_nodes
     cols = spec.m * n_nodes
-    a = np.zeros((rows, cols))
-    for j in range(n_nodes):
-        rj = slice(spec.n * j, spec.n * (j + 1))
-        a[rj, spec.m * j : spec.m * (j + 1)] = spec.sample_B(ts[j]).T
-        for k in range(j + 1, n_nodes):
-            a[rj, spec.m * k : spec.m * (k + 1)] = -h * spec.sample_K(ts[j], ts[k]).T
-    b_h = np.concatenate([spec.sample_b(t) for t in ts])
-    c_h = np.concatenate([spec.sample_c(t) for t in ts])
-    pairing_x = weighted_quadrature(np.full(cols, h))
-    pairing_y = weighted_quadrature(np.full(rows, h))
-    op = OperatorSpec(matrix=a, label="volterra", pairing_domain=pairing_x, pairing_codomain=pairing_y)
+    # Block (j, k) of the operator is a[j, :, k, :].
+    a = np.zeros((n_nodes, spec.n, n_nodes, spec.m))
+    diag = np.arange(n_nodes)
+    a[diag, :, diag, :] = grid.B.transpose(0, 2, 1)
+    j, k = np.triu_indices(n_nodes, 1)
+    a[j, :, k, :] = -grid.h * grid.K[j, k].transpose(0, 2, 1)
+    pairing_x = weighted_quadrature(np.full(cols, grid.h))
+    pairing_y = weighted_quadrature(np.full(rows, grid.h))
+    op = OperatorSpec(
+        matrix=a.reshape(rows, cols), label="volterra", pairing_domain=pairing_x, pairing_codomain=pairing_y
+    )
     return ConicProblem(
         A=op,
-        b=b_h,
-        c=c_h,
+        b=grid.b.reshape(rows),
+        c=grid.c.reshape(cols),
         S=orthant(cols),
         T=orthant(rows),
         pairing_X=pairing_x,
@@ -189,15 +248,10 @@ def discretize_clp(spec):
 # Sign conditions
 # ---------------------------------------------------------------------------
 
-
-def _kernel_samples(spec):
-    ts, _ = grid_points(spec)
-    for j in range(spec.n_grid):
-        for k in range(j, spec.n_grid):
-            yield spec.sample_K(ts[j], ts[k])
+_SIGN_TOL = 1e-12
 
 
-def kernel_sign_condition(spec, tol=1e-12):
+def kernel_sign_condition(spec, tol=_SIGN_TOL):
     """Classify the sign pattern that makes the equality systems solvable.
 
     ``condition_i``:  ``B <= 0``, ``K >= 0`` on all samples and the
@@ -205,18 +259,14 @@ def kernel_sign_condition(spec, tol=1e-12):
     ``condition_ii``: ``B >= 0``, ``K <= 0`` and ``-c`` lies in the dual
     cone (``c`` componentwise nonpositive).  ``neither`` otherwise.
     """
-    ts, _ = grid_points(spec)
-    b_mats = [spec.sample_B(t) for t in ts]
-    k_mats = list(_kernel_samples(spec))
-    b_vals = np.concatenate([spec.sample_b(t) for t in ts])
-    c_vals = np.concatenate([spec.sample_c(t) for t in ts])
-    b_max = max(float(m.max(initial=-math.inf)) for m in b_mats)
-    b_min = min(float(m.min(initial=math.inf)) for m in b_mats)
-    k_max = max(float(m.max(initial=-math.inf)) for m in k_mats)
-    k_min = min(float(m.min(initial=math.inf)) for m in k_mats)
-    if b_max <= tol and k_min >= -tol and b_vals.min(initial=0.0) >= -tol:
+    return _sign_condition(_sample_grid(spec), tol)
+
+
+def _sign_condition(grid, tol=_SIGN_TOL):
+    kernel = grid.kernel_support()
+    if grid.B.max() <= tol and kernel.min() >= -tol and grid.b.min(initial=0.0) >= -tol:
         return "condition_i"
-    if b_min >= -tol and k_max <= tol and c_vals.max(initial=0.0) <= tol:
+    if grid.B.min() >= -tol and kernel.max() <= tol and grid.c.max(initial=0.0) <= tol:
         return "condition_ii"
     return "neither"
 
@@ -253,7 +303,8 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
     :class:`TheoremViolation` otherwise.  Without supplied points the
     report only carries the classification.
     """
-    condition = kernel_sign_condition(spec)
+    grid = _sample_grid(spec)
+    condition = _sign_condition(grid)
     report = SignConditionReport(condition=condition, pipeline_ran=False)
     if condition == "neither":
         report.notes.append("no sign condition holds; pipeline not applicable")
@@ -262,10 +313,9 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
         report.notes.append("no strictly positive feasible pair supplied; pipeline skipped")
         return report
 
-    pb = discretize_clp(spec)
-    ts, _ = grid_points(spec)
-    x_vec = _grid_vector(x_hat, spec.m, ts)
-    y_vec = _grid_vector(y_hat, spec.n, ts)
+    pb = _discretize(spec, grid)
+    x_vec = _grid_vector(x_hat, spec.m, grid.ts)
+    y_vec = _grid_vector(y_hat, spec.n, grid.ts)
     if np.min(x_vec) <= 0 or np.min(y_vec) <= 0:
         report.notes.append("supplied points are not strictly positive; pipeline skipped")
         return report
@@ -315,11 +365,10 @@ class ClassicalConditionsReport:
 
 
 def check_classical_conditions(spec, tol=1e-9):
-    ts, _ = grid_points(spec)
+    grid = _sample_grid(spec)
     failures = []
     recession = []
-    for idx, t in enumerate(ts):
-        b_mat = spec.sample_B(t)
+    for idx, b_mat in enumerate(grid.B):
         # max sum(z) s.t. B(t) z <= 0, 0 <= z <= 1  -- optimum 0 iff trivial.
         n = spec.n
         m = spec.m
@@ -338,13 +387,9 @@ def check_classical_conditions(spec, tol=1e-9):
         if not trivial:
             failures.append(f"node {idx}: nontrivial nonnegative solution of B(t) z <= 0")
 
-    signs_ok = True
-    for t in ts:
-        if spec.sample_B(t).min(initial=0.0) < -tol or spec.sample_c(t).min(initial=0.0) < -tol:
-            signs_ok = False
-    for mat in _kernel_samples(spec):
-        if mat.min(initial=0.0) < -tol:
-            signs_ok = False
+    signs_ok = all(
+        arr.min(initial=0.0) >= -tol for arr in (grid.B, grid.c, grid.kernel_support())
+    )
     if not signs_ok:
         failures.append("negative entries in B, K, or c")
     return ClassicalConditionsReport(
@@ -390,13 +435,9 @@ def _field_from_dict(d, name, spec_dims):
         n_grid = spec_dims["n_grid"]
         if grid.shape[:2] != (n_grid, n_grid):
             raise ValueError(f"kernel grid must be {n_grid} x {n_grid} in its node indices")
-        lower = [
-            (j, k)
-            for j in range(n_grid)
-            for k in range(j)
-            if np.max(np.abs(np.atleast_1d(grid[j, k]))) > 1e-12
-        ]
-        if lower:
+        magnitude = np.abs(grid).max(axis=tuple(range(2, grid.ndim)), initial=0.0)
+        lower = np.argwhere(np.tril(magnitude > 1e-12, -1))
+        if lower.size:
             j, k = lower[0]
             raise ValueError(
                 f"kernel causality violated: grid entry ({j}, {k}) is nonzero for s > t"

@@ -15,7 +15,7 @@ import numpy as np
 from .cones import contains, dual, generators, orthant, wedge
 from .duality import ConicProblem, verify_interior_optima
 from .errors import IndeterminateAlternative, TheoremViolation
-from .farkas import farkas_primal
+from .farkas import _classify
 from .linops import OperatorSpec, pairing
 from .residual import residual_minimize, separating_vector
 
@@ -125,11 +125,14 @@ class InstanceOutcome:
 
 
 def classify_instance(a, b, cone, tol=1e-8):
-    """Search both branches of the alternative independently.
+    """Verify both branches of the alternative independently.
 
-    The solution branch comes from the nonnegative least-squares preimage,
-    the certificate branch from the separating vector; each is verified
-    from scratch.  At most one may verify on any instance.
+    The branches share one residual solve: the solution branch comes from
+    its nonnegative least-squares preimage, the certificate branch from the
+    separating vector ``gamma - b``, and an instance on which neither
+    verifies is indeterminate when the residual value falls in the band of
+    :func:`farkas_primal`.  Each branch is still verified from scratch, and
+    at most one may verify on any instance.
     """
     solution_ok = False
     certificate_ok = False
@@ -141,9 +144,8 @@ def classify_instance(a, b, cone, tol=1e-8):
         x = generators(cone) @ res.coefficients
         eq = float(np.linalg.norm(a.matrix @ x - b))
         solution_ok = eq <= tol and contains(cone, x, tol)
-
-    alpha = separating_vector(a, b, cone, tol=tol)
-    if alpha is not None:
+    else:
+        alpha = res.gamma - b  # the separating vector
         alpha = alpha / np.linalg.norm(alpha)
         neg = -alpha  # certificate of the separating system carries -A
         image = -a.matrix.T @ neg
@@ -151,7 +153,7 @@ def classify_instance(a, b, cone, tol=1e-8):
 
     if not solution_ok and not certificate_ok:
         try:
-            farkas_primal(a, b, cone, tol=tol)
+            _classify(res.value, tol)
         except IndeterminateAlternative:
             indeterminate = True
     return solution_ok, certificate_ok, indeterminate

@@ -49,8 +49,10 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
     A : OperatorSpec
     b : (dim Y,) array
     S : ConeSpec
-        Finitely generated; slice constraints are honored via penalty rows
-        and re-verified on the result.
+        Finitely generated.  Slice constraints are enforced only
+        approximately, by penalty rows of weight ``_SLICE_PENALTY``; the
+        result is not re-checked against them, so the preimage may leave
+        the slice by a small residual.
     p : PairingSpec, optional
         Codomain pairing; defaults to the operator's declared one.
     tol : float

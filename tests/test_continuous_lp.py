@@ -177,3 +177,131 @@ def test_grid_kernel_round_trip_and_causality():
     doc_bad["K"] = {"kind": "grid", "data": bad.tolist()}
     with pytest.raises(ValueError, match="causality"):
         clp_spec_from_dict(doc_bad)
+
+    # The first offending entry in row-major order is reported.
+    bad[3, 0] = bad[3, 2] = -0.1
+    bad[1, 0] = 1e-13  # below the causality threshold
+    doc_bad["K"] = {"kind": "grid", "data": bad.tolist()}
+    with pytest.raises(ValueError, match=r"^kernel causality violated: grid entry \(2, 0\) is nonzero for s > t$"):
+        clp_spec_from_dict(doc_bad)
+
+
+def pointwise_assembly(spec):
+    """The operator and right-hand sides assembled entry block by entry
+    block from the pointwise ``sample_*`` calls."""
+    ts, h = grid_points(spec)
+    m, n, n_nodes = spec.m, spec.n, spec.n_grid
+    a = np.zeros((n * n_nodes, m * n_nodes))
+    for j in range(n_nodes):
+        a[n * j : n * (j + 1), m * j : m * (j + 1)] = spec.sample_B(ts[j]).T
+        for k in range(j + 1, n_nodes):
+            a[n * j : n * (j + 1), m * k : m * (k + 1)] = -h * spec.sample_K(ts[j], ts[k]).T
+    b = np.concatenate([spec.sample_b(t) for t in ts])
+    c = np.concatenate([spec.sample_c(t) for t in ts])
+    return a, b, c
+
+
+def grid_kernel_spec(n_grid=5):
+    rng = np.random.default_rng(5)
+    # Strictly upper: the causality probe reads a diagonal cell for s > t.
+    grid = np.triu(rng.uniform(-1.0, 1.0, size=(n_grid, n_grid)), 1)
+    doc = clp_spec_to_dict(scalar_spec(n_grid, B=1.5, b=0.5, c=2.0))
+    doc["K"] = {"kind": "grid", "data": grid.tolist()}
+    return clp_spec_from_dict(doc)
+
+
+ASSEMBLY_SPECS = {
+    "constant": lambda: scalar_spec(6, B=1.25, K=0.3, b=0.7, c=1.1),
+    "callable": lambda: scalar_spec(
+        7,
+        B=lambda t: [[1.0 + 0.2 * math.sin(3.0 * t)]],
+        K=lambda s, t: [[0.5 * math.exp(-(t - s))]] if s <= t else [[0.0]],
+        b=lambda t: [0.4 + t],
+        c=lambda t: 1.0 + t * t,
+    ),
+    "constant_m2_n2": lambda: ContinuousLPSpec(
+        m=2, n=2, horizon=1.5, n_grid=5, B=[[1.0, -0.5], [0.25, 2.0]], K=[[0.1, -0.2], [0.3, 0.4]],
+        b=[0.5, -0.25], c=[1.0, 3.0],
+    ),
+    "callable_m2_n2": lambda: ContinuousLPSpec(
+        m=2, n=2, horizon=2.0, n_grid=6,
+        B=lambda t: np.array([[1.0, t], [-t, 2.0]]),
+        K=lambda s, t: np.array([[s, t], [s * t, 1.0]]) if s <= t else np.zeros((2, 2)),
+        b=lambda t: np.array([t, 1.0 - t]),
+        c=lambda t: np.array([1.0 + t, 2.0]),
+    ),
+    "callable_m1_n2": lambda: ContinuousLPSpec(
+        m=1, n=2, horizon=1.0, n_grid=4, B=lambda t: [[1.0, t]],
+        K=lambda s, t: [[s + t, -s]] if s <= t else [[0.0, 0.0]], b=[0.5, 0.25], c=lambda t: [t],
+    ),
+    "grid_kernel": grid_kernel_spec,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_SPECS))
+def test_discretize_matches_pointwise_assembly(name):
+    spec = ASSEMBLY_SPECS[name]()
+    pb = discretize_clp(spec)
+    a, b, c = pointwise_assembly(spec)
+    assert np.array_equal(pb.A.matrix, a)
+    assert np.array_equal(pb.b, b)
+    assert np.array_equal(pb.c, c)
+
+
+def causal(value):
+    return lambda s, t: value if s <= t else 0.0
+
+
+BAD_FIELDS = {"B": (lambda v: lambda t: [[v]], (0.5,)), "K": (causal, (0.25, 0.5)),
+              "b": (lambda v: lambda t: [v], (0.5,)), "c": (lambda v: lambda t: [v], (0.5,))}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+@pytest.mark.parametrize("form", ["constant", "callable"])
+def test_non_finite_and_bound_errors_for_every_field(name, form):
+    make_callable, args = BAD_FIELDS[name]
+    for value, message in ((math.nan, f"^{name} returned non-finite values$"),
+                           (10.0, f"^{name} sample exceeds the declared bound 5.0$")):
+        data = {"B": 1.0, "K": 0.0, "b": 1.0, "c": 1.0}
+        data[name] = value if form == "constant" else make_callable(value)
+        spec = ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=4, bound=5.0, **data)
+        for check in (discretize_clp, kernel_sign_condition, check_classical_conditions,
+                      lambda sp: getattr(sp, f"sample_{name}")(*args)):
+            with pytest.raises(ValueError, match=message):
+                check(spec)
+
+
+def test_discretize_validates_kernel_diagonal():
+    # The diagonal samples K(t, t) do not enter the operator, but they are
+    # data of the program and are validated with the rest of the kernel.
+    spec = scalar_spec(4, K=lambda s, t: math.inf if s == t else (1.0 if s < t else 0.0))
+    with pytest.raises(ValueError, match="K returned non-finite"):
+        discretize_clp(spec)
+
+
+def pointwise_sign_condition(spec, tol=1e-12):
+    ts, _ = grid_points(spec)
+    big_b = np.array([spec.sample_B(t) for t in ts])
+    kernel = np.array([spec.sample_K(ts[j], ts[k]) for j in range(len(ts)) for k in range(j, len(ts))])
+    b = np.concatenate([spec.sample_b(t) for t in ts])
+    c = np.concatenate([spec.sample_c(t) for t in ts])
+    if big_b.max() <= tol and kernel.min() >= -tol and b.min(initial=0.0) >= -tol:
+        return "condition_i"
+    if big_b.min() >= -tol and kernel.max() <= tol and c.max(initial=0.0) <= tol:
+        return "condition_ii"
+    return "neither"
+
+
+def test_sign_condition_matches_pointwise_verdicts():
+    specs = [ASSEMBLY_SPECS[name]() for name in sorted(ASSEMBLY_SPECS)] + [
+        scalar_spec(4, B=-1.0, K=1.0, b=1.0),
+        scalar_spec(4, B=1.0, K=-1.0, c=-1.0),
+        scalar_spec(4, B=0.0, K=0.0, b=0.0, c=0.0),
+        # Negative only on the diagonal s = t, which lies on the support.
+        scalar_spec(5, B=-1.0, K=lambda s, t: -1.0 if s == t else (1.0 if s < t else 0.0), b=1.0),
+        # Positive kernel whose sign is only broken far from the diagonal.
+        scalar_spec(5, B=1.0, K=lambda s, t: 1.0 if t - s > 0.5 else (-1.0 if s <= t else 0.0), c=-1.0),
+    ]
+    verdicts = [kernel_sign_condition(spec) for spec in specs]
+    assert verdicts == [pointwise_sign_condition(spec) for spec in specs]
+    assert set(verdicts) == {"condition_i", "condition_ii", "neither"}

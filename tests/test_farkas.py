@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from conedual.cones import contains, dual, orthant, wedge
+import conedual.residual as residual_module
+from conedual.cones import contains, dual, generators, orthant, wedge
 from conedual.errors import IndeterminateAlternative
 from conedual.farkas import farkas_dual, farkas_primal, outcome_to_dict, verify_outcome
 from conedual.instances import (
@@ -12,6 +13,8 @@ from conedual.instances import (
     random_farkas_instance,
 )
 from conedual.linops import OperatorSpec, adjoint_operator, pairing
+from conedual.nnls import nnls
+from conedual.residual import residual_minimize, separating_vector
 
 I2 = OperatorSpec(matrix=np.eye(2))
 
@@ -207,3 +210,48 @@ def test_dual_decision_is_primal_decision_on_adjoint():
             assert out.point is None and np.array_equal(out.certificate, -ref.certificate)
         assert verify_outcome(out, a, c, t_cone) == verify_outcome(ref, adjoint_operator(a), c, t_cone)
     assert branches == {"solution", "certificate"}
+
+
+def two_solve_classify(a, b, cone, tol=1e-8):
+    """The classification with separate solves per branch: the separating
+    vector and the indeterminate fallback each solve the residual again."""
+    solution_ok = certificate_ok = indeterminate = False
+    res = residual_minimize(a, b, cone, tol=1e-12)
+    if res.value <= tol * tol:
+        x = generators(cone) @ res.coefficients
+        solution_ok = float(np.linalg.norm(a.matrix @ x - b)) <= tol and contains(cone, x, tol)
+    alpha = separating_vector(a, b, cone, tol=tol)
+    if alpha is not None:
+        neg = -(alpha / np.linalg.norm(alpha))
+        certificate_ok = contains(dual(cone), -a.matrix.T @ neg, tol) and pairing(None, neg, -b) < -tol
+    if not solution_ok and not certificate_ok:
+        try:
+            farkas_primal(a, b, cone, tol=tol)
+        except IndeterminateAlternative:
+            indeterminate = True
+    return solution_ok, certificate_ok, indeterminate
+
+
+def test_classify_instance_solves_once_and_matches_two_solve_reference(monkeypatch):
+    instances = []
+    for seed, make in ((127, random_farkas_instance), (131, feasible_farkas_instance),
+                       (137, infeasible_farkas_instance)):
+        rng = np.random.default_rng(seed)
+        instances += [make(rng)[:3] for _ in range(60)]
+    expected = [two_solve_classify(a, b, cone) for a, b, cone in instances]
+
+    calls = []
+
+    def counting_nnls(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(residual_module, "nnls", counting_nnls)
+    outcomes = set()
+    for (a, b, cone), ref in zip(instances, expected):
+        calls.clear()
+        got = classify_instance(a, b, cone)
+        assert len(calls) == 1
+        assert got == ref
+        outcomes.add(got)
+    assert {(True, False, False), (False, True, False)} <= outcomes
