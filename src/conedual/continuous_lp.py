@@ -448,7 +448,9 @@ def _field_from_dict(d, name, spec_dims):
         def k_fn(s, t, _g=grid, _h=h):
             j = min(int(s / _h), n_grid - 1)
             k = min(int(t / _h), n_grid - 1)
-            return np.atleast_2d(np.asarray(_g[j, k], dtype=float))
+            cell = np.atleast_2d(np.asarray(_g[j, k], dtype=float))
+            # A diagonal cell also covers pairs s > t, where the kernel vanishes.
+            return np.zeros_like(cell) if s > t else cell
 
         return k_fn
     raise ValueError(f"unknown data kind {kind!r} for {name}")

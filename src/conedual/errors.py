@@ -4,6 +4,8 @@
 class SolverFailure(RuntimeError):
     """An iterative solver hit its iteration cap or a numerical guard.
 
+    The guards include the NNLS stall: an outer iteration that returns the
+    iterate it started from, which would otherwise repeat until the cap.
     ``detail`` carries solver state useful for post-mortems (best iterate,
     basis indices, pivot magnitudes).
     """

@@ -7,9 +7,17 @@ selection, which rules out cycling on degenerate problems just as it does
 for the simplex method).  The subproblems on the passive set are solved by
 ``numpy.linalg.lstsq``, so rank-deficient passive sets are handled.
 
-Termination is exact on dense desk-scale problems: every outer iteration
-either strictly decreases the residual or grows the passive set, and the
-inner loop strictly shrinks it.
+In exact arithmetic every outer iteration strictly decreases the residual
+or grows the passive set, and the inner loop strictly shrinks it, so the
+iteration terminates.  In floating point it can stall instead: an index
+whose dual value lies just above ``kkt_tol`` enters, the least-squares step
+gives it a non-positive coefficient, it leaves again, and the iterate is
+unchanged bit for bit.  The state of an outer iteration is its iterate
+alone (the passive set is ``u > 0`` and the dual vector is computed from
+``u``), so such a repeat would recur until the iteration cap.  The solver
+detects it after the first repeat and raises :class:`SolverFailure` with
+the same ``detail`` the cap would carry.  ``max_iter`` still guards longer
+cycles.
 """
 
 from __future__ import annotations
@@ -53,8 +61,10 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
     Raises
     ------
     SolverFailure
-        If the iteration cap trips; the best iterate is attached to
-        ``detail["u"]``.
+        If an outer iteration returns the iterate it started from (the
+        entering index left the passive set again), or if the iteration
+        cap trips.  The iterate is attached to ``detail["u"]`` and the
+        largest free dual value to ``detail["kkt"]``.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -80,13 +90,12 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
             break
         iterations += 1
         if iterations > max_iter:
-            raise SolverFailure(
-                "NNLS iteration cap exceeded",
-                detail={"u": u, "kkt": float(max(np.max(w[free], initial=0.0), 0.0))},
-            )
-        # Smallest eligible index enters the passive set.
+            raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, free)})
+        # Smallest eligible index enters the passive set.  The inner loop
+        # rebinds ``u`` before changing it, so ``start`` keeps this iterate.
         j = int(np.flatnonzero(free & (w > kkt_tol))[0])
         passive[j] = True
+        start = u
 
         while True:
             idx = np.flatnonzero(passive)
@@ -105,13 +114,22 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
 
         u[~passive] = 0.0
         w = M.T @ (b - M @ u)
+        # Only an iterate that lost ``j`` again can equal ``start``.
+        if not passive[j] and u.tobytes() == start.tobytes():
+            raise SolverFailure(
+                "NNLS stalled: the entering index left again and the iterate did not move",
+                detail={"u": u, "kkt": _kkt(w, ~passive)},
+            )
 
     residual = b - M @ u
-    free = ~passive
-    kkt = max(float(np.max(w[free], initial=0.0)), 0.0)
     return NNLSResult(
         u=u,
         residual_norm=float(np.linalg.norm(residual)),
         iterations=iterations,
-        kkt_residual=kkt,
+        kkt_residual=_kkt(w, ~passive),
     )
+
+
+def _kkt(w, free):
+    """The largest positive dual value over the free indices, or zero."""
+    return max(float(np.max(w[free], initial=0.0)), 0.0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conedual import cli, continuous_lp
 from conedual.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_problem
 
 
@@ -128,6 +129,37 @@ def test_clp_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["adjoint_identity_max_residual"] <= 1e-12
     assert abs(out["gap"]) <= 1e-9
+
+
+def test_clp_subcommand_samples_once(tmp_path, capsys, monkeypatch):
+    doc = {
+        "type": "clp",
+        "m": 1,
+        "n": 1,
+        "T": 1.0,
+        "n_grid": 5,
+        "B": {"kind": "constant", "data": -1.0},
+        "K": {"kind": "grid", "data": np.triu(np.full((5, 5), 0.5)).tolist()},
+        "b": {"kind": "constant", "data": 1.0},
+        "c": {"kind": "constant", "data": 1.0},
+    }
+    calls = []
+    sample_grid = continuous_lp._sample_grid
+
+    def counting_sample_grid(spec):
+        calls.append(spec)
+        return sample_grid(spec)
+
+    # Patch the helper where it is defined and where the CLI bound it.
+    monkeypatch.setattr(continuous_lp, "_sample_grid", counting_sample_grid)
+    monkeypatch.setattr(cli, "_sample_grid", counting_sample_grid)
+    path = write(tmp_path, "clp.json", doc)
+    assert main(["--output", "json", "clp", "--input", path]) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["sign_condition"] == "condition_i"
+    assert main(["clp", "--input", path]) == EXIT_OK
+    assert len(calls) == 2
+    assert "sign_condition: condition_i" in capsys.readouterr().out
 
 
 def test_batch_deterministic_output(tmp_path, capsys):

@@ -186,6 +186,25 @@ def test_grid_kernel_round_trip_and_causality():
         clp_spec_from_dict(doc_bad)
 
 
+def test_grid_kernel_with_nonzero_diagonal():
+    # The causality probe draws pairs s > t inside one diagonal cell; the
+    # grid's kernel vanishes there, so a nonzero diagonal is accepted.
+    doc = clp_spec_to_dict(scalar_spec(5, B=-1.5, b=0.5, c=2.0))
+    upper = np.triu(np.full((5, 5), 0.5), 1)
+    doc["K"] = {"kind": "grid", "data": (upper - 0.25 * np.eye(5)).tolist()}
+    spec = clp_spec_from_dict(doc)
+    _, h = grid_points(spec)
+    expected = -1.5 * np.eye(5) - h * upper
+    np.testing.assert_array_equal(discretize_clp(spec).A.matrix, expected)
+    # The diagonal lies on the support s <= t, so it enters the sign test.
+    assert kernel_sign_condition(spec) == "neither"
+
+    doc["K"] = {"kind": "grid", "data": upper.tolist()}
+    spec = clp_spec_from_dict(doc)
+    np.testing.assert_array_equal(discretize_clp(spec).A.matrix, expected)
+    assert kernel_sign_condition(spec) == "condition_i"
+
+
 def pointwise_assembly(spec):
     """The operator and right-hand sides assembled entry block by entry
     block from the pointwise ``sample_*`` calls."""

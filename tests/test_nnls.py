@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conedual.errors import SolverFailure
+from conedual.instances import random_farkas_instance
 from conedual.nnls import nnls
 
 
@@ -101,6 +102,27 @@ def test_iteration_cap_raises():
     b = rng.normal(size=10)
     with pytest.raises(SolverFailure):
         nnls(M, b, max_iter=0)
+
+
+def test_stall_raises_at_first_repeat(monkeypatch):
+    # An index with w_j just above kkt_tol enters, gets a non-positive
+    # coefficient, leaves, and the iterate comes back unchanged.  Repeated
+    # until the iteration cap, that costs 1597 lstsq calls.
+    a, b, cone = random_farkas_instance(np.random.default_rng((7, 240)))
+    assert cone.kind == "orthant" and a.matrix.shape == (3, 5)
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    with pytest.raises(SolverFailure, match="^NNLS stalled: the entering index left again") as info:
+        nnls(a.matrix, 1e3 * b, kkt_tol=1e-12)
+    assert len(calls) <= 20
+    assert np.all(info.value.detail["u"] >= 0.0)
+    assert info.value.detail["kkt"] > 1e-12
 
 
 def test_input_validation():
