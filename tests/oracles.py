@@ -11,6 +11,7 @@ import numpy as np
 
 from conedual.cones import generators
 from conedual.continuous_lp import grid_points
+from conedual.errors import SolverFailure
 
 
 def grid_residual_min(A, cone, b, upper=3.0, step=1e-3):
@@ -86,3 +87,58 @@ def clp_minimal_feasible(spec):
         x[k] = float(spec.sample_b(ts[k])[0]) + h * acc
     value = h * sum(float(spec.sample_c(ts[k])[0]) * x[k] for k in range(n))
     return value, x
+
+
+def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
+    """The active-set NNLS with every passive subproblem solved by
+    ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.
+
+    Same entering rule, blocking step, stall check and iteration cap as
+    ``conedual.nnls.nnls``, which solves the subproblems from an updated
+    QR factor instead.  Returns ``(u, iterations, kkt_residual)`` and raises
+    ``SolverFailure`` where ``nnls`` would.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, k = M.shape
+    if max_iter is None:
+        max_iter = 100 * (k + m)
+
+    def kkt(w, free):
+        return max(float(np.max(w[free], initial=0.0)), 0.0)
+
+    u = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    w = M.T @ b
+    iterations = 0
+    while True:
+        free = ~passive
+        if not np.any(free) or np.max(w[free], initial=-np.inf) <= kkt_tol:
+            break
+        iterations += 1
+        if iterations > max_iter:
+            raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": kkt(w, free)})
+        j = int(np.flatnonzero(free & (w > kkt_tol))[0])
+        passive[j] = True
+        start = u
+        while True:
+            idx = np.flatnonzero(passive)
+            z = np.zeros(k)
+            z[idx] = np.linalg.lstsq(M[:, idx], b, rcond=None)[0]
+            if np.all(z[idx] > 0):
+                u = z
+                break
+            blocking = idx[z[idx] <= 0]
+            ratios = u[blocking] / (u[blocking] - z[blocking])
+            alpha = float(np.min(ratios))
+            u = u + alpha * (z - u)
+            u[blocking[ratios <= alpha + 1e-15]] = 0.0
+            passive &= u > 0.0
+        u[~passive] = 0.0
+        w = M.T @ (b - M @ u)
+        if not passive[j] and u.tobytes() == start.tobytes():
+            raise SolverFailure(
+                "NNLS stalled: the entering index left again and the iterate did not move",
+                detail={"u": u, "kkt": kkt(w, ~passive)},
+            )
+    return u, iterations, kkt(w, ~passive)
