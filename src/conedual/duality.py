@@ -45,11 +45,19 @@ Two verification pipelines re-check the strong-duality statements:
 Both raise :class:`TheoremViolation` when a verified precondition holds but
 the asserted conclusion fails at tolerance; unmet preconditions are
 reported as notes, never as violations.
+
+Both pipelines share one ``solve`` per pair.  ``solve`` keeps the optimizers
+and LP statuses of the last pair it solved, keyed by a weak reference to the
+problem object and ``lp_tol``, so the ``solve`` inside
+``verify_strict_feasibility`` that follows ``verify_interior_optima`` on the
+same object runs no simplex.  Transposed pairs are built from the validated
+parts of their source without repeating its checks.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +106,10 @@ class ConicProblem:
     """The data ``(A, b, c, S, T)`` of a primal-dual conic pair.
 
     Construction validates dimensions and probes solidity of both cones by
-    testing the generator barycenter for interior membership.
+    testing the generator barycenter for interior membership.  A problem is
+    treated as immutable after construction: ``solve`` recognizes a repeat
+    call by the object alone, so changing its arrays in place afterwards
+    leaves stale optimizers behind.  Build a new problem instead.
     """
 
     A: OperatorSpec
@@ -144,9 +155,13 @@ class ConicProblem:
 
         ``A^T`` is the pairing adjoint, and the adjoint of the transposed
         operator is installed as ``-A`` itself, so ``pb.transpose().transpose()``
-        reproduces ``pb`` bit for bit.
+        reproduces ``pb`` bit for bit.  The construction checks are not run
+        again: the dimensions are this pair's, swapped, and the cones and
+        pairings are the same already-validated objects.
         """
-        return ConicProblem(
+        pt = object.__new__(ConicProblem)
+        # Fill the frozen fields directly, bypassing __post_init__.
+        pt.__dict__.update(
             A=OperatorSpec(
                 matrix=-adjoint_matrix(self.operator()),
                 label=self.A.label,
@@ -161,6 +176,7 @@ class ConicProblem:
             pairing_X=self.pairing_Y,
             pairing_Y=self.pairing_X,
         )
+        return pt
 
 
 @dataclass
@@ -229,6 +245,16 @@ def _standard_form(pb, sign=1.0):
     return cost, np.vstack(rows), np.concatenate(rhs), g_s
 
 
+def _copy(x):
+    return None if x is None else x.copy()
+
+
+# ``(weakref to pb, lp_tol, x*, primal status, y*, dual status)`` of the
+# last pair ``solve`` ran its linear programs on, or None.  It is replaced
+# as a whole, so concurrent calls can miss it but never mix two entries.
+_last_solve = None
+
+
 def _primal_optimizer(pb, sign, lp_tol):
     """The simplex optimizer of the primal of ``pb`` (None if not attained)
     and the LP status."""
@@ -247,11 +273,23 @@ def solve(pb, interior_tol=1e-6, lp_tol=1e-8):
     through the generators.  Interior flags classify the returned
     optimizers with margin ``interior_tol``; points within the margin band
     count as boundary.
+
+    A repeat call on the same problem object with the same ``lp_tol`` takes
+    copies of the optimizers and statuses of the previous call instead of
+    solving the linear programs again; everything else in the report is
+    computed afresh.  Only the last pair is remembered, and only by a weak
+    reference.
     """
+    global _last_solve
     notes = []
 
-    x_star, status_p = _primal_optimizer(pb, 1.0, lp_tol)
-    y_star, status_d = _primal_optimizer(pb.transpose(), -1.0, lp_tol)
+    memo = _last_solve
+    if memo is not None and memo[0]() is pb and memo[1] == lp_tol:
+        x_star, status_p, y_star, status_d = _copy(memo[2]), memo[3], _copy(memo[4]), memo[5]
+    else:
+        x_star, status_p = _primal_optimizer(pb, 1.0, lp_tol)
+        y_star, status_d = _primal_optimizer(pb.transpose(), -1.0, lp_tol)
+        _last_solve = (weakref.ref(pb), lp_tol, _copy(x_star), status_p, _copy(y_star), status_d)
     # A finite dual value is <y*, b>, which is -(the transposed primal
     # value) up to the sign of an exact zero.
     v_primal = _UNATTAINED_VALUE[status_p] if x_star is None else pairing(pb.pairing_X, pb.c, x_star)
@@ -363,6 +401,14 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8, min_margin=1e-7):
     image also lies in the dual cone, by maximizing the coefficient margin:
     ``x = G_S u`` with ``u >= delta``, ``A x - b in T*`` and ``A x in T*``.
 
+    The margin is substituted out: ``u = r + delta * 1`` with ``r >= 0``, so
+    the image and slice rows carry ``delta`` through the column ``M 1`` of
+    their coefficient matrix ``M``, and the point is ``G_S (r + delta)``.
+    This has the feasible set and the optimal ``delta`` of the form with
+    explicit margin rows ``u - delta - r = 0`` (kept in the tests as a
+    reference), with ``k`` fewer rows and columns.  ``delta <= 1`` keeps the
+    program bounded.
+
     On ``pb.transpose()`` this is the dual search ``y = G_T v``,
     ``c - A^T y in S*``, ``-A^T y in S*``.  ``sign`` multiplies the two
     image blocks (see the module notes).  Returns the point or None.
@@ -374,46 +420,39 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8, min_margin=1e-7):
     k = g.shape[1]
     kd = g_dual.shape[1]
     dim_img = m_img.shape[0]
-    # Variables: [u(k), w1(kd), w2(kd), delta, r(k), cap].
-    n_var = k + 2 * kd + 1 + k + 1
+    # Variables: [r(k), w1(kd), w2(kd), delta, cap].
+    i_delta = k + 2 * kd
+    n_var = i_delta + 2
     rows = []
     rhs = []
-    r1 = np.zeros((dim_img, n_var))
-    r1[:, :k] = m_img
-    r1[:, k : k + kd] = -sign * g_dual
-    rows.append(r1)
-    rhs.append(sign * pb.b)
-    r2 = np.zeros((dim_img, n_var))
-    r2[:, :k] = m_img
-    r2[:, k + kd : k + 2 * kd] = -sign * g_dual
-    rows.append(r2)
-    rhs.append(np.zeros(dim_img))
-    r3 = np.zeros((k, n_var))
-    r3[:, :k] = np.eye(k)
-    r3[:, k + 2 * kd] = -1.0
-    r3[:, k + 2 * kd + 1 : k + 2 * kd + 1 + k] = -np.eye(k)
-    rows.append(r3)
-    rhs.append(np.zeros(k))
-    r4 = np.zeros((1, n_var))
-    r4[0, k + 2 * kd] = 1.0
-    r4[0, -1] = 1.0
-    rows.append(r4)
+    for block, b_rhs in ((slice(k, k + kd), sign * pb.b), (slice(k + kd, i_delta), np.zeros(dim_img))):
+        r_img = np.zeros((dim_img, n_var))
+        r_img[:, :k] = m_img
+        r_img[:, block] = -sign * g_dual
+        r_img[:, i_delta] = m_img.sum(axis=1)
+        rows.append(r_img)
+        rhs.append(b_rhs)
+    r_cap = np.zeros((1, n_var))
+    r_cap[0, i_delta:] = 1.0
+    rows.append(r_cap)
     rhs.append(np.ones(1))
     if cone.kind == "slice":
-        r5 = np.zeros((cone.normals.shape[1], n_var))
-        r5[:, :k] = cone.normals.T @ g
-        rows.append(r5)
-        rhs.append(np.zeros(cone.normals.shape[1]))
+        n_g = cone.normals.T @ g
+        r_slice = np.zeros((n_g.shape[0], n_var))
+        r_slice[:, :k] = n_g
+        r_slice[:, i_delta] = n_g.sum(axis=1)
+        rows.append(r_slice)
+        rhs.append(np.zeros(n_g.shape[0]))
 
     cost = np.zeros(n_var)
-    cost[k + 2 * kd] = -1.0
+    cost[i_delta] = -1.0
     res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
     if res.status != "optimal":
         return None
-    delta = res.x[k + 2 * kd]
+    delta = res.x[i_delta]
     if delta < min_margin:
         return None
-    point = g @ res.x[:k]
+    point = g @ (res.x[:k] + delta)
     image = apply(op, point)
     if not (
         interior_contains(cone, point, min(1e-9, delta / 10))

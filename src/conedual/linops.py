@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "PairingSpec",
     "EUCLIDEAN",
-    "euclidean",
     "weighted_quadrature",
     "complex_real_part",
     "pairing",
@@ -84,10 +83,6 @@ class PairingSpec:
 
 
 EUCLIDEAN = PairingSpec()
-
-
-def euclidean():
-    return EUCLIDEAN
 
 
 def weighted_quadrature(weights):

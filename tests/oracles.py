@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from conedual.cones import generators
+from conedual.cones import dual, generators
 from conedual.continuous_lp import grid_points
 from conedual.errors import SolverFailure
+from conedual.simplex import simplex_solve
 
 
 def grid_residual_min(A, cone, b, upper=3.0, step=1e-3):
@@ -142,3 +143,57 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
                 detail={"u": u, "kkt": kkt(w, ~passive)},
             )
     return u, iterations, kkt(w, ~passive)
+
+
+def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
+    """The strict-member margin LP with explicit margin rows.
+
+    Variables ``[u(k), w1(kd), w2(kd), delta, r(k), cap]``: maximize
+    ``delta`` s.t. ``A G u - G_{T*} w1 = b`` and ``A G u - G_{T*} w2 = 0``
+    (image rows times ``sign``), ``u - delta - r = 0``, ``delta + cap = 1``
+    and the slice rows of ``S``.  This is the formulation
+    ``conedual.duality._strict_member`` used before it substituted
+    ``u = r + delta``.  Returns ``(status, delta)``, with ``delta`` None
+    unless the LP is optimal.
+    """
+    g, cone = generators(pb.S), pb.S
+    g_dual = generators(dual(pb.T))
+    m_img = sign * (pb.A.matrix @ g)
+    k = g.shape[1]
+    kd = g_dual.shape[1]
+    dim_img = m_img.shape[0]
+    n_var = k + 2 * kd + 1 + k + 1
+    rows = []
+    rhs = []
+    r1 = np.zeros((dim_img, n_var))
+    r1[:, :k] = m_img
+    r1[:, k : k + kd] = -sign * g_dual
+    rows.append(r1)
+    rhs.append(sign * pb.b)
+    r2 = np.zeros((dim_img, n_var))
+    r2[:, :k] = m_img
+    r2[:, k + kd : k + 2 * kd] = -sign * g_dual
+    rows.append(r2)
+    rhs.append(np.zeros(dim_img))
+    r3 = np.zeros((k, n_var))
+    r3[:, :k] = np.eye(k)
+    r3[:, k + 2 * kd] = -1.0
+    r3[:, k + 2 * kd + 1 : k + 2 * kd + 1 + k] = -np.eye(k)
+    rows.append(r3)
+    rhs.append(np.zeros(k))
+    r4 = np.zeros((1, n_var))
+    r4[0, k + 2 * kd] = 1.0
+    r4[0, -1] = 1.0
+    rows.append(r4)
+    rhs.append(np.ones(1))
+    if cone.kind == "slice":
+        r5 = np.zeros((cone.normals.shape[1], n_var))
+        r5[:, :k] = cone.normals.T @ g
+        rows.append(r5)
+        rhs.append(np.zeros(cone.normals.shape[1]))
+    cost = np.zeros(n_var)
+    cost[k + 2 * kd] = -1.0
+    res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
+    if res.status != "optimal":
+        return res.status, None
+    return res.status, float(res.x[k + 2 * kd])

@@ -1,0 +1,273 @@
+"""The linear programs behind the theorem pipelines: the strict-member LP,
+the last-pair ``solve`` memo and the check-free transpose."""
+
+import gc
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from conedual import duality
+from conedual.cones import (
+    contains,
+    dual,
+    generated,
+    generators,
+    interior_contains,
+    orthant,
+    slice_cone,
+    wedge,
+)
+from conedual.duality import (
+    ConicProblem,
+    problem_from_dict,
+    solve,
+    verify_interior_optima,
+    verify_strict_feasibility,
+)
+from conedual.instances import interior_optimum_problem
+from conedual.linops import OperatorSpec
+from oracles import margin_row_strict_lp
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one.json")
+
+
+def _cone(rng, family, dim):
+    if family == "orthant":
+        return orthant(dim)
+    if family == "wedge":
+        return wedge(rng.uniform(0.15, math.pi / 2 - 0.15, size=dim // 2))
+    # A slice of the orthant through an interior point, so it has a
+    # relative interior.
+    x0 = rng.uniform(0.5, 1.5, size=dim)
+    normal = rng.uniform(-1.0, 1.0, size=dim)
+    return slice_cone(orthant(dim), normal - (normal @ x0) / (x0 @ x0) * x0)
+
+
+def random_pairs(family, count, seed):
+    """Pairs on ``family`` cones: half built so that both strict sets are
+    nonempty (``A`` annihilates interior points on both sides, ``b = c = 0``),
+    half with uniform random data."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(count):
+        dim = 2 * int(rng.integers(1, 4)) if family == "wedge" else int(rng.integers(2, 7))
+        cone_s, cone_t = _cone(rng, family, dim), _cone(rng, "orthant" if family == "slice" else family, dim)
+        mat = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        b, c = rng.uniform(-1.0, 1.0, size=dim), rng.uniform(-1.0, 1.0, size=dim)
+        if i % 2 == 0:
+            x0 = generators(cone_s) @ rng.uniform(0.5, 1.5, size=generators(cone_s).shape[1])
+            y0 = generators(cone_t) @ rng.uniform(0.5, 1.5, size=generators(cone_t).shape[1])
+            p_x = np.eye(dim) - np.outer(x0, x0) / (x0 @ x0)
+            p_y = np.eye(dim) - np.outer(y0, y0) / (y0 @ y0)
+            mat = p_y @ mat @ p_x
+            b, c = np.zeros(dim), np.zeros(dim)
+        pairs.append(ConicProblem(A=OperatorSpec(matrix=mat), b=b, c=c, S=cone_s, T=cone_t))
+    return pairs
+
+
+class SimplexSpy:
+    """Records the ``simplex_solve`` calls made from ``duality``: their
+    ``(cost, a_eq, b_eq)`` and their results."""
+
+    def __init__(self, monkeypatch):
+        self.lps = []
+        self.results = []
+        real = duality.simplex_solve
+
+        def spy(cost, a_eq, b_eq, **kwargs):
+            res = real(cost, a_eq, b_eq, **kwargs)
+            self.lps.append((cost, a_eq, b_eq))
+            self.results.append(res)
+            return res
+
+        monkeypatch.setattr(duality, "simplex_solve", spy)
+
+
+def same_bits(u, v):
+    if u is None or v is None:
+        return u is None and v is None
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def same_report(r1, r2):
+    floats = ("v_primal", "v_dual", "gap")
+    return (
+        all(np.float64(getattr(r1, f)).tobytes() == np.float64(getattr(r2, f)).tobytes() for f in floats)
+        and same_bits(r1.x_star, r2.x_star)
+        and same_bits(r1.y_star, r2.y_star)
+        and r1.comp_residuals == r2.comp_residuals
+        and r1.flags == r2.flags
+        and (r1.status_primal, r1.status_dual) == (r2.status_primal, r2.status_dual)
+        and r1.notes == r2.notes
+    )
+
+
+# ---------------------------------------------------------------------------
+# Strict-member LP
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["orthant", "wedge", "slice"])
+def test_strict_member_lp_matches_margin_row_formulation(family, monkeypatch):
+    spy = SimplexSpy(monkeypatch)
+    optimal = found = 0
+    for pb in random_pairs(family, 12, seed={"orthant": 1, "wedge": 2, "slice": 3}[family]):
+        for p in (pb, pb.transpose()):
+            for sign in (1.0, -1.0):
+                status, delta = margin_row_strict_lp(p, sign=sign)
+                spy.results.clear()
+                point = duality._strict_member(p, sign=sign)
+                (res,) = spy.results
+                assert res.status == status
+                if status != "optimal":
+                    assert point is None
+                    continue
+                optimal += 1
+                assert math.isclose(-res.objective, delta, rel_tol=1e-9, abs_tol=1e-12)
+                if point is None:
+                    continue
+                found += 1
+                image = p.A.matrix @ point
+                assert interior_contains(p.S, point, 1e-9)
+                assert contains(dual(p.T), image - p.b, 1e-7)
+                assert contains(dual(p.T), image, 1e-7)
+    # Both outcomes occur on every family.
+    assert found > 0 and optimal < 48
+
+
+def strict_phase_one_cases():
+    with open(FIXTURES) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", strict_phase_one_cases(), ids=lambda case: case["source"])
+def test_strict_pipeline_regressions(case):
+    # The margin-row LP stopped with "phase one reported unbounded" on these
+    # pairs of the pipelines benchmark.
+    pb = problem_from_dict(case["problem"])
+    interior = verify_interior_optima(pb)
+    report = verify_strict_feasibility(pb)
+    if "strict pair" in case["source"]:
+        assert report.flags.systems_solved == (True, True)
+        assert report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty
+        assert abs(report.gap) <= 1e-8
+    else:
+        # Interior pairs whose strict set is empty on one side: that
+        # precondition is reported as unmet, and the interior pipeline
+        # concludes.
+        assert interior.flags.systems_solved == (True, True)
+        assert report.flags.systems_solved == (False, False)
+        assert not (report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty)
+        assert any("precondition not met: strict" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("case", strict_phase_one_cases(), ids=lambda case: case["source"])
+def test_strict_regression_lps_agree_with_highs(case, monkeypatch):
+    # A strict set is reported empty only where HiGHS finds the LP infeasible.
+    optimize = pytest.importorskip("scipy.optimize")
+    pb = problem_from_dict(case["problem"])
+    spy = SimplexSpy(monkeypatch)
+    for p, sign in ((pb, 1.0), (pb.transpose(), -1.0)):
+        spy.lps.clear()
+        found = duality._strict_member(p, sign=sign) is not None
+        cost, a_eq, b_eq = spy.lps[0]
+        res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.status == (0 if found else 2)
+
+
+# ---------------------------------------------------------------------------
+# The last-pair solve memo
+# ---------------------------------------------------------------------------
+
+
+def interior_pair(seed=5):
+    pb, _, _ = interior_optimum_problem(np.random.default_rng(seed), 4, "wedge")
+    return pb
+
+
+def test_repeat_solve_runs_no_simplex_and_is_bit_identical(monkeypatch):
+    spy = SimplexSpy(monkeypatch)
+    pb = interior_pair()
+    first = solve(pb)
+    assert len(spy.results) == 2
+    second = solve(pb, interior_tol=1e-6)
+    assert len(spy.results) == 2
+    assert same_report(first, second)
+    assert second.x_star is not first.x_star and second.y_star is not first.y_star
+
+
+def test_memo_hands_out_copies():
+    pb = interior_pair()
+    first = solve(pb)
+    x_ref, y_ref = first.x_star.copy(), first.y_star.copy()
+    first.x_star[:] = np.nan
+    first.y_star[:] = np.nan
+    second = solve(pb)
+    assert same_bits(second.x_star, x_ref) and same_bits(second.y_star, y_ref)
+    second.x_star[:] = 0.0
+    assert same_bits(solve(pb).x_star, x_ref)
+
+
+def test_memo_misses_on_new_object_and_other_lp_tol(monkeypatch):
+    spy = SimplexSpy(monkeypatch)
+    pb = interior_pair()
+    first = solve(pb)
+    twin = ConicProblem(A=pb.A, b=pb.b.copy(), c=pb.c.copy(), S=pb.S, T=pb.T)
+    assert same_report(solve(twin), first)
+    assert len(spy.results) == 4
+    solve(twin, lp_tol=1e-9)
+    assert len(spy.results) == 6
+
+
+def test_memo_holds_only_a_weak_reference():
+    pb = interior_pair()
+    solve(pb)
+    ref = duality._last_solve[0]
+    assert ref() is pb
+    del pb
+    gc.collect()
+    assert ref() is None
+
+
+def test_pipelines_share_one_solve(monkeypatch):
+    calls = []
+    real = duality._primal_optimizer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(duality, "_primal_optimizer", counting)
+    pb = interior_pair()
+    verify_interior_optima(pb)
+    assert len(calls) == 2
+    verify_strict_feasibility(pb)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Transpose
+# ---------------------------------------------------------------------------
+
+
+def test_transpose_skips_construction_checks(monkeypatch):
+    calls = []
+    real = duality.interior_contains
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "interior_contains", counting)
+    pb = interior_pair()
+    assert len(calls) == 2
+    pt = pb.transpose()
+    back = pt.transpose()
+    assert len(calls) == 2
+    assert pt.S is pb.T and back.S is pb.S
+    with pytest.raises(ValueError, match="solid"):
+        ConicProblem(A=pb.A, b=pb.b, c=pb.c, S=generated(np.ones((4, 1))), T=pb.T)
+    assert len(calls) == 3
