@@ -183,13 +183,19 @@ def classify_boundary_optima(spec, tol=1e-6, farkas_tol=1e-8):
 
     When either system is solvable the characterization is vacuous and the
     report says so.
+
+    The pair is solved first, and its optimizers are tried as solutions of
+    the two systems: a verified optimizer shows its system solvable without
+    a Farkas solve, which is kept for proving a system unsolvable.
     """
     pb = build_complex_lp(spec)
     op = pb.operator()
-    primal_solvable = verified_solution(op, pb.b, pb.S, tol=farkas_tol) is not None
-    dual_solvable = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol) is not None
-
     report = solve(pb)
+    primal_solvable = verified_solution(op, pb.b, pb.S, tol=farkas_tol, witness=report.x_star) is not None
+    dual_solvable = (
+        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol, witness=report.y_star) is not None
+    )
+
     emb_x = complex_embed(spec.m)
     emb_y = complex_embed(spec.n)
     z_star = None if report.x_star is None else emb_x.lift_vector(report.x_star)

@@ -51,7 +51,11 @@ and LP statuses of the last pair it solved, keyed by a weak reference to the
 problem object and ``lp_tol``, so the ``solve`` inside
 ``verify_strict_feasibility`` that follows ``verify_interior_optima`` on the
 same object runs no simplex.  Transposed pairs are built from the validated
-parts of their source without repeating its checks.
+parts of their source without repeating its checks.  Neither pipeline does
+work that cannot change its verdict: the interior pipeline checks the
+returned optimizers as solutions of the equality systems before it starts
+a Farkas solve, and the strict pipeline searches for strict members only
+when ``-b in T*`` and ``c in S*``, which both strict sets need.
 """
 
 from __future__ import annotations
@@ -183,7 +187,6 @@ class ConicProblem:
 class ReportFlags:
     primal_interior_opt: bool = False
     dual_interior_opt: bool = False
-    scaling_probe_ok: bool | None = None
     strict_primal_nonempty: bool | None = None
     strict_dual_nonempty: bool | None = None
     boundary_primal_found: bool | None = None
@@ -344,6 +347,12 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
     equality system ``A x = b, x in S`` must be solvable; symmetrically for
     the primal side.  When both preconditions hold the values must agree
     within ``tol`` and the equality-system solutions must be optimal.
+
+    Each system is first tried at the optimizer ``solve`` returned: with
+    ``y*`` interior, complementary slackness ``<y*, A x* - b> = 0`` forces
+    ``A x* = b``, so ``x*`` is the candidate solution of the primal system
+    (and ``y*`` of the dual one).  A fresh Farkas solve runs only when the
+    optimizer fails the check (see :func:`~conedual.farkas.verified_solution`).
     """
     op = pb.operator()
     report = solve(pb, interior_tol=interior_tol)
@@ -353,7 +362,7 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
 
     x_hat = y_hat = None
     if dual_precond:
-        x_hat = verified_solution(op, pb.b, pb.S, tol=tol)
+        x_hat = verified_solution(op, pb.b, pb.S, tol=tol, witness=report.x_star)
         if x_hat is None:
             raise TheoremViolation(
                 "interior dual optimum with finite value, but the primal equality system "
@@ -364,7 +373,7 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
         report.notes.append("precondition not met: dual optimum not interior or not attained")
 
     if primal_precond:
-        y_hat = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol)
+        y_hat = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=report.y_star)
         if y_hat is None:
             raise TheoremViolation(
                 "interior primal optimum with finite value, but the dual equality system "
@@ -512,20 +521,44 @@ def _boundary_feasible_member(pb, opt, sign=1.0, lp_tol=1e-8):
 def verify_strict_feasibility(pb, tol=1e-8):
     """Check the strong-duality statement driven by strict feasibility.
 
-    Pipeline: (1) find explicit strict members on both sides (interior,
-    feasible, and with the pure operator image in the dual cone) by margin
-    maximization; (2) find explicit boundary feasible members; (3) when
-    every set is certified nonempty and both optimal values are finite,
-    both equality systems must be solvable and the gap must vanish within
-    ``tol``.  The complement of a cone's interior is closed under positive
-    scaling for every cone, so ``flags.scaling_probe_ok`` is always True.
+    Pipeline: (0) check ``-b in T*`` and ``c in S*``; (1) find explicit
+    strict members on both sides (interior, feasible, and with the pure
+    operator image in the dual cone) by margin maximization; (2) find
+    explicit boundary feasible members; (3) when every set is certified
+    nonempty and both optimal values are finite, both equality systems
+    must be solvable and the gap must vanish within ``tol``.
+
+    Step (0) is a gate: both strict sets can be nonempty only if
+    ``-b in T*`` and ``c in S*``.  Let ``x0`` and ``y0`` be strict members.
+    ``A x0 in T*`` and ``y0 in T`` give ``<y0, A x0> >= 0``;
+    ``-A^T y0 in S*`` and ``x0 in S`` give ``<y0, A x0> = <A^T y0, x0> <= 0``.
+    So ``<y0, A x0> = 0``: ``A x0`` lies in ``T*`` and is orthogonal to
+    ``y0``, and ``-A^T y0`` lies in ``S*`` and is orthogonal to ``x0``.  For
+    ``y0`` in the relative interior of ``T``, the members of ``T*``
+    orthogonal to ``y0`` form the lineality space of ``T*`` (they vanish on
+    all of ``T``), so ``-A x0 in T*`` and ``-b = (A x0 - b) + (-A x0) in T*``;
+    in the same way ``c = (c - A^T y0) + A^T y0 in S*``.  Relative interiors
+    make this hold for slice cones too.  When the gate fails, the verdict
+    is vacuous: the note names the failed condition, and the strict and
+    boundary flags stay None ("not searched").  The gate uses the
+    tolerance the strict members are checked at.
     """
     op = pb.operator()
-    pt = pb.transpose()
     report = solve(pb)
-    flags = report.flags
-    flags.scaling_probe_ok = True
+    failed = [
+        name
+        for name, ok in (
+            ("-b in T*", contains(dual(pb.T), -pb.b, 1e-7)),
+            ("c in S*", contains(dual(pb.S), pb.c, 1e-7)),
+        )
+        if not ok
+    ]
+    if failed:
+        report.notes.append("precondition not met: strict sets not searched, " + " and ".join(failed) + " fails")
+        return report
 
+    pt = pb.transpose()
+    flags = report.flags
     strict_p = _strict_member(pb)
     strict_d = _strict_member(pt, sign=-1.0)
     flags.strict_primal_nonempty = strict_p is not None
@@ -641,7 +674,6 @@ def report_to_dict(report):
         "flags": {
             "primal_interior_opt": report.flags.primal_interior_opt,
             "dual_interior_opt": report.flags.dual_interior_opt,
-            "scaling_probe_ok": report.flags.scaling_probe_ok,
             "strict_primal_nonempty": report.flags.strict_primal_nonempty,
             "strict_dual_nonempty": report.flags.strict_dual_nonempty,
             "boundary_primal_found": report.flags.boundary_primal_found,

@@ -177,11 +177,20 @@ def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
     return contains(dual_cone, image, tol) and margin > tol
 
 
-def verified_solution(A, rhs, cone, p=None, tol=1e-8):
-    """A solution of ``{A x = rhs, x in cone}`` from :func:`farkas_primal`,
-    re-checked by :func:`verify_outcome` at ``10 tol``; None when none
-    verifies.  The dual system ``{A^T y = c, y in T}`` is this system for
+def verified_solution(A, rhs, cone, p=None, tol=1e-8, witness=None):
+    """A solution of ``{A x = rhs, x in cone}`` re-checked by
+    :func:`verify_outcome` at ``10 tol``; None when none verifies.
+
+    A candidate ``witness`` (say, an optimizer that should solve the
+    system) is checked first and returned when it passes; otherwise the
+    solution comes from :func:`farkas_primal`.  A verified witness proves
+    the system solvable, so it can only turn None into a solution.  The
+    dual system ``{A^T y = c, y in T}`` is this system for
     ``adjoint_operator(A)``."""
+    if witness is not None:
+        candidate = FarkasOutcome(branch="solution", side="primal", point=witness)
+        if verify_outcome(candidate, A, rhs, cone, tol=10 * tol):
+            return witness
     outcome = farkas_primal(A, rhs, cone, p=p, tol=tol)
     if outcome.branch == "solution" and verify_outcome(outcome, A, rhs, cone, tol=10 * tol):
         return outcome.point

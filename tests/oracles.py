@@ -2,16 +2,21 @@
 
 Everything here avoids the library's solution paths on purpose: grid
 enumeration, polar scans, and backward substitution compute expected values
-from the problem data alone.
+from the problem data alone.  The exceptions are the reference orders at the
+end, which run the library's own steps in the order of an earlier design.
 """
 
 import math
 
 import numpy as np
 
+from conedual import duality
+from conedual.complex_lp import build_complex_lp
 from conedual.cones import dual, generators
 from conedual.continuous_lp import grid_points
-from conedual.errors import SolverFailure
+from conedual.errors import SolverFailure, TheoremViolation
+from conedual.farkas import verified_solution
+from conedual.linops import adjoint_operator
 from conedual.simplex import simplex_solve
 
 
@@ -197,3 +202,60 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
     if res.status != "optimal":
         return res.status, None
     return res.status, float(res.x[k + 2 * kd])
+
+
+def ungated_strict_feasibility(pb, tol=1e-8):
+    """``verify_strict_feasibility`` without its ``-b in T*``, ``c in S*``
+    gate: both strict-member LPs and both boundary searches run on every
+    pair.  Returns the report or raises ``TheoremViolation`` where the
+    ungated pipeline would."""
+    op = pb.operator()
+    pt = pb.transpose()
+    report = duality.solve(pb)
+    flags = report.flags
+    strict_p = duality._strict_member(pb)
+    strict_d = duality._strict_member(pt, sign=-1.0)
+    flags.strict_primal_nonempty = strict_p is not None
+    flags.strict_dual_nonempty = strict_d is not None
+    boundary_p = duality._boundary_feasible_member(pb, report.x_star)
+    boundary_d = duality._boundary_feasible_member(pt, report.y_star, sign=-1.0)
+    flags.boundary_primal_found = boundary_p is not None
+    flags.boundary_dual_found = boundary_d is not None
+    preconds = {
+        "strict primal set": strict_p is not None,
+        "strict dual set": strict_d is not None,
+        "boundary primal set": boundary_p is not None,
+        "boundary dual set": boundary_d is not None,
+        "finite values": math.isfinite(report.v_primal) and math.isfinite(report.v_dual),
+    }
+    unmet = [name for name, ok in preconds.items() if not ok]
+    if unmet:
+        report.notes.append("precondition not met: " + ", ".join(unmet))
+        return report
+    ok_p = verified_solution(op, pb.b, pb.S, tol=tol) is not None
+    ok_d = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol) is not None
+    if not (ok_p and ok_d):
+        raise TheoremViolation(
+            "strict feasibility preconditions verified but an equality system has no solution "
+            f"(primal solvable: {ok_p}, dual solvable: {ok_d})",
+            report=report,
+        )
+    flags.systems_solved = (True, True)
+    if abs(report.v_primal - report.v_dual) > tol:
+        raise TheoremViolation(
+            f"strict feasibility preconditions verified but gap {report.gap:.3e} exceeds {tol:.1e}",
+            report=report,
+        )
+    return report
+
+
+def nnls_first_system_solvability(spec, farkas_tol=1e-8):
+    """``(primal_system_solvable, dual_system_solvable)`` of
+    ``classify_boundary_optima`` decided the NNLS-first way: one Farkas
+    solve per equality system, before and without the optimizers."""
+    pb = build_complex_lp(spec)
+    op = pb.operator()
+    return (
+        verified_solution(op, pb.b, pb.S, tol=farkas_tol) is not None,
+        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol) is not None,
+    )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conedual import duality
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import dual, interior_contains, orthant
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
@@ -227,7 +228,6 @@ def centered_kernel_problem():
 
 def test_strict_feasibility_pipeline_passes():
     report = verify_strict_feasibility(centered_kernel_problem())
-    assert report.flags.scaling_probe_ok
     assert report.flags.strict_primal_nonempty
     assert report.flags.strict_dual_nonempty
     assert report.flags.boundary_primal_found
@@ -238,10 +238,16 @@ def test_strict_feasibility_pipeline_passes():
 
 def test_strict_feasibility_precondition_failure():
     # -A^T y in S* forces y = 0 for the identity operator, so the strict
-    # dual set is empty and the pipeline reports an unmet precondition.
-    report = verify_strict_feasibility(identity_problem())
-    assert report.flags.strict_dual_nonempty is False
-    assert any("precondition not met" in note for note in report.notes)
+    # dual set is empty.  -b = (-1, -1) is not in T*, so the pipeline stops
+    # at its gate without searching, and reports the unmet precondition.
+    pb = identity_problem()
+    report = verify_strict_feasibility(pb)
+    flags = report.flags
+    assert flags.strict_primal_nonempty is None and flags.strict_dual_nonempty is None
+    assert flags.boundary_primal_found is None and flags.boundary_dual_found is None
+    assert flags.systems_solved == (False, False)
+    assert "precondition not met: strict sets not searched, -b in T* fails" in report.notes
+    assert duality._strict_member(pb.transpose(), sign=-1.0) is None
 
 
 def test_strict_feasibility_detects_conclusion_failure():
