@@ -40,7 +40,6 @@ from .linops import (
     adjoint_operator,
     apply,
     complex_embed,
-    complex_real_part,
     pairing,
     weighted_quadrature,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "apply",
     "complementarity",
     "complex_embed",
-    "complex_real_part",
     "contains",
     "dual",
     "farkas_dual",

@@ -29,7 +29,7 @@ from .cones import slice_cone, wedge
 from .duality import ConicProblem, solve
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, adjoint_operator, complex_embed, complex_real_part
+from .linops import OperatorSpec, adjoint_operator, complex_embed
 
 __all__ = [
     "ComplexLPSpec",
@@ -111,20 +111,12 @@ def build_complex_lp(spec):
     if spec.game_slice:
         s_cone = slice_cone(s_cone, _imag_sum_normal(spec.m))
         t_cone = slice_cone(t_cone, _imag_sum_normal(spec.n))
-    op = OperatorSpec(
-        matrix=emb_y.embed_matrix(spec.A),
-        label="complex",
-        pairing_domain=complex_real_part(),
-        pairing_codomain=complex_real_part(),
-    )
     return ConicProblem(
-        A=op,
+        A=OperatorSpec(matrix=emb_y.embed_matrix(spec.A), label="complex"),
         b=emb_y.embed_vector(spec.b),
         c=emb_x.embed_vector(spec.c),
         S=s_cone,
         T=t_cone,
-        pairing_X=complex_real_part(),
-        pairing_Y=complex_real_part(),
     )
 
 

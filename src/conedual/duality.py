@@ -38,9 +38,9 @@ Two verification pipelines re-check the strong-duality statements:
   the interior of its cone (and the value is finite), the *other* side's
   equality system must be solvable and the duality gap must vanish.
 * ``verify_strict_feasibility`` -- when both cones admit strictly feasible
-  points whose operator images also stay in the dual cones, boundary
-  feasible points exist, and both values are finite, both equality systems
-  must be solvable with zero gap.
+  points whose operator images also stay in the dual cones and both values
+  are finite, the gap must vanish; the solvability of the two equality
+  systems is reported, not asserted (it need not hold).
 
 Both raise :class:`TheoremViolation` when a verified precondition holds but
 the asserted conclusion fails at tolerance; unmet preconditions are
@@ -189,8 +189,6 @@ class ReportFlags:
     dual_interior_opt: bool = False
     strict_primal_nonempty: bool | None = None
     strict_dual_nonempty: bool | None = None
-    boundary_primal_found: bool | None = None
-    boundary_dual_found: bool | None = None
     systems_solved: tuple = (False, False)
 
 
@@ -405,18 +403,19 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def _strict_member(pb, sign=1.0, lp_tol=1e-8, min_margin=1e-7):
+def _strict_member(pb, sign=1.0, lp_tol=1e-8):
     """Search for a strictly interior primal feasible point whose operator
-    image also lies in the dual cone, by maximizing the coefficient margin:
-    ``x = G_S u`` with ``u >= delta``, ``A x - b in T*`` and ``A x in T*``.
+    image also lies in the dual cone: ``x = G_S u`` with ``u >= 1``,
+    ``A x - b in T*`` and ``A x in T*``.
 
-    The margin is substituted out: ``u = r + delta * 1`` with ``r >= 0``, so
-    the image and slice rows carry ``delta`` through the column ``M 1`` of
-    their coefficient matrix ``M``, and the point is ``G_S (r + delta)``.
-    This has the feasible set and the optimal ``delta`` of the form with
-    explicit margin rows ``u - delta - r = 0`` (kept in the tests as a
-    reference), with ``k`` fewer rows and columns.  ``delta <= 1`` keeps the
-    program bounded.
+    The margin is fixed at 1 and substituted out: ``u = r + 1`` with
+    ``r >= 0``, so the image and slice rows move ``M 1`` (``M`` their
+    coefficient matrix) to the right-hand side, and the point is
+    ``G_S (r + 1)``.  What is left is a feasibility LP with zero cost.  No
+    positive margin is lost: with ``A G u in T*``,
+    ``t A G u - b = (A G u - b) + (t - 1) A G u in T*`` for ``t >= 1``, so
+    the feasible set is closed under ``u -> t u`` and any positive margin
+    scales up to 1.
 
     On ``pb.transpose()`` this is the dual search ``y = G_T v``,
     ``c - A^T y in S*``, ``-A^T y in S*``.  ``sign`` multiplies the two
@@ -425,46 +424,34 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8, min_margin=1e-7):
     op = pb.operator()
     g, cone, dual_set = generators(pb.S), pb.S, dual(pb.T)
     g_dual = generators(dual_set)
+    # Dividing A and b by one s > 0 leaves the set unchanged (the w columns
+    # absorb s), and the simplex pivots at absolute tolerances, so the image
+    # rows are posed with their largest coefficient at 1.
     m_img = sign * (op.matrix @ g)
+    s = np.abs(m_img).max(initial=0.0) or 1.0
+    m_img = m_img / s
     k = g.shape[1]
     kd = g_dual.shape[1]
-    dim_img = m_img.shape[0]
-    # Variables: [r(k), w1(kd), w2(kd), delta, cap].
-    i_delta = k + 2 * kd
-    n_var = i_delta + 2
-    rows = []
-    rhs = []
-    for block, b_rhs in ((slice(k, k + kd), sign * pb.b), (slice(k + kd, i_delta), np.zeros(dim_img))):
-        r_img = np.zeros((dim_img, n_var))
-        r_img[:, :k] = m_img
-        r_img[:, block] = -sign * g_dual
-        r_img[:, i_delta] = m_img.sum(axis=1)
-        rows.append(r_img)
-        rhs.append(b_rhs)
-    r_cap = np.zeros((1, n_var))
-    r_cap[0, i_delta:] = 1.0
-    rows.append(r_cap)
-    rhs.append(np.ones(1))
+    zero = np.zeros((m_img.shape[0], kd))
+    # Variables: [r(k), w1(kd), w2(kd)].
+    shift = m_img.sum(axis=1)
+    rows = [
+        np.hstack([m_img, -sign * g_dual, zero]),
+        np.hstack([m_img, zero, -sign * g_dual]),
+    ]
+    rhs = [sign * pb.b / s - shift, -shift]
     if cone.kind == "slice":
         n_g = cone.normals.T @ g
-        r_slice = np.zeros((n_g.shape[0], n_var))
-        r_slice[:, :k] = n_g
-        r_slice[:, i_delta] = n_g.sum(axis=1)
-        rows.append(r_slice)
-        rhs.append(np.zeros(n_g.shape[0]))
+        rows.append(np.hstack([n_g, np.zeros((n_g.shape[0], 2 * kd))]))
+        rhs.append(-n_g.sum(axis=1))
 
-    cost = np.zeros(n_var)
-    cost[i_delta] = -1.0
-    res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
+    res = simplex_solve(np.zeros(k + 2 * kd), np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
     if res.status != "optimal":
         return None
-    delta = res.x[i_delta]
-    if delta < min_margin:
-        return None
-    point = g @ (res.x[:k] + delta)
+    point = g @ (res.x[:k] + 1.0)
     image = apply(op, point)
     if not (
-        interior_contains(cone, point, min(1e-9, delta / 10))
+        interior_contains(cone, point, 1e-9)
         and contains(dual_set, image - pb.b, 1e-7)
         and contains(dual_set, image, 1e-7)
     ):
@@ -472,61 +459,15 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8, min_margin=1e-7):
     return point
 
 
-def _boundary_feasible_member(pb, opt, sign=1.0, lp_tol=1e-8):
-    """An explicit primal feasible point with finite value that is *not* a
-    strict member (fails interior membership or the pure-image condition).
-
-    Tries the origin, then the returned optimizer ``opt``, then one LP per
-    generator with that generator's coefficient pinned to zero.  On
-    ``pb.transpose()`` (with the dual optimizer) this is the dual search;
-    ``sign`` multiplies the image rows (see the module notes).
-    """
-    op = pb.operator()
-    cone, g = pb.S, generators(pb.S)
-    dual_set = dual(pb.T)
-
-    def not_strict(x):
-        return not interior_contains(cone, x, 1e-9) or not contains(dual_set, apply(op, x), 1e-8)
-
-    zero = np.zeros(cone.dim)
-    if feasible_primal(pb, zero, 1e-7) and not_strict(zero):
-        return zero
-    if opt is not None and not_strict(opt):
-        return opt
-
-    k = g.shape[1]
-    g_dual = generators(dual_set)
-    image_rows = np.hstack([sign * (op.matrix @ g), -sign * g_dual])
-    for pinned in range(k):
-        n_var = k + g_dual.shape[1]
-        rows = [image_rows]
-        rhs = [sign * pb.b]
-        pin = np.zeros((1, n_var))
-        pin[0, pinned] = 1.0
-        rows.append(pin)
-        rhs.append(np.zeros(1))
-        if cone.kind == "slice":
-            sl = np.zeros((cone.normals.shape[1], n_var))
-            sl[:, :k] = cone.normals.T @ g
-            rows.append(sl)
-            rhs.append(np.zeros(cone.normals.shape[1]))
-        res = simplex_solve(np.zeros(n_var), np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
-        if res.status == "optimal":
-            point = g @ res.x[:k]
-            if feasible_primal(pb, point, 1e-7) and not_strict(point):
-                return point
-    return None
-
-
 def verify_strict_feasibility(pb, tol=1e-8):
     """Check the strong-duality statement driven by strict feasibility.
 
     Pipeline: (0) check ``-b in T*`` and ``c in S*``; (1) find explicit
     strict members on both sides (interior, feasible, and with the pure
-    operator image in the dual cone) by margin maximization; (2) find
-    explicit boundary feasible members; (3) when every set is certified
-    nonempty and both optimal values are finite, both equality systems
-    must be solvable and the gap must vanish within ``tol``.
+    operator image in the dual cone); (2) when both strict sets are
+    nonempty and both optimal values are finite, the gap must vanish
+    within ``tol``, and the solvability of both equality systems is
+    reported in ``systems_solved``.  Only the gap check raises.
 
     Step (0) is a gate: both strict sets can be nonempty only if
     ``-b in T*`` and ``c in S*``.  Let ``x0`` and ``y0`` be strict members.
@@ -539,9 +480,27 @@ def verify_strict_feasibility(pb, tol=1e-8):
     all of ``T``), so ``-A x0 in T*`` and ``-b = (A x0 - b) + (-A x0) in T*``;
     in the same way ``c = (c - A^T y0) + A^T y0 in S*``.  Relative interiors
     make this hold for slice cones too.  When the gate fails, the verdict
-    is vacuous: the note names the failed condition, and the strict and
-    boundary flags stay None ("not searched").  The gate uses the
-    tolerance the strict members are checked at.
+    is vacuous: the note names the failed condition, and the strict flags
+    stay None ("not searched").  The gate uses the tolerance the strict
+    members are checked at.
+
+    The gate also settles the rest.  ``x = 0`` and ``y = 0`` are feasible
+    (``-b in T*``, ``c in S*``) and not strict members, so boundary feasible
+    points need no search.  On every feasible pair ``<c, x> >= 0`` and
+    ``<y, b> <= 0``, so ``x = y = 0`` are optimal and both values are 0; the
+    gap check re-checks the values the LPs returned.  The equality systems
+    need not be solvable.  By the argument above, ``A^T y0`` lies in the
+    lineality space of ``S*``, which vanishes on ``S`` (for solid cones,
+    ``A x0 = 0`` and ``A^T y0 = 0``).  If ``A x = b`` for some ``x in S``,
+    then ``<y0, b> = <A^T y0, x> = 0``, and ``y0`` in the interior of ``T``
+    with ``-b in T*`` forces ``b = 0``.  So for a solid ``T`` the primal
+    system is solvable iff ``b = 0``, and for a solid ``S`` the dual system
+    iff ``c = 0``; for a slice, ``b`` in the lineality space of ``T*`` is
+    only necessary.  ``A = 0``, ``b = 0``, ``c = (1, 1)`` on orthants meets
+    every precondition with a solvable primal and an unsolvable dual
+    system.  So solvability is reported in ``systems_solved``, not
+    asserted; each system is tried first at the witness 0, which solves it
+    when its right-hand side is 0.
     """
     op = pb.operator()
     report = solve(pb)
@@ -557,23 +516,12 @@ def verify_strict_feasibility(pb, tol=1e-8):
         report.notes.append("precondition not met: strict sets not searched, " + " and ".join(failed) + " fails")
         return report
 
-    pt = pb.transpose()
     flags = report.flags
-    strict_p = _strict_member(pb)
-    strict_d = _strict_member(pt, sign=-1.0)
-    flags.strict_primal_nonempty = strict_p is not None
-    flags.strict_dual_nonempty = strict_d is not None
-
-    boundary_p = _boundary_feasible_member(pb, report.x_star)
-    boundary_d = _boundary_feasible_member(pt, report.y_star, sign=-1.0)
-    flags.boundary_primal_found = boundary_p is not None
-    flags.boundary_dual_found = boundary_d is not None
-
+    flags.strict_primal_nonempty = _strict_member(pb) is not None
+    flags.strict_dual_nonempty = _strict_member(pb.transpose(), sign=-1.0) is not None
     preconds = {
-        "strict primal set": strict_p is not None,
-        "strict dual set": strict_d is not None,
-        "boundary primal set": boundary_p is not None,
-        "boundary dual set": boundary_d is not None,
+        "strict primal set": flags.strict_primal_nonempty,
+        "strict dual set": flags.strict_dual_nonempty,
         "finite values": math.isfinite(report.v_primal) and math.isfinite(report.v_dual),
     }
     unmet = [name for name, ok in preconds.items() if not ok]
@@ -581,15 +529,10 @@ def verify_strict_feasibility(pb, tol=1e-8):
         report.notes.append("precondition not met: " + ", ".join(unmet))
         return report
 
-    ok_p = verified_solution(op, pb.b, pb.S, tol=tol) is not None
-    ok_d = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol) is not None
-    if not (ok_p and ok_d):
-        raise TheoremViolation(
-            "strict feasibility preconditions verified but an equality system has no solution "
-            f"(primal solvable: {ok_p}, dual solvable: {ok_d})",
-            report=report,
-        )
-    flags.systems_solved = (True, True)
+    flags.systems_solved = (
+        verified_solution(op, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None,
+        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=np.zeros(pb.T.dim)) is not None,
+    )
     if abs(report.v_primal - report.v_dual) > tol:
         raise TheoremViolation(
             f"strict feasibility preconditions verified but gap {report.gap:.3e} exceeds {tol:.1e}",
@@ -613,8 +556,10 @@ def _pairing_to_dict(p):
 def _pairing_from_dict(d):
     if d is None:
         return PairingSpec()
+    kind = d.get("kind", "euclidean_dot")
     return PairingSpec(
-        kind=d.get("kind", "euclidean_dot"),
+        # Older files tag the real-part pairing of complex data separately.
+        kind="euclidean_dot" if kind == "complex_real_part" else kind,
         weights=None if d.get("weights") is None else np.asarray(d["weights"], dtype=float),
     )
 
@@ -676,8 +621,6 @@ def report_to_dict(report):
             "dual_interior_opt": report.flags.dual_interior_opt,
             "strict_primal_nonempty": report.flags.strict_primal_nonempty,
             "strict_dual_nonempty": report.flags.strict_dual_nonempty,
-            "boundary_primal_found": report.flags.boundary_primal_found,
-            "boundary_dual_found": report.flags.boundary_dual_found,
             "systems_solved": list(report.flags.systems_solved),
         },
         "notes": list(report.notes),

@@ -17,7 +17,6 @@ __all__ = [
     "PairingSpec",
     "EUCLIDEAN",
     "weighted_quadrature",
-    "complex_real_part",
     "pairing",
     "pairing_norm",
     "OperatorSpec",
@@ -31,7 +30,7 @@ __all__ = [
     "adjoint_identity_check",
 ]
 
-_PAIRING_KINDS = ("euclidean_dot", "weighted_quadrature", "complex_real_part")
+_PAIRING_KINDS = ("euclidean_dot", "weighted_quadrature")
 
 
 def _as_vector(v, dim=None, name="vector"):
@@ -49,9 +48,8 @@ def _as_vector(v, dim=None, name="vector"):
 class PairingSpec:
     """A bilinear symmetric pairing on a coordinate space.
 
-    ``euclidean_dot`` and ``complex_real_part`` are both the plain dot
-    product (the latter acts on real embeddings of complex vectors and is
-    kept as a distinct tag for reporting).  ``weighted_quadrature`` is
+    ``euclidean_dot`` is the plain dot product; on real embeddings of
+    complex vectors it is ``Re <z, w>``.  ``weighted_quadrature`` is
     ``<u, v> = sum_i w_i u_i v_i`` with strictly positive weights, the
     discrete stand-in for an integral pairing.
     """
@@ -87,10 +85,6 @@ EUCLIDEAN = PairingSpec()
 
 def weighted_quadrature(weights):
     return PairingSpec(kind="weighted_quadrature", weights=np.asarray(weights, dtype=float))
-
-
-def complex_real_part():
-    return PairingSpec(kind="complex_real_part")
 
 
 def pairing(p, u, v):

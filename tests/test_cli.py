@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conedual import cli, continuous_lp
+from conedual import cli, continuous_lp, duality
 from conedual.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_problem
 
 
@@ -82,11 +82,19 @@ def test_verify_interior_vacuous_note(tmp_path, capsys):
     assert any("precondition not met" in note for note in doc["notes"])
 
 
-def test_verify_strict_violation_exit_code(tmp_path, capsys):
+def test_verify_strict_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # The zero operator with c != 0 meets every strict precondition while
+    # A^T y = c has no solution; that is reported, not a violation.
     doc = identity_doc(b=(0.0, 0.0), c=(1.0, 1.0))
     doc["A"]["data"] = [0.0, 0.0, 0.0, 0.0]
     path = write(tmp_path, "zero.json", doc)
-    assert main(["verify-strict", "--input", path]) == EXIT_VIOLATION
+    assert main(["--output", "json", "verify-strict", "--input", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["flags"]["systems_solved"] == [True, False]
+    # A conclusion that does fail exits 3: interior optima on both sides
+    # with the equality-system solver made to find nothing.
+    monkeypatch.setattr(duality, "verified_solution", lambda *args, **kwargs: None)
+    path = write(tmp_path, "id.json", identity_doc())
+    assert main(["verify-interior", "--input", path]) == EXIT_VIOLATION
     assert "theorem-violation" in capsys.readouterr().err
 
 

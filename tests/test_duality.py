@@ -1,11 +1,12 @@
 """Conic pair solving, complementarity, and the verification pipelines."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conedual import duality
+from conedual import cli, duality
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import dual, interior_contains, orthant
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
@@ -21,7 +22,6 @@ from conedual.duality import (
     verify_interior_optima,
     verify_strict_feasibility,
 )
-from conedual.errors import TheoremViolation
 from conedual.farkas import farkas_primal
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing
@@ -230,8 +230,6 @@ def test_strict_feasibility_pipeline_passes():
     report = verify_strict_feasibility(centered_kernel_problem())
     assert report.flags.strict_primal_nonempty
     assert report.flags.strict_dual_nonempty
-    assert report.flags.boundary_primal_found
-    assert report.flags.boundary_dual_found
     assert report.flags.systems_solved == (True, True)
     assert abs(report.gap) <= 1e-8
 
@@ -244,16 +242,16 @@ def test_strict_feasibility_precondition_failure():
     report = verify_strict_feasibility(pb)
     flags = report.flags
     assert flags.strict_primal_nonempty is None and flags.strict_dual_nonempty is None
-    assert flags.boundary_primal_found is None and flags.boundary_dual_found is None
     assert flags.systems_solved == (False, False)
     assert "precondition not met: strict sets not searched, -b in T* fails" in report.notes
     assert duality._strict_member(pb.transpose(), sign=-1.0) is None
 
 
 def test_strict_feasibility_detects_conclusion_failure():
-    # Zero operator with nonzero c: every strict/boundary precondition is
-    # satisfiable, yet A^T y = c is insoluble.  The pipeline must flag the
-    # violated conclusion rather than pass.
+    # Zero operator with nonzero c: every strict precondition holds, and
+    # x = y = 0 are optimal with both values 0, yet A^T y = c is insoluble.
+    # Solvability is not a consequence of the preconditions, so the
+    # pipeline reports it and raises nothing.
     pb = ConicProblem(
         A=OperatorSpec(matrix=np.zeros((2, 2))),
         b=np.zeros(2),
@@ -261,8 +259,41 @@ def test_strict_feasibility_detects_conclusion_failure():
         S=orthant(2),
         T=orthant(2),
     )
-    with pytest.raises(TheoremViolation):
-        verify_strict_feasibility(pb)
+    report = verify_strict_feasibility(pb)
+    assert report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty
+    assert report.flags.systems_solved == (True, False)
+    assert report.v_primal == report.v_dual == 0.0
+    assert report.notes == []
+
+
+# Pairs on R^2_+ / R_+ on which every strict precondition holds exactly,
+# with the solvability of (A x = b, A^T y = c) the proof predicts: the
+# primal system iff b = 0, the dual system iff c = 0.
+STRICT_PAIRS = {
+    "2x2": (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-1.0, -2.0]), np.array([1.0, 1.0]), (False, False)),
+    "1-d": (np.zeros((1, 1)), np.array([-1.0]), np.array([1.0]), (False, False)),
+    "zero A": (np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]), (True, False)),
+}
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+@pytest.mark.parametrize("name", sorted(STRICT_PAIRS))
+def test_strict_pipeline_reports_unsolvable_systems_at_every_scale(name, k, tmp_path, capsys):
+    mat, b, c, expected = STRICT_PAIRS[name]
+    scale = 10.0**k
+    pb = ConicProblem(
+        A=OperatorSpec(matrix=scale * mat), b=scale * b, c=scale * c, S=orthant(len(c)), T=orthant(len(b))
+    )
+    report = verify_strict_feasibility(pb)
+    assert report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty
+    assert report.flags.systems_solved == expected
+    assert report.v_primal == report.v_dual == 0.0
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(problem_to_dict(pb)))
+    assert cli.main(["--output", "json", "verify-strict", "--input", str(path)]) == cli.EXIT_OK
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["strict_primal_nonempty"] and flags["strict_dual_nonempty"]
+    assert tuple(flags["systems_solved"]) == expected
 
 
 def weighted_clp_problem():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conedual.linops import (
+    EUCLIDEAN,
     OperatorSpec,
     adjoint_apply,
     adjoint_identity_check,
@@ -11,7 +12,6 @@ from conedual.linops import (
     adjoint_operator,
     apply,
     complex_embed,
-    complex_real_part,
     pairing,
     weighted_quadrature,
 )
@@ -86,7 +86,7 @@ def test_pairing_examples():
     emb = complex_embed(1)
     z = emb.embed_vector(np.array([1j]))
     c = emb.embed_vector(np.array([1j]))
-    assert pairing(complex_real_part(), z, c) == pytest.approx(1.0)
+    assert pairing(EUCLIDEAN, z, c) == pytest.approx(1.0)
 
 
 def test_weighted_quadrature_integrates_ones():
@@ -130,14 +130,14 @@ def test_embedding_pairing_matches_complex_arithmetic():
     emb = complex_embed(1)
     z = emb.embed_vector(np.array([1 + 1j]))
     w = emb.embed_vector(np.array([1 - 1j]))
-    assert pairing(complex_real_part(), z, w) == pytest.approx(0.0)
+    assert pairing(EUCLIDEAN, z, w) == pytest.approx(0.0)
     rng = np.random.default_rng(41)
     emb3 = complex_embed(3)
     for _ in range(200):
         zc = rng.normal(size=3) + 1j * rng.normal(size=3)
         wc = rng.normal(size=3) + 1j * rng.normal(size=3)
         expected = float(np.real(np.vdot(zc, wc)))
-        got = pairing(complex_real_part(), emb3.embed_vector(zc), emb3.embed_vector(wc))
+        got = pairing(EUCLIDEAN, emb3.embed_vector(zc), emb3.embed_vector(wc))
         assert got == pytest.approx(expected, abs=1e-12)
 
 

@@ -35,31 +35,44 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one
 
 
 def _cone(rng, family, dim):
+    """A cone of ``family``, and for a slice the point it was cut through
+    (None otherwise)."""
     if family == "orthant":
-        return orthant(dim)
+        return orthant(dim), None
     if family == "wedge":
-        return wedge(rng.uniform(0.15, math.pi / 2 - 0.15, size=dim // 2))
+        return wedge(rng.uniform(0.15, math.pi / 2 - 0.15, size=dim // 2)), None
     # A slice of the orthant through an interior point, so it has a
     # relative interior.
     x0 = rng.uniform(0.5, 1.5, size=dim)
     normal = rng.uniform(-1.0, 1.0, size=dim)
-    return slice_cone(orthant(dim), normal - (normal @ x0) / (x0 @ x0) * x0)
+    return slice_cone(orthant(dim), normal - (normal @ x0) / (x0 @ x0) * x0), x0
+
+
+def _inner(rng, cone, cut):
+    """A point in the relative interior of ``cone``: the cut point of a
+    slice (the base cone's generators do not span it), otherwise a positive
+    combination of the generators."""
+    if cut is not None:
+        return cut
+    g = generators(cone)
+    return g @ rng.uniform(0.5, 1.5, size=g.shape[1])
 
 
 def random_pairs(family, count, seed):
     """Pairs on ``family`` cones: half built so that both strict sets are
-    nonempty (``A`` annihilates interior points on both sides, ``b = c = 0``),
-    half with uniform random data."""
+    nonempty (``A`` annihilates relative-interior points on both sides,
+    ``b = c = 0``), half with uniform random data."""
     rng = np.random.default_rng(seed)
     pairs = []
     for i in range(count):
         dim = 2 * int(rng.integers(1, 4)) if family == "wedge" else int(rng.integers(2, 7))
-        cone_s, cone_t = _cone(rng, family, dim), _cone(rng, "orthant" if family == "slice" else family, dim)
+        cone_s, cut_s = _cone(rng, family, dim)
+        cone_t, cut_t = _cone(rng, "orthant" if family == "slice" else family, dim)
         mat = rng.uniform(-1.0, 1.0, size=(dim, dim))
         b, c = rng.uniform(-1.0, 1.0, size=dim), rng.uniform(-1.0, 1.0, size=dim)
         if i % 2 == 0:
-            x0 = generators(cone_s) @ rng.uniform(0.5, 1.5, size=generators(cone_s).shape[1])
-            y0 = generators(cone_t) @ rng.uniform(0.5, 1.5, size=generators(cone_t).shape[1])
+            x0 = _inner(rng, cone_s, cut_s)
+            y0 = _inner(rng, cone_t, cut_t)
             p_x = np.eye(dim) - np.outer(x0, x0) / (x0 @ x0)
             p_y = np.eye(dim) - np.outer(y0, y0) / (y0 @ y0)
             mat = p_y @ mat @ p_x
@@ -112,30 +125,30 @@ def same_report(r1, r2):
 
 @pytest.mark.parametrize("family", ["orthant", "wedge", "slice"])
 def test_strict_member_lp_matches_margin_row_formulation(family, monkeypatch):
+    # The fixed-margin LP finds a point exactly where the margin-row LP
+    # maximizes the margin to at least the old acceptance margin 1e-7.
     spy = SimplexSpy(monkeypatch)
-    optimal = found = 0
-    for pb in random_pairs(family, 12, seed={"orthant": 1, "wedge": 2, "slice": 3}[family]):
+    found = strict_pairs_found = 0
+    for i, pb in enumerate(random_pairs(family, 12, seed={"orthant": 1, "wedge": 2, "slice": 3}[family])):
         for p in (pb, pb.transpose()):
             for sign in (1.0, -1.0):
                 status, delta = margin_row_strict_lp(p, sign=sign)
-                spy.results.clear()
+                spy.lps.clear()
                 point = duality._strict_member(p, sign=sign)
-                (res,) = spy.results
-                assert res.status == status
-                if status != "optimal":
-                    assert point is None
-                    continue
-                optimal += 1
-                assert math.isclose(-res.objective, delta, rel_tol=1e-9, abs_tol=1e-12)
+                ((cost, _, _),) = spy.lps
+                assert not cost.any()
+                assert (point is not None) == (status == "optimal" and delta >= 1e-7)
                 if point is None:
                     continue
                 found += 1
+                strict_pairs_found += i % 2 == 0
                 image = p.A.matrix @ point
                 assert interior_contains(p.S, point, 1e-9)
                 assert contains(dual(p.T), image - p.b, 1e-7)
                 assert contains(dual(p.T), image, 1e-7)
-    # Both outcomes occur on every family.
-    assert found > 0 and optimal < 48
+    # Both outcomes occur on every family, and every LP of the pairs built
+    # with both strict sets finds its point.
+    assert strict_pairs_found == 24 and found < 48
 
 
 def strict_phase_one_cases():
@@ -145,8 +158,8 @@ def strict_phase_one_cases():
 
 @pytest.mark.parametrize("case", strict_phase_one_cases(), ids=lambda case: case["source"])
 def test_strict_pipeline_regressions(case):
-    # The margin-row LP stopped with "phase one reported unbounded" on these
-    # pairs of the pipelines benchmark.
+    # The margin-maximizing LPs of earlier versions stopped with "phase one
+    # reported unbounded" on these pairs of the pipelines benchmark.
     pb = problem_from_dict(case["problem"])
     interior = verify_interior_optima(pb)
     report = verify_strict_feasibility(pb)

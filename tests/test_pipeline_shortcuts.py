@@ -14,8 +14,14 @@ import pytest
 from oracles import nnls_first_system_solvability, ungated_strict_feasibility
 
 from conedual import complex_lp, cones, duality, farkas, instances, linops
-from conedual.cones import contains, dual, generators, orthant, slice_cone, wedge
-from conedual.duality import ConicProblem, verify_interior_optima, verify_strict_feasibility
+from conedual.cones import contains, dual, generators, interior_contains, orthant, slice_cone, wedge
+from conedual.duality import (
+    ConicProblem,
+    feasible_dual,
+    feasible_primal,
+    verify_interior_optima,
+    verify_strict_feasibility,
+)
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec
@@ -91,6 +97,22 @@ def test_gate_passes_wherever_both_strict_sets_exist(family):
     assert both >= 7 and gated_out > 0
 
 
+@pytest.mark.parametrize("family", ["orthant", "wedge", "slice"])
+def test_zero_is_a_feasible_non_strict_point_wherever_both_strict_sets_exist(family):
+    # The boundary feasible points of the strict statement: once both
+    # strict sets exist, x = 0 and y = 0 are feasible and not strict.
+    both = 0
+    for style, pb in gate_pairs(family, seed={"orthant": 11, "wedge": 12, "slice": 13}[family]):
+        if duality._strict_member(pb) is None or duality._strict_member(pb.transpose(), sign=-1.0) is None:
+            continue
+        both += 1
+        assert feasible_primal(pb, np.zeros(pb.S.dim), 1e-7), style
+        assert feasible_dual(pb, np.zeros(pb.T.dim), 1e-7), style
+        assert not interior_contains(pb.S, np.zeros(pb.S.dim), 1e-9), style
+        assert not interior_contains(pb.T, np.zeros(pb.T.dim), 1e-9), style
+    assert both >= 7
+
+
 def test_gate_failing_pair_runs_no_strict_lp(monkeypatch):
     pb, _, _ = interior_optimum_problem(np.random.default_rng(7), 4, "orthant")
     verify_interior_optima(pb)
@@ -105,7 +127,7 @@ def test_gate_failing_pair_runs_no_strict_lp(monkeypatch):
     report = verify_strict_feasibility(pb)
     assert calls == []
     assert any(note.startswith("precondition not met: strict sets not searched") for note in report.notes)
-    assert report.flags.strict_primal_nonempty is None and report.flags.boundary_dual_found is None
+    assert report.flags.strict_primal_nonempty is None and report.flags.strict_dual_nonempty is None
 
 
 # ---------------------------------------------------------------------------
