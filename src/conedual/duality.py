@@ -344,7 +344,8 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
     dual optimizer is interior (and the dual value finite), the primal
     equality system ``A x = b, x in S`` must be solvable; symmetrically for
     the primal side.  When both preconditions hold the values must agree
-    within ``tol`` and the equality-system solutions must be optimal.
+    within ``tol * (1 + |v_primal|)`` and the equality-system solutions must
+    be optimal.
 
     Each system is first tried at the optimizer ``solve`` returned: with
     ``y*`` interior, complementary slackness ``<y*, A x* - b> = 0`` forces
@@ -383,13 +384,14 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
 
     if primal_precond and dual_precond:
         # With both systems solvable, every solution of either system is
-        # optimal and the values coincide; check all three claims.
-        if abs(report.v_primal - report.v_dual) > tol:
+        # optimal and the values coincide; check all three claims, each
+        # relative to the size of the value.
+        scale = 1.0 + abs(report.v_primal)
+        if abs(report.v_primal - report.v_dual) > tol * scale:
             raise TheoremViolation(
-                f"interior optima on both sides but gap {report.gap:.3e} exceeds {tol:.1e}",
+                f"interior optima on both sides but gap {report.gap:.3e} exceeds {tol:.1e} * {scale:.3e}",
                 report=report,
             )
-        scale = 1.0 + abs(report.v_primal)
         if abs(pairing(pb.pairing_X, pb.c, x_hat) - report.v_primal) > 10 * tol * scale:
             raise TheoremViolation("primal equality-system solution is not optimal", report=report)
         if abs(pairing(pb.pairing_Y, y_hat, pb.b) - report.v_dual) > 10 * tol * scale:

@@ -5,6 +5,21 @@ Bland's rule (smallest eligible index enters, smallest basic index breaks
 ratio ties) is used in both phases, so the iteration terminates on
 degenerate problems without cycling.  Intended for desk-scale instances;
 every pivot is an O(m n) vectorized tableau update.
+
+Phase one starts from a slack crash basis (Bixby, "Implementing the
+simplex method: the initial basis", ORSA J. Comput., 1992): after the rows
+with ``b < 0`` are negated, a row that has a column equal to its unit
+vector starts with that column basic (the smallest such index), and only
+the other rows get an artificial.  When every row has one, phase one does
+nothing.
+
+A leaving row is accepted only where its entry exceeds ``_PIVOT_TOL``
+times the largest positive entry of the entering column (and at least
+``_PIVOT_TOL``): only positive entries block the step, so an entry that is
+roundoff beside a large blocking one is never pivoted on, whatever the
+scale of the data.  An artificial left basic after phase one is driven out
+on the largest entry of its row; a row with no entry above ``_PIVOT_TOL``
+is dropped as redundant.
 """
 
 from __future__ import annotations
@@ -36,25 +51,25 @@ def _pivot(tableau, basis, row, col):
     tableau[row] /= piv
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
 
 
-def _bland_entering(obj_row, eligible_cols, tol):
-    reduced = obj_row[eligible_cols]
-    neg = np.flatnonzero(reduced < -tol)
+def _bland_entering(obj_row, n_eligible, tol):
+    neg = (obj_row[:n_eligible] < -tol).nonzero()[0]
     if neg.size == 0:
         return None
-    return int(eligible_cols[neg[0]])
+    return int(neg[0])
 
 
 def _bland_leaving(tableau, basis, col, n_rows):
     column = tableau[:n_rows, col]
-    rhs = tableau[:n_rows, -1]
-    cand = np.flatnonzero(column > _PIVOT_TOL)
+    # Relative pivot test: only positive entries block the step, so an entry
+    # that is roundoff beside the column's largest positive one is no pivot.
+    cand = (column > _PIVOT_TOL * column.max(initial=1.0)).nonzero()[0]
     if cand.size == 0:
         return None
-    ratios = rhs[cand] / column[cand]
+    ratios = tableau[cand, -1] / column[cand]
     valid = ratios >= -_RATIO_TOL
     cand = cand[valid]
     ratios = ratios[valid]
@@ -62,13 +77,13 @@ def _bland_leaving(tableau, basis, col, n_rows):
         return None
     ties = cand[ratios <= ratios.min() + _RATIO_TOL]
     # Bland tie-break: leave the row whose basic variable has smallest index.
-    basis_arr = np.asarray(basis)
-    return int(ties[np.argmin(basis_arr[ties])])
+    return int(ties[basis[ties].argmin()])
 
 
-def _run_phase(tableau, basis, n_rows, eligible_cols, max_iter, iteration_count):
+def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count):
+    """Pivot until no column below ``n_eligible`` has a negative reduced cost."""
     while True:
-        col = _bland_entering(tableau[-1], eligible_cols, _PIVOT_TOL)
+        col = _bland_entering(tableau[-1], n_eligible, _PIVOT_TOL)
         if col is None:
             return "optimal", iteration_count
         row = _bland_leaving(tableau, basis, col, n_rows)
@@ -78,9 +93,18 @@ def _run_phase(tableau, basis, n_rows, eligible_cols, max_iter, iteration_count)
         if iteration_count > max_iter:
             raise SolverFailure(
                 "simplex iteration cap exceeded (cycling guard)",
-                detail={"basis": list(basis), "iterations": iteration_count},
+                detail={"basis": basis.tolist(), "iterations": iteration_count},
             )
         _pivot(tableau, basis, row, col)
+
+
+def _crash_basis(A):
+    """Per row, the smallest column of ``A`` equal to that row's unit
+    vector, or -1 where there is none."""
+    if A.shape[1] == 0:
+        return np.full(A.shape[0], -1)
+    unit = (A == 1.0) & ((A != 0.0).sum(axis=0) == 1)
+    return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
 
 def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
@@ -102,95 +126,88 @@ def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in LP data")
     if max_iter is None:
         max_iter = 200 * (m + n + 10)
 
-    # Normalize to b >= 0 so the artificial basis is feasible.
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    # Normalize to b >= 0 so the starting basis is feasible.
+    sign = np.where(b < 0, -1.0, 1.0)
+    A = A * sign[:, None]
+    b = b * sign
 
-    # Phase one tableau: [A | I | b] with artificial cost row.
-    tableau = np.zeros((m + 1, n + m + 1))
+    # Phase one tableau: [A | one artificial column per uncrashed row | b].
+    basis = _crash_basis(A)
+    art = (basis < 0).nonzero()[0]
+    n_art = art.size
+    tableau = np.zeros((m + 1, n + n_art + 1))
     tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
     tableau[:m, -1] = b
-    basis = [n + i for i in range(m)]
-    # Reduced artificial costs: subtract each constraint row from the cost row.
-    tableau[-1, : n + m] = -tableau[:m, : n + m].sum(axis=0)
-    tableau[-1, n : n + m] = 0.0
-    tableau[-1, -1] = -b.sum()
+    iterations = 0
+    phase1_obj = 0.0
+    if n_art:
+        basis[art] = n + np.arange(n_art)
+        tableau[art, basis[art]] = 1.0
+        # Reduced artificial costs: subtract each artificial row from the cost row.
+        tableau[-1, :n] = -A[art].sum(axis=0)
+        tableau[-1, -1] = -b[art].sum()
+        status, iterations = _run_phase(tableau, basis, m, n + n_art, max_iter, 0)
+        if status == "unbounded":  # cannot happen: phase-one objective is bounded below
+            raise SolverFailure("phase one reported unbounded", detail={"basis": basis.tolist()})
 
-    eligible = np.arange(n + m)
-    status, iterations = _run_phase(tableau, basis, m, eligible, max_iter, 0)
-    if status == "unbounded":  # cannot happen: phase-one objective is bounded below
-        raise SolverFailure("phase one reported unbounded", detail={"basis": list(basis)})
+        phase1_obj = float(-tableau[-1, -1])
+        scale = 1.0 + float(np.abs(b).max(initial=0.0))
+        if phase1_obj > tol * scale:
+            return SimplexResult(
+                status="infeasible",
+                x=None,
+                objective=None,
+                basis=None,
+                iterations=iterations,
+                phase1_objective=phase1_obj,
+            )
 
-    phase1_obj = -tableau[-1, -1]
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    if phase1_obj > tol * scale:
-        return SimplexResult(
-            status="infeasible",
-            x=None,
-            objective=None,
-            basis=None,
-            iterations=iterations,
-            phase1_objective=float(phase1_obj),
-        )
-
-    # Drive artificials out of the basis; rows that cannot pivot are redundant.
-    keep_rows = list(range(m))
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = None
-            for j in range(n):
-                if abs(tableau[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                keep_rows.remove(i)
+        # Drive artificials out of the basis, each on the largest entry of its
+        # row; rows where none exceeds the pivot tolerance are redundant.
+        keep = np.ones(m, dtype=bool)
+        for i in (basis >= n).nonzero()[0]:
+            row = np.abs(tableau[i, :n])
+            if row.max(initial=0.0) <= _PIVOT_TOL:
+                keep[i] = False
             else:
-                _pivot(tableau, basis, i, pivot_col)
+                _pivot(tableau, basis, i, int(row.argmax()))
                 iterations += 1
+        # Phase two drops the artificial columns: b moves into the first.
+        tableau[:, n] = tableau[:, -1]
+        tableau = tableau[np.append(keep, True), : n + 1]
+        basis = basis[keep]
 
-    rows = np.array(keep_rows, dtype=int)
-    m2 = rows.size
-    phase2 = np.zeros((m2 + 1, n + 1))
-    phase2[:m2, :n] = tableau[rows][:, :n]
-    phase2[:m2, -1] = tableau[rows][:, -1]
-    basis2 = [basis[i] for i in keep_rows]
-    phase2[-1, :n] = c
-    for i, bv in enumerate(basis2):
-        coef = phase2[-1, bv]
-        if coef != 0.0:
-            phase2[-1] -= coef * phase2[i]
+    m2 = basis.size
+    tableau[-1, :n] = c
+    tableau[-1, -1] = 0.0
+    for i in c[basis].nonzero()[0]:
+        tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
 
-    eligible = np.arange(n)
-    status, iterations = _run_phase(phase2, basis2, m2, eligible, max_iter, iterations)
+    status, iterations = _run_phase(tableau, basis, m2, n, max_iter, iterations)
     if status == "unbounded":
         return SimplexResult(
             status="unbounded",
             x=None,
             objective=None,
-            basis=list(basis2),
+            basis=basis.tolist(),
             iterations=iterations,
-            phase1_objective=float(phase1_obj),
+            phase1_objective=phase1_obj,
         )
 
+    # Basic values below 1e-12, roundoff-sized or negative, are zero.
+    x_basic = tableau[:m2, -1]
     x = np.zeros(n)
-    for i, bv in enumerate(basis2):
-        x[bv] = phase2[i, -1]
-    x[np.abs(x) < 1e-12] = 0.0
-    np.maximum(x, 0.0, out=x)
+    x[basis] = np.where(x_basic < 1e-12, 0.0, x_basic)
     return SimplexResult(
         status="optimal",
         x=x,
         objective=float(c @ x),
-        basis=list(basis2),
+        basis=basis.tolist(),
         iterations=iterations,
-        phase1_objective=float(phase1_obj),
+        phase1_objective=phase1_obj,
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conedual.duality import (
     verify_interior_optima,
     verify_strict_feasibility,
 )
+from conedual.errors import TheoremViolation
 from conedual.farkas import farkas_primal
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing
@@ -200,6 +202,49 @@ def test_interior_pipeline_wedge_instances():
         report = verify_interior_optima(pb)
         assert report.flags.systems_solved == (True, True)
         assert abs(report.gap) <= 1e-8
+
+
+def interior_gap_cases():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "interior_gap_pairs.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", interior_gap_cases(), ids=lambda case: case["source"])
+def test_interior_gap_check_is_relative(case):
+    # Interior pairs with b and c scaled by 1e3: values near 1e6, so a gap of
+    # ten ulps exceeds an absolute 1e-8.  No theorem fails on them.
+    pb = problem_from_dict(case["problem"])
+    report = verify_interior_optima(pb)
+    assert report.flags.systems_solved == (True, True)
+    assert abs(report.v_primal) > 1e6
+    assert abs(report.gap) <= 1e-13 * abs(report.v_primal)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_interior_pipeline_concludes_on_scaled_values(scale):
+    # Scaling b and c scales both values by the same factor; the verdict
+    # must not change.  An absolute 1e-8 gap check raised on most of these.
+    for seed in range(20):
+        pb, _, _ = interior_optimum_problem(np.random.default_rng(seed), 4)
+        scaled = ConicProblem(A=pb.A, b=scale * pb.b, c=scale * pb.c, S=pb.S, T=pb.T)
+        assert verify_interior_optima(scaled).flags.systems_solved == (True, True)
+
+
+def test_interior_gap_check_raises_on_relative_gap(monkeypatch):
+    # A gap of 1e-6 relative to the value is no roundoff: still a violation.
+    pb = problem_from_dict(interior_gap_cases()[0]["problem"])
+    solve_pair = duality.solve
+
+    def shifted(pb, **kwargs):
+        report = solve_pair(pb, **kwargs)
+        report.v_dual = report.v_primal * (1.0 + 1e-6)
+        report.gap = report.v_primal - report.v_dual
+        return report
+
+    monkeypatch.setattr(duality, "solve", shifted)
+    with pytest.raises(TheoremViolation, match="interior optima on both sides but gap"):
+        verify_interior_optima(pb)
 
 
 def test_contrapositive_boundary_dual_optimum():

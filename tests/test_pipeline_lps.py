@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conedual import duality
+from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.cones import (
     contains,
     dual,
@@ -189,6 +190,41 @@ def test_strict_regression_lps_agree_with_highs(case, monkeypatch):
         cost, a_eq, b_eq = spy.lps[0]
         res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         assert res.status == (0 if found else 2)
+
+
+def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
+    # Every LP that solve and the strict-member search pose on a small
+    # seeded set gets the status HiGHS gives it, and the same optimal value.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(17)
+    pairs = [p for family in ("orthant", "wedge", "slice") for p in random_pairs(family, 6, seed=5)]
+    for dim, family in ((3, "orthant"), (4, "wedge"), (4, "mixed")):
+        pairs.append(interior_optimum_problem(rng, dim, family)[0])
+    spec = ContinuousLPSpec(
+        m=2,
+        n=2,
+        horizon=1.0,
+        n_grid=16,
+        B=rng.uniform(0.5, 1.5, size=(2, 2)),
+        K=rng.uniform(-1.0, 1.0, size=(2, 2)),
+        b=rng.uniform(0.1, 1.0, size=2),
+        c=rng.uniform(0.5, 1.5, size=2),
+    )
+    pairs.append(discretize_clp(spec))
+    spy = SimplexSpy(monkeypatch)
+    for pb in pairs:
+        solve(pb)
+        duality._strict_member(pb, sign=1.0)
+        duality._strict_member(pb.transpose(), sign=-1.0)
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    seen = set()
+    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
+        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.status == statuses[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert len(spy.lps) == 4 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
 
 
 # ---------------------------------------------------------------------------

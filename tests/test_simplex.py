@@ -1,12 +1,16 @@
 """Two-phase simplex on standard-form programs."""
 
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
 
 from conedual.errors import SolverFailure
-from conedual.simplex import simplex_solve
+from conedual.simplex import _bland_leaving, simplex_solve
+
+ROUNDOFF_PIVOT_LP = os.path.join(os.path.dirname(__file__), "fixtures", "roundoff_pivot_lp.json")
 
 
 def brute_force_vertices(A, b):
@@ -37,24 +41,30 @@ def test_simple_bounded_lp():
 
 
 def test_matches_vertex_enumeration():
-    rng = np.random.default_rng(139)
-    for _ in range(40):
-        m, n = 3, 6
-        A = rng.uniform(-1, 1, size=(m, n))
-        x0 = rng.uniform(0, 1, size=n)
-        b = A @ x0  # feasible by construction
-        c = rng.uniform(-1, 1, size=n)
-        res = simplex_solve(c, A, b)
-        vertices = brute_force_vertices(A, b)
-        if not vertices:
-            continue
-        best = min(float(c @ v) for v in vertices)
-        if res.status == "optimal":
-            assert res.objective == pytest.approx(best, abs=1e-7)
-        else:
-            # Unbounded: some direction d >= 0 with A d = 0 and c d < 0 exists;
-            # verify by a small LP on the recession cone.
-            assert res.status == "unbounded"
+    # The second pass appends an identity block, so every row starts from
+    # its own unit column.
+    for identity_block in (False, True):
+        rng = np.random.default_rng(139)
+        for _ in range(40):
+            m, n = 3, 6
+            A = rng.uniform(-1, 1, size=(m, n))
+            if identity_block:
+                A = np.hstack([A, np.eye(m)])
+                n += m
+            x0 = rng.uniform(0, 1, size=n)
+            b = A @ x0  # feasible by construction
+            c = rng.uniform(-1, 1, size=n)
+            res = simplex_solve(c, A, b)
+            vertices = brute_force_vertices(A, b)
+            if not vertices:
+                continue
+            best = min(float(c @ v) for v in vertices)
+            if res.status == "optimal":
+                assert res.objective == pytest.approx(best, abs=1e-7)
+            else:
+                # Unbounded: some direction d >= 0 with A d = 0 and c d < 0
+                # exists; verify by a small LP on the recession cone.
+                assert res.status == "unbounded"
 
 
 def test_infeasible_detection():
@@ -121,3 +131,89 @@ def test_iteration_cap_raises():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         simplex_solve(np.ones(2), np.ones((2, 3)), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# Crash start and the relative pivot test
+# ---------------------------------------------------------------------------
+
+
+def test_crash_start_needs_no_pivot():
+    # [M | I] x = b with b >= 0: the slack basis is feasible, and with c = 0
+    # it is optimal as it stands.
+    rng = np.random.default_rng(157)
+    M = rng.uniform(-1, 1, size=(4, 5))
+    b = rng.uniform(0, 1, size=4)
+    res = simplex_solve(np.zeros(9), np.hstack([M, np.eye(4)]), b)
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.basis == [5, 6, 7, 8]
+    assert np.array_equal(res.x, np.concatenate([np.zeros(5), b]))
+
+
+def test_crash_start_after_row_flip():
+    # A row with b_i < 0 and slack -e_i is negated first, so its slack is a
+    # unit column and starts basic.
+    M = np.array([[1.0, 2.0], [3.0, -1.0]])
+    A = np.hstack([M, -np.eye(2)])
+    b = np.array([-1.0, -2.0])
+    res = simplex_solve(np.zeros(4), A, b)
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.basis == [2, 3]
+    assert np.array_equal(res.x, [0.0, 0.0, 1.0, 2.0])
+
+
+def test_crash_start_takes_smallest_unit_column():
+    # Columns 1 and 3 are both e_0 and column 2 is e_1 (column 0 has a second
+    # nonzero, so it is no unit column).
+    A = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 0.0]])
+    res = simplex_solve(np.zeros(4), A, np.array([1.0, 1.0]))
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.basis == [1, 2]
+
+
+def test_partial_crash_start():
+    # Row 0 has a unit column, row 1 starts from an artificial.
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    res = simplex_solve(np.array([1.0, 2.0, 0.0]), A, np.array([2.0, 0.5]))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(0.5)
+    assert np.allclose(A @ res.x, [2.0, 0.5])
+
+
+@pytest.mark.parametrize("b, status", [((1.0, 0.0), "infeasible"), ((0.0, 0.0), "optimal")])
+def test_no_columns(b, status):
+    res = simplex_solve(np.zeros(0), np.zeros((2, 0)), np.array(b))
+    assert res.status == status and res.iterations == 0
+
+
+def test_bland_leaving_rejects_roundoff_pivot():
+    # Row 0's entry is roundoff beside row 1's; an absolute 1e-9 test would
+    # take it (ratio 0) and divide the tableau by it.
+    tableau = np.array([[1.82e-9, 0.0], [5.3e3, 1.0], [0.0, 0.0]])
+    basis = np.array([0, 1])
+    assert _bland_leaving(tableau, basis, 0, 2) == 1
+    # A negative entry never blocks, so it does not make row 0's entry small.
+    tableau[1, 0] = -5.3e3
+    assert _bland_leaving(tableau, basis, 0, 2) == 0
+    # A small column is judged against 1, not against its own scale.
+    tableau[:2, 0] = [1.82e-9, 0.0]
+    assert _bland_leaving(tableau, basis, 0, 2) == 0
+
+
+def test_small_blocking_entry_beside_large_negative_one():
+    # x0 enters with column (1e-6, -2e3): only row 0 blocks, at x0 = 1e6.
+    A = np.array([[1e-6, 1.0, 0.0], [-2e3, 0.0, 1.0]])
+    res = simplex_solve(np.array([-1.0, 0.0, 0.0]), A, np.array([1.0, 5.0]))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-1e6, rel=1e-12)
+
+
+def test_roundoff_pivot_regression():
+    # A margin LP of the strict-member search: with a slack start and an
+    # absolute pivot test, phase one pivoted on an entry of 1.8e-9 beside
+    # entries of 5.3e3 and reported "unbounded" although the LP is bounded.
+    with open(ROUNDOFF_PIVOT_LP) as fh:
+        case = json.load(fh)
+    res = simplex_solve(np.array(case["c"]), np.array(case["A"]), np.array(case["b"]))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-1.0, abs=1e-9)
