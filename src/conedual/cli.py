@@ -27,10 +27,9 @@ import numpy as np
 from .complex_lp import ComplexLPSpec, classify_boundary_optima, complex_spec_from_dict
 from .continuous_lp import (
     ContinuousLPSpec,
-    _discretize,
-    _sample_grid,
-    _sign_condition,
     clp_spec_from_dict,
+    discretize_clp,
+    kernel_sign_condition,
 )
 from .duality import (
     ConicProblem,
@@ -153,14 +152,12 @@ def _cmd_complex(args):
 def _cmd_clp(args):
     spec = parse_problem(args.input)
     _require(spec, ContinuousLPSpec, "clp")
-    # One sampling serves the discretization and the sign condition.
-    grid = _sample_grid(spec)
-    pb = _discretize(spec, grid)
+    pb = discretize_clp(spec)
     check = adjoint_identity_check(pb.operator(), n_samples=100, tol=1e-10, seed=args.seed)
     report = solve(pb)
     doc = report_to_dict(report)
     doc["adjoint_identity_max_residual"] = check.max_residual
-    doc["sign_condition"] = _sign_condition(grid)
+    doc["sign_condition"] = kernel_sign_condition(spec)
     doc.pop("x_star", None)
     doc.pop("y_star", None)
     _emit(doc, args)

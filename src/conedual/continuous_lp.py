@@ -28,16 +28,19 @@ independently breaks that identity; it is available for diagnostics via
 
 which samples the kernel only on its support ``s <= t``.
 
-Each field is sampled onto the grid once, as arrays, and each array is
+Each field is sampled onto the grid as arrays, and each array is
 validated once (finite, within ``bound``): a constant is broadcast, a
 callable is called once per node, and the kernel once per node pair with
 ``s <= t``.  Discretization, the sign conditions and the classical checks
-all read those arrays.
+all read those arrays, and the samples of the last spec are remembered: a
+chain of these calls on one spec object samples it once.  A spec is taken
+as immutable, callables included.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -208,6 +211,24 @@ def _sample_grid(spec):
     )
 
 
+# ``(weakref to spec, its _GridSamples)`` of the last spec sampled, or None.
+# It is replaced as a whole, so concurrent calls can miss it but never mix
+# two entries.  Only the last spec is kept, and only by a weak reference.
+_last_grid = None
+
+
+def _grid(spec):
+    """The samples of ``spec``, taken from the memo when it holds this spec
+    object.  Callers only read them."""
+    global _last_grid
+    memo = _last_grid
+    if memo is not None and memo[0]() is spec:
+        return memo[1]
+    grid = _sample_grid(spec)
+    _last_grid = (weakref.ref(spec), grid)
+    return grid
+
+
 def discretize_clp(spec):
     """Assemble the discretized conic pair of a :class:`ContinuousLPSpec`.
 
@@ -215,10 +236,7 @@ def discretize_clp(spec):
     uniform-weight quadratures, and the operator's adjoint is its exact
     pairing transpose.
     """
-    return _discretize(spec, _sample_grid(spec))
-
-
-def _discretize(spec, grid):
+    grid = _grid(spec)
     n_nodes = spec.n_grid
     rows = spec.n * n_nodes
     cols = spec.m * n_nodes
@@ -233,10 +251,11 @@ def _discretize(spec, grid):
     op = OperatorSpec(
         matrix=a.reshape(rows, cols), label="volterra", pairing_domain=pairing_x, pairing_codomain=pairing_y
     )
+    # Copies: the grid is shared with later calls on the same spec.
     return ConicProblem(
         A=op,
-        b=grid.b.reshape(rows),
-        c=grid.c.reshape(cols),
+        b=grid.b.reshape(rows).copy(),
+        c=grid.c.reshape(cols).copy(),
         S=orthant(cols),
         T=orthant(rows),
         pairing_X=pairing_x,
@@ -259,10 +278,7 @@ def kernel_sign_condition(spec, tol=_SIGN_TOL):
     ``condition_ii``: ``B >= 0``, ``K <= 0`` and ``-c`` lies in the dual
     cone (``c`` componentwise nonpositive).  ``neither`` otherwise.
     """
-    return _sign_condition(_sample_grid(spec), tol)
-
-
-def _sign_condition(grid, tol=_SIGN_TOL):
+    grid = _grid(spec)
     kernel = grid.kernel_support()
     if grid.B.max() <= tol and kernel.min() >= -tol and grid.b.min(initial=0.0) >= -tol:
         return "condition_i"
@@ -303,8 +319,7 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
     :class:`TheoremViolation` otherwise.  Without supplied points the
     report only carries the classification.
     """
-    grid = _sample_grid(spec)
-    condition = _sign_condition(grid)
+    condition = kernel_sign_condition(spec)
     report = SignConditionReport(condition=condition, pipeline_ran=False)
     if condition == "neither":
         report.notes.append("no sign condition holds; pipeline not applicable")
@@ -313,9 +328,10 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
         report.notes.append("no strictly positive feasible pair supplied; pipeline skipped")
         return report
 
-    pb = _discretize(spec, grid)
-    x_vec = _grid_vector(x_hat, spec.m, grid.ts)
-    y_vec = _grid_vector(y_hat, spec.n, grid.ts)
+    pb = discretize_clp(spec)
+    ts, _ = grid_points(spec)
+    x_vec = _grid_vector(x_hat, spec.m, ts)
+    y_vec = _grid_vector(y_hat, spec.n, ts)
     if np.min(x_vec) <= 0 or np.min(y_vec) <= 0:
         report.notes.append("supplied points are not strictly positive; pipeline skipped")
         return report
@@ -365,7 +381,7 @@ class ClassicalConditionsReport:
 
 
 def check_classical_conditions(spec, tol=1e-9):
-    grid = _sample_grid(spec)
+    grid = _grid(spec)
     failures = []
     recession = []
     for idx, b_mat in enumerate(grid.B):

@@ -266,17 +266,22 @@ def adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, see
 
     With the exact pairing adjoint the residual is at machine-precision
     level; a discrepancy flags an inconsistent ``adjoint_override`` or a
-    mismatched pairing.
+    mismatched pairing.  Sample ``i`` is row ``i`` of one
+    ``(n_samples, dim_X + dim_Y)`` standard normal draw, split as
+    ``[x_i, y_i]``; both sides of every sample come from two matrix
+    products.  Raises ``ValueError`` when an image is not finite.
     """
     p_X = op.pairing_domain if p_X is None else p_X
     p_Y = op.pairing_codomain if p_Y is None else p_Y
     rng = np.random.default_rng(seed)
-    at = adjoint_matrix(op)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(op.domain_dim)
-        y = rng.standard_normal(op.codomain_dim)
-        lhs = pairing(p_Y, op.matrix @ x, y)
-        rhs = pairing(p_X, x, at @ y)
-        worst = max(worst, abs(lhs - rhs))
+    samples = rng.standard_normal((n_samples, op.domain_dim + op.codomain_dim))
+    xs, ys = samples[:, : op.domain_dim], samples[:, op.domain_dim :]
+    images = xs @ op.matrix.T
+    preimages = ys @ adjoint_matrix(op).T
+    if not (np.isfinite(images).all() and np.isfinite(preimages).all()):
+        raise ValueError("operator images contain non-finite entries")
+    # Row sums of the products as ``pairing`` forms them; a unit weight is exact.
+    lhs = (images * ys * p_Y.weight_vector(op.codomain_dim)).sum(axis=1)
+    rhs = (xs * preimages * p_X.weight_vector(op.domain_dim)).sum(axis=1)
+    worst = float(np.abs(lhs - rhs).max(initial=0.0))
     return AdjointCheckReport(max_residual=worst, n_samples=n_samples, tol=float(tol), passed=worst <= tol)

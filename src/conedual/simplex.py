@@ -4,7 +4,9 @@ Solves ``min c^T x  subject to  A x = b, x >= 0`` on a dense tableau.
 Bland's rule (smallest eligible index enters, smallest basic index breaks
 ratio ties) is used in both phases, so the iteration terminates on
 degenerate problems without cycling.  Intended for desk-scale instances;
-every pivot is an O(m n) vectorized tableau update.
+every pivot is one vectorized update of the tableau rows from the first
+row with a nonzero entry in the pivot column to the cost row, the last:
+the rows above it would be left unchanged.
 
 Phase one starts from a slack crash basis (Bixby, "Implementing the
 simplex method: the initial basis", ORSA J. Comput., 1992): after the rows
@@ -17,9 +19,15 @@ A leaving row is accepted only where its entry exceeds ``_PIVOT_TOL``
 times the largest positive entry of the entering column (and at least
 ``_PIVOT_TOL``): only positive entries block the step, so an entry that is
 roundoff beside a large blocking one is never pivoted on, whatever the
-scale of the data.  An artificial left basic after phase one is driven out
-on the largest entry of its row; a row with no entry above ``_PIVOT_TOL``
-is dropped as redundant.
+scale of the data.  The ratio test clamps right-hand sides at 0, so a row
+whose basic value roundoff drove below zero blocks at ratio 0 instead of
+being driven further negative.  Phase one minimizes a sum of artificials,
+which is bounded below, so an entering column that no row blocks is
+roundoff there: the next candidate in Bland's order is tried, and phase
+one ends when none has a blocking row.  Its objective then decides
+feasibility.  An artificial left basic after phase one is driven out on
+the largest entry of its row; a row with no entry above ``_PIVOT_TOL`` is
+dropped as redundant.
 """
 
 from __future__ import annotations
@@ -51,15 +59,13 @@ def _pivot(tableau, basis, row, col):
     tableau[row] /= piv
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    # Rows with a zero factor would compute t - 0 p = t, so only the run from
+    # the first nonzero factor on is updated; the cost row is the last row.
+    nonzero = factors.nonzero()[0]
+    if nonzero.size:
+        lo = nonzero[0]
+        tableau[lo:] -= factors[lo:, None] * tableau[row]
     basis[row] = col
-
-
-def _bland_entering(obj_row, n_eligible, tol):
-    neg = (obj_row[:n_eligible] < -tol).nonzero()[0]
-    if neg.size == 0:
-        return None
-    return int(neg[0])
 
 
 def _bland_leaving(tableau, basis, col, n_rows):
@@ -69,26 +75,32 @@ def _bland_leaving(tableau, basis, col, n_rows):
     cand = (column > _PIVOT_TOL * column.max(initial=1.0)).nonzero()[0]
     if cand.size == 0:
         return None
-    ratios = tableau[cand, -1] / column[cand]
-    valid = ratios >= -_RATIO_TOL
-    cand = cand[valid]
-    ratios = ratios[valid]
-    if cand.size == 0:
-        return None
+    # A right-hand side that roundoff drove below zero blocks at ratio 0:
+    # skipping its row would let the step drive it further negative.
+    ratios = np.maximum(tableau[cand, -1], 0.0) / column[cand]
     ties = cand[ratios <= ratios.min() + _RATIO_TOL]
     # Bland tie-break: leave the row whose basic variable has smallest index.
     return int(ties[basis[ties].argmin()])
 
 
-def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count):
-    """Pivot until no column below ``n_eligible`` has a negative reduced cost."""
+def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count, bounded):
+    """Pivot until no column below ``n_eligible`` has a negative reduced cost.
+
+    The smallest such column enters.  If no row blocks it, the phase ends
+    ``"unbounded"``, unless its objective is ``bounded`` below: then the
+    column's reduced cost is roundoff, the next candidate in Bland's order
+    is tried, and the phase ends ``"optimal"`` when no candidate has a
+    blocking row.
+    """
     while True:
-        col = _bland_entering(tableau[-1], n_eligible, _PIVOT_TOL)
-        if col is None:
+        for col in (tableau[-1, :n_eligible] < -_PIVOT_TOL).nonzero()[0]:
+            row = _bland_leaving(tableau, basis, col, n_rows)
+            if row is not None:
+                break
+            if not bounded:
+                return "unbounded", iteration_count
+        else:
             return "optimal", iteration_count
-        row = _bland_leaving(tableau, basis, col, n_rows)
-        if row is None:
-            return "unbounded", iteration_count
         iteration_count += 1
         if iteration_count > max_iter:
             raise SolverFailure(
@@ -115,8 +127,8 @@ def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
     ``tol`` scaled by the data), ``"unbounded"`` when phase two finds an
     improving ray.
 
-    Raises :class:`SolverFailure` on an iteration-cap trip or a pivot
-    breakdown, with the current basis attached.
+    Raises :class:`SolverFailure` on an iteration-cap trip, with the
+    current basis attached.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -151,9 +163,8 @@ def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
         # Reduced artificial costs: subtract each artificial row from the cost row.
         tableau[-1, :n] = -A[art].sum(axis=0)
         tableau[-1, -1] = -b[art].sum()
-        status, iterations = _run_phase(tableau, basis, m, n + n_art, max_iter, 0)
-        if status == "unbounded":  # cannot happen: phase-one objective is bounded below
-            raise SolverFailure("phase one reported unbounded", detail={"basis": basis.tolist()})
+        # The sum of artificials is bounded below by 0, so phase one ends "optimal".
+        _, iterations = _run_phase(tableau, basis, m, n + n_art, max_iter, 0, bounded=True)
 
         phase1_obj = float(-tableau[-1, -1])
         scale = 1.0 + float(np.abs(b).max(initial=0.0))
@@ -188,7 +199,7 @@ def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
     for i in c[basis].nonzero()[0]:
         tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
 
-    status, iterations = _run_phase(tableau, basis, m2, n, max_iter, iterations)
+    status, iterations = _run_phase(tableau, basis, m2, n, max_iter, iterations, bounded=False)
     if status == "unbounded":
         return SimplexResult(
             status="unbounded",

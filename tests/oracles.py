@@ -16,7 +16,7 @@ from conedual.cones import dual, generators
 from conedual.continuous_lp import grid_points
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import verified_solution
-from conedual.linops import adjoint_operator
+from conedual.linops import adjoint_matrix, adjoint_operator, pairing
 from conedual.simplex import simplex_solve
 
 
@@ -244,3 +244,22 @@ def nnls_first_system_solvability(spec, farkas_tol=1e-8):
         verified_solution(op, pb.b, pb.S, tol=farkas_tol) is not None,
         verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol) is not None,
     )
+
+
+def reference_adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, seed=0):
+    """``(max_residual, passed, largest |<A x, y>_Y|)`` of
+    ``linops.adjoint_identity_check`` by its earlier loop: one ``x`` and one
+    ``y`` drawn per sample, each side evaluated through ``pairing``."""
+    p_X = op.pairing_domain if p_X is None else p_X
+    p_Y = op.pairing_codomain if p_Y is None else p_Y
+    rng = np.random.default_rng(seed)
+    at = adjoint_matrix(op)
+    worst = scale = 0.0
+    for _ in range(n_samples):
+        x = rng.standard_normal(op.domain_dim)
+        y = rng.standard_normal(op.codomain_dim)
+        lhs = pairing(p_Y, op.matrix @ x, y)
+        rhs = pairing(p_X, x, at @ y)
+        worst = max(worst, abs(lhs - rhs))
+        scale = max(scale, abs(lhs))
+    return worst, worst <= tol, scale

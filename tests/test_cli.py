@@ -158,9 +158,7 @@ def test_clp_subcommand_samples_once(tmp_path, capsys, monkeypatch):
         calls.append(spec)
         return sample_grid(spec)
 
-    # Patch the helper where it is defined and where the CLI bound it.
     monkeypatch.setattr(continuous_lp, "_sample_grid", counting_sample_grid)
-    monkeypatch.setattr(cli, "_sample_grid", counting_sample_grid)
     path = write(tmp_path, "clp.json", doc)
     assert main(["--output", "json", "clp", "--input", path]) == EXIT_OK
     assert len(calls) == 1

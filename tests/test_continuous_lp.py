@@ -1,12 +1,15 @@
 """Continuous programs: discretization, adjoint exactness, sign conditions."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import clp_minimal_feasible
 
+from conedual import continuous_lp
 from conedual.continuous_lp import (
     ContinuousLPSpec,
     check_classical_conditions,
@@ -115,6 +118,49 @@ def test_sign_condition_pipeline_skips_without_points():
     report = verify_sign_condition_pipeline(scalar_spec(4, B=-1.0, K=1.0, b=1.0))
     assert not report.pipeline_ran
     assert report.condition == "condition_i"
+
+
+def test_chain_samples_each_spec_once(monkeypatch):
+    calls = []
+    sample_grid = continuous_lp._sample_grid
+
+    def counting_sample_grid(spec):
+        calls.append(spec)
+        return sample_grid(spec)
+
+    monkeypatch.setattr(continuous_lp, "_sample_grid", counting_sample_grid)
+    spec = scalar_spec(8, B=0.0, K=0.0, b=0.0, c=0.0)
+    discretize_clp(spec)
+    assert kernel_sign_condition(spec) == "condition_i"
+    report = verify_sign_condition_pipeline(spec, x_hat=lambda t: 1.0, y_hat=lambda t: 1.0)
+    assert report.pipeline_ran
+    assert calls == [spec]
+    # An equal spec is another object and is sampled afresh.
+    other = scalar_spec(8, B=0.0, K=0.0, b=0.0, c=0.0)
+    assert kernel_sign_condition(other) == "condition_i"
+    check_classical_conditions(other)
+    assert len(calls) == 2 and calls[1] is other
+
+
+def test_grid_memo_keeps_no_spec_alive():
+    spec = scalar_spec(4, B=-1.0, K=1.0, b=1.0)
+    kernel_sign_condition(spec)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_discretized_data_are_not_shared():
+    # The samples are kept for the next call on the spec; a write into one
+    # problem's b or c must not reach them.
+    spec = scalar_spec(4, B=-1.0, K=1.0, b=2.0, c=3.0)
+    pb = discretize_clp(spec)
+    pb.b[:] = -1.0
+    pb.c[:] = -1.0
+    again = discretize_clp(spec)
+    assert np.array_equal(again.b, np.full(4, 2.0)) and np.array_equal(again.c, np.full(4, 3.0))
+    assert kernel_sign_condition(spec) == "condition_i"
 
 
 def test_classical_conditions_examples():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import reference_adjoint_identity_check
+
 from conedual.linops import (
     EUCLIDEAN,
     OperatorSpec,
@@ -168,6 +170,50 @@ def test_adjoint_identity_check_detects_corruption():
     op = OperatorSpec(matrix=mat, adjoint_override=corrupted)
     report = adjoint_identity_check(op, n_samples=100, tol=1e-8)
     assert not report.passed
+
+
+def _check_operators():
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(7, 5))
+    return {
+        "plain": OperatorSpec(matrix=mat),
+        "weighted": OperatorSpec(
+            matrix=mat,
+            pairing_domain=weighted_quadrature(rng.uniform(0.1, 2.0, size=5)),
+            pairing_codomain=weighted_quadrature(rng.uniform(0.1, 2.0, size=7)),
+        ),
+        "override": OperatorSpec(matrix=mat, adjoint_override=mat.T + 1e-3 * rng.normal(size=(5, 7))),
+    }
+
+
+@pytest.mark.parametrize("name", ["plain", "weighted", "override"])
+def test_adjoint_identity_check_matches_sample_loop(name):
+    # Two matrix products in place of one pairing per sample: the samples are
+    # the same numbers, and only the summation order differs, which moves
+    # each pairing by a few ulps of its size.
+    op = _check_operators()[name]
+    for seed in (0, 7):
+        report = adjoint_identity_check(op, seed=seed)
+        worst, passed, scale = reference_adjoint_identity_check(op, seed=seed)
+        assert abs(report.max_residual - worst) <= 4 * np.finfo(float).eps * max(1.0, scale)
+        assert report.passed == passed == (name != "override")
+        assert report.n_samples == 100
+
+
+def test_adjoint_identity_check_without_samples():
+    op = _check_operators()["override"]
+    report = adjoint_identity_check(op, n_samples=0, tol=0.0)
+    assert report.max_residual == 0.0 and report.passed and report.n_samples == 0
+    assert reference_adjoint_identity_check(op, n_samples=0, tol=0.0)[:2] == (0.0, True)
+
+
+def test_adjoint_identity_check_rejects_overflowing_images():
+    op = OperatorSpec(matrix=np.full((2, 2), 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError):
+            reference_adjoint_identity_check(op)
+        with pytest.raises(ValueError, match="non-finite"):
+            adjoint_identity_check(op)
 
 
 def test_dimension_mismatch_errors():

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from conedual.errors import SolverFailure
-from conedual.simplex import _bland_leaving, simplex_solve
+from conedual.simplex import _bland_leaving, _pivot, simplex_solve
 
-ROUNDOFF_PIVOT_LP = os.path.join(os.path.dirname(__file__), "fixtures", "roundoff_pivot_lp.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ROUNDOFF_PIVOT_LP = os.path.join(FIXTURES, "roundoff_pivot_lp.json")
+RATIO_CLAMP_LPS = os.path.join(FIXTURES, "ratio_clamp_lps.json")
+PHASE_ONE_ROUNDOFF_COLUMN = os.path.join(FIXTURES, "phase_one_roundoff_column.json")
 
 
 def brute_force_vertices(A, b):
@@ -217,3 +220,54 @@ def test_roundoff_pivot_regression():
     res = simplex_solve(np.array(case["c"]), np.array(case["A"]), np.array(case["b"]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_pivot_matches_full_update():
+    # Rows above the first nonzero factor are skipped; they would compute
+    # t - 0 p = t, so the tableau equals the full rank-one update.
+    rng = np.random.default_rng(17)
+    for lo in (0, 3, 6):
+        tableau = rng.normal(size=(7, 9))
+        tableau[:lo, 4] = 0.0
+        tableau[5, 4] = 2.5
+        expected = tableau.copy()
+        expected[5] /= expected[5, 4]
+        factors = expected[:, 4].copy()
+        factors[5] = 0.0
+        expected -= factors[:, None] * expected[5]
+        basis = np.arange(6)
+        _pivot(tableau, basis, 5, 4)
+        assert np.array_equal(tableau, expected) and basis[5] == 4
+
+
+def ratio_clamp_cases():
+    with open(RATIO_CLAMP_LPS) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", ratio_clamp_cases(), ids=["item18", "item19"])
+def test_ratio_clamp_regression(case):
+    # A row whose right-hand side roundoff made negative must block the step
+    # at ratio 0; skipping it let phase one drive it to -0.23 and report
+    # "unbounded" on these strict-member LPs.
+    A, b = np.array(case["A"]), np.array(case["b"])
+    res = simplex_solve(np.array(case["c"]), A, b)
+    assert res.status == "optimal"
+    assert res.x.min() >= 0.0
+    assert np.abs(A @ res.x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+
+
+def test_phase_one_skips_roundoff_column():
+    # A CLP LP on which Bland's rule entered a column of reduced cost
+    # -1.09e-9 that no row blocks; phase one is bounded below, so the column
+    # is roundoff and the next candidate enters.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    with open(PHASE_ONE_ROUNDOFF_COLUMN) as fh:
+        case = json.load(fh)
+    A = np.zeros(case["shape"])
+    A[case["rows"], case["cols"]] = np.array(case["values"])[case["index"]]
+    b, c = np.array(case["b"]), np.array(case["c"])
+    res = simplex_solve(c, A, b)
+    ref = linprog(c, A_eq=A, b_eq=b, method="highs")
+    assert ref.status == 0 and res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, rel=1e-9)
