@@ -10,14 +10,17 @@ wedge       product of planar sectors ``|arg z_i| <= a_i``  wedge with ``pi/2 - 
 generated   ``{G u : u >= 0}``                             (not computed)
 product     cartesian product of factor cones              product of factor duals
 slice       base cone intersected with ``N^T v = 0``       base dual + span of N
+            generated by its own rays
 ==========  =============================================  =======================
 
 Wedges live on consecutive coordinate pairs ``(x_i, y_i)`` of the ambient
 space, matching the real embedding of complex vectors.  Every cone exposes a
-generator matrix ``G`` with ``cone = {G u : u >= 0}`` (intersected with the
-slice constraints when present); membership for the structured kinds uses
-exact closed-form distances, and falls back to a nonnegative least-squares
-projection onto the generators otherwise.
+generator matrix ``G`` with ``cone = {G u : u >= 0}``.  A slice stores its
+own generators, computed once by :func:`slice_cone`, so every solver that
+works on ``G`` stays inside the slice without further constraints.
+Membership for the structured kinds uses exact closed-form distances, and a
+nonnegative least-squares projection onto the generators for generated
+cones and slices.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 _KINDS = ("orthant", "wedge", "generated", "product", "slice")
+
+# Largest generator count of a slice.  Each normal can square the count (a
+# pair per opposite-sign couple, redundant ones included), so a cone read
+# from a file could otherwise exhaust memory while it is built.
+_MAX_SLICE_RAYS = 4096
 
 
 @dataclass(frozen=True)
@@ -115,11 +123,43 @@ def product(*factors):
     return ConeSpec(kind="product", dim=sum(f.dim for f in factors), factors=tuple(factors))
 
 
+def _slice_rays(g, n):
+    """Generators of ``cone(g) ∩ n^⊥`` for one normal ``n``: one step of
+    the double-description method (Motzkin, Raiffa, Thompson & Thrall, 1953;
+    Fukuda & Prodon, 1996).
+
+    The generators with ``<n, g> = 0`` are kept, and each pair with
+    ``<n, g_i> > 0 > <n, g_j>`` gives ``<n, g_i> g_j - <n, g_j> g_i``.  A
+    product ``<n, g>`` or a combined column within the rounding error of
+    its computation (``dim * eps`` times the norms involved) counts as
+    zero, so a generator that lies in the slice up to roundoff is kept, and
+    the cancelled columns of antiparallel generators are dropped.  More
+    than ``_MAX_SLICE_RAYS`` columns raise ValueError.
+    """
+    eps = g.shape[0] * np.finfo(float).eps
+    norms = np.linalg.norm(g, axis=0)
+    d = n @ g
+    d[np.abs(d) <= eps * np.linalg.norm(n) * norms] = 0.0
+    pos, neg, keep = np.flatnonzero(d > 0), np.flatnonzero(d < 0), np.flatnonzero((d == 0) & (norms > 0))
+    if keep.size + pos.size * neg.size > _MAX_SLICE_RAYS:
+        raise ValueError(f"slice has more than {_MAX_SLICE_RAYS} generators")
+    i, j = np.repeat(pos, neg.size), np.tile(neg, pos.size)
+    pairs = d[i] * g[:, j] - d[j] * g[:, i]
+    pairs = pairs[:, np.linalg.norm(pairs, axis=0) > eps * (d[i] * norms[j] - d[j] * norms[i])]
+    return np.hstack([g[:, keep], pairs])
+
+
 def slice_cone(base, normals):
     """``base`` intersected with the subspace ``{v : N^T v = 0}``.
 
     ``normals`` holds the constraint normals as columns of an
-    ``ambient_dim x q`` matrix.
+    ``ambient_dim x q`` matrix.  The slice's own generators are computed
+    here, one normal at a time from the base generators, and stored in
+    ``gens``; a slice of a slice is the one-step slice of the first base
+    with all normals.  A slice that is ``{0}`` has no generators.  With
+    two or more normals the generators can include redundant ones; a slice
+    that would need more than ``_MAX_SLICE_RAYS`` of them raises
+    ValueError.
     """
     n = np.asarray(normals, dtype=float)
     if n.ndim == 1:
@@ -132,7 +172,10 @@ def slice_cone(base, normals):
         raise ValueError("slice normals must be nonzero")
     if base.kind == "slice":
         return slice_cone(base.base, np.hstack([base.normals, n]))
-    return ConeSpec(kind="slice", dim=base.dim, base=base, normals=n)
+    g = generators(base)
+    for normal in n.T:
+        g = _slice_rays(g, normal)
+    return ConeSpec(kind="slice", dim=base.dim, gens=g, base=base, normals=n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +186,8 @@ def slice_cone(base, normals):
 def generators(cone):
     """Generator matrix ``G`` with ``cone = {G u : u >= 0}``.
 
-    For slices the base generators are returned; the equality constraints
-    are carried separately in ``cone.normals``.
+    For slices these are the slice's own rays (possibly none), not the
+    base generators.
     """
     if cone.kind == "orthant":
         return np.eye(cone.dim)
@@ -156,7 +199,7 @@ def generators(cone):
         for i, blk in enumerate(blocks):
             g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
         return g
-    if cone.kind == "generated":
+    if cone.kind in ("generated", "slice"):
         return cone.gens.copy()
     if cone.kind == "product":
         mats = [generators(f) for f in cone.factors]
@@ -169,8 +212,6 @@ def generators(cone):
             r += m.shape[0]
             c += m.shape[1]
         return g
-    if cone.kind == "slice":
-        return generators(cone.base)
     raise ValueError(f"unknown cone kind {cone.kind!r}")
 
 
@@ -212,11 +253,9 @@ def _slice_residual(cone, v):
 def distance(cone, v):
     """Euclidean distance from ``v`` to the cone.
 
-    Exact for orthants, wedges, and their products; for generated cones it
-    is the residual of the nonnegative least-squares projection onto the
-    generators.  For slices the base distance and the subspace residual are
-    combined in quadrature, a two-sided approximation of the true distance
-    to the intersection (exact whenever one of the two parts vanishes).
+    Exact for orthants, wedges, and their products; for generated cones and
+    slices it is the residual of the nonnegative least-squares projection
+    onto the generators (a slice's own rays).
     """
     v = _check_vector(cone, v)
     if cone.kind == "orthant":
@@ -233,10 +272,8 @@ def distance(cone, v):
             total += distance(f, v[offset : offset + f.dim]) ** 2
             offset += f.dim
         return math.sqrt(total)
-    if cone.kind == "generated":
+    if cone.kind in ("generated", "slice"):
         return nnls(cone.gens, v, kkt_tol=1e-12).residual_norm
-    if cone.kind == "slice":
-        return math.hypot(distance(cone.base, v), _slice_residual(cone, v))
     raise ValueError(f"unknown cone kind {cone.kind!r}")
 
 
@@ -343,43 +380,18 @@ def dual(cone):
 
 
 def interior_point(cone):
-    """A canonical strict member: the normalized generator barycenter,
-    projected onto the slice subspace when equality constraints are
-    present."""
+    """A canonical strict member: the generator barycenter.  It lies in the
+    relative interior of a slice, whose generators are its own rays; a
+    slice without rays gives the origin."""
     g = generators(cone)
-    p = g.mean(axis=1)
-    if cone.kind == "slice":
-        n = cone.normals
-        coef, *_ = np.linalg.lstsq(n, p, rcond=None)
-        p = p - n @ coef
-    return p
+    return g.sum(axis=1) / max(g.shape[1], 1)
 
 
 def sample_members(cone, count, rng, scale=1.0):
-    """Random members ``G u`` with exponential nonnegative coefficients.
-
-    Slice cones use rejection: base samples are projected onto the
-    equality subspace and kept only if they remain in the base cone.
-    """
+    """Random members ``G u`` with exponential nonnegative coefficients."""
     g = generators(cone)
-    out = np.empty((count, cone.dim))
-    if cone.kind != "slice":
-        coeffs = rng.exponential(scale=scale, size=(count, g.shape[1]))
-        return coeffs @ g.T
-    n = cone.normals
-    proj = np.eye(cone.dim) - n @ np.linalg.pinv(n)
-    filled = 0
-    attempts = 0
-    while filled < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise RuntimeError("slice-cone sampling failed to find enough members")
-        u = rng.exponential(scale=scale, size=g.shape[1])
-        v = proj @ (g @ u)
-        if contains(cone.base, v, 1e-9):
-            out[filled] = v
-            filled += 1
-    return out
+    coeffs = rng.exponential(scale=scale, size=(count, g.shape[1]))
+    return coeffs @ g.T
 
 
 # ---------------------------------------------------------------------------

@@ -232,18 +232,13 @@ _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
 
 
 def _standard_form(pb, sign=1.0):
-    """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` (image rows times
-    ``sign``), slice rows of ``S``, and ``u, w >= 0``."""
+    """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` (rows times
+    ``sign``) and ``u, w >= 0``."""
     g_s = generators(pb.S)
     g_td = generators(dual(pb.T))
-    k_td = g_td.shape[1]
-    rows = [np.hstack([sign * (pb.A.matrix @ g_s), -sign * g_td])]
-    rhs = [sign * pb.b]
-    if pb.S.kind == "slice":
-        rows.append(np.hstack([pb.S.normals.T @ g_s, np.zeros((pb.S.normals.shape[1], k_td))]))
-        rhs.append(np.zeros(pb.S.normals.shape[1]))
-    cost = np.concatenate([g_s.T @ (pb.pairing_X.weight_vector(pb.S.dim) * pb.c), np.zeros(k_td)])
-    return cost, np.vstack(rows), np.concatenate(rhs), g_s
+    a_eq = sign * np.hstack([pb.A.matrix @ g_s, -g_td])
+    cost = np.concatenate([g_s.T @ (pb.pairing_X.weight_vector(pb.S.dim) * pb.c), np.zeros(g_td.shape[1])])
+    return cost, a_eq, sign * pb.b, g_s
 
 
 def _copy(x):
@@ -411,43 +406,33 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8):
     ``A x - b in T*`` and ``A x in T*``.
 
     The margin is fixed at 1 and substituted out: ``u = r + 1`` with
-    ``r >= 0``, so the image and slice rows move ``M 1`` (``M`` their
-    coefficient matrix) to the right-hand side, and the point is
-    ``G_S (r + 1)``.  What is left is a feasibility LP with zero cost.  No
-    positive margin is lost: with ``A G u in T*``,
+    ``r >= 0``, so the image rows move ``M 1`` (``M`` their coefficient
+    matrix) to the right-hand side, and the point is ``G_S (r + 1)``.  What
+    is left is a feasibility LP with zero cost.  No positive margin is lost:
+    with ``A G u in T*``,
     ``t A G u - b = (A G u - b) + (t - 1) A G u in T*`` for ``t >= 1``, so
     the feasible set is closed under ``u -> t u`` and any positive margin
-    scales up to 1.
+    scales up to 1.  A slice ``S`` needs no rows of its own, since its
+    generators are its own rays.
 
     On ``pb.transpose()`` this is the dual search ``y = G_T v``,
     ``c - A^T y in S*``, ``-A^T y in S*``.  ``sign`` multiplies the two
-    image blocks (see the module notes).  Returns the point or None.
+    image blocks (see the module notes).  The rows are posed unscaled: where
+    every ``A g`` vanishes in exact arithmetic, as for a slice whose only
+    ray is its cut point, dividing by the largest entry of ``A G`` would
+    turn roundoff into unit rows.  Returns the point or None.
     """
     op = pb.operator()
     g, cone, dual_set = generators(pb.S), pb.S, dual(pb.T)
     g_dual = generators(dual_set)
-    # Dividing A and b by one s > 0 leaves the set unchanged (the w columns
-    # absorb s), and the simplex pivots at absolute tolerances, so the image
-    # rows are posed with their largest coefficient at 1.
     m_img = sign * (op.matrix @ g)
-    s = np.abs(m_img).max(initial=0.0) or 1.0
-    m_img = m_img / s
     k = g.shape[1]
     kd = g_dual.shape[1]
     zero = np.zeros((m_img.shape[0], kd))
     # Variables: [r(k), w1(kd), w2(kd)].
     shift = m_img.sum(axis=1)
-    rows = [
-        np.hstack([m_img, -sign * g_dual, zero]),
-        np.hstack([m_img, zero, -sign * g_dual]),
-    ]
-    rhs = [sign * pb.b / s - shift, -shift]
-    if cone.kind == "slice":
-        n_g = cone.normals.T @ g
-        rows.append(np.hstack([n_g, np.zeros((n_g.shape[0], 2 * kd))]))
-        rhs.append(-n_g.sum(axis=1))
-
-    res = simplex_solve(np.zeros(k + 2 * kd), np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
+    a_eq = np.vstack([np.hstack([m_img, -sign * g_dual, zero]), np.hstack([m_img, zero, -sign * g_dual])])
+    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([sign * pb.b - shift, -shift]), tol=lp_tol)
     if res.status != "optimal":
         return None
     point = g @ (res.x[:k] + 1.0)

@@ -22,9 +22,6 @@ from .nnls import nnls
 
 __all__ = ["ResidualResult", "residual_minimize", "variational_check", "separating_vector"]
 
-_SLICE_PENALTY = 1e8
-
-
 @dataclass
 class ResidualResult:
     """Outcome of a residual minimization.
@@ -49,10 +46,8 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
     A : OperatorSpec
     b : (dim Y,) array
     S : ConeSpec
-        Finitely generated.  Slice constraints are enforced only
-        approximately, by penalty rows of weight ``_SLICE_PENALTY``; the
-        result is not re-checked against them, so the preimage may leave
-        the slice by a small residual.
+        Finitely generated; a slice through its own rays, so the preimage
+        ``G u`` lies in the slice by construction.
     p : PairingSpec, optional
         Codomain pairing; defaults to the operator's declared one.
     tol : float
@@ -73,10 +68,6 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
     sqrt_w = np.sqrt(p.weight_vector(A.codomain_dim))
     rows = m_img * sqrt_w[:, np.newaxis]
     rhs = b * sqrt_w
-    if S.kind == "slice":
-        pen = np.sqrt(_SLICE_PENALTY) * (S.normals.T @ g)
-        rows = np.vstack([rows, pen])
-        rhs = np.concatenate([rhs, np.zeros(pen.shape[0])])
 
     result = nnls(rows, rhs, kkt_tol=tol)
     u = result.u

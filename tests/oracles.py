@@ -1,11 +1,13 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here avoids the library's solution paths on purpose: grid
-enumeration, polar scans, and backward substitution compute expected values
-from the problem data alone.  The exceptions are the reference orders at the
-end, which run the library's own steps in the order of an earlier design.
+enumeration, polar scans, support enumeration and backward substitution
+compute expected values from the problem data alone.  The exceptions are
+the reference orders at the end, which run the library's own steps in the
+order of an earlier design.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +97,36 @@ def clp_minimal_feasible(spec):
     return value, x
 
 
+def slice_distance_by_supports(gens, normals, v):
+    """Distance from ``v`` to ``{G u : u >= 0, N^T G u = 0}`` by exhaustive
+    support enumeration, from the base generators ``G`` and the normals
+    ``N`` alone.
+
+    For every subset ``P`` of the columns of ``G``, the equality-constrained
+    least-squares problem ``min ||G_P u - v||`` s.t. ``N^T G_P u = 0`` is
+    solved on a basis of the null space of ``N^T G_P``; a subset whose
+    solution is nonnegative gives a member of the cone, and the smallest of
+    their residuals (and ``||v||``, for the origin) is returned.  The
+    projection of ``v`` has a support with independent columns and positive
+    coefficients, and on that support the constrained least-squares solution
+    is the projection itself, so the minimum is the distance.
+    """
+    gens = np.asarray(gens, dtype=float)
+    normals = np.asarray(normals, dtype=float).reshape(gens.shape[0], -1)
+    best = float(np.linalg.norm(v))
+    for size in range(1, gens.shape[1] + 1):
+        for support in itertools.combinations(range(gens.shape[1]), size):
+            g_p = gens[:, support]
+            _, sv, vt = np.linalg.svd(normals.T @ g_p)
+            null = vt[int(np.sum(sv > 1e-12 * max(1.0, sv.max(initial=0.0)))) :].T
+            if null.shape[1] == 0:
+                continue
+            u = null @ np.linalg.lstsq(g_p @ null, v, rcond=None)[0]
+            if u.min() >= -1e-12 * max(1.0, np.abs(u).max()):
+                best = min(best, float(np.linalg.norm(g_p @ u - v)))
+    return best
+
+
 def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     """The active-set NNLS with every passive subproblem solved by
     ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.
@@ -156,12 +188,16 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
     Variables ``[u(k), w1(kd), w2(kd), delta, r(k), cap]``: maximize
     ``delta`` s.t. ``A G u - G_{T*} w1 = b`` and ``A G u - G_{T*} w2 = 0``
     (image rows times ``sign``), ``u - delta - r = 0``, ``delta + cap = 1``
-    and the slice rows of ``S``.  This is the formulation
+    and, for a slice ``S``, ``N^T G u = 0``.  ``G`` is the generator matrix
+    of ``S``, or of its base for a slice, so the slice is described here by
+    its base and normals, independently of the rays that
+    :func:`conedual.cones.slice_cone` computes.  This is the formulation
     ``conedual.duality._strict_member`` used before it substituted
     ``u = r + delta``.  Returns ``(status, delta)``, with ``delta`` None
     unless the LP is optimal.
     """
-    g, cone = generators(pb.S), pb.S
+    cone = pb.S
+    g = generators(cone.base if cone.kind == "slice" else cone)
     g_dual = generators(dual(pb.T))
     m_img = sign * (pb.A.matrix @ g)
     k = g.shape[1]

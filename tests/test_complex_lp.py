@@ -1,6 +1,8 @@
 """Complex argument-cone programs through the real embedding."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -170,3 +172,24 @@ def test_spec_json_round_trip():
     np.testing.assert_allclose(back.A, spec.A)
     np.testing.assert_allclose(back.b, spec.b)
     assert back.alpha == spec.alpha and back.beta == spec.beta
+
+
+def slice_stall_specs():
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "slice_stalls.json")) as fh:
+        return [case for case in json.load(fh) if "spec" in case]
+
+
+@pytest.mark.parametrize("case", slice_stall_specs(), ids=lambda case: case["source"])
+def test_game_slice_items_that_stalled_on_penalty_rows(case):
+    # The Farkas solve of one equality system stalled on these pipelines
+    # items while the slice equalities were imposed by penalty rows.  On
+    # each, one side's LP is infeasible, so that side's equality system is
+    # unsolvable (a solution would be a feasible point), and the other
+    # system is solved by the optimizer of the unbounded side.
+    spec = complex_spec_from_dict(case["spec"])
+    report = classify_boundary_optima(spec)
+    solved = (report.primal_system_solvable, report.dual_system_solvable)
+    assert list(solved) == case["expected"]["systems_solvable"]
+    lp = solve(build_complex_lp(spec))
+    for side_solved, status in zip(solved, (lp.status_primal, lp.status_dual)):
+        assert not (side_solved and status == "infeasible")

@@ -1,14 +1,19 @@
 """Cone membership, interiors, duals, and generator representations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import slice_distance_by_supports
+
+from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import (
     cone_from_dict,
     cone_to_dict,
     contains,
+    distance,
     dual,
     generated,
     generators,
@@ -20,6 +25,8 @@ from conedual.cones import (
     slice_cone,
     wedge,
 )
+from conedual.duality import ConicProblem, solve
+from conedual.linops import OperatorSpec
 
 
 def wedge_angle_contains(half_angle, v, tol):
@@ -183,6 +190,153 @@ def test_slice_dual_contains_normal_span():
     duals = sample_members(d, 200, rng)
     dots = np.einsum("ij,ij->i", members, duals)
     assert dots.min() >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# Slice rays
+# ---------------------------------------------------------------------------
+
+
+def random_slices(rng):
+    """Slices of orthants (one or two normals) and wedges (one normal) with
+    random normals, and the two cones of ``game_slice`` complex programs."""
+    for _ in range(12):
+        dim = int(rng.integers(2, 6))
+        yield slice_cone(orthant(dim), rng.uniform(-1.0, 1.0, size=(dim, int(rng.integers(1, 3)))))
+    for _ in range(8):
+        cone = wedge(rng.uniform(0.15, math.pi / 2 - 0.15, size=int(rng.integers(1, 3))))
+        yield slice_cone(cone, rng.uniform(-1.0, 1.0, size=cone.dim))
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        spec = ComplexLPSpec(
+            A=rng.uniform(-1.0, 1.0, size=(n, m)) + 1j * rng.uniform(-1.0, 1.0, size=(n, m)),
+            b=rng.uniform(-1.0, 1.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n),
+            c=rng.uniform(-1.0, 1.0, size=m) + 1j * rng.uniform(-1.0, 1.0, size=m),
+            alpha=rng.uniform(0.15, math.pi / 2 - 0.15, size=m),
+            beta=rng.uniform(0.15, math.pi / 2 - 0.15, size=n),
+            game_slice=True,
+        )
+        pb = build_complex_lp(spec)
+        yield pb.S
+        yield pb.T
+
+
+def test_slice_distance_matches_support_enumeration():
+    rng = np.random.default_rng(37)
+    nonzero = 0
+    for cone in random_slices(rng):
+        g = generators(cone)
+        nonzero += g.shape[1] > 0
+        points = [rng.standard_normal(cone.dim) for _ in range(6)]
+        points += [g @ rng.exponential(size=g.shape[1]) + 0.1 * rng.standard_normal(cone.dim) for _ in range(4)]
+        for v in points:
+            expected = slice_distance_by_supports(generators(cone.base), cone.normals, v)
+            assert abs(distance(cone, v) - expected) <= 1e-9 * (1.0 + expected)
+    assert nonzero >= 15
+
+
+def test_slice_distance_is_exact_on_the_zero_slice():
+    # orthant(2) ∩ (1, 1)^⊥ = {0}: the distance of (1, -1) is its norm,
+    # where combining the base distance 1 and the subspace residual 0 in
+    # quadrature read 1.
+    cone = slice_cone(orthant(2), np.array([1.0, 1.0]))
+    v = np.array([1.0, -1.0])
+    assert distance(cone, v) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert slice_distance_by_supports(generators(orthant(2)), cone.normals, v) == pytest.approx(math.sqrt(2.0))
+
+
+def test_slice_rays_lie_in_the_slice_and_its_base():
+    rng = np.random.default_rng(41)
+    for cone in random_slices(rng):
+        g = generators(cone)
+        assert np.all(np.linalg.norm(g, axis=0) > 0)
+        for ray in g.T:
+            assert contains(cone.base, ray, 1e-9)
+            assert np.linalg.norm(cone.normals.T @ ray) <= 1e-12 * np.linalg.norm(ray)
+        members = sample_members(cone, 50, rng)
+        assert np.abs(members @ cone.normals).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(members).max(initial=0.0))
+
+
+def test_slice_without_rays_fails_the_solidity_probe():
+    cone = slice_cone(orthant(2), np.array([1.0, 1.0]))
+    assert generators(cone).shape == (2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(interior_point(cone), np.zeros(2))
+        assert sample_members(cone, 3, np.random.default_rng(0)).shape == (3, 2)
+        with pytest.raises(ValueError, match="cone S failed the solidity probe"):
+            ConicProblem(A=OperatorSpec(matrix=np.eye(2)), b=np.zeros(2), c=np.zeros(2), S=cone, T=orthant(2))
+
+
+def test_slice_drops_the_zero_rays_of_antiparallel_generators():
+    # (1, 0) and (-1, 0) pair into 1 * (-1, 0) + 1 * (1, 0) = 0.
+    cone = slice_cone(generated(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])), np.array([1.0, 0.0]))
+    assert np.array_equal(generators(cone), np.array([[0.0], [1.0]]))
+
+
+def test_slice_rays_split_by_sign_beyond_roundoff():
+    # <n, e_1> = 1e-10 is far above roundoff, so e_1 pairs with e_2 into
+    # the ray (1, 1e-10).
+    cone = slice_cone(orthant(2), np.array([1e-10, -1.0]))
+    assert np.array_equal(generators(cone), np.array([[1.0], [1e-10]]))
+
+
+def test_slice_keeps_a_generator_that_lies_in_it_up_to_roundoff():
+    # <n, (1, 1, 1)> rounds to 5.55e-17, not 0, and no generator has a
+    # negative product; the slice is still the ray along (1, 1, 1), not
+    # the origin, whose distance from (1, 1, 1) would read sqrt(3).
+    gens = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    normal = np.array([0.1, 0.2, -0.3])
+    assert normal @ gens[:, 0] != 0.0
+    cone = cone_from_dict({"kind": "slice", "base": {"kind": "generated", "generators": gens.T.tolist()}, "slice_normals": [normal.tolist()]})
+    assert np.array_equal(generators(cone), np.ones((3, 1)))
+    assert distance(cone, np.ones(3)) <= 1e-15
+    v = np.array([1.0, -1.0, 0.5])
+    assert distance(cone, v) == pytest.approx(slice_distance_by_supports(gens, normal, v), rel=1e-12)
+
+
+def test_slice_with_too_many_generators_is_rejected():
+    # orthant(60) cut by one normal with 30 positive and 30 negative entries
+    # has 900 generators; a second such normal would pair about 450 x 450.
+    rng = np.random.default_rng(5)
+    normals = rng.uniform(0.5, 1.0, size=(60, 2)) * np.where(np.arange(60) % 2 == 0, 1.0, -1.0)[:, np.newaxis]
+    assert generators(slice_cone(orthant(60), normals[:, 0])).shape == (60, 900)
+    with pytest.raises(ValueError, match="slice has more than 4096 generators"):
+        cone_from_dict({"kind": "slice", "base": {"kind": "orthant", "dim": 60}, "slice_normals": normals.T.tolist()})
+
+
+def test_slice_of_a_slice_is_the_one_step_slice():
+    base = wedge((0.4, 0.9, 1.2))
+    n1 = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    n2 = np.array([1.0, 0.0, -0.5, 0.0, -0.5, 0.3])
+    twice = slice_cone(slice_cone(base, n1), n2)
+    once = slice_cone(base, np.column_stack([n1, n2]))
+    assert twice.base is base
+    assert np.array_equal(twice.normals, once.normals)
+    assert generators(twice).tobytes() == generators(once).tobytes()
+    assert generators(once).shape[1] > 0
+
+
+def test_product_with_a_slice_factor():
+    factor = slice_cone(orthant(3), np.array([1.0, -1.0, 0.0]))
+    cone = product(factor, wedge(0.7))
+    assert generators(cone).shape == (5, 4)
+    assert interior_contains(cone, interior_point(cone), 1e-9)
+    rng = np.random.default_rng(43)
+    members = sample_members(cone, 200, rng)
+    duals = sample_members(dual(cone), 200, rng)
+    assert all(contains(cone, v, 1e-9) for v in members)
+    assert np.einsum("ij,ij->i", members, duals).min() >= -1e-9
+    v = np.array([1.0, -1.0, 2.0, -1.0, 3.0])
+    expected = math.hypot(
+        slice_distance_by_supports(generators(orthant(3)), factor.normals, v[:3]), distance(wedge(0.7), v[3:])
+    )
+    assert distance(cone, v) == pytest.approx(expected, rel=1e-12)
+    # c = (1, ..., 1) lies in S*, and x = 0 is feasible, so both values are 0.
+    mat = rng.uniform(-1.0, 1.0, size=(5, 5))
+    report = solve(ConicProblem(A=OperatorSpec(matrix=mat), b=np.zeros(5), c=np.ones(5), S=cone, T=orthant(5)))
+    assert (report.status_primal, report.status_dual) == ("optimal", "optimal")
+    assert abs(report.v_primal) <= 1e-9 and abs(report.v_dual) <= 1e-9
+    assert contains(cone, report.x_star, 1e-9)
 
 
 def test_dimension_mismatch_rejected():

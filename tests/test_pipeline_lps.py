@@ -51,8 +51,7 @@ def _cone(rng, family, dim):
 
 def _inner(rng, cone, cut):
     """A point in the relative interior of ``cone``: the cut point of a
-    slice (the base cone's generators do not span it), otherwise a positive
-    combination of the generators."""
+    slice, otherwise a positive combination of the generators."""
     if cut is not None:
         return cut
     g = generators(cone)
