@@ -43,7 +43,7 @@ from .linops import (
     pairing,
     weighted_quadrature,
 )
-from .residual import ResidualResult, residual_minimize, separating_vector, variational_check
+from .residual import ResidualResult, residual_minimize
 
 __version__ = "0.1.0"
 
@@ -77,10 +77,8 @@ __all__ = [
     "pairing",
     "product",
     "residual_minimize",
-    "separating_vector",
     "slice_cone",
     "solve",
-    "variational_check",
     "verify_interior_optima",
     "verify_outcome",
     "verify_strict_feasibility",

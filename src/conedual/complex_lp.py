@@ -34,7 +34,6 @@ from .linops import OperatorSpec, adjoint_operator, complex_embed
 __all__ = [
     "ComplexLPSpec",
     "build_complex_lp",
-    "check_arg_condition",
     "BoundaryAngleReport",
     "classify_boundary_optima",
     "complex_spec_to_dict",
@@ -120,19 +119,6 @@ def build_complex_lp(spec):
     )
 
 
-def check_arg_condition(A, lo, hi, tol=1e-12):
-    """Whether every nonzero entry of the complex matrix ``A`` has its
-    argument inside ``[lo, hi]``.  Zero entries pass."""
-    a = np.atleast_2d(np.asarray(A, dtype=complex))
-    for entry in a.ravel():
-        if entry == 0:
-            continue
-        arg = float(np.angle(entry))
-        if arg < lo - tol or arg > hi + tol:
-            return False
-    return True
-
-
 @dataclass
 class BoundaryAngleReport:
     """Per-coordinate angle diagnostics of the returned optimizers.
@@ -163,7 +149,7 @@ def _angle_rows(z, half_angles, tol):
     return rows
 
 
-def classify_boundary_optima(spec, tol=1e-6, farkas_tol=1e-8):
+def classify_boundary_optima(spec, tol=1e-6):
     """Locate the optimizers of an argument-cone pair on their wedges.
 
     When neither equality system (``A z = b`` over the primal cone,
@@ -183,9 +169,9 @@ def classify_boundary_optima(spec, tol=1e-6, farkas_tol=1e-8):
     pb = build_complex_lp(spec)
     op = pb.operator()
     report = solve(pb)
-    primal_solvable = verified_solution(op, pb.b, pb.S, tol=farkas_tol, witness=report.x_star) is not None
+    primal_solvable = verified_solution(op, pb.b, pb.S, witness=report.x_star) is not None
     dual_solvable = (
-        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol, witness=report.y_star) is not None
+        verified_solution(adjoint_operator(op), pb.c, pb.T, witness=report.y_star) is not None
     )
 
     emb_x = complex_embed(spec.m)

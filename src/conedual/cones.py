@@ -45,7 +45,6 @@ __all__ = [
     "dual",
     "generators",
     "interior_point",
-    "sample_members",
     "cone_to_dict",
     "cone_from_dict",
 ]
@@ -375,7 +374,7 @@ def dual(cone):
 
 
 # ---------------------------------------------------------------------------
-# Interior points and sampling
+# Interior points
 # ---------------------------------------------------------------------------
 
 
@@ -385,13 +384,6 @@ def interior_point(cone):
     slice without rays gives the origin."""
     g = generators(cone)
     return g.sum(axis=1) / max(g.shape[1], 1)
-
-
-def sample_members(cone, count, rng, scale=1.0):
-    """Random members ``G u`` with exponential nonnegative coefficients."""
-    g = generators(cone)
-    coeffs = rng.exponential(scale=scale, size=(count, g.shape[1]))
-    return coeffs @ g.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,6 @@ Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
 unbounded problems.
 
-The linear programs of the transposed side multiply their operator-image
-rows by ``sign = -1``, which writes them as ``A^T G_T v + G_{S*} w = c``,
-the orientation of the dual constraint ``c - A^T y in S*``.  The feasible
-set is the same either way, but the simplex method normalizes only rows
-with a negative right-hand side and Bland's rule follows the sign of the
-rows whose right-hand side is zero, so the orientation decides the pivots;
-on pairs with ``b = c = 0`` the other orientation can make phase one fail.
-
 Two verification pipelines re-check the strong-duality statements:
 
 * ``verify_interior_optima`` -- when a problem's returned optimizer lies in
@@ -48,7 +40,7 @@ reported as notes, never as violations.
 
 Both pipelines share one ``solve`` per pair.  ``solve`` keeps the optimizers
 and LP statuses of the last pair it solved, keyed by a weak reference to the
-problem object and ``lp_tol``, so the ``solve`` inside
+problem object, so the ``solve`` inside
 ``verify_strict_feasibility`` that follows ``verify_interior_optima`` on the
 same object runs no simplex.  Transposed pairs are built from the validated
 parts of their source without repeating its checks.  Neither pipeline does
@@ -230,62 +222,64 @@ def feasible_dual(pb, y, tol=1e-8):
 # The primal value when no optimizer is attained; the dual value is its negation.
 _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
 
+# Margin of the interior flags: an optimizer within it of the boundary of
+# its cone counts as a boundary point.
+INTERIOR_TOL = 1e-6
 
-def _standard_form(pb, sign=1.0):
-    """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` (rows times
-    ``sign``) and ``u, w >= 0``."""
+
+def _standard_form(pb):
+    """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` and ``u, w >= 0``."""
     g_s = generators(pb.S)
     g_td = generators(dual(pb.T))
-    a_eq = sign * np.hstack([pb.A.matrix @ g_s, -g_td])
+    a_eq = np.hstack([pb.A.matrix @ g_s, -g_td])
     cost = np.concatenate([g_s.T @ (pb.pairing_X.weight_vector(pb.S.dim) * pb.c), np.zeros(g_td.shape[1])])
-    return cost, a_eq, sign * pb.b, g_s
+    return cost, a_eq, pb.b, g_s
 
 
 def _copy(x):
     return None if x is None else x.copy()
 
 
-# ``(weakref to pb, lp_tol, x*, primal status, y*, dual status)`` of the
+# ``(weakref to pb, x*, primal status, y*, dual status)`` of the
 # last pair ``solve`` ran its linear programs on, or None.  It is replaced
 # as a whole, so concurrent calls can miss it but never mix two entries.
 _last_solve = None
 
 
-def _primal_optimizer(pb, sign, lp_tol):
+def _primal_optimizer(pb):
     """The simplex optimizer of the primal of ``pb`` (None if not attained)
     and the LP status."""
-    cost, a_eq, b_eq, g_s = _standard_form(pb, sign)
-    res = simplex_solve(cost, a_eq, b_eq, tol=lp_tol)
+    cost, a_eq, b_eq, g_s = _standard_form(pb)
+    res = simplex_solve(cost, a_eq, b_eq)
     if res.status != "optimal":
         return None, res.status
     return g_s @ res.x[: g_s.shape[1]], res.status
 
 
-def solve(pb, interior_tol=1e-6, lp_tol=1e-8):
+def solve(pb):
     """Solve both problems of the pair and assemble a :class:`SolveReport`.
 
-    The dual is solved as the primal of ``pb.transpose()``.  Optimizers,
-    when attained, are simplex vertices of the reduced LPs mapped back
-    through the generators.  Interior flags classify the returned
-    optimizers with margin ``interior_tol``; points within the margin band
-    count as boundary.
+    The dual is solved as the primal of ``pb.transpose()``, by the same
+    linear program.  Optimizers, when attained, are simplex vertices of the
+    reduced LPs mapped back through the generators.  Interior flags
+    classify the returned optimizers with margin ``INTERIOR_TOL``; points
+    within the margin band count as boundary.
 
-    A repeat call on the same problem object with the same ``lp_tol`` takes
-    copies of the optimizers and statuses of the previous call instead of
-    solving the linear programs again; everything else in the report is
-    computed afresh.  Only the last pair is remembered, and only by a weak
-    reference.
+    A repeat call on the same problem object takes copies of the optimizers
+    and statuses of the previous call instead of solving the linear
+    programs again; everything else in the report is computed afresh.  Only
+    the last pair is remembered, and only by a weak reference.
     """
     global _last_solve
     notes = []
 
     memo = _last_solve
-    if memo is not None and memo[0]() is pb and memo[1] == lp_tol:
-        x_star, status_p, y_star, status_d = _copy(memo[2]), memo[3], _copy(memo[4]), memo[5]
+    if memo is not None and memo[0]() is pb:
+        x_star, status_p, y_star, status_d = _copy(memo[1]), memo[2], _copy(memo[3]), memo[4]
     else:
-        x_star, status_p = _primal_optimizer(pb, 1.0, lp_tol)
-        y_star, status_d = _primal_optimizer(pb.transpose(), -1.0, lp_tol)
-        _last_solve = (weakref.ref(pb), lp_tol, _copy(x_star), status_p, _copy(y_star), status_d)
+        x_star, status_p = _primal_optimizer(pb)
+        y_star, status_d = _primal_optimizer(pb.transpose())
+        _last_solve = (weakref.ref(pb), _copy(x_star), status_p, _copy(y_star), status_d)
     # A finite dual value is <y*, b>, which is -(the transposed primal
     # value) up to the sign of an exact zero.
     v_primal = _UNATTAINED_VALUE[status_p] if x_star is None else pairing(pb.pairing_X, pb.c, x_star)
@@ -293,9 +287,9 @@ def solve(pb, interior_tol=1e-6, lp_tol=1e-8):
 
     flags = ReportFlags()
     if x_star is not None:
-        flags.primal_interior_opt = interior_contains(pb.S, x_star, interior_tol)
+        flags.primal_interior_opt = interior_contains(pb.S, x_star, INTERIOR_TOL)
     if y_star is not None:
-        flags.dual_interior_opt = interior_contains(pb.T, y_star, interior_tol)
+        flags.dual_interior_opt = interior_contains(pb.T, y_star, INTERIOR_TOL)
 
     gap = v_primal - v_dual if math.isfinite(v_primal) and math.isfinite(v_dual) else math.nan
     comp = None
@@ -332,7 +326,7 @@ def complementarity(pb, x, y):
 # ---------------------------------------------------------------------------
 
 
-def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
+def verify_interior_optima(pb, tol=1e-8):
     """Check the strong-duality statement driven by interior optima.
 
     Preconditions are evaluated on the returned optimizers only.  When the
@@ -349,7 +343,7 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
     optimizer fails the check (see :func:`~conedual.farkas.verified_solution`).
     """
     op = pb.operator()
-    report = solve(pb, interior_tol=interior_tol)
+    report = solve(pb)
 
     dual_precond = report.status_dual == "optimal" and report.flags.dual_interior_opt
     primal_precond = report.status_primal == "optimal" and report.flags.primal_interior_opt
@@ -400,7 +394,7 @@ def verify_interior_optima(pb, tol=1e-8, interior_tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def _strict_member(pb, sign=1.0, lp_tol=1e-8):
+def _strict_member(pb):
     """Search for a strictly interior primal feasible point whose operator
     image also lies in the dual cone: ``x = G_S u`` with ``u >= 1``,
     ``A x - b in T*`` and ``A x in T*``.
@@ -416,8 +410,7 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8):
     generators are its own rays.
 
     On ``pb.transpose()`` this is the dual search ``y = G_T v``,
-    ``c - A^T y in S*``, ``-A^T y in S*``.  ``sign`` multiplies the two
-    image blocks (see the module notes).  The rows are posed unscaled: where
+    ``c - A^T y in S*``, ``-A^T y in S*``.  The rows are posed unscaled: where
     every ``A g`` vanishes in exact arithmetic, as for a slice whose only
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
@@ -425,14 +418,14 @@ def _strict_member(pb, sign=1.0, lp_tol=1e-8):
     op = pb.operator()
     g, cone, dual_set = generators(pb.S), pb.S, dual(pb.T)
     g_dual = generators(dual_set)
-    m_img = sign * (op.matrix @ g)
+    m_img = op.matrix @ g
     k = g.shape[1]
     kd = g_dual.shape[1]
     zero = np.zeros((m_img.shape[0], kd))
     # Variables: [r(k), w1(kd), w2(kd)].
     shift = m_img.sum(axis=1)
-    a_eq = np.vstack([np.hstack([m_img, -sign * g_dual, zero]), np.hstack([m_img, zero, -sign * g_dual])])
-    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([sign * pb.b - shift, -shift]), tol=lp_tol)
+    a_eq = np.vstack([np.hstack([m_img, -g_dual, zero]), np.hstack([m_img, zero, -g_dual])])
+    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([pb.b - shift, -shift]))
     if res.status != "optimal":
         return None
     point = g @ (res.x[:k] + 1.0)
@@ -505,7 +498,7 @@ def verify_strict_feasibility(pb, tol=1e-8):
 
     flags = report.flags
     flags.strict_primal_nonempty = _strict_member(pb) is not None
-    flags.strict_dual_nonempty = _strict_member(pb.transpose(), sign=-1.0) is not None
+    flags.strict_dual_nonempty = _strict_member(pb.transpose()) is not None
     preconds = {
         "strict primal set": flags.strict_primal_nonempty,
         "strict dual set": flags.strict_dual_nonempty,

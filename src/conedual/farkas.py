@@ -73,13 +73,6 @@ class FarkasOutcome:
         }
 
 
-def _dual_membership_residual(cone, v):
-    """Distance from ``v`` to the positive dual of ``cone`` (Euclidean
-    representation; coincides with the pairing dual for orthants under any
-    positive weights)."""
-    return distance(dual(cone), v)
-
-
 def _classify(value, tol):
     if value <= tol * tol:
         return "solution"
@@ -92,17 +85,20 @@ def _classify(value, tol):
     return "certificate"
 
 
-def farkas_primal(A, b, S, p=None, tol=1e-8):
+def farkas_primal(A, b, S, tol=1e-8):
     """Decide ``{A x = b, x in S}`` against its separating system.
 
     Solution branch: ``x = G u`` from the nonnegative least-squares
     preimage, with ``||A x - b|| <= tol``.  Certificate branch:
     ``alpha = b - gamma`` normalized to unit length, satisfying
-    ``-A^T alpha in S*`` and ``<alpha, -b> <= -strict_margin < 0``.
+    ``-A^T alpha in S*`` and ``<alpha, -b> <= -strict_margin < 0``.  Norms
+    and margins are taken in the operator's codomain pairing.  The cone
+    residual is the Euclidean distance to ``S*``, which coincides with the
+    pairing dual for orthants under any positive weights.
     """
-    p = A.pairing_codomain if p is None else p
+    p = A.pairing_codomain
     b = np.asarray(b, dtype=float)
-    res = residual_minimize(A, b, S, p=p, tol=1e-12)
+    res = residual_minimize(A, b, S)
     branch = _classify(res.value, tol)
     if branch == "solution":
         x = generators(S) @ res.coefficients
@@ -116,7 +112,7 @@ def farkas_primal(A, b, S, p=None, tol=1e-8):
     alpha = b - res.gamma
     alpha = alpha / pairing_norm(p, alpha)
     margin = -pairing(p, alpha, -b)
-    cone_res = _dual_membership_residual(S, -adjoint_apply(A, alpha))
+    cone_res = distance(dual(S), -adjoint_apply(A, alpha))
     return FarkasOutcome(
         branch="certificate",
         side="primal",
@@ -127,7 +123,7 @@ def farkas_primal(A, b, S, p=None, tol=1e-8):
     )
 
 
-def farkas_dual(A, c, T, p=None, tol=1e-8):
+def farkas_dual(A, c, T, tol=1e-8):
     """Decide ``{A^T y = c, y in T}`` against its separating system.
 
     Solution branch: ``y in T`` with ``||A^T y - c|| <= tol``.  Certificate
@@ -135,8 +131,7 @@ def farkas_dual(A, c, T, p=None, tol=1e-8):
     ``<x, c> <= -strict_margin < 0``.  This is :func:`farkas_primal` on
     ``adjoint_operator(A)`` with the certificate negated.
     """
-    p = A.pairing_domain if p is None else p
-    outcome = farkas_primal(adjoint_operator(A), c, T, p=p, tol=tol)
+    outcome = farkas_primal(adjoint_operator(A), c, T, tol=tol)
     outcome.side = "dual"
     if outcome.certificate is not None:
         # Subtracting from zero negates and leaves zero entries positive,
@@ -145,7 +140,7 @@ def farkas_dual(A, c, T, p=None, tol=1e-8):
     return outcome
 
 
-def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
+def verify_outcome(outcome, A, rhs, cone, tol=1e-8):
     """Re-check the populated branch from the raw problem data.
 
     Never consults solver internals: equality residuals, cone memberships,
@@ -155,8 +150,6 @@ def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
     system, its certificate negated.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if dual_cone is None:
-        dual_cone = dual(cone)
     if outcome.side == "dual":
         certificate = None if outcome.certificate is None else -outcome.certificate
         outcome = replace(outcome, side="primal", certificate=certificate)
@@ -174,10 +167,10 @@ def verify_outcome(outcome, A, rhs, cone, dual_cone=None, tol=1e-8):
     alpha = outcome.certificate
     image = -adjoint_apply(A, alpha)
     margin = -pairing(p_eq, alpha, -rhs)
-    return contains(dual_cone, image, tol) and margin > tol
+    return contains(dual(cone), image, tol) and margin > tol
 
 
-def verified_solution(A, rhs, cone, p=None, tol=1e-8, witness=None):
+def verified_solution(A, rhs, cone, tol=1e-8, witness=None):
     """A solution of ``{A x = rhs, x in cone}`` re-checked by
     :func:`verify_outcome` at ``10 tol``; None when none verifies.
 
@@ -191,7 +184,7 @@ def verified_solution(A, rhs, cone, p=None, tol=1e-8, witness=None):
         candidate = FarkasOutcome(branch="solution", side="primal", point=witness)
         if verify_outcome(candidate, A, rhs, cone, tol=10 * tol):
             return witness
-    outcome = farkas_primal(A, rhs, cone, p=p, tol=tol)
+    outcome = farkas_primal(A, rhs, cone, tol=tol)
     if outcome.branch == "solution" and verify_outcome(outcome, A, rhs, cone, tol=10 * tol):
         return outcome.point
     return None

@@ -261,8 +261,9 @@ class AdjointCheckReport:
     passed: bool
 
 
-def adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, seed=0):
-    """Sample ``|<A x, y>_Y - <x, A^T y>_X|`` and compare against ``tol``.
+def adjoint_identity_check(op, n_samples=100, tol=1e-10, seed=0):
+    """Sample ``|<A x, y>_Y - <x, A^T y>_X|`` in the operator's pairings and
+    compare against ``tol``.
 
     With the exact pairing adjoint the residual is at machine-precision
     level; a discrepancy flags an inconsistent ``adjoint_override`` or a
@@ -271,8 +272,6 @@ def adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, see
     ``[x_i, y_i]``; both sides of every sample come from two matrix
     products.  Raises ``ValueError`` when an image is not finite.
     """
-    p_X = op.pairing_domain if p_X is None else p_X
-    p_Y = op.pairing_codomain if p_Y is None else p_Y
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, op.domain_dim + op.codomain_dim))
     xs, ys = samples[:, : op.domain_dim], samples[:, op.domain_dim :]
@@ -281,7 +280,7 @@ def adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, see
     if not (np.isfinite(images).all() and np.isfinite(preimages).all()):
         raise ValueError("operator images contain non-finite entries")
     # Row sums of the products as ``pairing`` forms them; a unit weight is exact.
-    lhs = (images * ys * p_Y.weight_vector(op.codomain_dim)).sum(axis=1)
-    rhs = (xs * preimages * p_X.weight_vector(op.domain_dim)).sum(axis=1)
+    lhs = (images * ys * op.pairing_codomain.weight_vector(op.codomain_dim)).sum(axis=1)
+    rhs = (xs * preimages * op.pairing_domain.weight_vector(op.domain_dim)).sum(axis=1)
     worst = float(np.abs(lhs - rhs).max(initial=0.0))
     return AdjointCheckReport(max_residual=worst, n_samples=n_samples, tol=float(tol), passed=worst <= tol)

@@ -1,4 +1,4 @@
-"""Residual minimization over cone images and separating vectors.
+"""Residual minimization over cone images.
 
 The residual problem is ``min <z, z>  over  z in {A x - b : x in S}``.  With
 ``S = {G u : u >= 0}`` this is the nonnegative least-squares problem
@@ -20,7 +20,7 @@ from .cones import generators
 from .linops import pairing
 from .nnls import nnls
 
-__all__ = ["ResidualResult", "residual_minimize", "variational_check", "separating_vector"]
+__all__ = ["ResidualResult", "residual_minimize"]
 
 @dataclass
 class ResidualResult:
@@ -38,7 +38,7 @@ class ResidualResult:
     kkt_residual: float
 
 
-def residual_minimize(A, b, S, p=None, tol=1e-10):
+def residual_minimize(A, b, S):
     """Minimize ``<A x - b, A x - b>`` over ``x in S``.
 
     Parameters
@@ -48,15 +48,13 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
     S : ConeSpec
         Finitely generated; a slice through its own rays, so the preimage
         ``G u`` lies in the slice by construction.
-    p : PairingSpec, optional
-        Codomain pairing; defaults to the operator's declared one.
-    tol : float
-        Stationarity tolerance for the active-set iteration.
 
-    The minimum always exists: the objective is coercive on the closed
-    polyhedral image cone.
+    The objective is measured in the operator's codomain pairing, and the
+    active-set iteration stops at stationarity ``1e-12``.  The minimum
+    always exists: the objective is coercive on the closed polyhedral image
+    cone.
     """
-    p = A.pairing_codomain if p is None else p
+    p = A.pairing_codomain
     b = np.asarray(b, dtype=float)
     if b.shape != (A.codomain_dim,):
         raise ValueError(f"b has shape {b.shape}, expected ({A.codomain_dim},)")
@@ -69,7 +67,7 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
     rows = m_img * sqrt_w[:, np.newaxis]
     rhs = b * sqrt_w
 
-    result = nnls(rows, rhs, kkt_tol=tol)
+    result = nnls(rows, rhs, kkt_tol=1e-12)
     u = result.u
     gamma = m_img @ u
     diff = gamma - b
@@ -81,33 +79,3 @@ def residual_minimize(A, b, S, p=None, tol=1e-10):
         iterations=result.iterations,
         kkt_residual=result.kkt_residual,
     )
-
-
-def variational_check(gamma, b, samples, p=None, tol=1e-8):
-    """Certify minimality of ``gamma`` over the sampled hull.
-
-    ``gamma`` minimizes ``<x - b, x - b>`` over a convex set containing the
-    samples if and only if ``<gamma - b, x - gamma> >= 0`` for every member
-    ``x``; this checks the inequality at each sample with slack ``tol``.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    b = np.asarray(b, dtype=float)
-    direction = gamma - b
-    for x in samples:
-        if pairing(p, direction, np.asarray(x, dtype=float) - gamma) < -tol:
-            return False
-    return True
-
-
-def separating_vector(A, b, S, p=None, tol=1e-8):
-    """A vector ``alpha`` with ``<alpha, b> < 0 <= <A^T alpha, x>`` on ``S``.
-
-    Returns ``None`` when ``b`` lies in the image cone within tolerance
-    (residual value at most ``tol**2``), since no separator exists there.
-    The returned ``alpha = gamma - b`` additionally satisfies
-    ``<alpha, b> = -<alpha, alpha>``.
-    """
-    res = residual_minimize(A, b, S, p=p, tol=1e-12)
-    if res.value <= tol * tol:
-        return None
-    return res.gamma - b

@@ -1,10 +1,12 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent brute-force oracles and helpers shared by the test modules.
 
 Everything here avoids the library's solution paths on purpose: grid
 enumeration, polar scans, support enumeration and backward substitution
 compute expected values from the problem data alone.  The exceptions are
-the reference orders at the end, which run the library's own steps in the
-order of an earlier design.
+the reference orders near the end, which run the library's own steps in
+the order of an earlier design.  The helpers at the end (sampling cone
+members, the variational inequality of a residual minimizer and the
+argument condition of a complex matrix) are used only by tests.
 """
 
 import itertools
@@ -182,12 +184,12 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     return u, iterations, kkt(w, ~passive)
 
 
-def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
+def margin_row_strict_lp(pb):
     """The strict-member margin LP with explicit margin rows.
 
     Variables ``[u(k), w1(kd), w2(kd), delta, r(k), cap]``: maximize
-    ``delta`` s.t. ``A G u - G_{T*} w1 = b`` and ``A G u - G_{T*} w2 = 0``
-    (image rows times ``sign``), ``u - delta - r = 0``, ``delta + cap = 1``
+    ``delta`` s.t. ``A G u - G_{T*} w1 = b`` and ``A G u - G_{T*} w2 = 0``,
+    ``u - delta - r = 0``, ``delta + cap = 1``
     and, for a slice ``S``, ``N^T G u = 0``.  ``G`` is the generator matrix
     of ``S``, or of its base for a slice, so the slice is described here by
     its base and normals, independently of the rays that
@@ -199,7 +201,7 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
     cone = pb.S
     g = generators(cone.base if cone.kind == "slice" else cone)
     g_dual = generators(dual(pb.T))
-    m_img = sign * (pb.A.matrix @ g)
+    m_img = pb.A.matrix @ g
     k = g.shape[1]
     kd = g_dual.shape[1]
     dim_img = m_img.shape[0]
@@ -208,12 +210,12 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
     rhs = []
     r1 = np.zeros((dim_img, n_var))
     r1[:, :k] = m_img
-    r1[:, k : k + kd] = -sign * g_dual
+    r1[:, k : k + kd] = -g_dual
     rows.append(r1)
-    rhs.append(sign * pb.b)
+    rhs.append(pb.b)
     r2 = np.zeros((dim_img, n_var))
     r2[:, :k] = m_img
-    r2[:, k + kd : k + 2 * kd] = -sign * g_dual
+    r2[:, k + kd : k + 2 * kd] = -g_dual
     rows.append(r2)
     rhs.append(np.zeros(dim_img))
     r3 = np.zeros((k, n_var))
@@ -234,7 +236,7 @@ def margin_row_strict_lp(pb, sign=1.0, lp_tol=1e-8):
         rhs.append(np.zeros(cone.normals.shape[1]))
     cost = np.zeros(n_var)
     cost[k + 2 * kd] = -1.0
-    res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs), tol=lp_tol)
+    res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs))
     if res.status != "optimal":
         return res.status, None
     return res.status, float(res.x[k + 2 * kd])
@@ -248,7 +250,7 @@ def ungated_strict_feasibility(pb, tol=1e-8):
     report = duality.solve(pb)
     flags = report.flags
     flags.strict_primal_nonempty = duality._strict_member(pb) is not None
-    flags.strict_dual_nonempty = duality._strict_member(pb.transpose(), sign=-1.0) is not None
+    flags.strict_dual_nonempty = duality._strict_member(pb.transpose()) is not None
     preconds = {
         "strict primal set": flags.strict_primal_nonempty,
         "strict dual set": flags.strict_dual_nonempty,
@@ -270,24 +272,23 @@ def ungated_strict_feasibility(pb, tol=1e-8):
     return report
 
 
-def nnls_first_system_solvability(spec, farkas_tol=1e-8):
+def nnls_first_system_solvability(spec):
     """``(primal_system_solvable, dual_system_solvable)`` of
     ``classify_boundary_optima`` decided the NNLS-first way: one Farkas
     solve per equality system, before and without the optimizers."""
     pb = build_complex_lp(spec)
     op = pb.operator()
     return (
-        verified_solution(op, pb.b, pb.S, tol=farkas_tol) is not None,
-        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=farkas_tol) is not None,
+        verified_solution(op, pb.b, pb.S) is not None,
+        verified_solution(adjoint_operator(op), pb.c, pb.T) is not None,
     )
 
 
-def reference_adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=1e-10, seed=0):
+def reference_adjoint_identity_check(op, n_samples=100, tol=1e-10, seed=0):
     """``(max_residual, passed, largest |<A x, y>_Y|)`` of
     ``linops.adjoint_identity_check`` by its earlier loop: one ``x`` and one
     ``y`` drawn per sample, each side evaluated through ``pairing``."""
-    p_X = op.pairing_domain if p_X is None else p_X
-    p_Y = op.pairing_codomain if p_Y is None else p_Y
+    p_X, p_Y = op.pairing_domain, op.pairing_codomain
     rng = np.random.default_rng(seed)
     at = adjoint_matrix(op)
     worst = scale = 0.0
@@ -299,3 +300,44 @@ def reference_adjoint_identity_check(op, p_X=None, p_Y=None, n_samples=100, tol=
         worst = max(worst, abs(lhs - rhs))
         scale = max(scale, abs(lhs))
     return worst, worst <= tol, scale
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+# ---------------------------------------------------------------------------
+
+
+def sample_members(cone, count, rng, scale=1.0):
+    """Random members ``G u`` with exponential nonnegative coefficients."""
+    g = generators(cone)
+    coeffs = rng.exponential(scale=scale, size=(count, g.shape[1]))
+    return coeffs @ g.T
+
+
+def variational_check(gamma, b, samples, p=None, tol=1e-8):
+    """Certify minimality of ``gamma`` over the sampled hull.
+
+    ``gamma`` minimizes ``<x - b, x - b>`` over a convex set containing the
+    samples if and only if ``<gamma - b, x - gamma> >= 0`` for every member
+    ``x``; this checks the inequality at each sample with slack ``tol``.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    b = np.asarray(b, dtype=float)
+    direction = gamma - b
+    for x in samples:
+        if pairing(p, direction, np.asarray(x, dtype=float) - gamma) < -tol:
+            return False
+    return True
+
+
+def check_arg_condition(A, lo, hi, tol=1e-12):
+    """Whether every nonzero entry of the complex matrix ``A`` has its
+    argument inside ``[lo, hi]``.  Zero entries pass."""
+    a = np.atleast_2d(np.asarray(A, dtype=complex))
+    for entry in a.ravel():
+        if entry == 0:
+            continue
+        arg = float(np.angle(entry))
+        if arg < lo - tol or arg > hi + tol:
+            return False
+    return True

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import clp_minimal_feasible, grid_residual_min, polar_brute_force
+from oracles import clp_minimal_feasible, grid_residual_min, polar_brute_force, sample_members, variational_check
 
 from conedual.cones import (
     contains,
@@ -18,7 +18,6 @@ from conedual.cones import (
     generated,
     generators,
     orthant,
-    sample_members,
     wedge,
 )
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp, classify_boundary_optima
@@ -39,7 +38,7 @@ from conedual.instances import (
     random_farkas_instance,
 )
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing
-from conedual.residual import residual_minimize, variational_check
+from conedual.residual import residual_minimize
 
 
 def report_line(number, name, detail):
@@ -95,7 +94,7 @@ def _criterion_3_instances():
         a = OperatorSpec(matrix=rng.uniform(-1.0, 1.0, size=(2, 2)))
         cone = wedge(rng.uniform(0.3, 1.2)) if rng.random() < 0.5 else orthant(2)
         b = rng.uniform(-1.0, 1.0, size=2)
-        res = residual_minimize(a, b, cone, tol=1e-12)
+        res = residual_minimize(a, b, cone)
         if np.max(res.coefficients, initial=0.0) > 2.5:
             continue  # keep the optimum inside the oracle box
         instances.append((a, b, cone, res))

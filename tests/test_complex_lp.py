@@ -7,13 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from oracles import polar_brute_force
+from oracles import check_arg_condition, polar_brute_force
 
 from conedual.complex_lp import (
     BoundaryAngleReport,
     ComplexLPSpec,
     build_complex_lp,
-    check_arg_condition,
     classify_boundary_optima,
     complex_spec_from_dict,
     complex_spec_to_dict,

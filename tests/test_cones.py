@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import slice_distance_by_supports
+from oracles import sample_members, slice_distance_by_supports
 
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import (
@@ -21,7 +21,6 @@ from conedual.cones import (
     interior_point,
     orthant,
     product,
-    sample_members,
     slice_cone,
     wedge,
 )

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from conedual import cli, duality
+from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import dual, interior_contains, orthant
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
@@ -231,13 +231,30 @@ def test_interior_pipeline_concludes_on_scaled_values(scale):
         assert verify_interior_optima(scaled).flags.systems_solved == (True, True)
 
 
+def test_interior_batch_counts_scaled_pairs(monkeypatch):
+    # The pass count follows the pipeline's own relative gap check: a pair
+    # with both systems solved passes, whatever the size of its values.  An
+    # absolute |gap| <= tol re-check rejected 129 of these 200 pairs.
+    make = instances.interior_optimum_problem
+
+    def scaled(rng, dim, family="mixed"):
+        pb, x0, y0 = make(rng, dim, family)
+        return ConicProblem(A=pb.A, b=1e4 * pb.b, c=1e4 * pb.c, S=pb.S, T=pb.T), x0, y0
+
+    monkeypatch.setattr(instances, "interior_optimum_problem", scaled)
+    count = 200
+    passes, violations, gaps = instances.interior_batch(0, count)
+    assert passes == count - violations
+    assert max(gaps) > 1e-8
+
+
 def test_interior_gap_check_raises_on_relative_gap(monkeypatch):
     # A gap of 1e-6 relative to the value is no roundoff: still a violation.
     pb = problem_from_dict(interior_gap_cases()[0]["problem"])
     solve_pair = duality.solve
 
-    def shifted(pb, **kwargs):
-        report = solve_pair(pb, **kwargs)
+    def shifted(pb):
+        report = solve_pair(pb)
         report.v_dual = report.v_primal * (1.0 + 1e-6)
         report.gap = report.v_primal - report.v_dual
         return report
@@ -289,7 +306,7 @@ def test_strict_feasibility_precondition_failure():
     assert flags.strict_primal_nonempty is None and flags.strict_dual_nonempty is None
     assert flags.systems_solved == (False, False)
     assert "precondition not met: strict sets not searched, -b in T* fails" in report.notes
-    assert duality._strict_member(pb.transpose(), sign=-1.0) is None
+    assert duality._strict_member(pb.transpose()) is None
 
 
 def test_strict_feasibility_detects_conclusion_failure():
@@ -382,15 +399,48 @@ def test_double_transpose_reproduces_pair(make):
     assert back.pairing_X is pb.pairing_X and back.pairing_Y is pb.pairing_Y
 
 
+def swaps_and_negates(report, swapped):
+    """Whether ``swapped`` is ``report`` with the sides exchanged, bit for bit."""
+    return (
+        swapped.v_primal == -report.v_dual
+        and swapped.v_dual == -report.v_primal
+        and (swapped.status_primal, swapped.status_dual) == (report.status_dual, report.status_primal)
+        and same_bits(swapped.x_star, report.y_star)
+        and same_bits(swapped.y_star, report.x_star)
+    )
+
+
+def degenerate_orthant_pairs(count, seed=5):
+    """Orthant pairs with integer data in ``[-2, 2]`` and about half of the
+    entries of ``b`` and ``c`` set to 0, so that many LP rows have a zero
+    right-hand side."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(k) for k in rng.integers(2, 6, size=2))
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m) * (rng.random(m) < 0.5)
+        c = rng.integers(-2, 3, size=n) * (rng.random(n) < 0.5)
+        yield ConicProblem(A=OperatorSpec(matrix=a), b=b, c=c, S=orthant(n), T=orthant(m))
+
+
 @pytest.mark.parametrize("make", [identity_problem, weighted_clp_problem, game_slice_problem])
 def test_solve_transpose_swaps_and_negates_report(make):
     pb = make()
     report = solve(pb)
-    swapped = solve(pb.transpose())
     assert report.status_primal == report.status_dual == "optimal"
-    assert swapped.v_primal == -report.v_dual and swapped.v_dual == -report.v_primal
-    assert (swapped.status_primal, swapped.status_dual) == (report.status_dual, report.status_primal)
-    assert same_bits(swapped.x_star, report.y_star) and same_bits(swapped.y_star, report.x_star)
+    assert swaps_and_negates(report, solve(pb.transpose()))
+
+
+def test_solve_transpose_swaps_report_on_degenerate_pairs():
+    # Both sides are solved by the same LP, so a pair and its transpose give
+    # the same pivots even on rows whose right-hand side is zero, where
+    # Bland's rule follows the sign of the row.
+    statuses = set()
+    for pb in degenerate_orthant_pairs(3000):
+        report = solve(pb)
+        assert swaps_and_negates(report, solve(pb.transpose()))
+        statuses.add((report.status_primal, report.status_dual))
+    assert {("optimal", "optimal"), ("infeasible", "unbounded"), ("unbounded", "infeasible")} <= statuses
 
 
 def test_problem_json_round_trip():

@@ -14,7 +14,7 @@ from conedual.instances import (
 )
 from conedual.linops import OperatorSpec, adjoint_operator, pairing
 from conedual.nnls import nnls
-from conedual.residual import residual_minimize, separating_vector
+from conedual.residual import residual_minimize
 
 I2 = OperatorSpec(matrix=np.eye(2))
 
@@ -216,12 +216,13 @@ def two_solve_classify(a, b, cone, tol=1e-8):
     """The classification with separate solves per branch: the separating
     vector and the indeterminate fallback each solve the residual again."""
     solution_ok = certificate_ok = indeterminate = False
-    res = residual_minimize(a, b, cone, tol=1e-12)
+    res = residual_minimize(a, b, cone)
     if res.value <= tol * tol:
         x = generators(cone) @ res.coefficients
         solution_ok = float(np.linalg.norm(a.matrix @ x - b)) <= tol and contains(cone, x, tol)
-    alpha = separating_vector(a, b, cone, tol=tol)
-    if alpha is not None:
+    sep = residual_minimize(a, b, cone)
+    if sep.value > tol * tol:
+        alpha = sep.gamma - b
         neg = -(alpha / np.linalg.norm(alpha))
         certificate_ok = contains(dual(cone), -a.matrix.T @ neg, tol) and pairing(None, neg, -b) < -tol
     if not solution_ok and not certificate_ok:

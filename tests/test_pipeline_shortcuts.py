@@ -105,7 +105,7 @@ def test_zero_is_a_feasible_non_strict_point_wherever_both_strict_sets_exist(fam
     # strict sets exist, x = 0 and y = 0 are feasible and not strict.
     both = 0
     for style, pb in gate_pairs(family, seed={"orthant": 11, "wedge": 12, "slice": 13}[family]):
-        if duality._strict_member(pb) is None or duality._strict_member(pb.transpose(), sign=-1.0) is None:
+        if duality._strict_member(pb) is None or duality._strict_member(pb.transpose()) is None:
             continue
         both += 1
         assert feasible_primal(pb, np.zeros(pb.S.dim), 1e-7), style

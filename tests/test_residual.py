@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conedual.cones import generators, orthant, sample_members, wedge
+from oracles import sample_members, variational_check
+
+from conedual.cones import generators, orthant, wedge
 from conedual.linops import OperatorSpec, pairing, weighted_quadrature
-from conedual.residual import residual_minimize, separating_vector, variational_check
+from conedual.residual import residual_minimize
 
 I2 = OperatorSpec(matrix=np.eye(2))
 
@@ -89,16 +91,18 @@ def test_variational_check_rejects_non_minimizer():
 
 
 def test_separating_vector_example():
-    alpha = separating_vector(I2, np.array([-1.0, 0.0]), orthant(2))
-    np.testing.assert_allclose(alpha, [1.0, 0.0], atol=1e-10)
-    assert separating_vector(I2, np.array([1.0, 1.0]), orthant(2)) is None
+    # Off the image cone the separator is gamma - b; on it the value is 0.
+    b = np.array([-1.0, 0.0])
+    res = residual_minimize(I2, b, orthant(2))
+    np.testing.assert_allclose(res.gamma - b, [1.0, 0.0], atol=1e-10)
+    assert residual_minimize(I2, np.array([1.0, 1.0]), orthant(2)).value <= 1e-8 * 1e-8
 
 
 def test_separating_vector_degenerate_image():
     # C_A is the nonnegative x-axis; b below it separates along +y.
     a = OperatorSpec(matrix=np.array([[1.0], [0.0]]))
     b = np.array([0.0, -1.0])
-    alpha = separating_vector(a, b, orthant(1))
+    alpha = residual_minimize(a, b, orthant(1)).gamma - b
     np.testing.assert_allclose(alpha, [0.0, 1.0], atol=1e-12)
     assert pairing(None, alpha, b) < 0
     image = a.matrix.T @ alpha
@@ -114,9 +118,10 @@ def test_separator_validity_properties():
         a = OperatorSpec(matrix=rng.uniform(-1, 1, size=(dim_y, dim_x)))
         b = rng.uniform(-1, 1, size=dim_y)
         cone = orthant(dim_x)
-        alpha = separating_vector(a, b, cone, tol=1e-8)
-        if alpha is None:
+        res = residual_minimize(a, b, cone)
+        if res.value <= 1e-8 * 1e-8:
             continue
+        alpha = res.gamma - b
         found += 1
         g = generators(cone)
         for j in range(g.shape[1]):
@@ -178,5 +183,5 @@ def test_weighted_pairing_residual():
     p = weighted_quadrature(w)
     a = OperatorSpec(matrix=np.eye(2), pairing_codomain=p)
     b = np.array([-1.0, -1.0])
-    res = residual_minimize(a, b, orthant(2), p=p)
+    res = residual_minimize(a, b, orthant(2))
     assert res.value == pytest.approx(4.0 * 1.0 + 1.0 * 1.0)
