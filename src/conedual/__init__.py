@@ -37,10 +37,10 @@ from .linops import (
     PairingSpec,
     adjoint_apply,
     adjoint_identity_check,
-    adjoint_operator,
     apply,
     complex_embed,
     pairing,
+    transposed,
     weighted_quadrature,
 )
 from .residual import ResidualResult, residual_minimize
@@ -60,7 +60,6 @@ __all__ = [
     "TheoremViolation",
     "adjoint_apply",
     "adjoint_identity_check",
-    "adjoint_operator",
     "apply",
     "complementarity",
     "complex_embed",
@@ -79,6 +78,7 @@ __all__ = [
     "residual_minimize",
     "slice_cone",
     "solve",
+    "transposed",
     "verify_interior_optima",
     "verify_outcome",
     "verify_strict_feasibility",

@@ -29,7 +29,7 @@ from .cones import slice_cone, wedge
 from .duality import ConicProblem, solve
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, adjoint_operator, complex_embed
+from .linops import OperatorSpec, complex_embed
 
 __all__ = [
     "ComplexLPSpec",
@@ -111,7 +111,7 @@ def build_complex_lp(spec):
         s_cone = slice_cone(s_cone, _imag_sum_normal(spec.m))
         t_cone = slice_cone(t_cone, _imag_sum_normal(spec.n))
     return ConicProblem(
-        A=OperatorSpec(matrix=emb_y.embed_matrix(spec.A), label="complex"),
+        A=OperatorSpec(matrix=emb_y.embed_matrix(spec.A)),
         b=emb_y.embed_vector(spec.b),
         c=emb_x.embed_vector(spec.c),
         S=s_cone,
@@ -167,11 +167,11 @@ def classify_boundary_optima(spec, tol=1e-6):
     a Farkas solve, which is kept for proving a system unsolvable.
     """
     pb = build_complex_lp(spec)
-    op = pb.operator()
     report = solve(pb)
-    primal_solvable = verified_solution(op, pb.b, pb.S, witness=report.x_star) is not None
-    dual_solvable = (
-        verified_solution(adjoint_operator(op), pb.c, pb.T, witness=report.y_star) is not None
+    # The dual system is the primal system of the transposed pair.
+    primal_solvable, dual_solvable = (
+        verified_solution(q.A, q.b, q.S, witness=witness) is not None
+        for q, witness in ((pb, report.x_star), (pb.transpose(), report.y_star))
     )
 
     emb_x = complex_embed(spec.m)

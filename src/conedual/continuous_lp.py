@@ -50,7 +50,7 @@ from .cones import orthant
 from .duality import ConicProblem, feasible_dual, feasible_primal, solve
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, adjoint_operator, weighted_quadrature
+from .linops import OperatorSpec, weighted_quadrature
 from .simplex import simplex_solve
 
 __all__ = [
@@ -248,9 +248,7 @@ def discretize_clp(spec):
     a[j, :, k, :] = -grid.h * grid.K[j, k].transpose(0, 2, 1)
     pairing_x = weighted_quadrature(np.full(cols, grid.h))
     pairing_y = weighted_quadrature(np.full(rows, grid.h))
-    op = OperatorSpec(
-        matrix=a.reshape(rows, cols), label="volterra", pairing_domain=pairing_x, pairing_codomain=pairing_y
-    )
+    op = OperatorSpec(matrix=a.reshape(rows, cols), pairing_domain=pairing_x, pairing_codomain=pairing_y)
     # Copies: the grid is shared with later calls on the same spec.
     return ConicProblem(
         A=op,
@@ -340,9 +338,8 @@ def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
         return report
 
     report.pipeline_ran = True
-    op = pb.operator()
-    ok_p = verified_solution(op, pb.b, pb.S, tol=1e-8) is not None
-    ok_d = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=1e-8) is not None
+    # The dual system is the primal system of the transposed pair.
+    ok_p, ok_d = (verified_solution(q.A, q.b, q.S, tol=1e-8) is not None for q in (pb, pb.transpose()))
     report.systems_solved = (ok_p, ok_d)
     if not (ok_p and ok_d):
         raise TheoremViolation(

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,15 +70,7 @@ from .cones import (
 )
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import (
-    OperatorSpec,
-    PairingSpec,
-    adjoint_apply,
-    adjoint_matrix,
-    adjoint_operator,
-    apply,
-    pairing,
-)
+from .linops import OperatorSpec, PairingSpec, adjoint_apply, apply, pairing, pairing_norm, transposed
 from .simplex import simplex_solve
 
 __all__ = [
@@ -101,11 +93,13 @@ __all__ = [
 class ConicProblem:
     """The data ``(A, b, c, S, T)`` of a primal-dual conic pair.
 
-    Construction validates dimensions and probes solidity of both cones by
-    testing the generator barycenter for interior membership.  A problem is
-    treated as immutable after construction: ``solve`` recognizes a repeat
-    call by the object alone, so changing its arrays in place afterwards
-    leaves stale optimizers behind.  Build a new problem instead.
+    Construction validates dimensions, probes solidity of both cones by
+    testing the generator barycenter for interior membership, and attaches
+    ``pairing_X`` and ``pairing_Y`` to ``A`` as its domain and codomain
+    pairings.  A problem is treated as immutable after construction:
+    ``solve`` recognizes a repeat call by the object alone, so changing its
+    arrays in place afterwards leaves stale optimizers behind.  Build a new
+    problem instead.
     """
 
     A: OperatorSpec
@@ -134,37 +128,28 @@ class ConicProblem:
         for name, cone in (("S", self.S), ("T", self.T)):
             if not interior_contains(cone, interior_point(cone), 1e-9):
                 raise ValueError(f"cone {name} failed the solidity probe (no interior point found)")
+        object.__setattr__(
+            self, "A", replace(self.A, pairing_domain=self.pairing_X, pairing_codomain=self.pairing_Y)
+        )
 
     def operator(self):
-        """The operator with this problem's pairings attached."""
-        return OperatorSpec(
-            matrix=self.A.matrix,
-            label=self.A.label,
-            pairing_domain=self.pairing_X,
-            pairing_codomain=self.pairing_Y,
-            adjoint_override=self.A.adjoint_override,
-        )
+        """The operator ``A``, with this problem's pairings attached."""
+        return self.A
 
     def transpose(self):
         """The pair ``(-A^T, -c, -b, T, S)`` with the pairings swapped,
         whose primal is this pair's dual.
 
-        ``A^T`` is the pairing adjoint, and the adjoint of the transposed
-        operator is installed as ``-A`` itself, so ``pb.transpose().transpose()``
-        reproduces ``pb`` bit for bit.  The construction checks are not run
-        again: the dimensions are this pair's, swapped, and the cones and
-        pairings are the same already-validated objects.
+        The operator is :func:`~conedual.linops.transposed`, so
+        ``pb.transpose().transpose()`` reproduces ``pb`` bit for bit.  The
+        construction checks are not run again: the dimensions are this
+        pair's, swapped, and the cones and pairings are the same
+        already-validated objects.
         """
         pt = object.__new__(ConicProblem)
         # Fill the frozen fields directly, bypassing __post_init__.
         pt.__dict__.update(
-            A=OperatorSpec(
-                matrix=-adjoint_matrix(self.operator()),
-                label=self.A.label,
-                pairing_domain=self.A.pairing_codomain,
-                pairing_codomain=self.A.pairing_domain,
-                adjoint_override=-self.A.matrix,
-            ),
+            A=transposed(self.A),
             b=-self.c,
             c=-self.b,
             S=self.T,
@@ -205,8 +190,7 @@ class SolveReport:
 
 def feasible_primal(pb, x, tol=1e-8):
     """``x in S`` and ``A x - b in T*``."""
-    op = pb.operator()
-    return contains(pb.S, x, tol) and contains(dual(pb.T), apply(op, x) - pb.b, tol)
+    return contains(pb.S, x, tol) and contains(dual(pb.T), apply(pb.A, x) - pb.b, tol)
 
 
 def feasible_dual(pb, y, tol=1e-8):
@@ -315,9 +299,8 @@ def complementarity(pb, x, y):
     Both are nonnegative for feasible pairs, their sum is the objective gap
     of the pair, and both vanish exactly at optimal pairs.
     """
-    op = pb.operator()
-    first = pairing(pb.pairing_Y, y, apply(op, x) - pb.b)
-    second = pairing(pb.pairing_X, pb.c - adjoint_apply(op, y), x)
+    first = pairing(pb.pairing_Y, y, apply(pb.A, x) - pb.b)
+    second = pairing(pb.pairing_X, pb.c - adjoint_apply(pb.A, y), x)
     return (float(first), float(second))
 
 
@@ -333,59 +316,44 @@ def verify_interior_optima(pb, tol=1e-8):
     dual optimizer is interior (and the dual value finite), the primal
     equality system ``A x = b, x in S`` must be solvable; symmetrically for
     the primal side.  When both preconditions hold the values must agree
-    within ``tol * (1 + |v_primal|)`` and the equality-system solutions must
-    be optimal.
+    within ``tol * (1 + |v_primal|)``.  The solutions of the two systems
+    are then optimal by weak duality: ``<c, x> = <y, A x> = <y, b>`` lies
+    between the two optimal values.
 
     Each system is first tried at the optimizer ``solve`` returned: with
     ``y*`` interior, complementary slackness ``<y*, A x* - b> = 0`` forces
     ``A x* = b``, so ``x*`` is the candidate solution of the primal system
     (and ``y*`` of the dual one).  A fresh Farkas solve runs only when the
     optimizer fails the check (see :func:`~conedual.farkas.verified_solution`).
+    The dual system is the primal system of ``pb.transpose()``.
     """
-    op = pb.operator()
     report = solve(pb)
-
-    dual_precond = report.status_dual == "optimal" and report.flags.dual_interior_opt
-    primal_precond = report.status_primal == "optimal" and report.flags.primal_interior_opt
-
-    x_hat = y_hat = None
-    if dual_precond:
-        x_hat = verified_solution(op, pb.b, pb.S, tol=tol, witness=report.x_star)
-        if x_hat is None:
+    flags = report.flags
+    dual_interior = report.status_dual == "optimal" and flags.dual_interior_opt
+    primal_interior = report.status_primal == "optimal" and flags.primal_interior_opt
+    solved = []
+    for q, witness, side, other, precond in (
+        (pb, report.x_star, "primal", "dual", dual_interior),
+        (pb.transpose(), report.y_star, "dual", "primal", primal_interior),
+    ):
+        if not precond:
+            report.notes.append(f"precondition not met: {other} optimum not interior or not attained")
+        elif verified_solution(q.A, q.b, q.S, tol=tol, witness=witness) is None:
             raise TheoremViolation(
-                "interior dual optimum with finite value, but the primal equality system "
+                f"interior {other} optimum with finite value, but the {side} equality system "
                 "has no verified solution",
                 report=report,
             )
-    else:
-        report.notes.append("precondition not met: dual optimum not interior or not attained")
+        solved.append(precond)
 
-    if primal_precond:
-        y_hat = verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=report.y_star)
-        if y_hat is None:
-            raise TheoremViolation(
-                "interior primal optimum with finite value, but the dual equality system "
-                "has no verified solution",
-                report=report,
-            )
-    else:
-        report.notes.append("precondition not met: primal optimum not interior or not attained")
-
-    if primal_precond and dual_precond:
-        # With both systems solvable, every solution of either system is
-        # optimal and the values coincide; check all three claims, each
-        # relative to the size of the value.
+    if all(solved):
         scale = 1.0 + abs(report.v_primal)
         if abs(report.v_primal - report.v_dual) > tol * scale:
             raise TheoremViolation(
                 f"interior optima on both sides but gap {report.gap:.3e} exceeds {tol:.1e} * {scale:.3e}",
                 report=report,
             )
-        if abs(pairing(pb.pairing_X, pb.c, x_hat) - report.v_primal) > 10 * tol * scale:
-            raise TheoremViolation("primal equality-system solution is not optimal", report=report)
-        if abs(pairing(pb.pairing_Y, y_hat, pb.b) - report.v_dual) > 10 * tol * scale:
-            raise TheoremViolation("dual equality-system solution is not optimal", report=report)
-    report.flags.systems_solved = (x_hat is not None, y_hat is not None)
+    flags.systems_solved = tuple(solved)
     return report
 
 
@@ -415,10 +383,9 @@ def _strict_member(pb):
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
     """
-    op = pb.operator()
     g, cone, dual_set = generators(pb.S), pb.S, dual(pb.T)
     g_dual = generators(dual_set)
-    m_img = op.matrix @ g
+    m_img = pb.A.matrix @ g
     k = g.shape[1]
     kd = g_dual.shape[1]
     zero = np.zeros((m_img.shape[0], kd))
@@ -429,7 +396,7 @@ def _strict_member(pb):
     if res.status != "optimal":
         return None
     point = g @ (res.x[:k] + 1.0)
-    image = apply(op, point)
+    image = apply(pb.A, point)
     if not (
         interior_contains(cone, point, 1e-9)
         and contains(dual_set, image - pb.b, 1e-7)
@@ -437,6 +404,22 @@ def _strict_member(pb):
     ):
         return None
     return point
+
+
+def _system_solved(pb, tol):
+    """Whether ``A x = b, x in S`` of ``pb`` has a verified solution, once
+    both strict sets of ``pb`` are known to be nonempty.
+
+    For a full-dimensional ``T`` (its generators have rank ``dim T``; a
+    slice, or a product with a slice factor, is not) the system is solvable
+    iff ``b = 0`` (see :func:`verify_strict_feasibility`), so it is decided
+    by the check of the witness 0 alone, ``||b|| <= 10 tol`` in ``Y``'s
+    pairing, with no Farkas solve.  Otherwise the witness 0 is tried first
+    and a Farkas solve follows when it fails.
+    """
+    if np.linalg.matrix_rank(generators(pb.T)) == pb.T.dim:
+        return pairing_norm(pb.pairing_Y, pb.b) <= 10 * tol
+    return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
 
 
 def verify_strict_feasibility(pb, tol=1e-8):
@@ -479,10 +462,9 @@ def verify_strict_feasibility(pb, tol=1e-8):
     only necessary.  ``A = 0``, ``b = 0``, ``c = (1, 1)`` on orthants meets
     every precondition with a solvable primal and an unsolvable dual
     system.  So solvability is reported in ``systems_solved``, not
-    asserted; each system is tried first at the witness 0, which solves it
-    when its right-hand side is 0.
+    asserted.  Each system is decided on its own side, the dual system as
+    the primal system of ``pb.transpose()`` (see :func:`_system_solved`).
     """
-    op = pb.operator()
     report = solve(pb)
     failed = [
         name
@@ -497,8 +479,8 @@ def verify_strict_feasibility(pb, tol=1e-8):
         return report
 
     flags = report.flags
-    flags.strict_primal_nonempty = _strict_member(pb) is not None
-    flags.strict_dual_nonempty = _strict_member(pb.transpose()) is not None
+    sides = (pb, pb.transpose())
+    flags.strict_primal_nonempty, flags.strict_dual_nonempty = (_strict_member(q) is not None for q in sides)
     preconds = {
         "strict primal set": flags.strict_primal_nonempty,
         "strict dual set": flags.strict_dual_nonempty,
@@ -509,10 +491,7 @@ def verify_strict_feasibility(pb, tol=1e-8):
         report.notes.append("precondition not met: " + ", ".join(unmet))
         return report
 
-    flags.systems_solved = (
-        verified_solution(op, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None,
-        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=np.zeros(pb.T.dim)) is not None,
-    )
+    flags.systems_solved = tuple(_system_solved(q, tol) for q in sides)
     if abs(report.v_primal - report.v_dual) > tol:
         raise TheoremViolation(
             f"strict feasibility preconditions verified but gap {report.gap:.3e} exceeds {tol:.1e}",
@@ -558,7 +537,7 @@ def operator_from_dict(d):
     data = np.asarray(d["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")
-    return OperatorSpec(matrix=data.reshape(rows, cols), label=d.get("label", ""))
+    return OperatorSpec(matrix=data.reshape(rows, cols))
 
 
 def problem_to_dict(pb):

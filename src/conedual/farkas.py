@@ -10,14 +10,12 @@ residual minimizer ``gamma`` over the image cone: a near-zero residual value
 yields a solution of (I) from the nonnegative preimage, a clearly positive
 one yields the certificate ``alpha = b - gamma`` of (II).
 
-The dual system ``{A^T y = c, y in T}`` is system (I) of the adjoint
-operator ``adjoint_operator(A)``, so the dual side is the primal decision on
-the adjoint, with one sign map: the primal certificate ``alpha`` of the
-adjoint system gives the dual certificate ``x = -alpha = gamma - c``, which
-satisfies ``A x in T*`` with ``<x, c> < 0``.  The adjoint is used as it is,
-not negated as in ``ConicProblem.transpose``: the least-squares solves
-behind the decision are not guaranteed to give bit-identical results when
-both the matrix and the right-hand side are negated.
+The dual system ``{A^T y = c, y in T}`` is system (I) of the transposed
+operator: ``-A^T y = -c`` with ``y in T``, where ``-A^T`` is
+``transposed(A)``, the operator of the transposed pair.  Its system (II)
+reads ``A x in T*`` with ``<x, c> < 0``, which is the dual certificate
+itself, so the dual side is the primal decision on ``(transposed(A), -c)``
+with no sign map.
 
 Residual values inside ``(tol^2, 10 tol^2)`` are reported as indeterminate
 rather than forced into a branch.
@@ -25,13 +23,13 @@ rather than forced into a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import contains, distance, dual, generators
 from .errors import IndeterminateAlternative
-from .linops import adjoint_apply, adjoint_operator, apply, pairing, pairing_norm
+from .linops import adjoint_apply, apply, pairing, pairing_norm, transposed
 from .residual import residual_minimize
 
 __all__ = [
@@ -127,16 +125,14 @@ def farkas_dual(A, c, T, tol=1e-8):
     """Decide ``{A^T y = c, y in T}`` against its separating system.
 
     Solution branch: ``y in T`` with ``||A^T y - c|| <= tol``.  Certificate
-    branch: ``x = gamma - c`` (unit length) with ``A x in T*`` and
-    ``<x, c> <= -strict_margin < 0``.  This is :func:`farkas_primal` on
-    ``adjoint_operator(A)`` with the certificate negated.
+    branch: ``x = gamma - c`` (unit length, ``gamma`` the point of ``A^T T``
+    nearest to ``c``) with ``A x in T*`` and ``<x, c> <= -strict_margin < 0``.
+    This is :func:`farkas_primal` on ``(transposed(A), -c)``.
     """
-    outcome = farkas_primal(adjoint_operator(A), c, T, tol=tol)
+    # 0.0 - c, not -c: a zero entry of c then gives +0.0 in the certificate
+    # b - gamma, where -0.0 - 0.0 would give -0.0.
+    outcome = farkas_primal(transposed(A), 0.0 - np.asarray(c, dtype=float), T, tol=tol)
     outcome.side = "dual"
-    if outcome.certificate is not None:
-        # Subtracting from zero negates and leaves zero entries positive,
-        # as ``gamma - c`` does.
-        outcome.certificate = 0.0 - outcome.certificate
     return outcome
 
 
@@ -146,14 +142,12 @@ def verify_outcome(outcome, A, rhs, cone, tol=1e-8):
     Never consults solver internals: equality residuals, cone memberships,
     and strict margins are recomputed from ``A``, ``rhs`` and the cones.
     For certificate branches the strict inequality must clear ``tol``.
-    A dual-side outcome is checked as the primal outcome of the adjoint
-    system, its certificate negated.
+    A dual-side outcome is checked as the primal outcome of
+    ``(transposed(A), -rhs)``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if outcome.side == "dual":
-        certificate = None if outcome.certificate is None else -outcome.certificate
-        outcome = replace(outcome, side="primal", certificate=certificate)
-        A = adjoint_operator(A)
+        A, rhs = transposed(A), -rhs
     elif outcome.side != "primal":
         raise ValueError(f"unknown outcome side {outcome.side!r}")
     p_eq = A.pairing_codomain
@@ -179,7 +173,7 @@ def verified_solution(A, rhs, cone, tol=1e-8, witness=None):
     solution comes from :func:`farkas_primal`.  A verified witness proves
     the system solvable, so it can only turn None into a solution.  The
     dual system ``{A^T y = c, y in T}`` is this system for
-    ``adjoint_operator(A)``."""
+    ``(transposed(A), -c)``."""
     if witness is not None:
         candidate = FarkasOutcome(branch="solution", side="primal", point=witness)
         if verify_outcome(candidate, A, rhs, cone, tol=10 * tol):

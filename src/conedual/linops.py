@@ -23,7 +23,7 @@ __all__ = [
     "apply",
     "adjoint_apply",
     "adjoint_matrix",
-    "adjoint_operator",
+    "transposed",
     "ComplexEmbedding",
     "complex_embed",
     "AdjointCheckReport",
@@ -117,7 +117,6 @@ class OperatorSpec:
     """
 
     matrix: np.ndarray
-    label: str = ""
     pairing_domain: PairingSpec = field(default_factory=PairingSpec)
     pairing_codomain: PairingSpec = field(default_factory=PairingSpec)
     adjoint_override: np.ndarray | None = None
@@ -174,19 +173,19 @@ def adjoint_apply(op, y):
     return adjoint_matrix(op) @ y
 
 
-def adjoint_operator(op):
-    """The pairing adjoint ``A^T`` as an operator from ``Y`` to ``X``.
+def transposed(op):
+    """The transposed operator ``-A^T`` from ``Y`` to ``X``: the operator
+    of the transposed pair ``(-A^T, -c, -b, T, S)``.
 
-    The pairings swap places and the adjoint of the adjoint is installed as
-    ``op.matrix`` itself, so ``adjoint_operator(adjoint_operator(op))`` acts
-    exactly as ``op`` does, bit for bit.
+    ``A^T`` is the pairing adjoint.  The pairings swap places and the
+    adjoint of ``-A^T`` is installed as ``-A`` itself, so
+    ``transposed(transposed(op))`` acts exactly as ``op`` does, bit for bit.
     """
     return OperatorSpec(
-        matrix=adjoint_matrix(op),
-        label=op.label[:-2] if op.label.endswith("^T") else f"{op.label}^T",
+        matrix=-adjoint_matrix(op),
         pairing_domain=op.pairing_codomain,
         pairing_codomain=op.pairing_domain,
-        adjoint_override=op.matrix,
+        adjoint_override=-op.matrix,
     )
 
 
@@ -210,10 +209,6 @@ class ComplexEmbedding:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("complex dimension must be at least 1")
-
-    @property
-    def real_dim(self):
-        return 2 * self.m
 
     def embed_vector(self, z):
         z = np.asarray(z, dtype=complex)

@@ -20,7 +20,7 @@ from conedual.cones import dual, generators
 from conedual.continuous_lp import grid_points
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import verified_solution
-from conedual.linops import adjoint_matrix, adjoint_operator, pairing
+from conedual.linops import OperatorSpec, adjoint_matrix, pairing
 from conedual.simplex import simplex_solve
 
 
@@ -246,7 +246,6 @@ def ungated_strict_feasibility(pb, tol=1e-8):
     """``verify_strict_feasibility`` without its ``-b in T*``, ``c in S*``
     gate: both strict-member LPs run on every pair.  Returns the report or
     raises ``TheoremViolation`` where the ungated pipeline would."""
-    op = pb.operator()
     report = duality.solve(pb)
     flags = report.flags
     flags.strict_primal_nonempty = duality._strict_member(pb) is not None
@@ -260,10 +259,7 @@ def ungated_strict_feasibility(pb, tol=1e-8):
     if unmet:
         report.notes.append("precondition not met: " + ", ".join(unmet))
         return report
-    flags.systems_solved = (
-        verified_solution(op, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None,
-        verified_solution(adjoint_operator(op), pb.c, pb.T, tol=tol, witness=np.zeros(pb.T.dim)) is not None,
-    )
+    flags.systems_solved = (duality._system_solved(pb, tol), duality._system_solved(pb.transpose(), tol))
     if abs(report.v_primal - report.v_dual) > tol:
         raise TheoremViolation(
             f"strict feasibility preconditions verified but gap {report.gap:.3e} exceeds {tol:.1e}",
@@ -281,6 +277,19 @@ def nnls_first_system_solvability(spec):
     return (
         verified_solution(op, pb.b, pb.S) is not None,
         verified_solution(adjoint_operator(op), pb.c, pb.T) is not None,
+    )
+
+
+def adjoint_operator(op):
+    """The pairing adjoint ``A^T`` as an operator from ``Y`` to ``X``, with
+    ``op.matrix`` installed as its adjoint: the orientation ``(A^T, c)`` in
+    which the dual equality system was decided before it became the primal
+    system of the transposed pair, ``(-A^T, -c)``."""
+    return OperatorSpec(
+        matrix=adjoint_matrix(op),
+        pairing_domain=op.pairing_codomain,
+        pairing_codomain=op.pairing_domain,
+        adjoint_override=op.matrix,
     )
 
 

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from test_pipeline_shortcuts import gate_pairs
+
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import dual, interior_contains, orthant
@@ -23,8 +25,8 @@ from conedual.duality import (
     verify_interior_optima,
     verify_strict_feasibility,
 )
-from conedual.errors import TheoremViolation
-from conedual.farkas import farkas_primal
+from conedual.errors import SolverFailure, TheoremViolation
+from conedual.farkas import farkas_dual, farkas_primal
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing
 
@@ -248,6 +250,24 @@ def test_interior_batch_counts_scaled_pairs(monkeypatch):
     assert max(gaps) > 1e-8
 
 
+def test_solve_values_match_equality_system_solutions():
+    # On interior pairs both equality systems are solvable, and weak duality
+    # makes every solution optimal: <c, x> = <y, A x> = <y, b> lies between
+    # the two optimal values.  So solve's values must agree with the values
+    # of fresh Farkas solutions of the two systems.
+    tol = 1e-8
+    rng = np.random.default_rng(173)
+    pairs = [interior_optimum_problem(rng, dim, family)[0] for dim in (2, 4, 6) for family in ("orthant", "wedge")
+             for _ in range(5)]
+    pairs += [problem_from_dict(case["problem"]) for case in interior_gap_cases()]
+    for pb in pairs:
+        report = solve(pb)
+        x_hat = farkas_primal(pb.A, pb.b, pb.S, tol=tol).point
+        y_hat = farkas_dual(pb.A, pb.c, pb.T, tol=tol).point
+        assert abs(pairing(pb.pairing_X, pb.c, x_hat) - report.v_primal) <= 10 * tol * (1.0 + abs(report.v_primal))
+        assert abs(pairing(pb.pairing_Y, y_hat, pb.b) - report.v_dual) <= 10 * tol * (1.0 + abs(report.v_dual))
+
+
 def test_interior_gap_check_raises_on_relative_gap(monkeypatch):
     # A gap of 1e-6 relative to the value is no roundoff: still a violation.
     pb = problem_from_dict(interior_gap_cases()[0]["problem"])
@@ -400,13 +420,21 @@ def test_double_transpose_reproduces_pair(make):
 
 
 def swaps_and_negates(report, swapped):
-    """Whether ``swapped`` is ``report`` with the sides exchanged, bit for bit."""
+    """Whether ``swapped`` is ``report`` with the sides exchanged, bit for
+    bit: values negated and swapped, and statuses, optimizers and flags
+    swapped."""
+    flags, swapped_flags = report.flags, swapped.flags
     return (
         swapped.v_primal == -report.v_dual
         and swapped.v_dual == -report.v_primal
         and (swapped.status_primal, swapped.status_dual) == (report.status_dual, report.status_primal)
         and same_bits(swapped.x_star, report.y_star)
         and same_bits(swapped.y_star, report.x_star)
+        and (swapped_flags.primal_interior_opt, swapped_flags.dual_interior_opt)
+        == (flags.dual_interior_opt, flags.primal_interior_opt)
+        and (swapped_flags.strict_primal_nonempty, swapped_flags.strict_dual_nonempty)
+        == (flags.strict_dual_nonempty, flags.strict_primal_nonempty)
+        and tuple(swapped_flags.systems_solved) == tuple(reversed(flags.systems_solved))
     )
 
 
@@ -441,6 +469,51 @@ def test_solve_transpose_swaps_report_on_degenerate_pairs():
         assert swaps_and_negates(report, solve(pb.transpose()))
         statuses.add((report.status_primal, report.status_dual))
     assert {("optimal", "optimal"), ("infeasible", "unbounded"), ("unbounded", "infeasible")} <= statuses
+
+
+def _pipeline_outcome(run, pb):
+    try:
+        return run(pb)
+    except (SolverFailure, TheoremViolation) as exc:
+        return type(exc)
+
+
+def test_pipelines_on_transpose_swap_and_negate_report():
+    # Each pipeline decides both equality systems by the same code, the dual
+    # one on pb.transpose(), so a pair and its transpose give one report
+    # with the sides exchanged.
+    rng = np.random.default_rng(179)
+    pairs = [interior_optimum_problem(rng, dim, family)[0] for dim in (2, 4, 6) for family in ("orthant", "wedge")
+             for _ in range(5)]
+    pairs += [pb for family in ("orthant", "wedge", "slice") for seed in range(3)
+              for style, pb in gate_pairs(family, seed) if style != "shifted"]
+    pairs += list(degenerate_orthant_pairs(300))
+    solved, strict = set(), set()
+    for pb in pairs:
+        for run in (verify_interior_optima, verify_strict_feasibility):
+            report = _pipeline_outcome(run, pb)
+            swapped = _pipeline_outcome(run, pb.transpose())
+            if isinstance(report, type):
+                assert swapped is report
+                continue
+            assert swaps_and_negates(report, swapped)
+            flags = report.flags
+            if run is verify_interior_optima:
+                solved.add(tuple(flags.systems_solved))
+            else:
+                strict.add((flags.strict_primal_nonempty, flags.strict_dual_nonempty))
+    # Both sides of each flag occur, one-sided ones included.
+    assert {(True, True), (True, False), (False, True)} <= solved
+    assert {(True, True), (True, False), (False, True)} <= strict
+
+
+def test_problem_file_with_operator_label_loads():
+    # Operators no longer carry a label; files written with one still load.
+    doc = problem_to_dict(identity_problem())
+    doc["A"]["label"] = "k"
+    pb = problem_from_dict(doc)
+    assert same_bits(pb.A.matrix, I2)
+    assert problem_to_dict(pb) == problem_to_dict(identity_problem())
 
 
 def test_problem_json_round_trip():

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from oracles import adjoint_operator
+
 import conedual.residual as residual_module
 from conedual.cones import contains, dual, generators, orthant, wedge
 from conedual.errors import IndeterminateAlternative
@@ -12,7 +14,7 @@ from conedual.instances import (
     infeasible_farkas_instance,
     random_farkas_instance,
 )
-from conedual.linops import OperatorSpec, adjoint_operator, pairing
+from conedual.linops import OperatorSpec, pairing
 from conedual.nnls import nnls
 from conedual.residual import residual_minimize
 

@@ -11,10 +11,10 @@ from conedual.linops import (
     adjoint_apply,
     adjoint_identity_check,
     adjoint_matrix,
-    adjoint_operator,
     apply,
     complex_embed,
     pairing,
+    transposed,
     weighted_quadrature,
 )
 
@@ -63,22 +63,21 @@ def test_weighted_adjoint_identity():
     assert worst <= 1e-12
 
 
-def test_double_adjoint_reproduces_operator():
+def test_double_transposed_reproduces_operator():
     rng = np.random.default_rng(11)
     op = OperatorSpec(
         matrix=rng.normal(size=(4, 3)),
-        label="k",
         pairing_domain=weighted_quadrature(np.full(3, 0.5)),
         pairing_codomain=weighted_quadrature(rng.uniform(0.2, 2.0, size=4)),
     )
-    adj = adjoint_operator(op)
-    assert adj.matrix.tobytes() == adjoint_matrix(op).tobytes()
-    assert (adj.pairing_domain, adj.pairing_codomain) == (op.pairing_codomain, op.pairing_domain)
-    assert adjoint_identity_check(adj).passed
-    back = adjoint_operator(adj)
+    tr = transposed(op)
+    assert tr.matrix.tobytes() == (-adjoint_matrix(op)).tobytes()
+    assert adjoint_matrix(tr).tobytes() == (-op.matrix).tobytes()
+    assert (tr.pairing_domain, tr.pairing_codomain) == (op.pairing_codomain, op.pairing_domain)
+    assert adjoint_identity_check(tr).passed
+    back = transposed(tr)
     assert back.matrix.tobytes() == op.matrix.tobytes()
     assert adjoint_matrix(back).tobytes() == adjoint_matrix(op).tobytes()
-    assert back.label == op.label
     assert (back.pairing_domain, back.pairing_codomain) == (op.pairing_domain, op.pairing_codomain)
 
 

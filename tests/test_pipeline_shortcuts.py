@@ -123,7 +123,7 @@ def test_slice_gate_pairs_conclude_without_solver_failure(seed):
     # pairs vacuous and a random pair stall (seed 7); zeroing the entries
     # below 64 eps |A| |G| first still failed seeds 18 and 38.  Shifted
     # pairs are left out: their equality-system Farkas solve can stall at
-    # scales 1e1-1e3, as on orthants and wedges.
+    # scales 1e1-1e3.
     for style, pb in gate_pairs("slice", seed):
         if style == "shifted":
             continue
@@ -133,8 +133,8 @@ def test_slice_gate_pairs_conclude_without_solver_failure(seed):
             assert flags.systems_solved == (True, True)
 
 
-def check_slice_stall_case(source):
-    with open(ROOT / "tests" / "fixtures" / "slice_stalls.json") as fh:
+def check_stall_case(source, fixture="slice_stalls.json"):
+    with open(ROOT / "tests" / "fixtures" / fixture) as fh:
         (case,) = [case for case in json.load(fh) if case["source"].startswith(source)]
     report = verify_strict_feasibility(problem_from_dict(case["problem"]))
     expected = case["expected"]
@@ -147,7 +147,7 @@ def test_slice_dual_membership_that_stalled():
     # gate_pairs("slice", 7) item 20: the final membership test of the
     # transposed strict-member search, an NNLS on the slice's dual,
     # stalled while the slice rows were imposed separately.
-    check_slice_stall_case('gate_pairs("slice", 7) item 20')
+    check_stall_case('gate_pairs("slice", 7) item 20')
 
 
 @pytest.mark.xfail(raises=SolverFailure, strict=True)
@@ -155,11 +155,33 @@ def test_slice_shifted_pair_that_stalls_on_rays():
     # gate_pairs("slice", 0) item 19 reported both strict sets while the
     # slice rows were imposed separately.  On the slice's rays, the primal
     # equality-system Farkas solve stalls: its NNLS compares the dual
-    # vector, of order 1e3 here, with the absolute kkt_tol 1e-12, as in
-    # the orthant and wedge stalls at the same scales.  Known open defect,
-    # one of 34 such shifted pairs on seeds 0-59; it passes once the NNLS
-    # stall is fixed.
-    check_slice_stall_case('gate_pairs("slice", 0) item 19')
+    # vector, of order 1e3 here, with the absolute kkt_tol 1e-12.  A slice
+    # is not full-dimensional, so the closed form that decides the orthant
+    # and wedge pairs below does not apply.  Known open defect, one of the
+    # 60 slice shifted pairs of seeds 0-59 that stall; it passes once the
+    # NNLS stall is fixed.
+    check_stall_case('gate_pairs("slice", 0) item 19')
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'gate_pairs("orthant", 0) item 16',
+        'gate_pairs("orthant", 1) item 19',
+        'gate_pairs("orthant", 2) item 16',
+        'gate_pairs("wedge", 0) item 16',
+        'gate_pairs("wedge", 1) item 19',
+        'gate_pairs("wedge", 3) item 19',
+    ],
+)
+def test_solid_shifted_pair_decided_without_farkas_solve(source, monkeypatch):
+    # Shifted pairs at scales 1e2 and 1e3 on which the equality-system
+    # Farkas solve stalled, as on the slice pair above.  With both strict
+    # sets nonempty and T full-dimensional, the system is solvable iff
+    # b = 0, so the check of the witness 0 decides it.
+    outcomes = farkas_spy(monkeypatch)
+    check_stall_case(source, "solid_shifted_stalls.json")
+    assert outcomes == []
 
 
 def test_gate_failing_pair_runs_no_strict_lp(monkeypatch):
