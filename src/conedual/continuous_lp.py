@@ -246,9 +246,11 @@ def discretize_clp(spec):
     a[diag, :, diag, :] = grid.B.transpose(0, 2, 1)
     j, k = np.triu_indices(n_nodes, 1)
     a[j, :, k, :] = -grid.h * grid.K[j, k].transpose(0, 2, 1)
-    pairing_x = weighted_quadrature(np.full(cols, grid.h))
-    pairing_y = weighted_quadrature(np.full(rows, grid.h))
-    op = OperatorSpec(matrix=a.reshape(rows, cols), pairing_domain=pairing_x, pairing_codomain=pairing_y)
+    op = OperatorSpec(
+        matrix=a.reshape(rows, cols),
+        pairing_domain=weighted_quadrature(np.full(cols, grid.h)),
+        pairing_codomain=weighted_quadrature(np.full(rows, grid.h)),
+    )
     # Copies: the grid is shared with later calls on the same spec.
     return ConicProblem(
         A=op,
@@ -256,8 +258,6 @@ def discretize_clp(spec):
         c=grid.c.reshape(cols).copy(),
         S=orthant(cols),
         T=orthant(rows),
-        pairing_X=pairing_x,
-        pairing_Y=pairing_y,
     )
 
 

@@ -9,8 +9,9 @@ Note the orientation: the primal slack lives in the *dual* of the cone that
 constrains the dual variable.
 
 The pair is symmetric: the dual of ``(A, b, c, S, T)`` is the primal of the
-transposed pair ``(-A^T, -c, -b, T, S)`` with the two pairings swapped
-(:meth:`ConicProblem.transpose`), and the one sign map between them is
+transposed pair ``(-A^T, -c, -b, T, S)``, whose operator carries the two
+pairings swapped (:meth:`ConicProblem.transpose`), and the one sign map
+between them is
 
     dual value = -(primal value of the transposed pair),
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,10 +94,12 @@ __all__ = [
 class ConicProblem:
     """The data ``(A, b, c, S, T)`` of a primal-dual conic pair.
 
-    Construction validates dimensions, probes solidity of both cones by
-    testing the generator barycenter for interior membership, and attaches
-    ``pairing_X`` and ``pairing_Y`` to ``A`` as its domain and codomain
-    pairings.  A problem is treated as immutable after construction:
+    The pairings of ``X`` and ``Y`` are ``A``'s.  Construction validates
+    dimensions, probes solidity of both cones by testing the generator
+    barycenter, at unit length, for interior membership, and refuses
+    non-uniform weights on a cone other than an orthant, where the
+    Euclidean :func:`~conedual.cones.dual` is not the dual in the pairing.
+    A problem is treated as immutable after construction:
     ``solve`` recognizes a repeat call by the object alone, so changing its
     arrays in place afterwards leaves stale optimizers behind.  Build a new
     problem instead.
@@ -107,8 +110,6 @@ class ConicProblem:
     c: np.ndarray
     S: ConeSpec
     T: ConeSpec
-    pairing_X: PairingSpec = field(default_factory=PairingSpec)
-    pairing_Y: PairingSpec = field(default_factory=PairingSpec)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -123,22 +124,23 @@ class ConicProblem:
             raise ValueError("S does not match the operator domain")
         if self.T.dim != self.A.codomain_dim:
             raise ValueError("T does not match the operator codomain")
-        self.pairing_X.weight_vector(self.S.dim)
-        self.pairing_Y.weight_vector(self.T.dim)
-        for name, cone in (("S", self.S), ("T", self.T)):
-            if not interior_contains(cone, interior_point(cone), 1e-9):
+        sides = (("S", self.S, self.A.pairing_domain.weights), ("T", self.T, self.A.pairing_codomain.weights))
+        for name, cone, w in sides:
+            # Interior membership is invariant under positive scaling.
+            point = interior_point(cone)
+            norm = np.linalg.norm(point)
+            if norm == 0 or not interior_contains(cone, point / norm, 1e-9):
                 raise ValueError(f"cone {name} failed the solidity probe (no interior point found)")
-        object.__setattr__(
-            self, "A", replace(self.A, pairing_domain=self.pairing_X, pairing_codomain=self.pairing_Y)
-        )
+            if w is not None and cone.kind != "orthant" and np.any(w != w[0]):
+                raise ValueError(f"non-uniform pairing weights on cone {name}, which is not an orthant")
 
     def operator(self):
-        """The operator ``A``, with this problem's pairings attached."""
+        """The operator ``A``, which carries the pairings."""
         return self.A
 
     def transpose(self):
-        """The pair ``(-A^T, -c, -b, T, S)`` with the pairings swapped,
-        whose primal is this pair's dual.
+        """The pair ``(-A^T, -c, -b, T, S)``, whose primal is this pair's
+        dual.
 
         The operator is :func:`~conedual.linops.transposed`, so
         ``pb.transpose().transpose()`` reproduces ``pb`` bit for bit.  The
@@ -154,8 +156,6 @@ class ConicProblem:
             c=-self.b,
             S=self.T,
             T=self.S,
-            pairing_X=self.pairing_Y,
-            pairing_Y=self.pairing_X,
         )
         return pt
 
@@ -216,7 +216,8 @@ def _standard_form(pb):
     g_s = generators(pb.S)
     g_td = generators(dual(pb.T))
     a_eq = np.hstack([pb.A.matrix @ g_s, -g_td])
-    cost = np.concatenate([g_s.T @ (pb.pairing_X.weight_vector(pb.S.dim) * pb.c), np.zeros(g_td.shape[1])])
+    weighted_c = pb.A.pairing_domain.weight_vector(pb.S.dim) * pb.c
+    cost = np.concatenate([g_s.T @ weighted_c, np.zeros(g_td.shape[1])])
     return cost, a_eq, pb.b, g_s
 
 
@@ -266,8 +267,9 @@ def solve(pb):
         _last_solve = (weakref.ref(pb), _copy(x_star), status_p, _copy(y_star), status_d)
     # A finite dual value is <y*, b>, which is -(the transposed primal
     # value) up to the sign of an exact zero.
-    v_primal = _UNATTAINED_VALUE[status_p] if x_star is None else pairing(pb.pairing_X, pb.c, x_star)
-    v_dual = -_UNATTAINED_VALUE[status_d] if y_star is None else pairing(pb.pairing_Y, y_star, pb.b)
+    p_x, p_y = pb.A.pairing_domain, pb.A.pairing_codomain
+    v_primal = _UNATTAINED_VALUE[status_p] if x_star is None else pairing(p_x, pb.c, x_star)
+    v_dual = -_UNATTAINED_VALUE[status_d] if y_star is None else pairing(p_y, y_star, pb.b)
 
     flags = ReportFlags()
     if x_star is not None:
@@ -299,8 +301,8 @@ def complementarity(pb, x, y):
     Both are nonnegative for feasible pairs, their sum is the objective gap
     of the pair, and both vanish exactly at optimal pairs.
     """
-    first = pairing(pb.pairing_Y, y, apply(pb.A, x) - pb.b)
-    second = pairing(pb.pairing_X, pb.c - adjoint_apply(pb.A, y), x)
+    first = pairing(pb.A.pairing_codomain, y, apply(pb.A, x) - pb.b)
+    second = pairing(pb.A.pairing_domain, pb.c - adjoint_apply(pb.A, y), x)
     return (float(first), float(second))
 
 
@@ -418,7 +420,7 @@ def _system_solved(pb, tol):
     and a Farkas solve follows when it fails.
     """
     if np.linalg.matrix_rank(generators(pb.T)) == pb.T.dim:
-        return pairing_norm(pb.pairing_Y, pb.b) <= 10 * tol
+        return pairing_norm(pb.A.pairing_codomain, pb.b) <= 10 * tol
     return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
 
 
@@ -506,62 +508,55 @@ def verify_strict_feasibility(pb, tol=1e-8):
 
 
 def _pairing_to_dict(p):
-    d = {"kind": p.kind}
-    if p.weights is not None:
-        d["weights"] = p.weights.tolist()
-    return d
+    if p.weights is None:
+        return {"kind": "euclidean_dot"}
+    return {"kind": "weighted_quadrature", "weights": p.weights.tolist()}
 
 
 def _pairing_from_dict(d):
-    if d is None:
-        return PairingSpec()
+    d = d or {}
     kind = d.get("kind", "euclidean_dot")
-    return PairingSpec(
-        # Older files tag the real-part pairing of complex data separately.
-        kind="euclidean_dot" if kind == "complex_real_part" else kind,
-        weights=None if d.get("weights") is None else np.asarray(d["weights"], dtype=float),
-    )
-
-
-def operator_to_dict(op):
-    return {
-        "rows": op.codomain_dim,
-        "cols": op.domain_dim,
-        "data": op.matrix.ravel().tolist(),
-        "complex": False,
-    }
-
-
-def operator_from_dict(d):
-    rows, cols = int(d["rows"]), int(d["cols"])
-    data = np.asarray(d["data"], dtype=float)
-    if data.size != rows * cols:
-        raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")
-    return OperatorSpec(matrix=data.reshape(rows, cols))
+    weights = d.get("weights")
+    # Older files tag the real-part pairing of complex data separately.
+    if kind not in ("euclidean_dot", "complex_real_part", "weighted_quadrature"):
+        raise ValueError(f"unknown pairing kind {kind!r}")
+    if (kind == "weighted_quadrature") != (weights is not None):
+        need = "requires weights" if weights is None else "does not take weights"
+        raise ValueError(f"pairing kind {kind!r} {need}")
+    return PairingSpec(weights=weights)
 
 
 def problem_to_dict(pb):
     return {
         "type": "conic",
-        "A": operator_to_dict(pb.A),
+        "A": {"rows": pb.A.codomain_dim, "cols": pb.A.domain_dim, "data": pb.A.matrix.ravel().tolist()},
         "b": pb.b.tolist(),
         "c": pb.c.tolist(),
         "S": cone_to_dict(pb.S),
         "T": cone_to_dict(pb.T),
-        "pairing_X": _pairing_to_dict(pb.pairing_X),
-        "pairing_Y": _pairing_to_dict(pb.pairing_Y),
+        "pairing_X": _pairing_to_dict(pb.A.pairing_domain),
+        "pairing_Y": _pairing_to_dict(pb.A.pairing_codomain),
     }
 
 
 def problem_from_dict(d):
+    """Inverse of :func:`problem_to_dict`; the file's ``pairing_X`` and
+    ``pairing_Y`` go on the operator."""
+    rows, cols = int(d["A"]["rows"]), int(d["A"]["cols"])
+    data = np.asarray(d["A"]["data"], dtype=float)
+    if data.size != rows * cols:
+        raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")
+    a = OperatorSpec(
+        matrix=data.reshape(rows, cols),
+        pairing_domain=_pairing_from_dict(d.get("pairing_X")),
+        pairing_codomain=_pairing_from_dict(d.get("pairing_Y")),
+    )
     return ConicProblem(
-        A=operator_from_dict(d["A"]),
+        A=a,
         b=np.asarray(d["b"], dtype=float),
         c=np.asarray(d["c"], dtype=float),
         S=cone_from_dict(d["S"]),
         T=cone_from_dict(d["T"]),
-        pairing_X=_pairing_from_dict(d.get("pairing_X")),
-        pairing_Y=_pairing_from_dict(d.get("pairing_Y")),
     )
 
 

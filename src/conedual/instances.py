@@ -139,7 +139,6 @@ def classify_instance(a, b, cone, tol=1e-8):
     solution_ok = False
     certificate_ok = False
     indeterminate = False
-    dual_cone = dual(cone)
 
     res = residual_minimize(a, b, cone)
     if res.value <= tol * tol:
@@ -149,9 +148,7 @@ def classify_instance(a, b, cone, tol=1e-8):
     else:
         alpha = res.gamma - b  # the separating vector
         alpha = alpha / np.linalg.norm(alpha)
-        neg = -alpha  # certificate of the separating system carries -A
-        image = -a.matrix.T @ neg
-        certificate_ok = contains(dual_cone, image, tol) and pairing(None, neg, -b) < -tol
+        certificate_ok = contains(dual(cone), a.matrix.T @ alpha, tol) and pairing(None, alpha, b) < -tol
 
     if not solution_ok and not certificate_ok:
         try:

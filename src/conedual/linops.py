@@ -30,9 +30,6 @@ __all__ = [
     "adjoint_identity_check",
 ]
 
-_PAIRING_KINDS = ("euclidean_dot", "weighted_quadrature")
-
-
 def _as_vector(v, dim=None, name="vector"):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
@@ -48,43 +45,34 @@ def _as_vector(v, dim=None, name="vector"):
 class PairingSpec:
     """A bilinear symmetric pairing on a coordinate space.
 
-    ``euclidean_dot`` is the plain dot product; on real embeddings of
-    complex vectors it is ``Re <z, w>``.  ``weighted_quadrature`` is
-    ``<u, v> = sum_i w_i u_i v_i`` with strictly positive weights, the
-    discrete stand-in for an integral pairing.
+    Without ``weights`` it is the plain dot product; on real embeddings of
+    complex vectors that is ``Re <z, w>``.  With ``weights`` it is the
+    quadrature ``<u, v> = sum_i w_i u_i v_i`` with strictly positive
+    weights, the discrete stand-in for an integral pairing.
     """
 
-    kind: str = "euclidean_dot"
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _PAIRING_KINDS:
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
-        if self.kind == "weighted_quadrature":
-            if self.weights is None:
-                raise ValueError("weighted_quadrature pairing requires weights")
+        if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValueError("quadrature weights must be a finite positive vector")
             object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise ValueError(f"pairing kind {self.kind!r} does not take weights")
 
     def weight_vector(self, dim):
-        if self.kind == "weighted_quadrature":
-            if self.weights.shape[0] != dim:
-                raise ValueError(
-                    f"pairing weights have dimension {self.weights.shape[0]}, expected {dim}"
-                )
-            return self.weights
-        return np.ones(dim)
+        if self.weights is None:
+            return np.ones(dim)
+        if self.weights.shape[0] != dim:
+            raise ValueError(f"pairing weights have dimension {self.weights.shape[0]}, expected {dim}")
+        return self.weights
 
 
 EUCLIDEAN = PairingSpec()
 
 
 def weighted_quadrature(weights):
-    return PairingSpec(kind="weighted_quadrature", weights=np.asarray(weights, dtype=float))
+    return PairingSpec(weights=weights)
 
 
 def pairing(p, u, v):
@@ -96,7 +84,7 @@ def pairing(p, u, v):
     u = _as_vector(u, name="u")
     v = _as_vector(v, dim=u.shape[0], name="v")
     prod = u * v
-    if p is None or p.kind != "weighted_quadrature":
+    if p is None or p.weights is None:
         return float(prod.sum())
     return float((prod * p.weight_vector(u.shape[0])).sum())
 
@@ -109,6 +97,10 @@ def pairing_norm(p, u):
 @dataclass(frozen=True)
 class OperatorSpec:
     """A dense linear map together with the pairings of its two spaces.
+
+    The operator owns the pairings of its domain ``X`` and codomain ``Y``;
+    a conic pair reads them from its ``A``.  Weights must match the
+    dimension of their space.
 
     ``adjoint_override`` lets callers install an independently constructed
     adjoint matrix (for example one discretized from a separate formula);
@@ -135,6 +127,9 @@ class OperatorSpec:
                     f"adjoint override has shape {a.shape}, expected {(m.shape[1], m.shape[0])}"
                 )
             object.__setattr__(self, "adjoint_override", a)
+        for p, dim in ((self.pairing_domain, m.shape[1]), (self.pairing_codomain, m.shape[0])):
+            if p.weights is not None:
+                p.weight_vector(dim)
 
     @property
     def codomain_dim(self):
@@ -160,10 +155,10 @@ def adjoint_matrix(op):
     if op.adjoint_override is not None:
         return op.adjoint_override
     at = op.matrix.T
+    if op.pairing_domain.weights is None and op.pairing_codomain.weights is None:
+        return at
     wx = op.pairing_domain.weight_vector(op.domain_dim)
     wy = op.pairing_codomain.weight_vector(op.codomain_dim)
-    if op.pairing_domain.kind != "weighted_quadrature" and op.pairing_codomain.kind != "weighted_quadrature":
-        return at
     return (at * wy[np.newaxis, :]) / wx[:, np.newaxis]
 
 

@@ -127,8 +127,10 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
                 u = z
                 break
             # Step toward z until the first passive component hits zero.
+            # An index with u = z = 0 blocks at once: its ratio is 0, not 0/0.
             blocking = np.flatnonzero(passive & (z <= 0))
-            ratios = u[blocking] / (u[blocking] - z[blocking])
+            gap = u[blocking] - z[blocking]
+            ratios = np.divide(u[blocking], gap, out=np.zeros_like(gap), where=gap > 0)
             alpha = float(np.min(ratios))
             u = u + alpha * (z - u)
             u[blocking[ratios <= alpha + 1e-15]] = 0.0

@@ -169,7 +169,8 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
                 u = z
                 break
             blocking = idx[z[idx] <= 0]
-            ratios = u[blocking] / (u[blocking] - z[blocking])
+            gap = u[blocking] - z[blocking]
+            ratios = np.divide(u[blocking], gap, out=np.zeros_like(gap), where=gap > 0)
             alpha = float(np.min(ratios))
             u = u + alpha * (z - u)
             u[blocking[ratios <= alpha + 1e-15]] = 0.0

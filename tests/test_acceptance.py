@@ -170,7 +170,7 @@ def test_criterion_05_weak_duality_and_gap_decomposition():
             assert report.gap >= -1e-8
         for x, y in feasible_pairs:
             checked += 1
-            value_gap = pairing(pb.pairing_X, pb.c, x) - pairing(pb.pairing_Y, y, pb.b)
+            value_gap = pairing(pb.A.pairing_domain, pb.c, x) - pairing(pb.A.pairing_codomain, y, pb.b)
             first, second = complementarity(pb, x, y)
             assert value_gap >= -1e-8
             assert abs(value_gap - (first + second)) <= 1e-10 * (1.0 + abs(value_gap))
@@ -269,8 +269,8 @@ def test_criterion_10_continuous_lp_discretization():
         for _ in range(1000):
             x = rng.standard_normal(pb.S.dim)
             y = rng.standard_normal(pb.T.dim)
-            lhs = pairing(pb.pairing_Y, pb.A.matrix @ x, y)
-            rhs = pairing(pb.pairing_X, x, at @ y)
+            lhs = pairing(pb.A.pairing_codomain, pb.A.matrix @ x, y)
+            rhs = pairing(pb.A.pairing_domain, x, at @ y)
             worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-12
 

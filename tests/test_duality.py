@@ -11,7 +11,7 @@ from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
-from conedual.cones import dual, interior_contains, orthant
+from conedual.cones import dual, generated, interior_contains, orthant, slice_cone, wedge
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,
@@ -28,7 +28,7 @@ from conedual.duality import (
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import farkas_dual, farkas_primal
 from conedual.instances import interior_optimum_problem
-from conedual.linops import OperatorSpec, adjoint_matrix, pairing
+from conedual.linops import OperatorSpec, adjoint_matrix, pairing, weighted_quadrature
 
 I2 = np.eye(2)
 
@@ -79,6 +79,48 @@ def test_problem_validation():
             S=generated(ray),
             T=orthant(2),
         )
+
+    origin = slice_cone(orthant(2), [1.0, 1.0])
+    with pytest.raises(ValueError, match="solidity probe"):
+        ConicProblem(A=OperatorSpec(matrix=I2), b=np.ones(2), c=np.ones(2), S=origin, T=orthant(2))
+
+
+def test_solidity_probe_is_scale_free():
+    # Interior membership is invariant under positive scaling, and so is the probe.
+    g2 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    g3 = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    for k in range(-8, 9):
+        for cone in (generated(10.0**k * g2), slice_cone(generated(10.0**k * g3), [1.0, -1.0, 0.0])):
+            n = cone.dim
+            ConicProblem(A=OperatorSpec(matrix=np.eye(n)), b=np.ones(n), c=np.ones(n), S=cone, T=orthant(n))
+
+
+def test_solve_uses_the_operators_weighted_pairings():
+    # min x1 + 3 x2 over x >= (1, 1); the dual bound is y <= (1/2, 3/5) and
+    # <y, b>_Y = 2 y1 + 5 y2.
+    a = OperatorSpec(
+        matrix=I2,
+        pairing_domain=weighted_quadrature([1.0, 3.0]),
+        pairing_codomain=weighted_quadrature([2.0, 5.0]),
+    )
+    report = solve(ConicProblem(A=a, b=np.ones(2), c=np.ones(2), S=orthant(2), T=orthant(2)))
+    assert report.v_primal == pytest.approx(4.0, abs=1e-12)
+    assert report.v_dual == pytest.approx(4.0, abs=1e-12)
+    assert report.y_star == pytest.approx([0.5, 0.6], abs=1e-12)
+
+
+def test_non_uniform_weights_refused_off_orthants():
+    # Under Y-weights (1, 100) the Euclidean dual of the wedge is not its
+    # dual in the pairing: solve would return v_primal 1.309 < v_dual 2.
+    skewed = weighted_quadrature([1.0, 100.0])
+    ones = np.ones(2)
+    with pytest.raises(ValueError, match="non-uniform pairing weights on cone T"):
+        ConicProblem(A=OperatorSpec(matrix=I2, pairing_codomain=skewed), b=ones, c=ones, S=orthant(2), T=wedge(0.3))
+    with pytest.raises(ValueError, match="non-uniform pairing weights on cone S"):
+        ConicProblem(A=OperatorSpec(matrix=I2, pairing_domain=skewed), b=ones, c=ones, S=wedge(0.3), T=orthant(2))
+    weighted_clp_problem()
+    uniform = OperatorSpec(matrix=I2, pairing_codomain=weighted_quadrature([2.0, 2.0]))
+    assert solve(ConicProblem(A=uniform, b=ones, c=ones, S=orthant(2), T=wedge(0.3))).gap >= -1e-12
 
 
 def test_feasibility_examples():
@@ -264,8 +306,8 @@ def test_solve_values_match_equality_system_solutions():
         report = solve(pb)
         x_hat = farkas_primal(pb.A, pb.b, pb.S, tol=tol).point
         y_hat = farkas_dual(pb.A, pb.c, pb.T, tol=tol).point
-        assert abs(pairing(pb.pairing_X, pb.c, x_hat) - report.v_primal) <= 10 * tol * (1.0 + abs(report.v_primal))
-        assert abs(pairing(pb.pairing_Y, y_hat, pb.b) - report.v_dual) <= 10 * tol * (1.0 + abs(report.v_dual))
+        assert abs(pairing(pb.A.pairing_domain, pb.c, x_hat) - report.v_primal) <= 10 * tol * (1.0 + abs(report.v_primal))
+        assert abs(pairing(pb.A.pairing_codomain, y_hat, pb.b) - report.v_dual) <= 10 * tol * (1.0 + abs(report.v_dual))
 
 
 def test_interior_gap_check_raises_on_relative_gap(monkeypatch):
@@ -409,14 +451,15 @@ def test_double_transpose_reproduces_pair(make):
     pt = pb.transpose()
     assert same_bits(pt.b, -pb.c) and same_bits(pt.c, -pb.b)
     assert pt.S is pb.T and pt.T is pb.S
-    assert pt.pairing_X is pb.pairing_Y and pt.pairing_Y is pb.pairing_X
+    assert pt.A.pairing_domain is pb.A.pairing_codomain and pt.A.pairing_codomain is pb.A.pairing_domain
     back = pt.transpose()
     assert same_bits(back.A.matrix, pb.A.matrix)
     assert same_bits(back.operator().matrix, pb.operator().matrix)
     assert same_bits(adjoint_matrix(back.operator()), adjoint_matrix(pb.operator()))
     assert same_bits(back.b, pb.b) and same_bits(back.c, pb.c)
     assert back.S is pb.S and back.T is pb.T
-    assert back.pairing_X is pb.pairing_X and back.pairing_Y is pb.pairing_Y
+    assert back.A.pairing_domain is pb.A.pairing_domain
+    assert back.A.pairing_codomain is pb.A.pairing_codomain
 
 
 def swaps_and_negates(report, swapped):
@@ -514,6 +557,31 @@ def test_problem_file_with_operator_label_loads():
     pb = problem_from_dict(doc)
     assert same_bits(pb.A.matrix, I2)
     assert problem_to_dict(pb) == problem_to_dict(identity_problem())
+
+
+def test_problem_file_pairings_live_on_the_operator():
+    pb = weighted_clp_problem()
+    doc = problem_to_dict(pb)
+    weights = pb.A.pairing_codomain.weights.tolist()
+    assert doc["pairing_Y"] == {"kind": "weighted_quadrature", "weights": weights}
+    assert "complex" not in doc["A"]
+    back = problem_from_dict(doc)
+    assert same_bits(adjoint_matrix(back.A), adjoint_matrix(pb.A))
+    assert problem_to_dict(back) == doc
+    # Older files tag the dot product of complex data as its real part.
+    doc = problem_to_dict(identity_problem())
+    assert doc["pairing_X"] == {"kind": "euclidean_dot"}
+    doc["pairing_X"] = {"kind": "complex_real_part"}
+    assert problem_from_dict(doc).A.pairing_domain.weights is None
+    for bad, message in (
+        ({"kind": "sesquilinear"}, "unknown pairing kind"),
+        ({"kind": "weighted_quadrature"}, "requires weights"),
+        ({"kind": "euclidean_dot", "weights": [1.0, 1.0]}, "does not take weights"),
+        ({"kind": "weighted_quadrature", "weights": [1.0, 1.0, 1.0]}, "dimension 3, expected 2"),
+    ):
+        doc["pairing_X"] = bad
+        with pytest.raises(ValueError, match=message):
+            problem_from_dict(doc)
 
 
 def test_problem_json_round_trip():

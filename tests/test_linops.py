@@ -223,6 +223,15 @@ def test_dimension_mismatch_errors():
         adjoint_apply(op, np.ones(3))
 
 
+def test_pairing_weights_must_match_the_operator():
+    with pytest.raises(ValueError, match="dimension 3, expected 2"):
+        OperatorSpec(matrix=np.eye(2), pairing_domain=weighted_quadrature(np.ones(3)))
+    with pytest.raises(ValueError, match="dimension 2, expected 3"):
+        OperatorSpec(matrix=np.ones((3, 2)), pairing_codomain=weighted_quadrature(np.ones(2)))
+    with pytest.raises(ValueError, match="positive"):
+        weighted_quadrature([1.0, 0.0])
+
+
 def test_non_finite_matrix_rejected():
     with pytest.raises(ValueError, match="finite"):
         OperatorSpec(matrix=np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -324,6 +324,15 @@ def test_blocking_step_that_empties_the_passive_set(monkeypatch):
     assert any(emptied)
 
 
+def test_blocking_step_on_a_zero_coefficient_keeps_the_iterate():
+    # The entering coefficient underflows to exactly 0, so that index's
+    # blocking ratio would be 0/0: it blocks at once instead, and the
+    # iterate (1, 0) survives into the stall report, with no warning.
+    with pytest.raises(SolverFailure, match="stalled") as info:
+        nnls(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 5e-324]), kkt_tol=0.0)
+    assert info.value.detail["u"].tolist() == [1.0, 0.0]
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         nnls(np.ones((2, 2)), np.ones(3))
