@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linops import _as_vector
 from .nnls import nnls
 
 __all__ = [
@@ -219,15 +220,6 @@ def generators(cone):
 # ---------------------------------------------------------------------------
 
 
-def _check_vector(cone, v):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != cone.dim:
-        raise ValueError(f"vector has shape {arr.shape}, expected ({cone.dim},)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector contains non-finite entries")
-    return arr
-
-
 def _wedge_block_distance(x, y, a):
     r = math.hypot(x, y)
     if r == 0.0:
@@ -256,7 +248,7 @@ def distance(cone, v):
     slices it is the residual of the nonnegative least-squares projection
     onto the generators (a slice's own rays).
     """
-    v = _check_vector(cone, v)
+    v = _as_vector(v, cone.dim)
     if cone.kind == "orthant":
         return float(np.linalg.norm(np.minimum(v, 0.0)))
     if cone.kind == "wedge":
@@ -310,7 +302,7 @@ def interior_contains(cone, v, tol=1e-6):
     Raises ``ValueError`` for cones without interior (the solidity
     assumption fails there, so the test is undefined).
     """
-    v = _check_vector(cone, v)
+    v = _as_vector(v, cone.dim)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     if not is_solid(cone):
@@ -371,6 +363,17 @@ def dual(cone):
         base_dual = dual(cone.base)
         return generated(np.hstack([generators(base_dual), cone.normals, -cone.normals]))
     raise ValueError(f"dual cone of kind {cone.kind!r} is not supported")
+
+
+def _check_pairing_dual(cone, p, name):
+    """Refuse a pairing ``p`` under which :func:`dual` is not the dual of
+    ``cone``.  Under weights ``w`` that dual is ``diag(w)^-1 cone*``: the
+    Euclidean dual when ``w`` is uniform or ``cone`` is an orthant or a
+    product of orthants."""
+    w = p.weights
+    if w is not None and np.any(w != w[0]):
+        if not all(f.kind == "orthant" for f in (cone.factors if cone.kind == "product" else (cone,))):
+            raise ValueError(f"non-uniform pairing weights on cone {name}, which is not a product of orthants")
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ class ContinuousLPSpec:
     def _shapes(self):
         return {"B": (self.m, self.n), "K": (self.m, self.n), "b": (self.n,), "c": (self.m,)}
 
-    def _probe_causality(self, k_fn, n_probe=25):
+    def _probe_causality(self, k_fn):
         rng = np.random.default_rng(12345)
-        for _ in range(n_probe):
+        for _ in range(25):
             t = rng.uniform(0, self.horizon)
             s = rng.uniform(t, self.horizon)
             if s <= t:
@@ -127,23 +127,18 @@ class ContinuousLPSpec:
                 )
 
     def sample_B(self, t):
-        return self._sample("B", t)
+        return self._sample_nodes("B", [(t,)])[0]
 
     def sample_K(self, s, t):
         if s > t:
             return np.zeros((self.m, self.n))
-        return self._sample("K", s, t)
+        return self._sample_nodes("K", [(s, t)])[0]
 
     def sample_b(self, t):
-        return self._sample("b", t)
+        return self._sample_nodes("b", [(t,)])[0]
 
     def sample_c(self, t):
-        return self._sample("c", t)
-
-    def _sample(self, name, *args):
-        value = getattr(self, name)
-        arr = _shaped(value(*args) if callable(value) else value, self._shapes()[name])
-        return np.array(self._check(arr, name), dtype=float)
+        return self._sample_nodes("c", [(t,)])[0]
 
     def _sample_nodes(self, name, nodes):
         """``name`` at every argument tuple of ``nodes``, stacked and
@@ -265,17 +260,16 @@ def discretize_clp(spec):
 # Sign conditions
 # ---------------------------------------------------------------------------
 
-_SIGN_TOL = 1e-12
-
-
-def kernel_sign_condition(spec, tol=_SIGN_TOL):
+def kernel_sign_condition(spec):
     """Classify the sign pattern that makes the equality systems solvable.
 
     ``condition_i``:  ``B <= 0``, ``K >= 0`` on all samples and the
     discretized ``b`` lies in the dual cone (componentwise nonnegative).
     ``condition_ii``: ``B >= 0``, ``K <= 0`` and ``-c`` lies in the dual
-    cone (``c`` componentwise nonpositive).  ``neither`` otherwise.
+    cone (``c`` componentwise nonpositive).  ``neither`` otherwise.  Every
+    sign test allows ``1e-12``.
     """
+    tol = 1e-12
     grid = _grid(spec)
     kernel = grid.kernel_support()
     if grid.B.max() <= tol and kernel.min() >= -tol and grid.b.min(initial=0.0) >= -tol:
@@ -377,7 +371,8 @@ class ClassicalConditionsReport:
     failures: list
 
 
-def check_classical_conditions(spec, tol=1e-9):
+def check_classical_conditions(spec):
+    tol = 1e-9
     grid = _grid(spec)
     failures = []
     recession = []

@@ -61,6 +61,7 @@ import numpy as np
 
 from .cones import (
     ConeSpec,
+    _check_pairing_dual,
     contains,
     cone_from_dict,
     cone_to_dict,
@@ -97,8 +98,9 @@ class ConicProblem:
     The pairings of ``X`` and ``Y`` are ``A``'s.  Construction validates
     dimensions, probes solidity of both cones by testing the generator
     barycenter, at unit length, for interior membership, and refuses
-    non-uniform weights on a cone other than an orthant, where the
-    Euclidean :func:`~conedual.cones.dual` is not the dual in the pairing.
+    non-uniform weights on a cone other than an orthant or a product of
+    orthants, where the Euclidean :func:`~conedual.cones.dual` is not the
+    dual in the pairing.
     A problem is treated as immutable after construction:
     ``solve`` recognizes a repeat call by the object alone, so changing its
     arrays in place afterwards leaves stale optimizers behind.  Build a new
@@ -124,15 +126,13 @@ class ConicProblem:
             raise ValueError("S does not match the operator domain")
         if self.T.dim != self.A.codomain_dim:
             raise ValueError("T does not match the operator codomain")
-        sides = (("S", self.S, self.A.pairing_domain.weights), ("T", self.T, self.A.pairing_codomain.weights))
-        for name, cone, w in sides:
+        for name, cone, p in (("S", self.S, self.A.pairing_domain), ("T", self.T, self.A.pairing_codomain)):
             # Interior membership is invariant under positive scaling.
             point = interior_point(cone)
             norm = np.linalg.norm(point)
             if norm == 0 or not interior_contains(cone, point / norm, 1e-9):
                 raise ValueError(f"cone {name} failed the solidity probe (no interior point found)")
-            if w is not None and cone.kind != "orthant" and np.any(w != w[0]):
-                raise ValueError(f"non-uniform pairing weights on cone {name}, which is not an orthant")
+            _check_pairing_dual(cone, p, name)
 
     def operator(self):
         """The operator ``A``, which carries the pairings."""

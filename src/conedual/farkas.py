@@ -18,7 +18,9 @@ itself, so the dual side is the primal decision on ``(transposed(A), -c)``
 with no sign map.
 
 Residual values inside ``(tol^2, 10 tol^2)`` are reported as indeterminate
-rather than forced into a branch.
+rather than forced into a branch.  The residuals of an outcome are computed
+by one routine, which :func:`farkas_primal` stores and
+:func:`verify_outcome` compares with its tolerance.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import contains, distance, dual, generators
+from .cones import _check_pairing_dual, distance, dual, generators
 from .errors import IndeterminateAlternative
-from .linops import adjoint_apply, apply, pairing, pairing_norm, transposed
+from .linops import _as_vector, _pairing, adjoint_matrix, apply, pairing_norm, transposed
 from .residual import residual_minimize
 
 __all__ = [
@@ -49,8 +51,8 @@ class FarkasOutcome:
     """Tagged outcome of a Farkas decision.
 
     Exactly one of ``point`` (solution branch) and ``certificate``
-    (certificate branch) is populated.  Residuals are recorded at
-    construction time; ``verify_outcome`` recomputes them from scratch.
+    (certificate branch) is populated.  The residuals are the ones
+    :func:`verify_outcome` compares with its tolerance.
     """
 
     branch: str  # "solution" | "certificate"
@@ -71,16 +73,49 @@ class FarkasOutcome:
         }
 
 
-def _classify(value, tol):
-    if value <= tol * tol:
-        return "solution"
-    if value < INDETERMINATE_FACTOR * tol * tol:
-        raise IndeterminateAlternative(
-            f"residual value {value:.3e} falls in the indeterminate band for tol={tol:.1e}",
-            value=value,
-            tol=tol,
-        )
-    return "certificate"
+def _indeterminate(value, tol):
+    # The one band where neither branch is forced.
+    return tol * tol < value < INDETERMINATE_FACTOR * tol * tol
+
+
+def _candidate(A, b, S, res, branch):
+    """The primal outcome on ``branch`` from the residual minimizer ``res``
+    of ``(A, b, S)``, without residuals: ``x = G u``, or ``b - gamma`` at
+    unit length in ``Y``'s pairing."""
+    if branch == "solution":
+        x = generators(S) @ res.coefficients
+        return FarkasOutcome(branch="solution", side="primal", point=x, residual_value=res.value)
+    alpha = b - res.gamma
+    alpha = alpha / pairing_norm(A.pairing_codomain, alpha)
+    return FarkasOutcome(branch="certificate", side="primal", certificate=alpha, residual_value=res.value)
+
+
+def _residuals(outcome, A, rhs, cone):
+    """``(eq_residual, cone_residual, strict_margin)`` of ``outcome`` for
+    ``{A x = rhs, x in cone}``, from the raw data only: ``||A x - rhs||``,
+    the distance from ``x`` to the cone and 0 for a solution; 0, the
+    distance from ``-A^T alpha`` to the dual cone and ``-<alpha, -rhs>``
+    for a certificate, which raises ValueError where ``dual`` is not the
+    dual in ``X``'s pairing.  A dual-side outcome is measured as the
+    primal outcome of ``(transposed(A), -rhs)``."""
+    if outcome.side == "dual":
+        A, rhs = transposed(A), -np.asarray(rhs, dtype=float)
+    elif outcome.side != "primal":
+        raise ValueError(f"unknown outcome side {outcome.side!r}")
+    p = A.pairing_codomain
+    rhs = _as_vector(rhs, A.codomain_dim, "rhs")
+    if outcome.branch == "solution":
+        x = outcome.point
+        return pairing_norm(p, apply(A, x) - rhs), distance(cone, x), 0.0
+    _check_pairing_dual(cone, A.pairing_domain, "S")
+    alpha = _as_vector(outcome.certificate, A.codomain_dim, "certificate")
+    # The margin -<alpha, -rhs> is <alpha, rhs>, bit for bit up to the sign of a zero.
+    return 0.0, distance(dual(cone), -(adjoint_matrix(A) @ alpha)), _pairing(p, alpha, rhs)
+
+
+def _passes(branch, residuals, tol):
+    eq, cone, margin = residuals
+    return cone <= tol and (eq <= tol if branch == "solution" else margin > tol)
 
 
 def farkas_primal(A, b, S, tol=1e-8):
@@ -90,35 +125,20 @@ def farkas_primal(A, b, S, tol=1e-8):
     preimage, with ``||A x - b|| <= tol``.  Certificate branch:
     ``alpha = b - gamma`` normalized to unit length, satisfying
     ``-A^T alpha in S*`` and ``<alpha, -b> <= -strict_margin < 0``.  Norms
-    and margins are taken in the operator's codomain pairing.  The cone
-    residual is the Euclidean distance to ``S*``, which coincides with the
-    pairing dual for orthants under any positive weights.
+    and margins are taken in the operator's codomain pairing; the cone
+    residual is the Euclidean distance to ``S`` or ``S*``.
     """
-    p = A.pairing_codomain
     b = np.asarray(b, dtype=float)
     res = residual_minimize(A, b, S)
-    branch = _classify(res.value, tol)
-    if branch == "solution":
-        x = generators(S) @ res.coefficients
-        return FarkasOutcome(
-            branch="solution",
-            side="primal",
-            point=x,
-            eq_residual=pairing_norm(p, apply(A, x) - b),
-            residual_value=res.value,
+    if _indeterminate(res.value, tol):
+        raise IndeterminateAlternative(
+            f"residual value {res.value:.3e} falls in the indeterminate band for tol={tol:.1e}",
+            value=res.value,
+            tol=tol,
         )
-    alpha = b - res.gamma
-    alpha = alpha / pairing_norm(p, alpha)
-    margin = -pairing(p, alpha, -b)
-    cone_res = distance(dual(S), -adjoint_apply(A, alpha))
-    return FarkasOutcome(
-        branch="certificate",
-        side="primal",
-        certificate=alpha,
-        cone_residual=cone_res,
-        strict_margin=margin,
-        residual_value=res.value,
-    )
+    outcome = _candidate(A, b, S, res, "solution" if res.value <= tol * tol else "certificate")
+    outcome.eq_residual, outcome.cone_residual, outcome.strict_margin = _residuals(outcome, A, b, S)
+    return outcome
 
 
 def farkas_dual(A, c, T, tol=1e-8):
@@ -139,47 +159,33 @@ def farkas_dual(A, c, T, tol=1e-8):
 def verify_outcome(outcome, A, rhs, cone, tol=1e-8):
     """Re-check the populated branch from the raw problem data.
 
-    Never consults solver internals: equality residuals, cone memberships,
-    and strict margins are recomputed from ``A``, ``rhs`` and the cones.
-    For certificate branches the strict inequality must clear ``tol``.
-    A dual-side outcome is checked as the primal outcome of
-    ``(transposed(A), -rhs)``.
+    Never consults solver internals: the residuals are recomputed from
+    ``A``, ``rhs`` and the cone.  Both branches need a cone residual of at
+    most ``tol``; a solution also an equality residual of at most ``tol``,
+    a certificate a strict margin above ``tol``.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if outcome.side == "dual":
-        A, rhs = transposed(A), -rhs
-    elif outcome.side != "primal":
-        raise ValueError(f"unknown outcome side {outcome.side!r}")
-    p_eq = A.pairing_codomain
-    if outcome.branch == "solution":
-        if outcome.point is None:
-            return False
-        eq = pairing_norm(p_eq, apply(A, outcome.point) - rhs)
-        return eq <= tol and contains(cone, outcome.point, tol)
-    if outcome.certificate is None:
+    if (outcome.point if outcome.branch == "solution" else outcome.certificate) is None:
         return False
-    alpha = outcome.certificate
-    image = -adjoint_apply(A, alpha)
-    margin = -pairing(p_eq, alpha, -rhs)
-    return contains(dual(cone), image, tol) and margin > tol
+    return _passes(outcome.branch, _residuals(outcome, A, rhs, cone), tol)
 
 
 def verified_solution(A, rhs, cone, tol=1e-8, witness=None):
-    """A solution of ``{A x = rhs, x in cone}`` re-checked by
-    :func:`verify_outcome` at ``10 tol``; None when none verifies.
+    """A solution of ``{A x = rhs, x in cone}`` that passes
+    :func:`verify_outcome` at ``10 tol``; None when none passes.
 
     A candidate ``witness`` (say, an optimizer that should solve the
     system) is checked first and returned when it passes; otherwise the
-    solution comes from :func:`farkas_primal`.  A verified witness proves
-    the system solvable, so it can only turn None into a solution.  The
-    dual system ``{A^T y = c, y in T}`` is this system for
+    solution comes from :func:`farkas_primal`, whose stored residuals are
+    the ones :func:`verify_outcome` would recompute.  A verified witness
+    proves the system solvable, so it can only turn None into a solution.
+    The dual system ``{A^T y = c, y in T}`` is this system for
     ``(transposed(A), -c)``."""
     if witness is not None:
         candidate = FarkasOutcome(branch="solution", side="primal", point=witness)
         if verify_outcome(candidate, A, rhs, cone, tol=10 * tol):
             return witness
     outcome = farkas_primal(A, rhs, cone, tol=tol)
-    if outcome.branch == "solution" and verify_outcome(outcome, A, rhs, cone, tol=10 * tol):
+    if outcome.branch == "solution" and _passes("solution", outcome.residuals.values(), 10 * tol):
         return outcome.point
     return None
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import contains, dual, generators, orthant, wedge
+from .cones import generators, orthant, wedge
 from .duality import ConicProblem, verify_interior_optima
-from .errors import IndeterminateAlternative, TheoremViolation
-from .farkas import _classify
+from .errors import TheoremViolation
+from .farkas import _candidate, _indeterminate, verify_outcome
 from .linops import OperatorSpec, pairing
 from .residual import residual_minimize
 
@@ -54,26 +54,26 @@ def random_farkas_instance(rng, dim_range=(2, 6)):
     return a, b, cone
 
 
-def feasible_farkas_instance(rng, dim_range=(2, 6)):
+def feasible_farkas_instance(rng):
     """``b := A x0`` with ``x0`` a random cone member, so the equality
     system is solvable by construction."""
-    a, _, cone = random_farkas_instance(rng, dim_range)
+    a, _, cone = random_farkas_instance(rng)
     g = generators(cone)
     x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
     return a, a.matrix @ x0, cone, x0
 
 
-def infeasible_farkas_instance(rng, dim_range=(2, 6), shift=2.0, max_tries=200):
+def infeasible_farkas_instance(rng):
     """Shift a feasible right-hand side out of the image cone along a
     verified separator direction of a base instance.
 
-    Draws base instances until one admits a separator (operators whose
-    image cone covers the whole space admit none), then returns
-    ``b := A x0 - shift * d`` with ``d`` the unit separator, which is
-    provably outside the image cone.
+    Draws up to 200 base instances until one admits a separator (operators
+    whose image cone covers the whole space admit none), then returns
+    ``b := A x0 - 2 d`` with ``d`` the unit separator, which is provably
+    outside the image cone.
     """
-    for _ in range(max_tries):
-        a, b_probe, cone = random_farkas_instance(rng, dim_range)
+    for _ in range(200):
+        a, b_probe, cone = random_farkas_instance(rng)
         res = residual_minimize(a, b_probe, cone)
         # Off the image cone, gamma - b_probe separates b_probe from it.
         if res.value <= 1e-8 * 1e-8:
@@ -82,9 +82,9 @@ def infeasible_farkas_instance(rng, dim_range=(2, 6), shift=2.0, max_tries=200):
         d = d / np.linalg.norm(d)
         g = generators(cone)
         x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
-        b = a.matrix @ x0 - shift * d
-        # d separates: <d, A x> >= 0 on the cone while <d, b> <= -shift.
-        if pairing(None, d, b) <= -shift / 2:
+        b = a.matrix @ x0 - 2.0 * d
+        # d separates: <d, A x> >= 0 on the cone while <d, b> <= -2.
+        if pairing(None, d, b) <= -1.0:
             return a, b, cone, d
     raise RuntimeError("failed to construct an infeasible instance")
 
@@ -127,45 +127,33 @@ class InstanceOutcome:
 
 
 def classify_instance(a, b, cone, tol=1e-8):
-    """Verify both branches of the alternative independently.
+    """Classify one instance as ``(solution_verified, certificate_verified,
+    indeterminate)``.
 
-    The branches share one residual solve: the solution branch comes from
-    its nonnegative least-squares preimage, the certificate branch from the
-    separating vector ``gamma - b``, and an instance on which neither
-    verifies is indeterminate when the residual value falls in the band of
-    :func:`farkas_primal`.  Each branch is still verified from scratch, and
-    at most one may verify on any instance.
+    One residual solve gives the candidate of :func:`farkas_primal`: the
+    solution when the residual value is at most ``tol^2``, the certificate
+    otherwise.  It is checked by :func:`verify_outcome`, and an instance
+    whose candidate fails is indeterminate when the value lies in the band
+    where :func:`farkas_primal` raises.  At most one branch verifies.
     """
-    solution_ok = False
-    certificate_ok = False
-    indeterminate = False
-
     res = residual_minimize(a, b, cone)
-    if res.value <= tol * tol:
-        x = generators(cone) @ res.coefficients
-        eq = float(np.linalg.norm(a.matrix @ x - b))
-        solution_ok = eq <= tol and contains(cone, x, tol)
-    else:
-        alpha = res.gamma - b  # the separating vector
-        alpha = alpha / np.linalg.norm(alpha)
-        certificate_ok = contains(dual(cone), a.matrix.T @ alpha, tol) and pairing(None, alpha, b) < -tol
-
-    if not solution_ok and not certificate_ok:
-        try:
-            _classify(res.value, tol)
-        except IndeterminateAlternative:
-            indeterminate = True
-    return solution_ok, certificate_ok, indeterminate
+    branch = "solution" if res.value <= tol * tol else "certificate"
+    verified = verify_outcome(_candidate(a, b, cone, res, branch), a, b, cone, tol)
+    return (
+        verified and branch == "solution",
+        verified and branch == "certificate",
+        not verified and _indeterminate(res.value, tol),
+    )
 
 
-def farkas_batch(seed, indices, tol=1e-8, dim_range=(2, 6)):
+def farkas_batch(seed, indices, tol=1e-8):
     """Classify the random instances ``(seed, index)`` for ``index`` in the
     range ``indices``; returns one :class:`InstanceOutcome` per index, so
     batches over consecutive ranges concatenate into one batch."""
     rows = []
     for index in indices:
         rng = np.random.default_rng((seed, index))
-        a, b, cone = random_farkas_instance(rng, dim_range)
+        a, b, cone = random_farkas_instance(rng)
         solution_ok, certificate_ok, indeterminate = classify_instance(a, b, cone, tol)
         rows.append(
             InstanceOutcome(
@@ -191,7 +179,7 @@ def summarize_batch(rows):
     }
 
 
-def interior_batch(seed, count, tol=1e-8, dim=3):
+def interior_batch(seed, count, tol=1e-8):
     """Run the interior-optima verification on constructed instances;
     returns (passes, violations, gaps).
 
@@ -203,7 +191,7 @@ def interior_batch(seed, count, tol=1e-8, dim=3):
     gaps = []
     for index in range(count):
         rng = np.random.default_rng((seed, index))
-        pb, _, _ = interior_optimum_problem(rng, dim)
+        pb, _, _ = interior_optimum_problem(rng, 3)
         try:
             report = verify_interior_optima(pb, tol=tol)
         except TheoremViolation:

@@ -9,6 +9,7 @@ transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,11 @@ __all__ = [
 
 def _as_vector(v, dim=None, name="vector"):
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 1 or (dim is not None and arr.shape[0] != dim):
+        expected = "one dimension" if dim is None else f"({dim},)"
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
     return arr
 
 
@@ -82,7 +82,10 @@ def pairing(p, u, v):
     exactly symmetric in its arguments.
     """
     u = _as_vector(u, name="u")
-    v = _as_vector(v, dim=u.shape[0], name="v")
+    return _pairing(p, u, _as_vector(v, dim=u.shape[0], name="v"))
+
+
+def _pairing(p, u, v):
     prod = u * v
     if p is None or p.weights is None:
         return float(prod.sum())
@@ -91,7 +94,8 @@ def pairing(p, u, v):
 
 def pairing_norm(p, u):
     """``sqrt(<u, u>)`` under pairing ``p``."""
-    return float(np.sqrt(max(pairing(p, u, u), 0.0)))
+    u = _as_vector(u, name="u")
+    return math.sqrt(max(_pairing(p, u, u), 0.0))
 
 
 @dataclass(frozen=True)

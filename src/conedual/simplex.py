@@ -119,12 +119,12 @@ def _crash_basis(A):
     return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
 
-def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
+def simplex_solve(c, A, b, max_iter=None):
     """Two-phase simplex for ``min c^T x, A x = b, x >= 0``.
 
     Returns a :class:`SimplexResult`; ``status`` is ``"infeasible"`` when
     phase one terminates with a positive artificial objective (above
-    ``tol`` scaled by the data), ``"unbounded"`` when phase two finds an
+    ``1e-8`` scaled by the data), ``"unbounded"`` when phase two finds an
     improving ray.
 
     Raises :class:`SolverFailure` on an iteration-cap trip, with the
@@ -168,7 +168,7 @@ def simplex_solve(c, A, b, tol=1e-8, max_iter=None):
 
         phase1_obj = float(-tableau[-1, -1])
         scale = 1.0 + float(np.abs(b).max(initial=0.0))
-        if phase1_obj > tol * scale:
+        if phase1_obj > 1e-8 * scale:
             return SimplexResult(
                 status="infeasible",
                 x=None,

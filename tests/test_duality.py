@@ -11,7 +11,7 @@ from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
-from conedual.cones import dual, generated, interior_contains, orthant, slice_cone, wedge
+from conedual.cones import dual, generated, interior_contains, orthant, product, slice_cone, wedge
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,
@@ -121,6 +121,22 @@ def test_non_uniform_weights_refused_off_orthants():
     weighted_clp_problem()
     uniform = OperatorSpec(matrix=I2, pairing_codomain=weighted_quadrature([2.0, 2.0]))
     assert solve(ConicProblem(A=uniform, b=ones, c=ones, S=orthant(2), T=wedge(0.3))).gap >= -1e-12
+
+
+def test_products_of_orthants_take_non_uniform_weights():
+    # A product of orthants is the orthant, whose Euclidean dual is its dual
+    # under any positive diagonal weights: same data, same bits.
+    a = OperatorSpec(
+        matrix=np.array([[2.0, 1.0], [1.0, 3.0]]),
+        pairing_domain=weighted_quadrature([1.0, 100.0]),
+        pairing_codomain=weighted_quadrature([3.0, 7.0]),
+    )
+    b, c = np.array([1.0, 2.0]), np.array([3.0, 1.0])
+    pair = product(orthant(1), orthant(1))
+    got = report_to_dict(solve(ConicProblem(A=a, b=b, c=c, S=pair, T=pair)))
+    ref = report_to_dict(solve(ConicProblem(A=a, b=b, c=c, S=orthant(2), T=orthant(2))))
+    assert json.dumps(got) == json.dumps(ref)
+    assert got["status_primal"] == got["status_dual"] == "optimal"
 
 
 def test_feasibility_examples():

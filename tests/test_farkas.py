@@ -1,20 +1,25 @@
 """Farkas alternatives: branch construction, verification, exclusivity."""
 
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from oracles import adjoint_operator
 
+import conedual.farkas as farkas_module
 import conedual.residual as residual_module
-from conedual.cones import contains, dual, generators, orthant, wedge
-from conedual.errors import IndeterminateAlternative
-from conedual.farkas import farkas_dual, farkas_primal, outcome_to_dict, verify_outcome
+from conedual.cones import contains, distance, dual, generators, orthant, product, wedge
+from conedual.errors import IndeterminateAlternative, SolverFailure
+from conedual.farkas import FarkasOutcome, farkas_dual, farkas_primal, outcome_to_dict, verify_outcome
 from conedual.instances import (
     classify_instance,
     feasible_farkas_instance,
     infeasible_farkas_instance,
+    random_cone,
     random_farkas_instance,
 )
-from conedual.linops import OperatorSpec, pairing
+from conedual.linops import OperatorSpec, pairing, transposed, weighted_quadrature
 from conedual.nnls import nnls
 from conedual.residual import residual_minimize
 
@@ -258,3 +263,104 @@ def test_classify_instance_solves_once_and_matches_two_solve_reference(monkeypat
         assert got == ref
         outcomes.add(got)
     assert {(True, False, False), (False, True, False)} <= outcomes
+
+
+def test_certificates_refused_where_the_euclidean_dual_is_not_the_pairing_dual():
+    # Under X-weights (100, 1) the dual of wedge(0.3) in the pairing is
+    # diag(w)^-1 S*, not S*: the separating (-0.296, 0.955) read a cone
+    # residual of 0.279 and failed its own verification.
+    a = OperatorSpec(matrix=np.eye(2), pairing_domain=weighted_quadrature([100.0, 1.0]))
+    b = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="non-uniform pairing weights"):
+        farkas_primal(a, b, wedge(0.3))
+    with pytest.raises(ValueError, match="non-uniform pairing weights"):
+        farkas_dual(transposed(a), -b, wedge(0.3))
+    forged = FarkasOutcome(branch="certificate", side="primal", certificate=np.array([-0.296, 0.955]))
+    with pytest.raises(ValueError, match="non-uniform pairing weights"):
+        verify_outcome(forged, a, b, wedge(0.3))
+    # Solutions need no dual cone, and orthants and products of them take
+    # any weights.
+    assert verify_outcome(farkas_primal(a, np.array([1.0, 0.0]), wedge(0.3)), a, np.array([1.0, 0.0]), wedge(0.3))
+    for cone in (orthant(2), product(orthant(1), orthant(1))):
+        out = farkas_primal(a, -b, cone)
+        assert out.branch == "certificate" and verify_outcome(out, a, -b, cone)
+
+
+def band_corpus(seed, count):
+    """``random_farkas_instance`` data, each with copies whose ``b`` is
+    scaled so that the residual value lands near 2, 5 and 9 ``tol^2``,
+    inside the indeterminate band."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for _ in range(count):
+        a, b, cone = random_farkas_instance(rng)
+        corpus.append((a, b, cone))
+        value = residual_minimize(a, b, cone).value
+        if value > 0:
+            corpus += [(a, b * np.sqrt(k * 1e-16 / value), cone) for k in (2.0, 5.0, 9.0)]
+    return corpus
+
+
+def test_classify_instance_agrees_with_farkas_primal_and_verify_outcome():
+    # Outside the band the two paths verify the same branch.  Inside it
+    # farkas_primal raises, and classify_instance reports the certificate
+    # when it verifies (its margin sqrt(value) exceeds tol) and the
+    # indeterminate flag when it does not.
+    seen = Counter()
+    for a, b, cone in band_corpus(2029, 150):
+        try:
+            got = classify_instance(a, b, cone)
+        except SolverFailure:
+            with pytest.raises(SolverFailure):
+                farkas_primal(a, b, cone)
+            seen["stall"] += 1
+            continue
+        try:
+            out = farkas_primal(a, b, cone)
+        except IndeterminateAlternative:
+            assert got in ((False, True, False), (False, False, True))
+            seen["band", got] += 1
+            continue
+        ok = verify_outcome(out, a, b, cone)
+        assert got == (ok and out.branch == "solution", ok and out.branch == "certificate", False)
+        seen[out.branch, ok] += 1
+    assert seen[("solution", True)] and seen[("certificate", True)]
+    assert seen[("band", (False, True, False))] and seen[("band", (False, False, True))]
+
+
+def test_stored_residuals_are_the_verified_ones(monkeypatch):
+    # Every outcome carries, bit for bit, the residuals verify_outcome
+    # compares with its tolerance: one routine computes both.
+    computed = []
+    real = farkas_module._residuals
+
+    def recording(*args):
+        computed.append(np.array(real(*args)))
+        return tuple(computed[-1])
+
+    monkeypatch.setattr(farkas_module, "_residuals", recording)
+    weighted = OperatorSpec(
+        matrix=np.array([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0]]),
+        pairing_domain=weighted_quadrature([1.0, 4.0, 0.5]),
+        pairing_codomain=weighted_quadrature([2.0, 0.25]),
+    )
+    cases = [(weighted, b, np.array([1.0, -1.0, 0.5]), orthant(3), orthant(2)) for b in ([1.0, 1.0], [-1.0, 0.5])]
+    rng = np.random.default_rng(139)
+    for _ in range(150):
+        a, b, cone = random_farkas_instance(rng)
+        cases.append((a, b, rng.uniform(-1.0, 1.0, size=a.domain_dim), cone, random_cone(rng, a.codomain_dim)))
+    seen = set()
+    for a, b, c, s_cone, t_cone in cases:
+        for decide, rhs, cone in ((farkas_primal, b, s_cone), (farkas_dual, c, t_cone)):
+            computed.clear()
+            try:
+                out = decide(a, rhs, cone)
+            except (IndeterminateAlternative, SolverFailure):
+                continue
+            stored = np.array(list(out.residuals.values()))
+            assert verify_outcome(out, a, rhs, cone)
+            assert len(computed) == 2 and computed[0].tobytes() == computed[1].tobytes() == stored.tobytes()
+            if out.branch == "solution":
+                assert out.cone_residual == distance(cone, out.point)
+            seen.add((out.side, out.branch))
+    assert seen == {(side, branch) for side in ("primal", "dual") for branch in ("solution", "certificate")}
