@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import slice_cone, wedge
-from .duality import ConicProblem, solve
-from .errors import TheoremViolation
+from .duality import ConicProblem, verify_interior_optima
 from .farkas import verified_solution
 from .linops import OperatorSpec, complex_embed
 
@@ -121,11 +120,13 @@ def build_complex_lp(spec):
 
 @dataclass
 class BoundaryAngleReport:
-    """Per-coordinate angle diagnostics of the returned optimizers.
+    """Solvability of the two equality systems and per-coordinate angle
+    diagnostics of the returned optimizers.
 
     ``primal_angles`` / ``dual_angles`` hold ``(index, angle, half_angle,
-    at_boundary)`` rows for every coordinate; real coordinates (imaginary
-    part below the cutoff) are excluded from the boundary assertion.
+    at_boundary)`` rows for every coordinate; ``at_boundary`` is None for a
+    real coordinate (imaginary part below the cutoff).  The rows are
+    diagnostics, not a claim of the theorem.
     """
 
     primal_system_solvable: bool
@@ -154,24 +155,27 @@ def classify_boundary_optima(spec, tol=1e-6):
 
     When neither equality system (``A z = b`` over the primal cone,
     ``A* w = c`` over the dual cone) is solvable yet both optimal values
-    are finite, every optimal solution must sit on the boundary of its
-    cone: each non-real coordinate of the returned optimizers must have its
-    argument within ``tol`` of the wedge half-angle.  Raises
-    :class:`TheoremViolation` if a coordinate is found strictly inside.
+    are finite, no optimal solution lies in the interior of its cone: an
+    interior dual optimum would make the primal system solvable, and
+    symmetrically.  That is the contrapositive of the statement
+    :func:`~conedual.duality.verify_interior_optima` checks, so the pair is
+    run through it, and it alone raises :class:`TheoremViolation`.  The
+    angle rows, within ``tol`` of the half-angle, only locate the
+    optimizers on their wedges.
 
     When either system is solvable the characterization is vacuous and the
-    report says so.
-
-    The pair is solved first, and its optimizers are tried as solutions of
-    the two systems: a verified optimizer shows its system solvable without
-    a Farkas solve, which is kept for proving a system unsolvable.
+    report says so.  A system the interior pipeline has solved is reported
+    solvable; otherwise the optimizer is tried as its solution first, and a
+    Farkas solve is kept for proving the system unsolvable.
     """
     pb = build_complex_lp(spec)
-    report = solve(pb)
+    report = verify_interior_optima(pb)
     # The dual system is the primal system of the transposed pair.
     primal_solvable, dual_solvable = (
-        verified_solution(q.A, q.b, q.S, witness=witness) is not None
-        for q, witness in ((pb, report.x_star), (pb.transpose(), report.y_star))
+        solved or verified_solution(q.A, q.b, q.S, witness=witness) is not None
+        for solved, q, witness in zip(
+            report.flags.systems_solved, (pb, pb.transpose()), (report.x_star, report.y_star)
+        )
     )
 
     emb_x = complex_embed(spec.m)
@@ -185,29 +189,17 @@ def classify_boundary_optima(spec, tol=1e-6):
         and math.isfinite(report.v_primal)
         and math.isfinite(report.v_dual)
     )
-    primal_rows = [] if z_star is None else _angle_rows(z_star, spec.alpha, tol)
-    dual_rows = [] if w_star is None else _angle_rows(w_star, spec.beta, tol)
     result = BoundaryAngleReport(
         primal_system_solvable=primal_solvable,
         dual_system_solvable=dual_solvable,
         v_primal=report.v_primal,
         v_dual=report.v_dual,
         characterization_applies=applies,
-        primal_angles=primal_rows,
-        dual_angles=dual_rows,
+        primal_angles=[] if z_star is None else _angle_rows(z_star, spec.alpha, tol),
+        dual_angles=[] if w_star is None else _angle_rows(w_star, spec.beta, tol),
     )
     if not applies:
         result.note = "systems solvable or values infinite, characterization vacuous"
-        return result
-
-    for label, rows in (("primal", primal_rows), ("dual", dual_rows)):
-        for i, angle, bound, at_boundary in rows:
-            if at_boundary is False:
-                raise TheoremViolation(
-                    f"{label} optimizer coordinate {i} has argument {angle:.9f}, "
-                    f"not within {tol:.1e} of the wedge boundary {bound:.9f}",
-                    report=result,
-                )
     return result
 
 

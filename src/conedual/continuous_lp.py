@@ -31,15 +31,20 @@ which samples the kernel only on its support ``s <= t``.
 Each field is sampled onto the grid as arrays, and each array is
 validated once (finite, within ``bound``): a constant is broadcast, a
 callable is called once per node, and the kernel once per node pair with
-``s <= t``.  Discretization, the sign conditions and the classical checks
-all read those arrays, and the samples of the last spec are remembered: a
+``s <= t``.  Discretization and the sign-condition classification both
+read those arrays, and the samples of the last spec are remembered: a
 chain of these calls on one spec object samples it once.  A spec is taken
 as immutable, callables included.
+
+This module makes no theorem claim of its own.  The strong-duality
+statement driven by strict feasibility is checked on the discretization by
+``verify_strict_feasibility(discretize_clp(spec))`` of
+:mod:`conedual.duality`, which reports the solvability of the equality
+systems rather than asserting it.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,21 +52,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import orthant
-from .duality import ConicProblem, feasible_dual, feasible_primal, solve
-from .errors import TheoremViolation
-from .farkas import verified_solution
+from .duality import ConicProblem
 from .linops import OperatorSpec, weighted_quadrature
-from .simplex import simplex_solve
 
 __all__ = [
     "ContinuousLPSpec",
     "grid_points",
     "discretize_clp",
     "kernel_sign_condition",
-    "SignConditionReport",
-    "verify_sign_condition_pipeline",
-    "ClassicalConditionsReport",
-    "check_classical_conditions",
     "clp_spec_to_dict",
     "clp_spec_from_dict",
 ]
@@ -261,13 +259,15 @@ def discretize_clp(spec):
 # ---------------------------------------------------------------------------
 
 def kernel_sign_condition(spec):
-    """Classify the sign pattern that makes the equality systems solvable.
+    """Classify the sign pattern of the sampled data.
 
     ``condition_i``:  ``B <= 0``, ``K >= 0`` on all samples and the
     discretized ``b`` lies in the dual cone (componentwise nonnegative).
     ``condition_ii``: ``B >= 0``, ``K <= 0`` and ``-c`` lies in the dual
     cone (``c`` componentwise nonpositive).  ``neither`` otherwise.  Every
-    sign test allows ``1e-12``.
+    sign test allows ``1e-12``.  A sign condition does not make both
+    equality systems solvable: ``B = K = b = 0`` with ``c = 1`` meets
+    ``condition_i``, and its dual system has no solution.
     """
     tol = 1e-12
     grid = _grid(spec)
@@ -277,132 +277,6 @@ def kernel_sign_condition(spec):
     if grid.B.min() >= -tol and kernel.max() <= tol and grid.c.max(initial=0.0) <= tol:
         return "condition_ii"
     return "neither"
-
-
-@dataclass
-class SignConditionReport:
-    condition: str
-    pipeline_ran: bool
-    systems_solved: tuple = (False, False)
-    gap: float = math.nan
-    notes: list = None
-
-    def __post_init__(self):
-        if self.notes is None:
-            self.notes = []
-
-
-def _grid_vector(fn_or_vec, per_node, ts):
-    if callable(fn_or_vec):
-        return np.concatenate([np.broadcast_to(np.asarray(fn_or_vec(t), dtype=float), (per_node,)) for t in ts])
-    arr = np.asarray(fn_or_vec, dtype=float)
-    if arr.shape != (per_node * len(ts),):
-        raise ValueError(f"supplied grid vector has shape {arr.shape}, expected ({per_node * len(ts)},)")
-    return arr
-
-
-def verify_sign_condition_pipeline(spec, x_hat=None, y_hat=None, tol=1e-6):
-    """Run the strict-feasibility duality check on the discretization.
-
-    Requires one of the sign conditions to hold and strictly positive
-    feasible grid functions ``x_hat``, ``y_hat`` (callables of ``t`` or
-    stacked grid vectors).  Asserts that both equality systems are solvable
-    and that the discrete gap is within ``tol``; raises
-    :class:`TheoremViolation` otherwise.  Without supplied points the
-    report only carries the classification.
-    """
-    condition = kernel_sign_condition(spec)
-    report = SignConditionReport(condition=condition, pipeline_ran=False)
-    if condition == "neither":
-        report.notes.append("no sign condition holds; pipeline not applicable")
-        return report
-    if x_hat is None or y_hat is None:
-        report.notes.append("no strictly positive feasible pair supplied; pipeline skipped")
-        return report
-
-    pb = discretize_clp(spec)
-    ts, _ = grid_points(spec)
-    x_vec = _grid_vector(x_hat, spec.m, ts)
-    y_vec = _grid_vector(y_hat, spec.n, ts)
-    if np.min(x_vec) <= 0 or np.min(y_vec) <= 0:
-        report.notes.append("supplied points are not strictly positive; pipeline skipped")
-        return report
-    if not feasible_primal(pb, x_vec, 1e-8) or not feasible_dual(pb, y_vec, 1e-8):
-        report.notes.append("supplied points are not feasible; pipeline skipped")
-        return report
-
-    report.pipeline_ran = True
-    # The dual system is the primal system of the transposed pair.
-    ok_p, ok_d = (verified_solution(q.A, q.b, q.S, tol=1e-8) is not None for q in (pb, pb.transpose()))
-    report.systems_solved = (ok_p, ok_d)
-    if not (ok_p and ok_d):
-        raise TheoremViolation(
-            "sign condition with strictly positive feasible pair, but an equality system "
-            f"is not solvable (primal: {ok_p}, dual: {ok_d})",
-            report=report,
-        )
-    lp_report = solve(pb)
-    report.gap = lp_report.gap
-    if not (math.isfinite(lp_report.gap) and abs(lp_report.gap) <= tol):
-        raise TheoremViolation(
-            f"sign condition verified but discrete gap {lp_report.gap!r} exceeds {tol:.1e}",
-            report=report,
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Classical regularity conditions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClassicalConditionsReport:
-    """Pointwise regularity of the data.
-
-    ``recession_trivial`` holds per grid node: ``{z >= 0 : B(t) z <= 0}``
-    contains only the origin (checked by a box-bounded LP).
-    ``signs_nonnegative`` is the joint nonnegativity of ``B``, ``K`` and
-    ``c`` on all samples.
-    """
-
-    recession_trivial: list
-    signs_nonnegative: bool
-    failures: list
-
-
-def check_classical_conditions(spec):
-    tol = 1e-9
-    grid = _grid(spec)
-    failures = []
-    recession = []
-    for idx, b_mat in enumerate(grid.B):
-        # max sum(z) s.t. B(t) z <= 0, 0 <= z <= 1  -- optimum 0 iff trivial.
-        n = spec.n
-        m = spec.m
-        n_var = n + m + n  # z, slack for Bz<=0, slack for z<=1
-        a_eq = np.zeros((m + n, n_var))
-        a_eq[:m, :n] = b_mat
-        a_eq[:m, n : n + m] = np.eye(m)
-        a_eq[m:, :n] = np.eye(n)
-        a_eq[m:, n + m :] = np.eye(n)
-        rhs = np.concatenate([np.zeros(m), np.ones(n)])
-        cost = np.zeros(n_var)
-        cost[:n] = -1.0
-        res = simplex_solve(cost, a_eq, rhs)
-        trivial = res.status == "optimal" and -res.objective <= tol
-        recession.append(trivial)
-        if not trivial:
-            failures.append(f"node {idx}: nontrivial nonnegative solution of B(t) z <= 0")
-
-    signs_ok = all(
-        arr.min(initial=0.0) >= -tol for arr in (grid.B, grid.c, grid.kernel_support())
-    )
-    if not signs_ok:
-        failures.append("negative entries in B, K, or c")
-    return ClassicalConditionsReport(
-        recession_trivial=recession, signs_nonnegative=signs_ok, failures=failures
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ from .cones import (
     generators,
     interior_contains,
     interior_point,
+    is_solid,
 )
 from .errors import TheoremViolation
 from .farkas import verified_solution
@@ -211,6 +212,22 @@ _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
 INTERIOR_TOL = 1e-6
 
 
+def _full_dimensional(cone):
+    """Whether ``cone`` has an interior in its ambient space.
+
+    A slice has none: its nonzero normals cut it into a proper subspace.
+    A product has one when all its factors do, and any other cone when
+    :func:`~conedual.cones.is_solid` says so.  (``is_solid`` and
+    ``interior_contains`` take a slice's relative interior, which the
+    solidity probe and the strict members need.)
+    """
+    if cone.kind == "slice":
+        return False
+    if cone.kind == "product":
+        return all(_full_dimensional(f) for f in cone.factors)
+    return is_solid(cone)
+
+
 def _standard_form(pb):
     """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` and ``u, w >= 0``."""
     g_s = generators(pb.S)
@@ -248,7 +265,8 @@ def solve(pb):
     linear program.  Optimizers, when attained, are simplex vertices of the
     reduced LPs mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
-    within the margin band count as boundary.
+    within the margin band count as boundary, and a cone without interior
+    (a slice, or a product with a slice factor) has no interior optimizer.
 
     A repeat call on the same problem object takes copies of the optimizers
     and statuses of the previous call instead of solving the linear
@@ -273,9 +291,9 @@ def solve(pb):
 
     flags = ReportFlags()
     if x_star is not None:
-        flags.primal_interior_opt = interior_contains(pb.S, x_star, INTERIOR_TOL)
+        flags.primal_interior_opt = interior_contains(pb.S, x_star, INTERIOR_TOL) and _full_dimensional(pb.S)
     if y_star is not None:
-        flags.dual_interior_opt = interior_contains(pb.T, y_star, INTERIOR_TOL)
+        flags.dual_interior_opt = interior_contains(pb.T, y_star, INTERIOR_TOL) and _full_dimensional(pb.T)
 
     gap = v_primal - v_dual if math.isfinite(v_primal) and math.isfinite(v_dual) else math.nan
     comp = None
@@ -320,7 +338,9 @@ def verify_interior_optima(pb, tol=1e-8):
     the primal side.  When both preconditions hold the values must agree
     within ``tol * (1 + |v_primal|)``.  The solutions of the two systems
     are then optimal by weak duality: ``<c, x> = <y, A x> = <y, b>`` lies
-    between the two optimal values.
+    between the two optimal values.  The statement needs ``int T`` (resp.
+    ``int S``) nonempty, so an optimizer on a slice is never interior and
+    its side's precondition is not met.
 
     Each system is first tried at the optimizer ``solve`` returned: with
     ``y*`` interior, complementary slackness ``<y*, A x* - b> = 0`` forces
@@ -412,14 +432,14 @@ def _system_solved(pb, tol):
     """Whether ``A x = b, x in S`` of ``pb`` has a verified solution, once
     both strict sets of ``pb`` are known to be nonempty.
 
-    For a full-dimensional ``T`` (its generators have rank ``dim T``; a
-    slice, or a product with a slice factor, is not) the system is solvable
+    For a full-dimensional ``T`` (see :func:`_full_dimensional`; a slice,
+    or a product with a slice factor, is not) the system is solvable
     iff ``b = 0`` (see :func:`verify_strict_feasibility`), so it is decided
     by the check of the witness 0 alone, ``||b|| <= 10 tol`` in ``Y``'s
     pairing, with no Farkas solve.  Otherwise the witness 0 is tried first
     and a Farkas solve follows when it fails.
     """
-    if np.linalg.matrix_rank(generators(pb.T)) == pb.T.dim:
+    if _full_dimensional(pb.T):
         return pairing_norm(pb.A.pairing_codomain, pb.b) <= 10 * tol
     return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
 

@@ -16,14 +16,12 @@ from .cones import generators, orthant, wedge
 from .duality import ConicProblem, verify_interior_optima
 from .errors import TheoremViolation
 from .farkas import _candidate, _indeterminate, verify_outcome
-from .linops import OperatorSpec, pairing
+from .linops import OperatorSpec
 from .residual import residual_minimize
 
 __all__ = [
     "random_cone",
     "random_farkas_instance",
-    "feasible_farkas_instance",
-    "infeasible_farkas_instance",
     "interior_optimum_problem",
     "classify_instance",
     "farkas_batch",
@@ -52,41 +50,6 @@ def random_farkas_instance(rng, dim_range=(2, 6)):
     b = rng.uniform(-1.0, 1.0, size=dim_y)
     cone = random_cone(rng, dim_x)
     return a, b, cone
-
-
-def feasible_farkas_instance(rng):
-    """``b := A x0`` with ``x0`` a random cone member, so the equality
-    system is solvable by construction."""
-    a, _, cone = random_farkas_instance(rng)
-    g = generators(cone)
-    x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
-    return a, a.matrix @ x0, cone, x0
-
-
-def infeasible_farkas_instance(rng):
-    """Shift a feasible right-hand side out of the image cone along a
-    verified separator direction of a base instance.
-
-    Draws up to 200 base instances until one admits a separator (operators
-    whose image cone covers the whole space admit none), then returns
-    ``b := A x0 - 2 d`` with ``d`` the unit separator, which is provably
-    outside the image cone.
-    """
-    for _ in range(200):
-        a, b_probe, cone = random_farkas_instance(rng)
-        res = residual_minimize(a, b_probe, cone)
-        # Off the image cone, gamma - b_probe separates b_probe from it.
-        if res.value <= 1e-8 * 1e-8:
-            continue
-        d = res.gamma - b_probe
-        d = d / np.linalg.norm(d)
-        g = generators(cone)
-        x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
-        b = a.matrix @ x0 - 2.0 * d
-        # d separates: <d, A x> >= 0 on the cone while <d, b> <= -2.
-        if pairing(None, d, b) <= -1.0:
-            return a, b, cone, d
-    raise RuntimeError("failed to construct an infeasible instance")
 
 
 def interior_optimum_problem(rng, dim, family="mixed"):

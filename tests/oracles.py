@@ -5,22 +5,27 @@ enumeration, polar scans, support enumeration and backward substitution
 compute expected values from the problem data alone.  The exceptions are
 the reference orders near the end, which run the library's own steps in
 the order of an earlier design.  The helpers at the end (sampling cone
-members, the variational inequality of a residual minimizer and the
-argument condition of a complex matrix) are used only by tests.
+members, the variational inequality of a residual minimizer, the argument
+condition of a complex matrix, Farkas instances solvable or unsolvable by
+construction, and the classical regularity checks of a continuous program)
+are used only by tests.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from conedual import duality
 from conedual.complex_lp import build_complex_lp
 from conedual.cones import dual, generators
-from conedual.continuous_lp import grid_points
+from conedual.continuous_lp import _grid, grid_points
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import verified_solution
-from conedual.linops import OperatorSpec, adjoint_matrix, pairing
+from conedual.instances import random_farkas_instance
+from conedual.linops import OperatorSpec, adjoint_matrix, pairing, pairing_norm
+from conedual.residual import residual_minimize
 from conedual.simplex import simplex_solve
 
 
@@ -269,6 +274,14 @@ def ungated_strict_feasibility(pb, tol=1e-8):
     return report
 
 
+def rank_system_solved(pb, tol):
+    """``duality._system_solved`` by its earlier test for a full-dimensional
+    ``T``: the generators of ``T`` have rank ``dim T``."""
+    if np.linalg.matrix_rank(generators(pb.T)) == pb.T.dim:
+        return pairing_norm(pb.A.pairing_codomain, pb.b) <= 10 * tol
+    return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
+
+
 def nnls_first_system_solvability(spec):
     """``(primal_system_solvable, dual_system_solvable)`` of
     ``classify_boundary_optima`` decided the NNLS-first way: one Farkas
@@ -351,3 +364,87 @@ def check_arg_condition(A, lo, hi, tol=1e-12):
         if arg < lo - tol or arg > hi + tol:
             return False
     return True
+
+
+def feasible_farkas_instance(rng):
+    """``b := A x0`` with ``x0`` a random cone member, so the equality
+    system is solvable by construction."""
+    a, _, cone = random_farkas_instance(rng)
+    g = generators(cone)
+    x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
+    return a, a.matrix @ x0, cone, x0
+
+
+def infeasible_farkas_instance(rng):
+    """Shift a feasible right-hand side out of the image cone along a
+    verified separator direction of a base instance.
+
+    Draws up to 200 base instances until one admits a separator (operators
+    whose image cone covers the whole space admit none), then returns
+    ``b := A x0 - 2 d`` with ``d`` the unit separator, which is provably
+    outside the image cone.
+    """
+    for _ in range(200):
+        a, b_probe, cone = random_farkas_instance(rng)
+        res = residual_minimize(a, b_probe, cone)
+        # Off the image cone, gamma - b_probe separates b_probe from it.
+        if res.value <= 1e-8 * 1e-8:
+            continue
+        d = res.gamma - b_probe
+        d = d / np.linalg.norm(d)
+        g = generators(cone)
+        x0 = g @ rng.uniform(0.2, 1.0, size=g.shape[1])
+        b = a.matrix @ x0 - 2.0 * d
+        # d separates: <d, A x> >= 0 on the cone while <d, b> <= -2.
+        if pairing(None, d, b) <= -1.0:
+            return a, b, cone, d
+    raise RuntimeError("failed to construct an infeasible instance")
+
+
+@dataclass
+class ClassicalConditionsReport:
+    """Pointwise regularity of the data.
+
+    ``recession_trivial`` holds per grid node: ``{z >= 0 : B(t) z <= 0}``
+    contains only the origin (checked by a box-bounded LP).
+    ``signs_nonnegative`` is the joint nonnegativity of ``B``, ``K`` and
+    ``c`` on all samples.
+    """
+
+    recession_trivial: list
+    signs_nonnegative: bool
+    failures: list
+
+
+def check_classical_conditions(spec):
+    tol = 1e-9
+    grid = _grid(spec)
+    failures = []
+    recession = []
+    for idx, b_mat in enumerate(grid.B):
+        # max sum(z) s.t. B(t) z <= 0, 0 <= z <= 1  -- optimum 0 iff trivial.
+        n = spec.n
+        m = spec.m
+        n_var = n + m + n  # z, slack for Bz<=0, slack for z<=1
+        a_eq = np.zeros((m + n, n_var))
+        a_eq[:m, :n] = b_mat
+        a_eq[:m, n : n + m] = np.eye(m)
+        a_eq[m:, :n] = np.eye(n)
+        a_eq[m:, n + m :] = np.eye(n)
+        rhs = np.concatenate([np.zeros(m), np.ones(n)])
+        cost = np.zeros(n_var)
+        cost[:n] = -1.0
+        res = simplex_solve(cost, a_eq, rhs)
+        trivial = res.status == "optimal" and -res.objective <= tol
+        recession.append(trivial)
+        if not trivial:
+            failures.append(f"node {idx}: nontrivial nonnegative solution of B(t) z <= 0")
+
+    signs_ok = all(
+        arr.min(initial=0.0) >= -tol for arr in (grid.B, grid.c, grid.kernel_support())
+    )
+    if not signs_ok:
+        failures.append("negative entries in B, K, or c")
+    return ClassicalConditionsReport(
+        recession_trivial=recession, signs_nonnegative=signs_ok, failures=failures
+    )

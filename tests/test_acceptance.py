@@ -10,7 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import clp_minimal_feasible, grid_residual_min, polar_brute_force, sample_members, variational_check
+from oracles import (
+    clp_minimal_feasible,
+    feasible_farkas_instance,
+    grid_residual_min,
+    infeasible_farkas_instance,
+    polar_brute_force,
+    sample_members,
+    variational_check,
+)
 
 from conedual.cones import (
     contains,
@@ -21,22 +29,11 @@ from conedual.cones import (
     wedge,
 )
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp, classify_boundary_optima
-from conedual.continuous_lp import (
-    ContinuousLPSpec,
-    discretize_clp,
-    kernel_sign_condition,
-    verify_sign_condition_pipeline,
-)
-from conedual.duality import ConicProblem, complementarity, solve, verify_interior_optima
+from conedual.continuous_lp import ContinuousLPSpec, discretize_clp, kernel_sign_condition
+from conedual.duality import ConicProblem, complementarity, solve, verify_interior_optima, verify_strict_feasibility
 from conedual.errors import TheoremViolation
 from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
-from conedual.instances import (
-    classify_instance,
-    feasible_farkas_instance,
-    infeasible_farkas_instance,
-    interior_optimum_problem,
-    random_farkas_instance,
-)
+from conedual.instances import classify_instance, interior_optimum_problem, random_farkas_instance
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing
 from conedual.residual import residual_minimize
 
@@ -288,15 +285,14 @@ def test_criterion_10_continuous_lp_discretization():
     ratio = (values[128] - values[256]) / (values[64] - values[128])
     assert 0.3 <= ratio <= 0.7
 
-    # Sign-condition pipeline on the strictly-feasible family: solvable
-    # equality systems and zero discrete gap.
+    # The strict-feasibility pipeline on the discretization of the
+    # strictly feasible sign-condition family: solvable equality systems
+    # and zero discrete gap.
     degenerate = ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=64, B=0.0, K=0.0, b=0.0, c=0.0)
     assert kernel_sign_condition(degenerate) == "condition_i"
-    pipeline = verify_sign_condition_pipeline(
-        degenerate, x_hat=lambda t: 1.0, y_hat=lambda t: 1.0, tol=1e-6
-    )
-    assert pipeline.pipeline_ran
-    assert pipeline.systems_solved == (True, True)
+    pipeline = verify_strict_feasibility(discretize_clp(degenerate))
+    assert pipeline.flags.strict_primal_nonempty and pipeline.flags.strict_dual_nonempty
+    assert pipeline.flags.systems_solved == (True, True)
     assert abs(pipeline.gap) <= 1e-6
 
     elapsed = time.time() - started

@@ -2,9 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, continuous_lp, duality
 from conedual.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_problem
@@ -118,6 +121,29 @@ def test_complex_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["characterization_applies"]
     assert out["v_primal"] == pytest.approx(out["v_dual"], abs=1e-8)
+
+
+def test_complex_subcommand_on_a_coordinate_inside_its_wedge(tmp_path, capsys):
+    # Both systems unsolvable, finite values, and an optimizer coordinate
+    # strictly inside its wedge: no claim of the theorem fails.
+    fixture = Path(__file__).parent / "fixtures" / "complex_boundary_items.json"
+    (case,) = [c for c in json.loads(fixture.read_text()) if c["source"] == "pipelines seed 11 item 238"]
+    path = write(tmp_path, "cx.json", case["spec"])
+    assert main(["--output", "json", "complex", "--input", path]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["characterization_applies"]
+    assert not out["primal_system_solvable"] and not out["dual_system_solvable"]
+
+
+def test_verify_interior_on_a_slice_pair(tmp_path, capsys):
+    # Optimizers in the relative interiors of two slices: a slice has no
+    # interior, so the precondition is not met.
+    _, pb = list(gate_pairs("slice", 0))[14]
+    path = write(tmp_path, "slice.json", duality.problem_to_dict(pb))
+    assert main(["--output", "json", "verify-interior", "--input", path]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["flags"]["systems_solved"] == [False, False]
+    assert all("precondition not met" in note for note in doc["notes"])
 
 
 def test_clp_subcommand(tmp_path, capsys):

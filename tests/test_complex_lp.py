@@ -192,3 +192,22 @@ def test_game_slice_items_that_stalled_on_penalty_rows(case):
     lp = solve(build_complex_lp(spec))
     for side_solved, status in zip(solved, (lp.status_primal, lp.status_dual)):
         assert not (side_solved and status == "infeasible")
+
+
+def complex_boundary_items():
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "complex_boundary_items.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", complex_boundary_items(), ids=lambda case: case["source"])
+def test_boundary_items_with_coordinates_inside_their_wedges(case):
+    # Both equality systems are unsolvable and both values finite, and a
+    # non-real optimizer coordinate lies strictly inside its wedge.  The
+    # theorem does not place every coordinate at its half-angle; it only
+    # rules out interior optimizers (an interior dual optimum would make
+    # the primal system solvable), so nothing is raised.
+    report = classify_boundary_optima(complex_spec_from_dict(case["spec"]))
+    assert report.characterization_applies == case["expected"]["characterization_applies"]
+    solved = [report.primal_system_solvable, report.dual_system_solvable]
+    assert solved == case["expected"]["systems_solvable"]
+    assert any(row[3] is False for row in report.primal_angles + report.dual_angles)

@@ -7,20 +7,18 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import clp_minimal_feasible
+from oracles import check_classical_conditions, clp_minimal_feasible
 
 from conedual import continuous_lp
 from conedual.continuous_lp import (
     ContinuousLPSpec,
-    check_classical_conditions,
     clp_spec_from_dict,
     clp_spec_to_dict,
     discretize_clp,
     grid_points,
     kernel_sign_condition,
-    verify_sign_condition_pipeline,
 )
-from conedual.duality import solve
+from conedual.duality import solve, verify_strict_feasibility
 from conedual.linops import OperatorSpec, adjoint_identity_check
 
 
@@ -102,22 +100,28 @@ def test_sign_condition_classification():
 
 def test_sign_condition_pipeline_on_strictly_feasible_family():
     # The only sign-condition instances admitting strictly positive
-    # feasible pairs have vanishing operator data; on them both equality
-    # systems are solvable and the discrete gap is zero.
+    # feasible pairs have vanishing operator data; with c = 0 as well, the
+    # strict pipeline on the discretization finds both equality systems
+    # solvable and a zero discrete gap.
     spec = scalar_spec(8, B=0.0, K=0.0, b=0.0, c=0.0)
     assert kernel_sign_condition(spec) == "condition_i"
-    report = verify_sign_condition_pipeline(
-        spec, x_hat=lambda t: 1.0, y_hat=lambda t: 1.0, tol=1e-6
-    )
-    assert report.pipeline_ran
-    assert report.systems_solved == (True, True)
+    report = verify_strict_feasibility(discretize_clp(spec))
+    assert report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty
+    assert report.flags.systems_solved == (True, True)
     assert abs(report.gap) <= 1e-6
 
 
-def test_sign_condition_pipeline_skips_without_points():
-    report = verify_sign_condition_pipeline(scalar_spec(4, B=-1.0, K=1.0, b=1.0))
-    assert not report.pipeline_ran
-    assert report.condition == "condition_i"
+def test_sign_condition_with_unsolvable_dual_system_is_reported():
+    # B = K = b = 0 with c = 1 meets condition_i and has strictly positive
+    # feasible pairs (x = y = 1), but A = 0 makes the dual system A^T y = c
+    # unsolvable.  The strict pipeline reports that and raises nothing; the
+    # gap, its one claim, is zero.
+    spec = scalar_spec(4, B=0.0, K=0.0, b=0.0, c=1.0)
+    assert kernel_sign_condition(spec) == "condition_i"
+    report = verify_strict_feasibility(discretize_clp(spec))
+    assert report.flags.strict_primal_nonempty and report.flags.strict_dual_nonempty
+    assert report.flags.systems_solved == (True, False)
+    assert report.gap == 0.0
 
 
 def test_chain_samples_each_spec_once(monkeypatch):
@@ -132,8 +136,8 @@ def test_chain_samples_each_spec_once(monkeypatch):
     spec = scalar_spec(8, B=0.0, K=0.0, b=0.0, c=0.0)
     discretize_clp(spec)
     assert kernel_sign_condition(spec) == "condition_i"
-    report = verify_sign_condition_pipeline(spec, x_hat=lambda t: 1.0, y_hat=lambda t: 1.0)
-    assert report.pipeline_ran
+    report = verify_strict_feasibility(discretize_clp(spec))
+    assert report.flags.systems_solved == (True, True)
     assert calls == [spec]
     # An equal spec is another object and is sampled afresh.
     other = scalar_spec(8, B=0.0, K=0.0, b=0.0, c=0.0)

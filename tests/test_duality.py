@@ -1,17 +1,21 @@
 """Conic pair solving, complementarity, and the verification pipelines."""
 
+import ast
 import json
 import math
 import os
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import rank_system_solved
 from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
-from conedual.cones import dual, generated, interior_contains, orthant, product, slice_cone, wedge
+from conedual.cones import dual, generated, generators, interior_contains, orthant, product, slice_cone, wedge
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,
@@ -351,6 +355,93 @@ def test_contrapositive_boundary_dual_optimum():
     report = solve(pb)
     assert report.status_dual == "optimal"
     assert not interior_contains(pb.T, report.y_star, 1e-6)
+
+
+@pytest.mark.parametrize("seed,item", [(0, 14), (5, 11), (7, 17), (8, 11), (14, 5), (19, 2)])
+def test_slice_optimizers_are_not_interior(seed, item):
+    # Random slice pairs whose optimizers lie in the relative interiors of
+    # both slices.  A slice has no interior, so the theorem's precondition
+    # (int T nonempty, and int S on the other side) is not met: the verdict
+    # is vacuous, not a violation.
+    style, pb = list(gate_pairs("slice", seed))[item]
+    assert style == "random"
+    report = verify_interior_optima(pb)
+    assert interior_contains(pb.S, report.x_star, duality.INTERIOR_TOL)
+    assert interior_contains(pb.T, report.y_star, duality.INTERIOR_TOL)
+    assert (report.flags.primal_interior_opt, report.flags.dual_interior_opt) == (False, False)
+    assert report.flags.systems_solved == (False, False)
+    assert report.notes == [
+        "precondition not met: dual optimum not interior or not attained",
+        "precondition not met: primal optimum not interior or not attained",
+    ]
+
+
+def product_pairs(rng, count):
+    """Pairs whose cones are products, half of them with a slice factor,
+    built as in ``interior_optimum_problem``: interior ``x0`` and ``y0``
+    (relative interior for a slice factor) are optimal."""
+    pairs = []
+    for index in range(count):
+        cones = []
+        for _ in range(2):
+            # A slice of the orthant through an interior point.
+            point = rng.uniform(0.5, 1.5, size=3)
+            normal = rng.uniform(-1.0, 1.0, size=3)
+            first = slice_cone(orthant(3), normal - (normal @ point) / (point @ point) * point)
+            cones.append(product(first if index % 2 else orthant(3), wedge(rng.uniform(0.3, 1.2))))
+        mat = rng.uniform(-1.0, 1.0, size=(5, 5))
+        x0, y0 = (generators(cone) @ rng.uniform(0.5, 1.5, size=generators(cone).shape[1]) for cone in cones)
+        pairs.append(ConicProblem(A=OperatorSpec(matrix=mat), b=mat @ x0, c=mat.T @ y0, S=cones[0], T=cones[1]))
+    return pairs
+
+
+def test_interior_flags_need_a_full_dimensional_cone():
+    # A cone with a slice factor has no interior, so its optimizer is never
+    # interior; on every other cone the flag is the margin test.
+    pairs = [pb for family in ("orthant", "wedge", "slice") for seed in range(3) for _, pb in gate_pairs(family, seed)]
+    pairs += product_pairs(np.random.default_rng(191), 12)
+    relative_interior = Counter()
+    for pb in pairs:
+        report = solve(pb)
+        for flag, cone, point in (
+            (report.flags.primal_interior_opt, pb.S, report.x_star),
+            (report.flags.dual_interior_opt, pb.T, report.y_star),
+        ):
+            inside = point is not None and interior_contains(cone, point, duality.INTERIOR_TOL)
+            factors = cone.factors if cone.kind == "product" else (cone,)
+            if any(f.kind == "slice" for f in factors):
+                assert not flag
+                relative_interior[cone.kind] += inside
+            else:
+                assert flag == inside
+                relative_interior["solid"] += inside
+    # Each branch is reached by optimizers that pass the margin test.
+    assert relative_interior["slice"] and relative_interior["solid"]
+
+
+def test_system_solved_matches_the_generator_rank_test():
+    # _system_solved tells a full-dimensional T by its kind; the reference
+    # tells it by the rank of the generators of T.
+    pairs = [pb for family in ("orthant", "wedge", "slice") for seed in range(4) for _, pb in gate_pairs(family, seed)]
+    pairs += product_pairs(np.random.default_rng(193), 8)
+    decided = Counter()
+    for pb in pairs:
+        for q in (pb, pb.transpose()):
+            outcome = _pipeline_outcome(lambda q: duality._system_solved(q, 1e-8), q)
+            assert outcome == _pipeline_outcome(lambda q: rank_system_solved(q, 1e-8), q)
+            decided[outcome] += 1
+    assert decided[True] and decided[False]
+
+
+def test_only_duality_raises_theorem_violation():
+    # The applications build conic pairs; the theorem claims, and so the
+    # exit code 3, belong to the pipelines of duality.
+    raising = set()
+    for path in Path(duality.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and "TheoremViolation" in ast.dump(node):
+                raising.add(path.name)
+    assert raising == {"duality.py"}
 
 
 def centered_kernel_problem():

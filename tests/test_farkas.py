@@ -5,20 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import adjoint_operator
+from oracles import adjoint_operator, feasible_farkas_instance, infeasible_farkas_instance
 
 import conedual.farkas as farkas_module
 import conedual.residual as residual_module
 from conedual.cones import contains, distance, dual, generators, orthant, product, wedge
 from conedual.errors import IndeterminateAlternative, SolverFailure
 from conedual.farkas import FarkasOutcome, farkas_dual, farkas_primal, outcome_to_dict, verify_outcome
-from conedual.instances import (
-    classify_instance,
-    feasible_farkas_instance,
-    infeasible_farkas_instance,
-    random_cone,
-    random_farkas_instance,
-)
+from conedual.instances import classify_instance, random_cone, random_farkas_instance
 from conedual.linops import OperatorSpec, pairing, transposed, weighted_quadrature
 from conedual.nnls import nnls
 from conedual.residual import residual_minimize

@@ -273,8 +273,6 @@ def test_boundary_systems_match_nnls_first_order(seed):
             continue
         try:
             report = complex_lp.classify_boundary_optima(spec)
-        except TheoremViolation as exc:
-            report = exc.report
         except SolverFailure:
             continue
         assert (report.primal_system_solvable, report.dual_system_solvable) == expected
