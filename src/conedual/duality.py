@@ -291,9 +291,9 @@ def solve(pb):
 
     flags = ReportFlags()
     if x_star is not None:
-        flags.primal_interior_opt = interior_contains(pb.S, x_star, INTERIOR_TOL) and _full_dimensional(pb.S)
+        flags.primal_interior_opt = _full_dimensional(pb.S) and interior_contains(pb.S, x_star, INTERIOR_TOL)
     if y_star is not None:
-        flags.dual_interior_opt = interior_contains(pb.T, y_star, INTERIOR_TOL) and _full_dimensional(pb.T)
+        flags.dual_interior_opt = _full_dimensional(pb.T) and interior_contains(pb.T, y_star, INTERIOR_TOL)
 
     gap = v_primal - v_dual if math.isfinite(v_primal) and math.isfinite(v_dual) else math.nan
     comp = None

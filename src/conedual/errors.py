@@ -28,8 +28,8 @@ class TheoremViolation(RuntimeError):
 
 
 class IndeterminateAlternative(RuntimeError):
-    """The residual value fell inside the tolerance band where neither
-    branch of the alternative can be certified."""
+    """Neither branch of the alternative verifies: the solution and the
+    certificate built from the residual minimizer both fail their check."""
 
     def __init__(self, message, value=None, tol=None):
         super().__init__(message)

@@ -6,9 +6,10 @@ For the primal pair the alternative is between
 * system (II): ``-A^T alpha in S*`` with ``<alpha, -b> < 0``,
 
 and exactly one of the two admits a solution.  The decision is driven by the
-residual minimizer ``gamma`` over the image cone: a near-zero residual value
-yields a solution of (I) from the nonnegative preimage, a clearly positive
-one yields the certificate ``alpha = b - gamma`` of (II).
+residual minimizer ``gamma`` over the image cone, which yields both
+candidates: a solution of (I) from the nonnegative preimage and the
+certificate ``alpha = b - gamma`` of (II).  A branch is reported only when
+its candidate verifies.
 
 The dual system ``{A^T y = c, y in T}`` is system (I) of the transposed
 operator: ``-A^T y = -c`` with ``y in T``, where ``-A^T`` is
@@ -17,10 +18,9 @@ reads ``A x in T*`` with ``<x, c> < 0``, which is the dual certificate
 itself, so the dual side is the primal decision on ``(transposed(A), -c)``
 with no sign map.
 
-Residual values inside ``(tol^2, 10 tol^2)`` are reported as indeterminate
-rather than forced into a branch.  The residuals of an outcome are computed
-by one routine, which :func:`farkas_primal` stores and
-:func:`verify_outcome` compares with its tolerance.
+The residuals of an outcome are computed by one routine, which
+:func:`farkas_primal` checks and stores and :func:`verify_outcome` compares
+with its tolerance.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "verified_solution",
     "outcome_to_dict",
 ]
-
-INDETERMINATE_FACTOR = 10.0
-
 
 @dataclass
 class FarkasOutcome:
@@ -71,11 +68,6 @@ class FarkasOutcome:
             "cone_residual": self.cone_residual,
             "strict_margin": self.strict_margin,
         }
-
-
-def _indeterminate(value, tol):
-    # The one band where neither branch is forced.
-    return tol * tol < value < INDETERMINATE_FACTOR * tol * tol
 
 
 def _candidate(A, b, S, res, branch):
@@ -127,18 +119,29 @@ def farkas_primal(A, b, S, tol=1e-8):
     ``-A^T alpha in S*`` and ``<alpha, -b> <= -strict_margin < 0``.  Norms
     and margins are taken in the operator's codomain pairing; the cone
     residual is the Euclidean distance to ``S`` or ``S*``.
+
+    Only a branch that passes :func:`verify_outcome` at ``tol`` is
+    returned: first the one the residual value points to (the solution when
+    it is at most ``tol^2``), then the other.  Raises
+    :class:`~conedual.errors.IndeterminateAlternative` if neither passes.
     """
     b = np.asarray(b, dtype=float)
     res = residual_minimize(A, b, S)
-    if _indeterminate(res.value, tol):
-        raise IndeterminateAlternative(
-            f"residual value {res.value:.3e} falls in the indeterminate band for tol={tol:.1e}",
-            value=res.value,
-            tol=tol,
-        )
-    outcome = _candidate(A, b, S, res, "solution" if res.value <= tol * tol else "certificate")
-    outcome.eq_residual, outcome.cone_residual, outcome.strict_margin = _residuals(outcome, A, b, S)
-    return outcome
+    branches = ("solution", "certificate") if res.value <= tol * tol else ("certificate", "solution")
+    for branch in branches:
+        # b - gamma = 0 has no unit-length certificate.
+        if branch == "certificate" and res.value == 0:
+            continue
+        outcome = _candidate(A, b, S, res, branch)
+        residuals = _residuals(outcome, A, b, S)
+        if _passes(branch, residuals, tol):
+            outcome.eq_residual, outcome.cone_residual, outcome.strict_margin = residuals
+            return outcome
+    raise IndeterminateAlternative(
+        f"neither branch verifies at tol={tol:.1e} (residual value {res.value:.3e})",
+        value=res.value,
+        tol=tol,
+    )
 
 
 def farkas_dual(A, c, T, tol=1e-8):
@@ -175,19 +178,18 @@ def verified_solution(A, rhs, cone, tol=1e-8, witness=None):
 
     A candidate ``witness`` (say, an optimizer that should solve the
     system) is checked first and returned when it passes; otherwise the
-    solution comes from :func:`farkas_primal`, whose stored residuals are
-    the ones :func:`verify_outcome` would recompute.  A verified witness
-    proves the system solvable, so it can only turn None into a solution.
-    The dual system ``{A^T y = c, y in T}`` is this system for
+    candidate is the preimage ``x = G u`` of the residual minimizer, the
+    solution candidate of :func:`farkas_primal`.  No certificate is built:
+    None only says that no solution verified.  A verified witness proves
+    the system solvable, so it can only turn None into a solution.  The
+    dual system ``{A^T y = c, y in T}`` is this system for
     ``(transposed(A), -c)``."""
     if witness is not None:
         candidate = FarkasOutcome(branch="solution", side="primal", point=witness)
         if verify_outcome(candidate, A, rhs, cone, tol=10 * tol):
             return witness
-    outcome = farkas_primal(A, rhs, cone, tol=tol)
-    if outcome.branch == "solution" and _passes("solution", outcome.residuals.values(), 10 * tol):
-        return outcome.point
-    return None
+    candidate = _candidate(A, rhs, cone, residual_minimize(A, rhs, cone), "solution")
+    return candidate.point if verify_outcome(candidate, A, rhs, cone, tol=10 * tol) else None
 
 
 def outcome_to_dict(outcome):

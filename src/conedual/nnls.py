@@ -85,8 +85,9 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
         cap trips.  The iterate is attached to ``detail["u"]`` and the
         largest free dual value to ``detail["kkt"]``.
     """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
+    # + 0.0 turns -0.0 into +0.0: np.linalg.qr depends on the sign of zeros.
+    M = np.asarray(M, dtype=float) + 0.0
+    b = np.asarray(b, dtype=float) + 0.0
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
     if b.ndim != 1 or b.shape[0] != M.shape[0]:

@@ -102,9 +102,32 @@ def test_verify_strict_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_indeterminate_exit_code(tmp_path, capsys):
+    # A residual value of 3 tol^2 decides nothing by itself; the certificate
+    # (-1, 0) verifies with margin sqrt(3) tol, so it is reported.
     eps = math.sqrt(3.0) * 1e-8
     path = write(tmp_path, "border.json", identity_doc(b=(-eps, 1.0)))
+    assert main(["--output", "json", "farkas", "--input", path]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["branch"] == "certificate" and doc["cert"] == [-1.0, 0.0]
+    assert doc["residuals"]["strict_margin"] == pytest.approx(eps, rel=1e-12)
+    # A 4x5 orthant system with b of order 1e7 where neither candidate
+    # verifies: the certificate has cone residual 0.46 and margin -7.7e6.
+    doc = {
+        "type": "conic",
+        "A": {"rows": 4, "cols": 5, "data": [
+            -0.7357898022911213, -0.39047573050070006, -0.4692412360683207, -0.8064462359105107, 0.655373382763752,
+            0.7056997759973083, -0.08063842745201555, 0.41437855105433363, 0.5897147447018636, -0.7456884961073831,
+            0.318943551587751, -0.778094232183743, 0.39109473075602663, -0.7968564784849477, 0.680308686431341,
+            0.536120305625378, 0.06891190334680664, -0.396450269115886, 0.4919824626884366, -0.06465336959142176,
+        ]},
+        "b": [-66854255.671135634, 32780064.257796086, -15200350.392286662, 21700068.049451657],
+        "c": [1.0] * 5,
+        "S": {"kind": "orthant", "dim": 5},
+        "T": {"kind": "orthant", "dim": 4},
+    }
+    path = write(tmp_path, "neither.json", doc)
     assert main(["farkas", "--input", path]) == EXIT_INDETERMINATE
+    assert "neither branch verifies" in capsys.readouterr().err
 
 
 def test_complex_subcommand(tmp_path, capsys):
@@ -202,7 +225,8 @@ def test_batch_deterministic_output(tmp_path, capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["instances"] == 40
-    assert doc["both_verified"] == 0
+    # Exactly one of the three counts holds each instance.
+    assert doc["solutions"] + doc["certificates"] + doc["indeterminate"] == 40
 
 
 def test_batch_parallel_matches_serial(capsys):

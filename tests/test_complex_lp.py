@@ -17,6 +17,7 @@ from conedual.complex_lp import (
     complex_spec_from_dict,
     complex_spec_to_dict,
 )
+from conedual import duality
 from conedual.cones import contains, generated, generators, wedge
 from conedual.duality import feasible_dual, feasible_primal, solve
 
@@ -211,3 +212,22 @@ def test_boundary_items_with_coordinates_inside_their_wedges(case):
     solved = [report.primal_system_solvable, report.dual_system_solvable]
     assert solved == case["expected"]["systems_solvable"]
     assert any(row[3] is False for row in report.primal_angles + report.dual_angles)
+
+
+def test_solve_skips_interior_tests_on_slice_cones(monkeypatch):
+    # A slice has no interior, so solve asks nothing of interior_contains
+    # (which would test the relative interior) for its optimizers.
+    case = next(c for c in complex_boundary_items() if c["spec"]["game_slice"])
+    pb = build_complex_lp(complex_spec_from_dict(case["spec"]))
+    calls = []
+    real = duality.interior_contains
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "interior_contains", counting)
+    report = solve(pb)
+    assert (report.status_primal, report.status_dual) == ("optimal", "optimal")
+    assert calls == []
+    assert report.flags.primal_interior_opt is False and report.flags.dual_interior_opt is False

@@ -283,7 +283,7 @@ def test_certificates_refused_where_the_euclidean_dual_is_not_the_pairing_dual()
 def band_corpus(seed, count):
     """``random_farkas_instance`` data, each with copies whose ``b`` is
     scaled so that the residual value lands near 2, 5 and 9 ``tol^2``,
-    inside the indeterminate band."""
+    where the value alone decides no branch."""
     rng = np.random.default_rng(seed)
     corpus = []
     for _ in range(count):
@@ -296,10 +296,8 @@ def band_corpus(seed, count):
 
 
 def test_classify_instance_agrees_with_farkas_primal_and_verify_outcome():
-    # Outside the band the two paths verify the same branch.  Inside it
-    # farkas_primal raises, and classify_instance reports the certificate
-    # when it verifies (its margin sqrt(value) exceeds tol) and the
-    # indeterminate flag when it does not.
+    # classify_instance reads farkas_primal's decision: the branch it
+    # returns, which verify_outcome accepts, or "neither" where it raises.
     seen = Counter()
     for a, b, cone in band_corpus(2029, 150):
         try:
@@ -312,14 +310,37 @@ def test_classify_instance_agrees_with_farkas_primal_and_verify_outcome():
         try:
             out = farkas_primal(a, b, cone)
         except IndeterminateAlternative:
-            assert got in ((False, True, False), (False, False, True))
-            seen["band", got] += 1
+            assert got == (False, False, True)
+            seen["neither"] += 1
             continue
-        ok = verify_outcome(out, a, b, cone)
-        assert got == (ok and out.branch == "solution", ok and out.branch == "certificate", False)
-        seen[out.branch, ok] += 1
-    assert seen[("solution", True)] and seen[("certificate", True)]
-    assert seen[("band", (False, True, False))] and seen[("band", (False, False, True))]
+        assert verify_outcome(out, a, b, cone)
+        assert got == (out.branch == "solution", out.branch == "certificate", False)
+        seen[out.branch] += 1
+    assert seen["solution"] and seen["certificate"] and seen["neither"]
+
+
+def test_every_returned_outcome_verifies():
+    # A branch is reported only when it verifies, whatever the residual
+    # value: on the band corpus and on right-hand sides of order 1e8, where
+    # the value once picked candidates that failed their own check.
+    rng = np.random.default_rng(7)
+    cases = band_corpus(2029, 150)
+    for _ in range(300):
+        a, b, cone = random_farkas_instance(rng)
+        cases.append((a, 1e8 * b, cone))
+    seen = Counter()
+    for a, b, cone in cases:
+        # farkas_dual on (-a^T, -b) decides the system farkas_primal does on (a, b).
+        for decide, op, rhs in ((farkas_primal, a, b), (farkas_dual, OperatorSpec(matrix=-a.matrix.T), -b)):
+            try:
+                out = decide(op, rhs, cone)
+            except (IndeterminateAlternative, SolverFailure) as exc:
+                seen[type(exc).__name__] += 1
+                continue
+            assert verify_outcome(out, op, rhs, cone)
+            seen[out.side, out.branch] += 1
+    assert seen["IndeterminateAlternative"]
+    assert all(seen[side, branch] for side in ("primal", "dual") for branch in ("solution", "certificate"))
 
 
 def test_stored_residuals_are_the_verified_ones(monkeypatch):

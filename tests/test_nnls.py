@@ -338,3 +338,29 @@ def test_input_validation():
         nnls(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         nnls(np.array([[np.nan, 0.0]]), np.ones(1))
+
+
+def _bits(M, b):
+    """``nnls(M, b)`` bit for bit, or the message of its failure."""
+    try:
+        r = nnls(M, b)
+    except SolverFailure as exc:
+        return str(exc)
+    return r.u.tobytes(), float(r.residual_norm).hex(), float(r.kkt_residual).hex(), r.iterations
+
+
+def test_result_does_not_depend_on_the_sign_of_zero_entries():
+    # np.linalg.qr moves bits with the sign of a zero entry; nnls sees
+    # every zero as +0.0, so a problem and its -0.0 twin agree bit for bit.
+    rng = np.random.default_rng(2024)
+    with_zeros = 0
+    for _ in range(2000):
+        m, k = (int(d) for d in rng.integers(2, 7, size=2))
+        M = rng.integers(-2, 3, size=(m, k)).astype(float)
+        b = rng.integers(-2, 3, size=m).astype(float)
+        if np.all(M != 0) and np.all(b != 0):
+            continue
+        with_zeros += 1
+        twin_M, twin_b = np.where(M == 0, -0.0, M), np.where(b == 0, -0.0, b)
+        assert _bits(M, b) == _bits(twin_M, twin_b)
+    assert with_zeros > 1500

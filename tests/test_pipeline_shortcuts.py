@@ -179,9 +179,9 @@ def test_solid_shifted_pair_decided_without_farkas_solve(source, monkeypatch):
     # Farkas solve stalled, as on the slice pair above.  With both strict
     # sets nonempty and T full-dimensional, the system is solvable iff
     # b = 0, so the check of the witness 0 decides it.
-    outcomes = farkas_spy(monkeypatch)
+    solves = residual_spy(monkeypatch)
     check_stall_case(source, "solid_shifted_stalls.json")
-    assert outcomes == []
+    assert solves == []
 
 
 def test_gate_failing_pair_runs_no_strict_lp(monkeypatch):
@@ -206,43 +206,46 @@ def test_gate_failing_pair_runs_no_strict_lp(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def farkas_spy(monkeypatch):
-    outcomes = []
-    real = farkas.farkas_primal
+def residual_spy(monkeypatch):
+    """Record every residual solve of ``farkas``, the fresh solve behind a
+    Farkas decision and behind ``verified_solution``'s own candidate."""
+    solves = []
+    real = farkas.residual_minimize
 
     def spy(*args, **kwargs):
-        outcomes.append(real(*args, **kwargs))
-        return outcomes[-1]
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
 
-    monkeypatch.setattr(farkas, "farkas_primal", spy)
-    return outcomes
+    monkeypatch.setattr(farkas, "residual_minimize", spy)
+    return solves
 
 
 @pytest.mark.parametrize("family", ["orthant", "wedge"])
 def test_interior_pipeline_takes_the_optimizers(family, monkeypatch):
-    outcomes = farkas_spy(monkeypatch)
+    solves = residual_spy(monkeypatch)
     rng = np.random.default_rng(17)
     for _ in range(5):
         pb, _, _ = interior_optimum_problem(rng, 4, family)
         report = verify_interior_optima(pb)
         assert report.flags.systems_solved == (True, True)
-    assert outcomes == []
+    assert solves == []
 
 
 def test_rejected_witness_falls_back_to_farkas(monkeypatch):
     pb, _, _ = interior_optimum_problem(np.random.default_rng(19), 4, "wedge")
     expected = verify_interior_optima(pb)
-    outcomes = farkas_spy(monkeypatch)
+    solves = residual_spy(monkeypatch)
     real = farkas.verify_outcome
 
-    def reject_witness(outcome, *args, **kwargs):
-        if not any(outcome is o for o in outcomes):
+    def reject_witness(outcome, A, rhs, cone, **kwargs):
+        # Only the preimage G u of the latest residual solve may pass.
+        if not (solves and np.array_equal(outcome.point, generators(cone) @ solves[-1].coefficients)):
             return False
-        return real(outcome, *args, **kwargs)
+        return real(outcome, A, rhs, cone, **kwargs)
 
     monkeypatch.setattr(farkas, "verify_outcome", reject_witness)
     report = verify_interior_optima(pb)
-    assert len(outcomes) == 2
+    assert len(solves) == 2
     assert report.flags == expected.flags and report.notes == expected.notes
     assert report.x_star.tobytes() == expected.x_star.tobytes()
     assert (report.v_primal, report.v_dual, report.gap) == (expected.v_primal, expected.v_dual, expected.gap)
