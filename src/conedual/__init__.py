@@ -12,6 +12,7 @@ from .cones import (
     ConeSpec,
     contains,
     dual,
+    dual_distance,
     generated,
     generators,
     interior_contains,
@@ -65,6 +66,7 @@ __all__ = [
     "complex_embed",
     "contains",
     "dual",
+    "dual_distance",
     "farkas_dual",
     "farkas_primal",
     "feasible_dual",

@@ -95,10 +95,14 @@ def _require(problem, cls, subcommand):
         raise ValueError(f"subcommand {subcommand!r} needs a {cls.__name__} input file")
 
 
-def _cmd_solve(args):
+def _cmd_report(args):
     pb = parse_problem(args.input)
-    _require(pb, ConicProblem, "solve")
-    report = solve(pb)
+    _require(pb, ConicProblem, args.subcommand)
+    if args.subcommand == "solve":
+        report = solve(pb)
+    else:
+        verify = verify_interior_optima if args.subcommand == "verify-interior" else verify_strict_feasibility
+        report = verify(pb, tol=args.tol)
     _emit(report_to_dict(report), args)
     return EXIT_OK
 
@@ -112,22 +116,6 @@ def _cmd_farkas(args):
     else:
         outcome = farkas_dual(op, pb.c, pb.T, tol=args.tol)
     _emit(outcome_to_dict(outcome), args)
-    return EXIT_OK
-
-
-def _cmd_verify_interior(args):
-    pb = parse_problem(args.input)
-    _require(pb, ConicProblem, "verify-interior")
-    report = verify_interior_optima(pb, tol=args.tol)
-    _emit(report_to_dict(report), args)
-    return EXIT_OK
-
-
-def _cmd_verify_strict(args):
-    pb = parse_problem(args.input)
-    _require(pb, ConicProblem, "verify-strict")
-    report = verify_strict_feasibility(pb, tol=args.tol)
-    _emit(report_to_dict(report), args)
     return EXIT_OK
 
 
@@ -210,10 +198,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     for name, fn, needs_input in (
-        ("solve", _cmd_solve, True),
+        ("solve", _cmd_report, True),
         ("farkas", _cmd_farkas, True),
-        ("verify-interior", _cmd_verify_interior, True),
-        ("verify-strict", _cmd_verify_strict, True),
+        ("verify-interior", _cmd_report, True),
+        ("verify-strict", _cmd_report, True),
         ("complex", _cmd_complex, True),
         ("clp", _cmd_clp, True),
         ("batch", _cmd_batch, False),

@@ -1,16 +1,16 @@
 """Finitely generated convex cones: membership, interiors, dual cones.
 
-Supported families and their closed-form duals:
+Supported families and their duals:
 
 ==========  =============================================  =======================
 kind        set                                            dual
 ==========  =============================================  =======================
 orthant     ``{v : v >= 0}``                               itself
 wedge       product of planar sectors ``|arg z_i| <= a_i``  wedge with ``pi/2 - a_i``
-generated   ``{G u : u >= 0}``                             (not computed)
+generated   ``{G u : u >= 0}``                             ``{z : G^T z >= 0}``
 product     cartesian product of factor cones              product of factor duals
-slice       base cone intersected with ``N^T v = 0``       base dual + span of N
-            generated by its own rays
+slice       base cone intersected with ``N^T v = 0``       ``{z : G^T z >= 0}``
+            generated by its own rays ``G``
 ==========  =============================================  =======================
 
 Wedges live on consecutive coordinate pairs ``(x_i, y_i)`` of the ambient
@@ -20,7 +20,9 @@ own generators, computed once by :func:`slice_cone`, so every solver that
 works on ``G`` stays inside the slice without further constraints.
 Membership for the structured kinds uses exact closed-form distances, and a
 nonnegative least-squares projection onto the generators for generated
-cones and slices.
+cones and slices.  :func:`dual_distance` measures the distance to the dual
+of any cone, on the cone's own generators where :func:`dual` has no
+closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "contains",
     "interior_contains",
     "dual",
+    "dual_distance",
     "generators",
     "interior_point",
     "cone_to_dict",
@@ -183,6 +186,16 @@ def slice_cone(base, normals):
 # ---------------------------------------------------------------------------
 
 
+def _block_diagonal(mats):
+    """The block-diagonal matrix with the blocks ``mats``, in order."""
+    g = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        g[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return g
+
+
 def generators(cone):
     """Generator matrix ``G`` with ``cone = {G u : u >= 0}``.
 
@@ -192,27 +205,12 @@ def generators(cone):
     if cone.kind == "orthant":
         return np.eye(cone.dim)
     if cone.kind == "wedge":
-        blocks = []
-        for a in cone.half_angles:
-            blocks.append(np.array([[math.cos(a), math.cos(a)], [math.sin(a), -math.sin(a)]]))
-        g = np.zeros((cone.dim, cone.dim))
-        for i, blk in enumerate(blocks):
-            g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
-        return g
-    if cone.kind in ("generated", "slice"):
-        return cone.gens.copy()
+        return _block_diagonal(
+            [np.array([[math.cos(a), math.cos(a)], [math.sin(a), -math.sin(a)]]) for a in cone.half_angles]
+        )
     if cone.kind == "product":
-        mats = [generators(f) for f in cone.factors]
-        rows = sum(m.shape[0] for m in mats)
-        cols = sum(m.shape[1] for m in mats)
-        g = np.zeros((rows, cols))
-        r = c = 0
-        for m in mats:
-            g[r : r + m.shape[0], c : c + m.shape[1]] = m
-            r += m.shape[0]
-            c += m.shape[1]
-        return g
-    raise ValueError(f"unknown cone kind {cone.kind!r}")
+        return _block_diagonal([generators(f) for f in cone.factors])
+    return cone.gens.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +239,14 @@ def _slice_residual(cone, v):
     return float(np.linalg.norm(n @ coef))
 
 
+def _blocks(cone, v):
+    """``(factor, part of v)`` for each factor of the product ``cone``."""
+    offset = 0
+    for f in cone.factors:
+        yield f, v[offset : offset + f.dim]
+        offset += f.dim
+
+
 def distance(cone, v):
     """Euclidean distance from ``v`` to the cone.
 
@@ -258,14 +264,10 @@ def distance(cone, v):
         return math.sqrt(total)
     if cone.kind == "product":
         total = 0.0
-        offset = 0
-        for f in cone.factors:
-            total += distance(f, v[offset : offset + f.dim]) ** 2
-            offset += f.dim
+        for f, part in _blocks(cone, v):
+            total += distance(f, part) ** 2
         return math.sqrt(total)
-    if cone.kind in ("generated", "slice"):
-        return nnls(cone.gens, v, kkt_tol=1e-12).residual_norm
-    raise ValueError(f"unknown cone kind {cone.kind!r}")
+    return nnls(cone.gens, v, kkt_tol=1e-12).residual_norm
 
 
 def contains(cone, v, tol=DEFAULT_TOL):
@@ -276,17 +278,16 @@ def contains(cone, v, tol=DEFAULT_TOL):
 
 
 def is_solid(cone):
-    """Whether the cone has nonempty interior (relative to the slice
-    subspace for slice cones)."""
+    """Whether the cone has an interior in its ambient space: a slice has
+    none, a product has one when all its factors do, and a generated cone
+    when its generators have full rank."""
     if cone.kind in ("orthant", "wedge"):
         return True
     if cone.kind == "product":
         return all(is_solid(f) for f in cone.factors)
     if cone.kind == "generated":
         return np.linalg.matrix_rank(cone.gens) == cone.dim
-    if cone.kind == "slice":
-        return is_solid(cone.base)
-    raise ValueError(f"unknown cone kind {cone.kind!r}")
+    return False
 
 
 def interior_contains(cone, v, tol=1e-6):
@@ -299,14 +300,13 @@ def interior_contains(cone, v, tol=1e-6):
     Slice cones test the relative interior: base margin plus the equality
     residual within ``tol``.
 
-    Raises ``ValueError`` for cones without interior (the solidity
+    Raises ``ValueError`` for a generated cone without interior, reached
+    directly, as a factor or as the base of a slice (the solidity
     assumption fails there, so the test is undefined).
     """
     v = _as_vector(v, cone.dim)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    if not is_solid(cone):
-        raise ValueError("cone is not solid: interior membership is undefined")
     if cone.kind == "orthant":
         return bool(np.min(v) >= tol)
     if cone.kind == "wedge":
@@ -319,26 +319,21 @@ def interior_contains(cone, v, tol=1e-6):
                 return False
         return True
     if cone.kind == "product":
-        offset = 0
-        for f in cone.factors:
-            if not interior_contains(f, v[offset : offset + f.dim], tol):
-                return False
-            offset += f.dim
-        return True
-    if cone.kind == "generated":
-        step = tol * math.sqrt(cone.dim)
-        inner = 1e-12 * (1.0 + float(np.linalg.norm(v)))
-        for i in range(cone.dim):
-            e = np.zeros(cone.dim)
-            e[i] = step
-            if distance(cone, v + e) > inner or distance(cone, v - e) > inner:
-                return False
-        return True
+        return all(interior_contains(f, part, tol) for f, part in _blocks(cone, v))
     if cone.kind == "slice":
         if _slice_residual(cone, v) > tol:
             return False
         return interior_contains(cone.base, v, tol)
-    raise ValueError(f"unknown cone kind {cone.kind!r}")
+    if not is_solid(cone):
+        raise ValueError("cone is not solid: interior membership is undefined")
+    step = tol * math.sqrt(cone.dim)
+    inner = 1e-12 * (1.0 + float(np.linalg.norm(v)))
+    for i in range(cone.dim):
+        e = np.zeros(cone.dim)
+        e[i] = step
+        if distance(cone, v + e) > inner or distance(cone, v - e) > inner:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +345,8 @@ def dual(cone):
     """The positive dual cone ``{u : <u, v> >= 0 for all v in cone}``.
 
     Computed in closed form per family; the dual of a wedge with
-    half-angle ``a`` is the wedge with half-angle ``pi/2 - a``.  Duals of
-    bare ``generated`` cones are not supported.
+    half-angle ``a`` is the wedge with half-angle ``pi/2 - a``.  Generated
+    cones and slices raise ValueError; see :func:`dual_distance`.
     """
     if cone.kind == "orthant":
         return cone
@@ -359,15 +354,33 @@ def dual(cone):
         return wedge(tuple(math.pi / 2 - a for a in cone.half_angles))
     if cone.kind == "product":
         return product(*(dual(f) for f in cone.factors))
-    if cone.kind == "slice":
-        base_dual = dual(cone.base)
-        return generated(np.hstack([generators(base_dual), cone.normals, -cone.normals]))
-    raise ValueError(f"dual cone of kind {cone.kind!r} is not supported")
+    raise ValueError(f"dual cone of kind {cone.kind!r} has no closed form; use dual_distance")
+
+
+def dual_distance(cone, v):
+    """Euclidean distance from ``v`` to the dual cone of ``cone``.
+
+    Closed-form for orthants and wedges, factor by factor for products.
+    The dual of a generated cone or a slice with generators ``G`` is
+    ``{z : G^T z >= 0}``, and by Moreau's decomposition (Moreau, 1962) the
+    distance to it is ``||P(-v)||``, ``P`` the projection onto the cone:
+    ``||G u||`` with ``u`` the nonnegative least-squares fit of ``-v``.
+    """
+    if cone.kind in ("orthant", "wedge"):
+        return distance(dual(cone), v)
+    v = _as_vector(v, cone.dim)
+    if cone.kind == "product":
+        total = 0.0
+        for f, part in _blocks(cone, v):
+            total += dual_distance(f, part) ** 2
+        return math.sqrt(total)
+    u = nnls(cone.gens, -v, kkt_tol=1e-12).u
+    return float(np.linalg.norm(cone.gens @ u))
 
 
 def _check_pairing_dual(cone, p, name):
-    """Refuse a pairing ``p`` under which :func:`dual` is not the dual of
-    ``cone``.  Under weights ``w`` that dual is ``diag(w)^-1 cone*``: the
+    """Refuse a pairing ``p`` under which the Euclidean dual is not the dual
+    of ``cone``.  Under weights ``w`` that dual is ``diag(w)^-1 cone*``: the
     Euclidean dual when ``w`` is uniform or ``cone`` is an orthant or a
     product of orthants."""
     w = p.weights

@@ -19,8 +19,9 @@ with the dual optimizer ``y`` the primal optimizer of the transposed pair.
 So only the primal half of each computation is written here; the dual half
 is the same code on ``pb.transpose()``.  The primal is reduced to a
 standard-form linear program through the generator parameterization
-``x = G_S u`` (``u >= 0``) with the conic constraint rewritten through the
-generators of ``T*``, and solved by two-phase simplex with Bland's rule.
+``x = G_S u`` (``u >= 0``) with the conic constraint ``A x - b in T*``
+written as ``G_T^T (A x - b) >= 0`` through the generators of ``T`` itself,
+and solved by two-phase simplex with Bland's rule.
 Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
 unbounded problems.
@@ -65,7 +66,7 @@ from .cones import (
     contains,
     cone_from_dict,
     cone_to_dict,
-    dual,
+    dual_distance,
     generators,
     interior_contains,
     interior_point,
@@ -100,8 +101,7 @@ class ConicProblem:
     dimensions, probes solidity of both cones by testing the generator
     barycenter, at unit length, for interior membership, and refuses
     non-uniform weights on a cone other than an orthant or a product of
-    orthants, where the Euclidean :func:`~conedual.cones.dual` is not the
-    dual in the pairing.
+    orthants, where the Euclidean dual cone is not the dual in the pairing.
     A problem is treated as immutable after construction:
     ``solve`` recognizes a repeat call by the object alone, so changing its
     arrays in place afterwards leaves stale optimizers behind.  Build a new
@@ -191,7 +191,7 @@ class SolveReport:
 
 def feasible_primal(pb, x, tol=1e-8):
     """``x in S`` and ``A x - b in T*``."""
-    return contains(pb.S, x, tol) and contains(dual(pb.T), apply(pb.A, x) - pb.b, tol)
+    return contains(pb.S, x, tol) and dual_distance(pb.T, apply(pb.A, x) - pb.b) <= tol
 
 
 def feasible_dual(pb, y, tol=1e-8):
@@ -212,30 +212,23 @@ _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
 INTERIOR_TOL = 1e-6
 
 
-def _full_dimensional(cone):
-    """Whether ``cone`` has an interior in its ambient space.
-
-    A slice has none: its nonzero normals cut it into a proper subspace.
-    A product has one when all its factors do, and any other cone when
-    :func:`~conedual.cones.is_solid` says so.  (``is_solid`` and
-    ``interior_contains`` take a slice's relative interior, which the
-    solidity probe and the strict members need.)
-    """
-    if cone.kind == "slice":
-        return False
-    if cone.kind == "product":
-        return all(_full_dimensional(f) for f in cone.factors)
-    return is_solid(cone)
+def _dual_rows(cone, M):
+    """``G^T M`` for the generators ``G`` of ``cone``, so that ``G^T M v >= 0``
+    says ``M v in cone*``; ``M`` itself for an orthant, where ``G = I``."""
+    return M if cone.kind == "orthant" else generators(cone).T @ M
 
 
 def _standard_form(pb):
-    """``min <c, G_S u>`` s.t. ``A G_S u - G_{T*} w = b`` and ``u, w >= 0``."""
+    """``min <c, G_S u>`` s.t. ``G_T^T (A G_S u - b) = w`` and ``u, w >= 0``:
+    the rows say ``A G_S u - b in T*`` through the generators of ``T``.
+    With Euclidean pairings the LP of ``pb.transpose()`` has the matrix
+    ``G_S^T (-A^T) G_T``, this one's transposed and negated."""
     g_s = generators(pb.S)
-    g_td = generators(dual(pb.T))
-    a_eq = np.hstack([pb.A.matrix @ g_s, -g_td])
+    rows = _dual_rows(pb.T, pb.A.matrix @ g_s)
+    a_eq = np.hstack([rows, -np.eye(rows.shape[0])])
     weighted_c = pb.A.pairing_domain.weight_vector(pb.S.dim) * pb.c
-    cost = np.concatenate([g_s.T @ weighted_c, np.zeros(g_td.shape[1])])
-    return cost, a_eq, pb.b, g_s
+    cost = np.concatenate([g_s.T @ weighted_c, np.zeros(rows.shape[0])])
+    return cost, a_eq, _dual_rows(pb.T, pb.b), g_s
 
 
 def _copy(x):
@@ -291,9 +284,9 @@ def solve(pb):
 
     flags = ReportFlags()
     if x_star is not None:
-        flags.primal_interior_opt = _full_dimensional(pb.S) and interior_contains(pb.S, x_star, INTERIOR_TOL)
+        flags.primal_interior_opt = is_solid(pb.S) and interior_contains(pb.S, x_star, INTERIOR_TOL)
     if y_star is not None:
-        flags.dual_interior_opt = _full_dimensional(pb.T) and interior_contains(pb.T, y_star, INTERIOR_TOL)
+        flags.dual_interior_opt = is_solid(pb.T) and interior_contains(pb.T, y_star, INTERIOR_TOL)
 
     gap = v_primal - v_dual if math.isfinite(v_primal) and math.isfinite(v_dual) else math.nan
     comp = None
@@ -389,11 +382,12 @@ def _strict_member(pb):
     image also lies in the dual cone: ``x = G_S u`` with ``u >= 1``,
     ``A x - b in T*`` and ``A x in T*``.
 
-    The margin is fixed at 1 and substituted out: ``u = r + 1`` with
-    ``r >= 0``, so the image rows move ``M 1`` (``M`` their coefficient
-    matrix) to the right-hand side, and the point is ``G_S (r + 1)``.  What
-    is left is a feasibility LP with zero cost.  No positive margin is lost:
-    with ``A G u in T*``,
+    Both rows are posed as in :func:`_standard_form`: ``M u - G_T^T b = w1``
+    and ``M u = w2`` with ``M = G_T^T A G_S`` and ``w1, w2 >= 0``.  The
+    margin is fixed at 1 and substituted out: ``u = r + 1`` with
+    ``r >= 0``, so both row blocks move ``M 1`` to the right-hand side, and
+    the point is ``G_S (r + 1)``.  What is left is a feasibility LP with
+    zero cost.  No positive margin is lost: with ``A G u in T*``,
     ``t A G u - b = (A G u - b) + (t - 1) A G u in T*`` for ``t >= 1``, so
     the feasible set is closed under ``u -> t u`` and any positive margin
     scales up to 1.  A slice ``S`` needs no rows of its own, since its
@@ -405,41 +399,34 @@ def _strict_member(pb):
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
     """
-    g, cone, dual_set = generators(pb.S), pb.S, dual(pb.T)
-    g_dual = generators(dual_set)
-    m_img = pb.A.matrix @ g
-    k = g.shape[1]
-    kd = g_dual.shape[1]
-    zero = np.zeros((m_img.shape[0], kd))
+    g = generators(pb.S)
+    m = _dual_rows(pb.T, pb.A.matrix @ g)
+    kd, k = m.shape
+    eye, zero = np.eye(kd), np.zeros((kd, kd))
     # Variables: [r(k), w1(kd), w2(kd)].
-    shift = m_img.sum(axis=1)
-    a_eq = np.vstack([np.hstack([m_img, -g_dual, zero]), np.hstack([m_img, zero, -g_dual])])
-    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([pb.b - shift, -shift]))
+    shift = m.sum(axis=1)
+    a_eq = np.vstack([np.hstack([m, -eye, zero]), np.hstack([m, zero, -eye])])
+    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([_dual_rows(pb.T, pb.b) - shift, -shift]))
     if res.status != "optimal":
         return None
     point = g @ (res.x[:k] + 1.0)
     image = apply(pb.A, point)
-    if not (
-        interior_contains(cone, point, 1e-9)
-        and contains(dual_set, image - pb.b, 1e-7)
-        and contains(dual_set, image, 1e-7)
-    ):
-        return None
-    return point
+    strict = interior_contains(pb.S, point, 1e-9) and all(dual_distance(pb.T, z) <= 1e-7 for z in (image - pb.b, image))
+    return point if strict else None
 
 
 def _system_solved(pb, tol):
     """Whether ``A x = b, x in S`` of ``pb`` has a verified solution, once
     both strict sets of ``pb`` are known to be nonempty.
 
-    For a full-dimensional ``T`` (see :func:`_full_dimensional`; a slice,
-    or a product with a slice factor, is not) the system is solvable
+    For a solid ``T`` (see :func:`~conedual.cones.is_solid`; a slice, or a
+    product with a slice factor, is not) the system is solvable
     iff ``b = 0`` (see :func:`verify_strict_feasibility`), so it is decided
     by the check of the witness 0 alone, ``||b|| <= 10 tol`` in ``Y``'s
     pairing, with no Farkas solve.  Otherwise the witness 0 is tried first
     and a Farkas solve follows when it fails.
     """
-    if _full_dimensional(pb.T):
+    if is_solid(pb.T):
         return pairing_norm(pb.A.pairing_codomain, pb.b) <= 10 * tol
     return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
 
@@ -491,8 +478,8 @@ def verify_strict_feasibility(pb, tol=1e-8):
     failed = [
         name
         for name, ok in (
-            ("-b in T*", contains(dual(pb.T), -pb.b, 1e-7)),
-            ("c in S*", contains(dual(pb.S), pb.c, 1e-7)),
+            ("-b in T*", dual_distance(pb.T, -pb.b) <= 1e-7),
+            ("c in S*", dual_distance(pb.S, pb.c) <= 1e-7),
         )
         if not ok
     ]

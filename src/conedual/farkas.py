@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _check_pairing_dual, distance, dual, generators
+from .cones import _check_pairing_dual, distance, dual_distance, generators
 from .errors import IndeterminateAlternative
 from .linops import _as_vector, _pairing, adjoint_matrix, apply, pairing_norm, transposed
 from .residual import residual_minimize
@@ -87,8 +87,8 @@ def _residuals(outcome, A, rhs, cone):
     ``{A x = rhs, x in cone}``, from the raw data only: ``||A x - rhs||``,
     the distance from ``x`` to the cone and 0 for a solution; 0, the
     distance from ``-A^T alpha`` to the dual cone and ``-<alpha, -rhs>``
-    for a certificate, which raises ValueError where ``dual`` is not the
-    dual in ``X``'s pairing.  A dual-side outcome is measured as the
+    for a certificate, which raises ValueError where the Euclidean dual
+    cone is not the dual in ``X``'s pairing.  A dual-side outcome is measured as the
     primal outcome of ``(transposed(A), -rhs)``."""
     if outcome.side == "dual":
         A, rhs = transposed(A), -np.asarray(rhs, dtype=float)
@@ -102,7 +102,7 @@ def _residuals(outcome, A, rhs, cone):
     _check_pairing_dual(cone, A.pairing_domain, "S")
     alpha = _as_vector(outcome.certificate, A.codomain_dim, "certificate")
     # The margin -<alpha, -rhs> is <alpha, rhs>, bit for bit up to the sign of a zero.
-    return 0.0, distance(dual(cone), -(adjoint_matrix(A) @ alpha)), _pairing(p, alpha, rhs)
+    return 0.0, dual_distance(cone, -(adjoint_matrix(A) @ alpha)), _pairing(p, alpha, rhs)
 
 
 def _passes(branch, residuals, tol):

@@ -1,14 +1,14 @@
 """Independent brute-force oracles and helpers shared by the test modules.
 
 Everything here avoids the library's solution paths on purpose: grid
-enumeration, polar scans, support enumeration and backward substitution
-compute expected values from the problem data alone.  The exceptions are
-the reference orders near the end, which run the library's own steps in
-the order of an earlier design.  The helpers at the end (sampling cone
-members, the variational inequality of a residual minimizer, the argument
-condition of a complex matrix, Farkas instances solvable or unsolvable by
-construction, and the classical regularity checks of a continuous program)
-are used only by tests.
+enumeration, polar scans, support enumeration, backward substitution and
+the enumerated dual of a slice compute expected values from the problem
+data alone.  The exceptions are the reference orders near the end, which
+run the library's own steps in the order of an earlier design.  The
+helpers at the end (sampling cone members, the variational inequality of a
+residual minimizer, the argument condition of a complex matrix, Farkas
+instances solvable or unsolvable by construction, and the classical
+regularity checks of a continuous program) are used only by tests.
 """
 
 import itertools
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conedual import duality
+from conedual import cones, duality
 from conedual.complex_lp import build_complex_lp
-from conedual.cones import dual, generators
+from conedual.cones import generated, generators, product
 from conedual.continuous_lp import _grid, grid_points
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import verified_solution
@@ -102,6 +102,18 @@ def clp_minimal_feasible(spec):
         x[k] = float(spec.sample_b(ts[k])[0]) + h * acc
     value = h * sum(float(spec.sample_c(ts[k])[0]) * x[k] for k in range(n))
     return value, x
+
+
+def dual(cone):
+    """The dual cone as a cone of the library: a slice's dual enumerated as
+    the generated cone ``cone(G_base*, N, -N)`` (the dual of its base plus
+    the span of its normals), products factor by factor, and
+    ``conedual.cones.dual`` otherwise."""
+    if cone.kind == "slice":
+        return generated(np.hstack([generators(dual(cone.base)), cone.normals, -cone.normals]))
+    if cone.kind == "product":
+        return product(*(dual(f) for f in cone.factors))
+    return cones.dual(cone)
 
 
 def slice_distance_by_supports(gens, normals, v):

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     clp_minimal_feasible,
+    dual,
     feasible_farkas_instance,
     grid_residual_min,
     infeasible_farkas_instance,
@@ -22,7 +23,6 @@ from oracles import (
 
 from conedual.cones import (
     contains,
-    dual,
     generated,
     generators,
     orthant,

@@ -6,19 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import sample_members, slice_distance_by_supports
+from oracles import dual, sample_members, slice_distance_by_supports
 
+from conedual import cones
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
 from conedual.cones import (
     cone_from_dict,
     cone_to_dict,
     contains,
     distance,
-    dual,
+    dual_distance,
     generated,
     generators,
     interior_contains,
     interior_point,
+    is_solid,
     orthant,
     product,
     slice_cone,
@@ -217,6 +219,53 @@ def random_slices(rng):
         pb = build_complex_lp(spec)
         yield pb.S
         yield pb.T
+
+
+# ---------------------------------------------------------------------------
+# Dual distance
+# ---------------------------------------------------------------------------
+
+
+def test_dual_distance_on_generators_matches_the_closed_form():
+    # By Moreau's decomposition dist(z, K*) = ||P_K(-z)||: an NNLS on K's own
+    # generators gives the closed-form distance to the dual.
+    rng = np.random.default_rng(43)
+    for cone in (orthant(3), wedge((0.3, 1.2)), product(orthant(1), wedge(0.8))):
+        as_generated = generated(generators(cone))
+        for scale in 10.0 ** np.arange(-3, 4):
+            points = [rng.standard_normal(cone.dim) for _ in range(12)]
+            points += list(sample_members(dual(cone), 4, rng)) + list(-sample_members(cone, 4, rng))
+            for z in points:
+                z = scale * z / np.linalg.norm(z)
+                expected = distance(dual(cone), z)
+                assert dual_distance(cone, z) == expected
+                assert abs(dual_distance(as_generated, z) - expected) <= 1e-12 * scale
+
+
+def test_dual_distance_on_slices_matches_the_enumerated_dual():
+    rng = np.random.default_rng(47)
+    for cone in list(random_slices(rng)) + [slice_cone(orthant(2), np.array([1.0, 1.0]))]:
+        enumerated = dual(cone)
+        for _ in range(8):
+            z = rng.standard_normal(cone.dim)
+            expected = distance(enumerated, z)
+            assert abs(dual_distance(cone, z) - expected) <= 1e-9 * (1.0 + expected)
+
+
+def test_dual_has_no_closed_form_for_generated_cones_and_slices():
+    for cone in (
+        generated(np.eye(2)),
+        slice_cone(orthant(2), np.array([1.0, -1.0])),
+        product(orthant(1), generated(np.ones((1, 1)))),
+    ):
+        with pytest.raises(ValueError, match="dual_distance"):
+            cones.dual(cone)
+
+
+def test_slices_and_rank_deficient_generators_are_not_solid():
+    assert is_solid(product(orthant(1), wedge(0.8), generated(np.eye(2))))
+    assert not is_solid(slice_cone(orthant(3), np.array([1.0, -1.0, 0.0])))
+    assert not is_solid(product(orthant(1), generated(np.ones((2, 1)))))
 
 
 def test_slice_distance_matches_support_enumeration():

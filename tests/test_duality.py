@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import rank_system_solved
+from oracles import dual, rank_system_solved
 from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
-from conedual.cones import dual, generated, generators, interior_contains, orthant, product, slice_cone, wedge
+from conedual.cones import generated, generators, interior_contains, orthant, product, slice_cone, wedge
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,

@@ -13,7 +13,6 @@ from conedual import duality
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.cones import (
     contains,
-    dual,
     generated,
     generators,
     interior_contains,
@@ -28,9 +27,11 @@ from conedual.duality import (
     verify_interior_optima,
     verify_strict_feasibility,
 )
+from conedual.errors import SolverFailure
+from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec
-from oracles import margin_row_strict_lp
+from oracles import dual, margin_row_strict_lp
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one.json")
 
@@ -42,6 +43,9 @@ def _cone(rng, family, dim):
         return orthant(dim), None
     if family == "wedge":
         return wedge(rng.uniform(0.15, math.pi / 2 - 0.15, size=dim // 2)), None
+    if family == "generated":
+        # d to 2d generators, not all in one half-space in general.
+        return generated(rng.uniform(-0.5, 1.0, size=(dim, int(rng.integers(dim, 2 * dim + 1))))), None
     # A slice of the orthant through an interior point, so it has a
     # relative interior.
     x0 = rng.uniform(0.5, 1.5, size=dim)
@@ -59,13 +63,17 @@ def _inner(rng, cone, cut):
 
 
 def random_pairs(family, count, seed):
-    """Pairs on ``family`` cones: half built so that both strict sets are
+    """Pairs on ``family`` cones, of dimension 2-6 (2-4 for generated
+    cones, on d to 2d generators): half built so that both strict sets are
     nonempty (``A`` annihilates relative-interior points on both sides,
     ``b = c = 0``), half with uniform random data."""
     rng = np.random.default_rng(seed)
     pairs = []
     for i in range(count):
-        dim = 2 * int(rng.integers(1, 4)) if family == "wedge" else int(rng.integers(2, 7))
+        if family == "wedge":
+            dim = 2 * int(rng.integers(1, 4))
+        else:
+            dim = int(rng.integers(2, 5 if family == "generated" else 7))
         cone_s, cut_s = _cone(rng, family, dim)
         cone_t, cut_t = _cone(rng, "orthant" if family == "slice" else family, dim)
         mat = rng.uniform(-1.0, 1.0, size=(dim, dim))
@@ -223,6 +231,50 @@ def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
         if res.status == "optimal":
             assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
     assert len(spy.lps) == 4 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
+    # Pairs with generated cones on both sides: every LP that solve and the
+    # strict-member search pose gets the status HiGHS gives it, and the
+    # same optimal value.
+    optimize = pytest.importorskip("scipy.optimize")
+    pairs = random_pairs("generated", 200, seed=23)
+    spy = SimplexSpy(monkeypatch)
+    stalls = 0
+    for pb in pairs:
+        solve(pb)
+        for q in (pb, pb.transpose()):
+            try:
+                duality._strict_member(q)
+            except SolverFailure as exc:
+                # After its LP, the interior probe of a point of order 1e4
+                # stalls in NNLS, whose KKT tolerance is absolute.  The
+                # strict gate of the pipeline keeps these pairs out.
+                assert "stalled" in str(exc)
+                stalls += 1
+    assert stalls == 2
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    seen = set()
+    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
+        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.status == statuses[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert len(spy.lps) == 4 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_generated_cone_pairs_run_both_pipelines_and_both_farkas_sides():
+    # Every check reaches the dual cones through the generators, so no
+    # call refuses a generated cone, and every Farkas outcome verifies.
+    strict = 0
+    for pb in random_pairs("generated", 200, seed=23):
+        verify_interior_optima(pb)
+        strict += verify_strict_feasibility(pb).flags.strict_primal_nonempty is True
+        op = pb.operator()
+        assert verify_outcome(farkas_primal(op, pb.b, pb.S), op, pb.b, pb.S)
+        assert verify_outcome(farkas_dual(op, pb.c, pb.T), op, pb.c, pb.T)
+    assert strict >= 100
 
 
 # ---------------------------------------------------------------------------

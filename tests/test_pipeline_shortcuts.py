@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import nnls_first_system_solvability, ungated_strict_feasibility
+from oracles import dual, nnls_first_system_solvability, ungated_strict_feasibility
 
 from conedual import complex_lp, cones, duality, farkas, instances, linops
-from conedual.cones import contains, dual, generators, interior_contains, orthant, slice_cone, wedge
+from conedual.cones import contains, generators, interior_contains, orthant, slice_cone, wedge
 from conedual.duality import (
     ConicProblem,
     feasible_dual,
