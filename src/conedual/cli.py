@@ -60,6 +60,8 @@ def parse_problem(path):
     """Load a problem file; the top-level ``type`` field selects the schema
     (``conic``, ``complex_lp``, or ``clp``)."""
     doc = _load(path)
+    if not isinstance(doc, dict):
+        raise ValueError("a problem file holds a JSON object")
     kind = doc.get("type")
     if kind == "conic":
         return problem_from_dict(doc)

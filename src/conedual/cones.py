@@ -20,9 +20,11 @@ own generators, computed once by :func:`slice_cone`, so every solver that
 works on ``G`` stays inside the slice without further constraints.
 Membership for the structured kinds uses exact closed-form distances, and a
 nonnegative least-squares projection onto the generators for generated
-cones and slices.  :func:`dual_distance` measures the distance to the dual
-of any cone, on the cone's own generators where :func:`dual` has no
-closed form.
+cones and slices.  No cone needs an interior: :func:`interior_contains`
+tests the relative interior (``generated([I, -I])``, the whole space with
+dual ``{0}``, is as valid as any).  :func:`dual_distance` measures the
+distance to the dual of any cone, on the cone's own generators where
+:func:`dual` has no closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _as_vector
+from .linops import _as_count, _as_vector
 from .nnls import nnls
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "dual",
     "dual_distance",
     "generators",
-    "interior_point",
     "cone_to_dict",
     "cone_from_dict",
 ]
@@ -83,10 +84,12 @@ class ConeSpec:
 
 
 def orthant(n):
-    """The nonnegative orthant in ``R^n``."""
+    """The nonnegative orthant in ``R^n``; ``n`` is an integer, or a float
+    with an integral value."""
+    n = _as_count(n, "orthant dimension")
     if n < 1:
         raise ValueError("orthant dimension must be positive")
-    return ConeSpec(kind="orthant", dim=int(n))
+    return ConeSpec(kind="orthant", dim=n)
 
 
 def wedge(half_angles):
@@ -231,14 +234,6 @@ def _wedge_block_distance(x, y, a):
     return r * math.sin(excess)
 
 
-def _slice_residual(cone, v):
-    # Distance from v to the subspace ker(N^T): norm of the projection
-    # onto span(N).
-    n = cone.normals
-    coef, *_ = np.linalg.lstsq(n, v, rcond=None)
-    return float(np.linalg.norm(n @ coef))
-
-
 def _blocks(cone, v):
     """``(factor, part of v)`` for each factor of the product ``cone``."""
     offset = 0
@@ -277,32 +272,43 @@ def contains(cone, v, tol=DEFAULT_TOL):
     return distance(cone, v) <= tol
 
 
+def _span_basis(g):
+    """Orthonormal basis, by columns, of the span of the columns of ``g``:
+    the unit vectors when ``g`` has full row rank.  The rank is numpy's
+    ``matrix_rank``."""
+    rank = np.linalg.matrix_rank(g)
+    if rank == g.shape[0]:
+        return np.eye(rank)
+    return np.linalg.svd(g, full_matrices=False)[0][:, :rank]
+
+
 def is_solid(cone):
     """Whether the cone has an interior in its ambient space: a slice has
     none, a product has one when all its factors do, and a generated cone
-    when its generators have full rank."""
+    when its generators span the space."""
     if cone.kind in ("orthant", "wedge"):
         return True
     if cone.kind == "product":
         return all(is_solid(f) for f in cone.factors)
     if cone.kind == "generated":
-        return np.linalg.matrix_rank(cone.gens) == cone.dim
+        return _span_basis(cone.gens).shape[1] == cone.dim
     return False
 
 
 def interior_contains(cone, v, tol=1e-6):
-    """Margin test for interior membership.
+    """Margin test for relative-interior membership.
 
     Orthant: every coordinate at least ``tol``.  Wedge: every block has
     radius at least ``tol`` and angular slack at least ``tol``.  Generated
-    cones use a scaled cross-polytope probe (``v +- tol*sqrt(n)*e_i`` all
-    members), which certifies that the ``tol``-ball lies inside the cone.
-    Slice cones test the relative interior: base margin plus the equality
-    residual within ``tol``.
-
-    Raises ``ValueError`` for a generated cone without interior, reached
-    directly, as a factor or as the base of a slice (the solidity
-    assumption fails there, so the test is undefined).
+    cones and slices (whose generators are their own rays) use a
+    cross-polytope probe in the span of their generators ``G``: with
+    ``q_1 .. q_r`` an orthonormal basis of ``span(G)`` (the unit vectors
+    when ``G`` has full rank) and ``inner = 1e-12 (1 + |v|)``, every
+    ``v +- (tol + inner) sqrt(r) q_i`` must lie within ``inner`` of the
+    cone.  Then so does the ``(tol + inner)``-ball around ``v`` in
+    ``span(G)``, and its ``tol``-ball lies inside the cone: the test is
+    never optimistic, at any scale.  With ``r = 0`` (the slice ``{0}``)
+    it is plain membership.
     """
     v = _as_vector(v, cone.dim)
     if tol < 0:
@@ -320,17 +326,11 @@ def interior_contains(cone, v, tol=1e-6):
         return True
     if cone.kind == "product":
         return all(interior_contains(f, part, tol) for f, part in _blocks(cone, v))
-    if cone.kind == "slice":
-        if _slice_residual(cone, v) > tol:
-            return False
-        return interior_contains(cone.base, v, tol)
-    if not is_solid(cone):
-        raise ValueError("cone is not solid: interior membership is undefined")
-    step = tol * math.sqrt(cone.dim)
+    q = _span_basis(cone.gens)
     inner = 1e-12 * (1.0 + float(np.linalg.norm(v)))
-    for i in range(cone.dim):
-        e = np.zeros(cone.dim)
-        e[i] = step
+    if q.shape[1] == 0:
+        return distance(cone, v) <= inner
+    for e in ((tol + inner) * math.sqrt(q.shape[1]) * q).T:
         if distance(cone, v + e) > inner or distance(cone, v - e) > inner:
             return False
     return True
@@ -387,19 +387,6 @@ def _check_pairing_dual(cone, p, name):
     if w is not None and np.any(w != w[0]):
         if not all(f.kind == "orthant" for f in (cone.factors if cone.kind == "product" else (cone,))):
             raise ValueError(f"non-uniform pairing weights on cone {name}, which is not a product of orthants")
-
-
-# ---------------------------------------------------------------------------
-# Interior points
-# ---------------------------------------------------------------------------
-
-
-def interior_point(cone):
-    """A canonical strict member: the generator barycenter.  It lies in the
-    relative interior of a slice, whose generators are its own rays; a
-    slice without rays gives the origin."""
-    g = generators(cone)
-    return g.sum(axis=1) / max(g.shape[1], 1)
 
 
 # ---------------------------------------------------------------------------

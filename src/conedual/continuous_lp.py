@@ -53,7 +53,7 @@ import numpy as np
 
 from .cones import orthant
 from .duality import ConicProblem
-from .linops import OperatorSpec, weighted_quadrature
+from .linops import OperatorSpec, _as_count, weighted_quadrature
 
 __all__ = [
     "ContinuousLPSpec",
@@ -339,12 +339,12 @@ def _field_from_dict(d, name, spec_dims):
 
 
 def clp_spec_from_dict(d):
-    dims = {"n_grid": int(d["n_grid"]), "T": float(d["T"])}
+    dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": float(d["T"])}
     return ContinuousLPSpec(
-        m=int(d["m"]),
-        n=int(d["n"]),
+        m=_as_count(d["m"], "m"),
+        n=_as_count(d["n"], "n"),
         horizon=float(d["T"]),
-        n_grid=int(d["n_grid"]),
+        n_grid=dims["n_grid"],
         B=_field_from_dict(d["B"], "B", dims),
         K=_field_from_dict(d["K"], "K", dims),
         b=_field_from_dict(d["b"], "b", dims),

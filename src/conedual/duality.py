@@ -69,12 +69,11 @@ from .cones import (
     dual_distance,
     generators,
     interior_contains,
-    interior_point,
     is_solid,
 )
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, PairingSpec, adjoint_apply, apply, pairing, pairing_norm, transposed
+from .linops import OperatorSpec, PairingSpec, _as_count, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
 from .simplex import simplex_solve
 
 __all__ = [
@@ -97,11 +96,12 @@ __all__ = [
 class ConicProblem:
     """The data ``(A, b, c, S, T)`` of a primal-dual conic pair.
 
-    The pairings of ``X`` and ``Y`` are ``A``'s.  Construction validates
-    dimensions, probes solidity of both cones by testing the generator
-    barycenter, at unit length, for interior membership, and refuses
-    non-uniform weights on a cone other than an orthant or a product of
-    orthants, where the Euclidean dual cone is not the dual in the pairing.
+    The pairings of ``X`` and ``Y`` are ``A``'s.  Construction checks that
+    ``b`` and ``c`` are finite vectors and that the dimensions match, and
+    refuses non-uniform weights on a cone other than an orthant or a
+    product of orthants, where the Euclidean dual cone is not the dual in
+    the pairing.  Neither cone needs an interior: ``T = generated([I, -I])``
+    has ``T* = {0}``, so ``A x - b in T*`` reads ``A x = b``.
     A problem is treated as immutable after construction:
     ``solve`` recognizes a repeat call by the object alone, so changing its
     arrays in place afterwards leaves stale optimizers behind.  Build a new
@@ -115,8 +115,8 @@ class ConicProblem:
     T: ConeSpec
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        b = _as_vector(self.b, name="b")
+        c = _as_vector(self.c, name="c")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if self.A.codomain_dim != b.shape[0]:
@@ -128,11 +128,6 @@ class ConicProblem:
         if self.T.dim != self.A.codomain_dim:
             raise ValueError("T does not match the operator codomain")
         for name, cone, p in (("S", self.S, self.A.pairing_domain), ("T", self.T, self.A.pairing_codomain)):
-            # Interior membership is invariant under positive scaling.
-            point = interior_point(cone)
-            norm = np.linalg.norm(point)
-            if norm == 0 or not interior_contains(cone, point / norm, 1e-9):
-                raise ValueError(f"cone {name} failed the solidity probe (no interior point found)")
             _check_pairing_dual(cone, p, name)
 
     def operator(self):
@@ -259,7 +254,9 @@ def solve(pb):
     reduced LPs mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
     within the margin band count as boundary, and a cone without interior
-    (a slice, or a product with a slice factor) has no interior optimizer.
+    (see :func:`~conedual.cones.is_solid`: a slice, a rank-deficient
+    generated cone, or a product with such a factor) has no interior
+    optimizer.
 
     A repeat call on the same problem object takes copies of the optimizers
     and statuses of the previous call instead of solving the linear
@@ -549,7 +546,7 @@ def problem_to_dict(pb):
 def problem_from_dict(d):
     """Inverse of :func:`problem_to_dict`; the file's ``pairing_X`` and
     ``pairing_Y`` go on the operator."""
-    rows, cols = int(d["A"]["rows"]), int(d["A"]["cols"])
+    rows, cols = _as_count(d["A"]["rows"], "rows"), _as_count(d["A"]["cols"], "cols")
     data = np.asarray(d["A"]["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")

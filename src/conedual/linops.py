@@ -41,6 +41,14 @@ def _as_vector(v, dim=None, name="vector"):
     return arr
 
 
+def _as_count(value, name):
+    """``value`` as an int: an int, or a float with an integral value."""
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (numeric and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PairingSpec:
     """A bilinear symmetric pairing on a coordinate space.

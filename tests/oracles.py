@@ -146,6 +146,19 @@ def slice_distance_by_supports(gens, normals, v):
     return best
 
 
+def slice_interior_by_base(cone, v, tol):
+    """The interior test of a slice from its base and normals alone: the
+    distance from ``v`` to ``ker N^T`` at most ``tol``, and the
+    ``tol``-ball around ``v`` inside the base.  Where the relative interior
+    of the slice meets the interior of its base, the relative interior of
+    the slice is the interior of the base within ``ker N^T`` (Rockafellar,
+    Convex Analysis, Thm 6.5), so away from the margin band this agrees
+    with the probe in the span of the slice's rays."""
+    n = cone.normals
+    residual = float(np.linalg.norm(n @ np.linalg.lstsq(n, v, rcond=None)[0]))
+    return residual <= tol and cones.interior_contains(cone.base, v, tol)
+
+
 def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     """The active-set NNLS with every passive subproblem solved by
     ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.

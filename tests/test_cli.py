@@ -266,3 +266,66 @@ def test_usage_errors():
 def test_missing_type_field(tmp_path):
     path = write(tmp_path, "bad.json", {"foo": 1})
     assert main(["solve", "--input", path]) == EXIT_USAGE
+
+
+def clp_doc(**sizes):
+    doc = {
+        "type": "clp",
+        "m": 1,
+        "n": 1,
+        "T": 1.0,
+        "n_grid": 4,
+        "B": {"kind": "constant", "data": 1.0},
+        "K": {"kind": "constant", "data": 0.5},
+        "b": {"kind": "constant", "data": 1.0},
+        "c": {"kind": "constant", "data": 1.0},
+    }
+    doc.update(sizes)
+    return doc
+
+
+def conic_doc(rows=2, cols=1, **fields):
+    doc = {
+        "type": "conic",
+        "A": {"rows": rows, "cols": cols, "data": [1.0, 1.0]},
+        "b": [1.0, 1.0],
+        "c": [1.0],
+        "S": {"kind": "orthant", "dim": 1},
+        "T": {"kind": "orthant", "dim": 2},
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "subcommand, doc",
+    [
+        ("solve", conic_doc(rows=2.7, cols=1.5)),
+        ("solve", conic_doc(rows=2.5)),
+        ("solve", conic_doc(rows="2")),
+        ("solve", conic_doc(cols=None)),
+        ("solve", conic_doc(S={"kind": "orthant", "dim": 1.9}, T={"kind": "orthant", "dim": 2.2})),
+        ("solve", conic_doc(T={"kind": "orthant", "dim": "2"})),
+        ("solve", conic_doc(S={"kind": "orthant", "dim": None})),
+        ("solve", conic_doc(b=[[1.0], [1.0]])),
+        ("solve", conic_doc(b=None)),
+        ("solve", conic_doc(c=None)),
+        ("solve", [conic_doc()]),
+        ("clp", clp_doc(m=1.5, n_grid=4.9)),
+        ("clp", clp_doc(n="1")),
+        ("clp", clp_doc(n_grid=None)),
+    ],
+)
+def test_malformed_problem_file_is_an_input_error(tmp_path, capsys, subcommand, doc):
+    path = write(tmp_path, "bad.json", doc)
+    assert main([subcommand, "--input", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_integral_sizes_may_be_floats(tmp_path):
+    pb = parse_problem(write(tmp_path, "conic.json", conic_doc(rows=2.0, cols=1.0, S={"kind": "orthant", "dim": 1.0})))
+    assert (pb.A.matrix.shape, pb.S.dim, pb.T.dim) == ((2, 1), 1, 2)
+    spec = parse_problem(write(tmp_path, "clp.json", clp_doc(m=1.0, n=1.0, n_grid=4.0)))
+    assert (spec.m, spec.n, spec.n_grid) == (1, 1, 4)

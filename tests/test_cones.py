@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import dual, sample_members, slice_distance_by_supports
+from oracles import dual, sample_members, slice_distance_by_supports, slice_interior_by_base
 
 from conedual import cones
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
@@ -19,7 +20,6 @@ from conedual.cones import (
     generated,
     generators,
     interior_contains,
-    interior_point,
     is_solid,
     orthant,
     product,
@@ -77,10 +77,11 @@ def test_zero_vector_never_interior():
         assert not interior_contains(cone, np.zeros(cone.dim), 1e-6)
 
 
-def test_interior_requires_solid_cone():
+def test_interior_of_a_ray_is_relative():
     ray = generated(np.array([[1.0], [1.0]]))
-    with pytest.raises(ValueError, match="not solid"):
-        interior_contains(ray, np.array([1.0, 1.0]), 1e-6)
+    assert interior_contains(ray, np.array([1.0, 1.0]), 1e-6)
+    assert not interior_contains(ray, np.array([1.0, 0.0]), 1e-6)
+    assert not interior_contains(ray, np.zeros(2), 1e-6)
 
 
 def test_dual_orthant_self():
@@ -304,15 +305,16 @@ def test_slice_rays_lie_in_the_slice_and_its_base():
         assert np.abs(members @ cone.normals).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(members).max(initial=0.0))
 
 
-def test_slice_without_rays_fails_the_solidity_probe():
+def test_pair_on_the_zero_slice_solves_at_the_origin():
     cone = slice_cone(orthant(2), np.array([1.0, 1.0]))
     assert generators(cone).shape == (2, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(interior_point(cone), np.zeros(2))
+        assert interior_contains(cone, np.zeros(2), 1e-9)
         assert sample_members(cone, 3, np.random.default_rng(0)).shape == (3, 2)
-        with pytest.raises(ValueError, match="cone S failed the solidity probe"):
-            ConicProblem(A=OperatorSpec(matrix=np.eye(2)), b=np.zeros(2), c=np.zeros(2), S=cone, T=orthant(2))
+        report = solve(ConicProblem(A=OperatorSpec(matrix=np.eye(2)), b=np.zeros(2), c=np.zeros(2), S=cone, T=orthant(2)))
+    assert report.status_primal == "optimal"
+    assert np.array_equal(report.x_star, np.zeros(2))
 
 
 def test_slice_drops_the_zero_rays_of_antiparallel_generators():
@@ -368,7 +370,7 @@ def test_product_with_a_slice_factor():
     factor = slice_cone(orthant(3), np.array([1.0, -1.0, 0.0]))
     cone = product(factor, wedge(0.7))
     assert generators(cone).shape == (5, 4)
-    assert interior_contains(cone, interior_point(cone), 1e-9)
+    assert interior_contains(cone, barycenter(cone), 1e-9)
     rng = np.random.default_rng(43)
     members = sample_members(cone, 200, rng)
     duals = sample_members(dual(cone), 200, rng)
@@ -404,9 +406,69 @@ def test_wedge_angle_validation():
         wedge(0.0)
 
 
+def barycenter(cone):
+    """The mean of the generators, which lies in the relative interior of
+    the cone (Rockafellar, Convex Analysis, Thm 6.9); the origin for a
+    cone without generators."""
+    g = generators(cone)
+    return g.sum(axis=1) / max(g.shape[1], 1)
+
+
 def test_interior_point_is_interior():
-    for cone in (orthant(3), wedge((0.5, 1.1)), product(orthant(2), wedge(0.8))):
-        assert interior_contains(cone, interior_point(cone), 1e-9)
+    # At unit length, for every family, generated cones without interior
+    # and slices included.
+    rng = np.random.default_rng(53)
+    corpus = [
+        orthant(3),
+        wedge((0.5, 1.1)),
+        product(orthant(2), wedge(0.8)),
+        generated(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])),
+        generated(np.hstack([np.eye(3), -np.eye(3)])),
+        generated(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])),
+        generated(rng.uniform(-1.0, 1.0, size=(4, 2)) @ rng.uniform(0.0, 1.0, size=(2, 5))),
+        product(slice_cone(orthant(3), np.array([1.0, -1.0, 0.0])), wedge(0.7)),
+        slice_cone(generated(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])), np.array([0.1, 0.2, -0.3])),
+        slice_cone(orthant(2), np.array([1.0, 1.0])),
+    ]
+    corpus += list(random_slices(rng))
+    for cone in corpus:
+        point = barycenter(cone)
+        norm = np.linalg.norm(point)
+        assert interior_contains(cone, point / norm if norm > 0 else point, 1e-9), cone.kind
+
+
+def test_generated_interior_is_never_optimistic():
+    square = generated(np.eye(2))
+    assert not interior_contains(square, np.array([1e4, 0.0]), 1e-9)
+    assert not interior_contains(square, np.array([1e7, 0.0]), 1e-6)
+    assert interior_contains(square, np.array([1e4, 1e4]), 1e-9)
+
+
+def test_slice_interior_matches_the_base_test_away_from_the_margin_band():
+    # Where a slice's relative interior meets its base's interior, the probe
+    # in the span of the rays agrees with the base margin plus the subspace
+    # residual, except for points whose base margin lies within the band.
+    rng = np.random.default_rng(59)
+    tol, band = 1e-9, 1e-6
+    counts = Counter()
+    for cone in random_slices(rng):
+        g = generators(cone)
+        if g.shape[1] == 0 or not slice_interior_by_base(cone, barycenter(cone), band):
+            continue
+        # Orthogonal projection onto ker N^T.
+        n = np.linalg.qr(cone.normals)[0]
+        for _ in range(30):
+            w = g @ rng.exponential(size=g.shape[1]) + 10.0 ** rng.uniform(-8, 1) * rng.standard_normal(cone.dim)
+            v = w - n @ (n.T @ w)
+            if slice_interior_by_base(cone, v, band):
+                counts["inside"] += 1
+                assert interior_contains(cone, v, tol)
+            elif distance(cone.base, v) > band:
+                counts["outside"] += 1
+                assert not interior_contains(cone, v, tol)
+            off = v + 1e-3 * n[:, 0]
+            assert not slice_interior_by_base(cone, off, tol) and not interior_contains(cone, off, tol)
+    assert counts["inside"] >= 50 and counts["outside"] >= 50, counts
 
 
 def test_cone_json_round_trip():

@@ -15,7 +15,7 @@ from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
 from conedual.complex_lp import ComplexLPSpec, build_complex_lp
-from conedual.cones import generated, generators, interior_contains, orthant, product, slice_cone, wedge
+from conedual.cones import generated, generators, interior_contains, is_solid, orthant, product, slice_cone, wedge
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.duality import (
     ConicProblem,
@@ -72,21 +72,70 @@ def test_problem_validation():
         ConicProblem(
             A=OperatorSpec(matrix=I2), b=np.ones(3), c=np.ones(2), S=orthant(2), T=orthant(2)
         )
-    ray = np.array([[1.0], [1.0]])
-    from conedual.cones import generated
-
-    with pytest.raises(ValueError, match="solid"):
-        ConicProblem(
-            A=OperatorSpec(matrix=I2),
-            b=np.ones(2),
-            c=np.ones(2),
-            S=generated(ray),
-            T=orthant(2),
-        )
+    # A ray and the slice {0} have no interior; their pairs construct and solve.
+    ray = generated(np.array([[1.0], [1.0]]))
+    report = solve(ConicProblem(A=OperatorSpec(matrix=I2), b=np.ones(2), c=np.ones(2), S=ray, T=orthant(2)))
+    assert report.v_primal == pytest.approx(2.0, abs=1e-12)
+    assert report.v_dual == pytest.approx(2.0, abs=1e-12)
 
     origin = slice_cone(orthant(2), [1.0, 1.0])
-    with pytest.raises(ValueError, match="solidity probe"):
-        ConicProblem(A=OperatorSpec(matrix=I2), b=np.ones(2), c=np.ones(2), S=origin, T=orthant(2))
+    report = solve(ConicProblem(A=OperatorSpec(matrix=I2), b=np.ones(2), c=np.ones(2), S=origin, T=orthant(2)))
+    assert (report.status_primal, report.status_dual) == ("infeasible", "unbounded")
+
+
+def test_equality_constrained_pairs_match_highs():
+    # T = generated([I, -I]) is the whole space, so T* = {0} and the primal
+    # is the standard-form LP min <c, x> s.t. A x = b, x >= 0.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(61)
+    statuses = Counter()
+    for _ in range(200):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        a, b, c = rng.uniform(-1.0, 1.0, size=(m, n)), rng.uniform(-1.0, 1.0, size=m), rng.uniform(-1.0, 1.0, size=n)
+        free = generated(np.hstack([np.eye(m), -np.eye(m)]))
+        pb = ConicProblem(A=OperatorSpec(matrix=a), b=b, c=c, S=orthant(n), T=free)
+        ref = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        report = solve(pb)
+        assert report.status_primal == status
+        if status == "optimal":
+            assert abs(report.v_primal - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+        else:
+            assert report.v_primal == (math.inf if status == "infeasible" else -math.inf)
+        verify_interior_optima(pb)
+        verify_strict_feasibility(pb)
+        statuses[status] += 1
+    assert min(statuses.values()) >= 20 and len(statuses) == 3, statuses
+
+
+def test_slice_meeting_its_base_on_the_boundary_solves():
+    # The ray along (1, 1, 1) is an extreme ray of the base, so the slice
+    # meets the base only on its boundary; (1, 1, 1) is still in the
+    # relative interior of the slice.
+    gens = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    cone = slice_cone(generated(gens), np.array([0.1, 0.2, -0.3]))
+    assert interior_contains(cone, np.ones(3), 1e-9)
+    pb = ConicProblem(A=OperatorSpec(matrix=np.eye(3)), b=np.zeros(3), c=np.ones(3), S=cone, T=orthant(3))
+    report = verify_interior_optima(pb)
+    assert report.v_primal == pytest.approx(0.0, abs=1e-12)
+    report = verify_strict_feasibility(pb)
+    assert report.flags.strict_primal_nonempty is True
+
+
+def test_rank_deficient_generated_cones_run_every_path():
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        rank = int(rng.integers(1, n))
+        gens = rng.uniform(-1.0, 1.0, size=(n, rank)) @ rng.uniform(0.1, 1.0, size=(rank, int(rng.integers(1, 7))))
+        a, b, c = rng.uniform(-1.0, 1.0, size=(m, n)), rng.uniform(-1.0, 1.0, size=m), rng.uniform(-1.0, 1.0, size=n)
+        pb = ConicProblem(A=OperatorSpec(matrix=a), b=b, c=c, S=generated(gens), T=orthant(m))
+        assert not is_solid(pb.S)
+        report = verify_interior_optima(pb)
+        assert report.flags.primal_interior_opt is False
+        verify_strict_feasibility(pb)
+        farkas_primal(pb.A, pb.b, pb.S)
+        farkas_dual(pb.A, pb.c, pb.T)
 
 
 def test_solidity_probe_is_scale_free():
