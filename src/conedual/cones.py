@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _as_count, _as_vector
+from .linops import _as_count, _as_object, _as_vector
 from .nnls import nnls
 
 __all__ = [
@@ -411,7 +411,7 @@ def cone_to_dict(cone):
 def cone_from_dict(d):
     """Inverse of :func:`cone_to_dict`.  ``generators`` and
     ``slice_normals`` are lists of vectors."""
-    kind = d.get("kind")
+    kind = _as_object(d, "cone").get("kind")
     if kind == "orthant":
         return orthant(d["dim"])
     if kind == "wedge":

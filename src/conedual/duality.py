@@ -21,7 +21,13 @@ is the same code on ``pb.transpose()``.  The primal is reduced to a
 standard-form linear program through the generator parameterization
 ``x = G_S u`` (``u >= 0``) with the conic constraint ``A x - b in T*``
 written as ``G_T^T (A x - b) >= 0`` through the generators of ``T`` itself,
-and solved by two-phase simplex with Bland's rule.
+and solved by two-phase simplex with Bland's rule.  The LP of
+``pb.transpose()`` is the LP dual of this one, so one optimal simplex run
+gives both optimizers: ``x`` from its basic values and ``y`` from its row
+multipliers.  ``solve`` runs the LP whose phase one covers fewer rows, and
+the LP of the other side too only on a tie or when the first is not
+optimal; the rule sees only the two LPs, so a pair and its transpose still
+give the same report with the sides exchanged.
 Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
 unbounded problems.
@@ -73,8 +79,8 @@ from .cones import (
 )
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, PairingSpec, _as_count, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
-from .simplex import simplex_solve
+from .linops import OperatorSpec, PairingSpec, _as_count, _as_object, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
+from .simplex import _clamp, _phase_one_rows, simplex_solve
 
 __all__ = [
     "ConicProblem",
@@ -217,7 +223,8 @@ def _standard_form(pb):
     """``min <c, G_S u>`` s.t. ``G_T^T (A G_S u - b) = w`` and ``u, w >= 0``:
     the rows say ``A G_S u - b in T*`` through the generators of ``T``.
     With Euclidean pairings the LP of ``pb.transpose()`` has the matrix
-    ``G_S^T (-A^T) G_T``, this one's transposed and negated."""
+    ``G_S^T (-A^T) G_T``, this one's transposed and negated: each LP is the
+    other's LP dual."""
     g_s = generators(pb.S)
     rows = _dual_rows(pb.T, pb.A.matrix @ g_s)
     a_eq = np.hstack([rows, -np.eye(rows.shape[0])])
@@ -236,22 +243,63 @@ def _copy(x):
 _last_solve = None
 
 
-def _primal_optimizer(pb):
-    """The simplex optimizer of the primal of ``pb`` (None if not attained)
-    and the LP status."""
-    cost, a_eq, b_eq, g_s = _standard_form(pb)
+def _optimizers(pb, lp):
+    """``(x*, y*, status)`` from one simplex run on ``lp``, the standard
+    form of ``pb``; the optimizers are None unless the LP is optimal.
+
+    ``x* = G_S u``.  The slack block of the rows is ``-I``, so the row
+    multipliers are the reduced costs of the slacks, ``lambda``, and
+    ``y* = W_Y^-1 G_T lambda``: then ``y* in T``, ``<y*, b> = lambda^T
+    G_T^T b`` is the LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the
+    reduced cost of ``u``, nonnegative at an optimal basis.
+    """
+    cost, a_eq, b_eq, g_s = lp
     res = simplex_solve(cost, a_eq, b_eq)
     if res.status != "optimal":
-        return None, res.status
-    return g_s @ res.x[: g_s.shape[1]], res.status
+        return None, None, res.status
+    k = g_s.shape[1]
+    lam = _clamp(res.reduced_costs[k:])
+    if pb.T.kind != "orthant":
+        lam = generators(pb.T) @ lam
+    y = lam / pb.A.pairing_codomain.weight_vector(pb.T.dim)
+    return g_s @ res.x[:k], y, res.status
+
+
+def _optimal_pair(pb):
+    """``(x*, primal status, y*, dual status)`` from the LPs of ``pb`` and
+    ``pb.transpose()``, running one of them where that settles both sides.
+
+    The LP whose phase one must cover fewer rows runs first; if it ends
+    optimal, both sides are optimal and both optimizers come from it.  On a
+    tie, or when it does not end optimal, the other LP runs too, and each
+    side takes the optimizer and status of its own LP.  The choice depends
+    only on the two LPs, which ``pb.transpose()`` poses bit for bit the same
+    (swapped), so its report is this one with the sides exchanged.
+    """
+    sides = (pb, pb.transpose())
+    lps = [_standard_form(q) for q in sides]
+    rows = [_phase_one_rows(lp[1], lp[2]) for lp in lps]
+    first = int(rows[1] < rows[0])
+    own, other, status = _optimizers(sides[first], lps[first])
+    if status != "optimal" or rows[0] == rows[1]:
+        other, _, other_status = _optimizers(sides[1 - first], lps[1 - first])
+    else:
+        other_status = status
+    if first:
+        return other, other_status, own, status
+    return own, status, other, other_status
 
 
 def solve(pb):
     """Solve both problems of the pair and assemble a :class:`SolveReport`.
 
-    The dual is solved as the primal of ``pb.transpose()``, by the same
-    linear program.  Optimizers, when attained, are simplex vertices of the
-    reduced LPs mapped back through the generators.  Interior flags
+    One simplex run usually settles both sides: the LP of the primal and
+    the LP of ``pb.transpose()`` are each other's LP duals, so an optimal
+    basis of either gives both optimizers, one from the basic values and
+    the other from the row multipliers (see :func:`_optimal_pair`).  The
+    dual is solved as the primal of ``pb.transpose()`` only when the two
+    LPs tie on phase-one rows or the first one is not optimal.  Optimizers,
+    when attained, are mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
     within the margin band count as boundary, and a cone without interior
     (see :func:`~conedual.cones.is_solid`: a slice, a rank-deficient
@@ -270,11 +318,10 @@ def solve(pb):
     if memo is not None and memo[0]() is pb:
         x_star, status_p, y_star, status_d = _copy(memo[1]), memo[2], _copy(memo[3]), memo[4]
     else:
-        x_star, status_p = _primal_optimizer(pb)
-        y_star, status_d = _primal_optimizer(pb.transpose())
+        x_star, status_p, y_star, status_d = _optimal_pair(pb)
         _last_solve = (weakref.ref(pb), _copy(x_star), status_p, _copy(y_star), status_d)
     # A finite dual value is <y*, b>, which is -(the transposed primal
-    # value) up to the sign of an exact zero.
+    # value) up to the sign of an exact zero: both are formed from one y*.
     p_x, p_y = pb.A.pairing_domain, pb.A.pairing_codomain
     v_primal = _UNATTAINED_VALUE[status_p] if x_star is None else pairing(p_x, pb.c, x_star)
     v_dual = -_UNATTAINED_VALUE[status_d] if y_star is None else pairing(p_y, y_star, pb.b)
@@ -518,7 +565,7 @@ def _pairing_to_dict(p):
 
 
 def _pairing_from_dict(d):
-    d = d or {}
+    d = {} if d is None else _as_object(d, "pairing")
     kind = d.get("kind", "euclidean_dot")
     weights = d.get("weights")
     # Older files tag the real-part pairing of complex data separately.
@@ -546,8 +593,9 @@ def problem_to_dict(pb):
 def problem_from_dict(d):
     """Inverse of :func:`problem_to_dict`; the file's ``pairing_X`` and
     ``pairing_Y`` go on the operator."""
-    rows, cols = _as_count(d["A"]["rows"], "rows"), _as_count(d["A"]["cols"], "cols")
-    data = np.asarray(d["A"]["data"], dtype=float)
+    a_doc = _as_object(d["A"], "A")
+    rows, cols = _as_count(a_doc["rows"], "rows"), _as_count(a_doc["cols"], "cols")
+    data = np.asarray(a_doc["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")
     a = OperatorSpec(

@@ -49,6 +49,13 @@ def _as_count(value, name):
     return int(value)
 
 
+def _as_object(value, name):
+    """``value``, which a problem file must give as a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class PairingSpec:
     """A bilinear symmetric pairing on a coordinate space.

@@ -28,6 +28,13 @@ one ends when none has a blocking row.  Its objective then decides
 feasibility.  An artificial left basic after phase one is driven out on
 the largest entry of its row; a row with no entry above ``_PIVOT_TOL`` is
 dropped as redundant.
+
+An optimal result carries the final reduced costs ``d = c - A^T lambda``.
+``lambda``, the multipliers of the optimal basis on the rows as given
+(before any sign flip; a dropped row has multiplier 0), is an optimizer of
+the dual LP ``max b^T lambda, A^T lambda <= c``: ``d >= 0`` holds to
+``_PIVOT_TOL``.  Where ``A`` has the column ``-e_i`` at zero cost, ``d``
+holds ``lambda_i`` in that column.
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ class SimplexResult:
     basis: list | None
     iterations: int
     phase1_objective: float = 0.0
+    reduced_costs: np.ndarray | None = None
+
+
+def _clamp(v):
+    """``v`` with entries below 1e-12, roundoff-sized or negative, read as 0."""
+    return np.where(v < 1e-12, 0.0, v)
 
 
 def _pivot(tableau, basis, row, col):
@@ -119,13 +132,26 @@ def _crash_basis(A):
     return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
 
+def _nonnegative_rhs(A, b):
+    """``A x = b`` with the rows where ``b < 0`` negated."""
+    sign = np.where(b < 0, -1.0, 1.0)
+    return A * sign[:, None], b * sign
+
+
+def _phase_one_rows(A, b):
+    """How many rows of ``A x = b`` get an artificial in phase one: those
+    the crash basis leaves without a unit column."""
+    return int((_crash_basis(_nonnegative_rhs(A, b)[0]) < 0).sum())
+
+
 def simplex_solve(c, A, b, max_iter=None):
     """Two-phase simplex for ``min c^T x, A x = b, x >= 0``.
 
     Returns a :class:`SimplexResult`; ``status`` is ``"infeasible"`` when
     phase one terminates with a positive artificial objective (above
     ``1e-8`` scaled by the data), ``"unbounded"`` when phase two finds an
-    improving ray.
+    improving ray.  Only an optimal result carries ``x`` and the reduced
+    costs.
 
     Raises :class:`SolverFailure` on an iteration-cap trip, with the
     current basis attached.
@@ -144,9 +170,7 @@ def simplex_solve(c, A, b, max_iter=None):
         max_iter = 200 * (m + n + 10)
 
     # Normalize to b >= 0 so the starting basis is feasible.
-    sign = np.where(b < 0, -1.0, 1.0)
-    A = A * sign[:, None]
-    b = b * sign
+    A, b = _nonnegative_rhs(A, b)
 
     # Phase one tableau: [A | one artificial column per uncrashed row | b].
     basis = _crash_basis(A)
@@ -210,10 +234,8 @@ def simplex_solve(c, A, b, max_iter=None):
             phase1_objective=phase1_obj,
         )
 
-    # Basic values below 1e-12, roundoff-sized or negative, are zero.
-    x_basic = tableau[:m2, -1]
     x = np.zeros(n)
-    x[basis] = np.where(x_basic < 1e-12, 0.0, x_basic)
+    x[basis] = _clamp(tableau[:m2, -1])
     return SimplexResult(
         status="optimal",
         x=x,
@@ -221,4 +243,5 @@ def simplex_solve(c, A, b, max_iter=None):
         basis=basis.tolist(),
         iterations=iterations,
         phase1_objective=phase1_obj,
+        reduced_costs=tableau[-1, :n].copy(),
     )

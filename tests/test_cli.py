@@ -311,6 +311,13 @@ def conic_doc(rows=2, cols=1, **fields):
         ("solve", conic_doc(b=None)),
         ("solve", conic_doc(c=None)),
         ("solve", [conic_doc()]),
+        ("solve", conic_doc(A=None)),
+        ("solve", conic_doc(A=[1.0, 1.0])),
+        ("solve", conic_doc(S=[1])),
+        ("solve", conic_doc(T=None)),
+        ("solve", conic_doc(pairing_X=[1])),
+        ("solve", conic_doc(pairing_Y="euclidean_dot")),
+        ("solve", conic_doc(S={"kind": "product", "factors": [1]})),
         ("clp", clp_doc(m=1.5, n_grid=4.9)),
         ("clp", clp_doc(n="1")),
         ("clp", clp_doc(n_grid=None)),

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from conedual.cones import (
 )
 from conedual.duality import (
     ConicProblem,
+    feasible_dual,
+    feasible_primal,
     problem_from_dict,
     solve,
     verify_interior_optima,
@@ -30,8 +33,10 @@ from conedual.duality import (
 from conedual.errors import SolverFailure
 from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import interior_optimum_problem
-from conedual.linops import OperatorSpec
+from conedual.linops import OperatorSpec, PairingSpec
+from conedual.simplex import simplex_solve
 from oracles import dual, margin_row_strict_lp
+from test_duality import degenerate_orthant_pairs, swaps_and_negates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one.json")
 
@@ -126,6 +131,35 @@ def same_report(r1, r2):
     )
 
 
+HIGHS_STATUSES = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def lps_agree_with_highs(optimize, spy):
+    """Check every LP the spy saw against HiGHS: the same status, and the
+    same optimal value; returns the statuses seen."""
+    seen = set()
+    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
+        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.status == HIGHS_STATUSES[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    return seen
+
+
+def solve_agrees_with_highs(optimize, spy, pb):
+    """Solve ``pb`` and check both reported statuses against HiGHS on the
+    LPs of ``pb`` and ``pb.transpose()``, posed here whether or not
+    ``solve`` ran them; returns how many LPs ``solve`` ran."""
+    before = len(spy.lps)
+    report = solve(pb)
+    for q, status in ((pb, report.status_primal), (pb.transpose(), report.status_dual)):
+        cost, a_eq, b_eq, _ = duality._standard_form(q)
+        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert status == HIGHS_STATUSES[ref.status]
+    return len(spy.lps) - before
+
+
 # ---------------------------------------------------------------------------
 # Strict-member LP
 # ---------------------------------------------------------------------------
@@ -201,6 +235,8 @@ def test_strict_regression_lps_agree_with_highs(case, monkeypatch):
 def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
     # Every LP that solve and the strict-member search pose on a small
     # seeded set gets the status HiGHS gives it, and the same optimal value.
+    # So does every status solve reports, also for a side whose LP it did
+    # not run; some pairs take one LP and some two.
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(17)
     pairs = [p for family in ("orthant", "wedge", "slice") for p in random_pairs(family, 6, seed=5)]
@@ -218,31 +254,26 @@ def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
     )
     pairs.append(discretize_clp(spec))
     spy = SimplexSpy(monkeypatch)
+    solve_lps = 0
     for pb in pairs:
-        solve(pb)
+        solve_lps += solve_agrees_with_highs(optimize, spy, pb)
         duality._strict_member(pb)
         duality._strict_member(pb.transpose())
-    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-    seen = set()
-    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
-        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        assert res.status == statuses[ref.status]
-        seen.add(res.status)
-        if res.status == "optimal":
-            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-    assert len(spy.lps) == 4 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+    seen = lps_agree_with_highs(optimize, spy)
+    assert len(spy.lps) == solve_lps + 2 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+    assert len(pairs) < solve_lps < 2 * len(pairs)
 
 
 def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
     # Pairs with generated cones on both sides: every LP that solve and the
     # strict-member search pose gets the status HiGHS gives it, and the
-    # same optimal value.
+    # same optimal value, and so does every status solve reports.
     optimize = pytest.importorskip("scipy.optimize")
     pairs = random_pairs("generated", 200, seed=23)
     spy = SimplexSpy(monkeypatch)
-    stalls = 0
+    stalls = solve_lps = 0
     for pb in pairs:
-        solve(pb)
+        solve_lps += solve_agrees_with_highs(optimize, spy, pb)
         for q in (pb, pb.transpose()):
             try:
                 duality._strict_member(q)
@@ -253,15 +284,9 @@ def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
                 assert "stalled" in str(exc)
                 stalls += 1
     assert stalls == 2
-    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-    seen = set()
-    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
-        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        assert res.status == statuses[ref.status]
-        seen.add(res.status)
-        if res.status == "optimal":
-            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-    assert len(spy.lps) == 4 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+    seen = lps_agree_with_highs(optimize, spy)
+    assert len(spy.lps) == solve_lps + 2 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
+    assert len(pairs) < solve_lps < 2 * len(pairs)
 
 
 def test_generated_cone_pairs_run_both_pipelines_and_both_farkas_sides():
@@ -278,6 +303,93 @@ def test_generated_cone_pairs_run_both_pipelines_and_both_farkas_sides():
 
 
 # ---------------------------------------------------------------------------
+# One LP per pair
+# ---------------------------------------------------------------------------
+
+
+def weighted_orthant_pairs(count, seed):
+    """Orthant pairs whose operators carry random positive weights on both
+    pairings, so that reading ``y*`` from the multipliers of the primal LP
+    needs the ``W_Y^-1`` map."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(k) for k in rng.integers(2, 7, size=2))
+        op = OperatorSpec(
+            matrix=rng.uniform(-1.0, 1.0, size=(m, n)),
+            pairing_domain=PairingSpec(weights=rng.uniform(0.1, 3.0, size=n)),
+            pairing_codomain=PairingSpec(weights=rng.uniform(0.1, 3.0, size=m)),
+        )
+        b, c = rng.uniform(-1.0, 1.0, size=m), rng.uniform(-0.3, 1.0, size=n)
+        yield ConicProblem(A=op, b=b, c=c, S=orthant(n), T=orthant(m))
+
+
+def solved_by_one_lp(spy, pb):
+    """``(report, side)`` of ``solve(pb)``, where ``side`` is 0 or 1 when
+    the one LP it ran is that of ``pb`` or of ``pb.transpose()``, and None
+    when it ran two."""
+    spy.lps.clear()
+    report = solve(pb)
+    if len(spy.lps) != 1:
+        return report, None
+    return report, int(not same_bits(spy.lps[0][1], duality._standard_form(pb)[1]))
+
+
+def test_optimizer_from_the_multipliers_is_optimal(monkeypatch):
+    # Where solve runs one LP, the other side's optimizer is read from its
+    # row multipliers.  With either LP run, both optimizers are feasible and
+    # the gap is within tol (1 + |v|).
+    spy = SimplexSpy(monkeypatch)
+    picked = Counter()
+    for family in ("orthant", "wedge", "slice", "generated"):
+        for pb in random_pairs(family, 40, seed=7):
+            report, side = solved_by_one_lp(spy, pb)
+            if side is None:
+                continue
+            picked[family, side] += 1
+            assert report.status_primal == report.status_dual == "optimal"
+            assert feasible_primal(pb, report.x_star) and feasible_dual(pb, report.y_star)
+            assert abs(report.gap) <= 1e-8 * (1.0 + abs(report.v_primal))
+    assert all(picked[family, side] for family in ("orthant", "wedge", "slice", "generated") for side in (0, 1))
+
+
+def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
+    # On weighted orthant pairs a pair and its transpose give bit-swapped
+    # reports.  Where one LP ran, the optimizer read from its multipliers is
+    # feasible in the weighted pairings and its value is the optimal value
+    # of the LP that was not run.
+    spy = SimplexSpy(monkeypatch)
+    picked = Counter()
+    for pb in weighted_orthant_pairs(200, seed=31):
+        report, side = solved_by_one_lp(spy, pb)
+        assert swaps_and_negates(report, solve(pb.transpose()))
+        if side is None:
+            continue
+        picked[side] += 1
+        assert feasible_primal(pb, report.x_star) and feasible_dual(pb, report.y_star)
+        assert abs(report.gap) <= 1e-8 * (1.0 + abs(report.v_primal))
+        # The value of the side read from the multipliers, against its own LP.
+        q = pb.transpose() if side == 0 else pb
+        cost, a_eq, b_eq, _ = duality._standard_form(q)
+        other = simplex_solve(cost, a_eq, b_eq).objective
+        value = -report.v_dual if side == 0 else report.v_primal
+        assert abs(value - other) <= 1e-9 * (1.0 + abs(other))
+    assert picked[0] >= 5 and picked[1] >= 5
+
+
+def test_multipliers_below_roundoff_read_as_zero():
+    # On degenerate orthant pairs some reduced costs of the slacks end
+    # slightly negative; read as 0, as basic values are, the optimizer from
+    # the multipliers lies in its orthant exactly.
+    optimal = 0
+    for pb in degenerate_orthant_pairs(1000):
+        report = solve(pb)
+        if report.y_star is not None and report.x_star is not None:
+            optimal += 1
+            assert (report.x_star >= 0.0).all() and (report.y_star >= 0.0).all()
+    assert optimal >= 100
+
+
+# ---------------------------------------------------------------------------
 # The last-pair solve memo
 # ---------------------------------------------------------------------------
 
@@ -291,9 +403,9 @@ def test_repeat_solve_runs_no_simplex_and_is_bit_identical(monkeypatch):
     spy = SimplexSpy(monkeypatch)
     pb = interior_pair()
     first = solve(pb)
-    assert len(spy.results) == 2
+    assert len(spy.results) == 1
     second = solve(pb)
-    assert len(spy.results) == 2
+    assert len(spy.results) == 1
     assert same_report(first, second)
     assert second.x_star is not first.x_star and second.y_star is not first.y_star
 
@@ -316,7 +428,7 @@ def test_memo_misses_on_new_object(monkeypatch):
     first = solve(pb)
     twin = ConicProblem(A=pb.A, b=pb.b.copy(), c=pb.c.copy(), S=pb.S, T=pb.T)
     assert same_report(solve(twin), first)
-    assert len(spy.results) == 4
+    assert len(spy.results) == 2
 
 
 def test_memo_holds_only_a_weak_reference():
@@ -331,18 +443,18 @@ def test_memo_holds_only_a_weak_reference():
 
 def test_pipelines_share_one_solve(monkeypatch):
     calls = []
-    real = duality._primal_optimizer
+    real = duality._optimizers
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(duality, "_primal_optimizer", counting)
+    monkeypatch.setattr(duality, "_optimizers", counting)
     pb = interior_pair()
     verify_interior_optima(pb)
-    assert len(calls) == 2
+    assert len(calls) == 1
     verify_strict_feasibility(pb)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

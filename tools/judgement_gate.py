@@ -12,9 +12,12 @@ flattened into fields (floats by their hex form, arrays by dtype, shape and
 a digest of their bytes) and the two checkouts are compared item by item.
 
 Printed: per seed, the items and the failed items of both trees; then the
-judgement changes by item kind (``kind old -> new``) and, per item kind,
-how many items changed each output field.  ``--json PATH`` writes the same
-summary.  The exit status is 1 when a judgement moves from passing to
+judgement changes by item kind (``kind old -> new``), per item kind how
+many items changed each output field, and per item kind and float field
+the largest relative value move over all items: ``max |new - old|`` over
+the entries of the field, divided by ``1 + max(|old|, |new|)``, as the
+package's tolerances scale (``inf`` where only one side is finite).
+``--json PATH`` writes the same summary.  The exit status is 1 when a judgement moves from passing to
 failing or a seed's failure total rises, 2 when the pools differ in size,
 and 0 otherwise.
 """
@@ -25,6 +28,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,27 +45,49 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # ---------------------------------------------------------------------------
 
 
-def flatten(value, path="", out=None):
-    """``{field path: canonical string}`` for the leaves of an output."""
+def flatten(value, path="", out=None, values=None):
+    """``{field path: canonical string}`` for the leaves of an output.
+
+    With a ``values`` dict, the entries of each float leaf and each float
+    or complex array (real parts, then imaginary parts) go there as a list
+    of floats under the same path."""
     out = {} if out is None else out
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         for f in dataclasses.fields(value):
-            flatten(getattr(value, f.name), f"{path}.{f.name}", out)
+            flatten(getattr(value, f.name), f"{path}.{f.name}", out, values)
     elif isinstance(value, np.ndarray):
         digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:16]
         out[path] = f"{value.dtype}{value.shape}:{digest}"
+        if values is not None and np.issubdtype(value.dtype, np.inexact):
+            parts = [value.real, value.imag] if np.iscomplexobj(value) else [value]
+            values[path] = np.concatenate([part.ravel() for part in parts]).tolist()
     elif isinstance(value, (list, tuple)):
         out[path] = f"{type(value).__name__}[{len(value)}]"
         for i, v in enumerate(value):
-            flatten(v, f"{path}[{i}]", out)
+            flatten(v, f"{path}[{i}]", out, values)
     elif isinstance(value, dict):
         for key in sorted(value):
-            flatten(value[key], f"{path}[{key!r}]", out)
+            flatten(value[key], f"{path}[{key!r}]", out, values)
     elif isinstance(value, (float, np.floating)):
         out[path] = float(value).hex()
+        if values is not None:
+            values[path] = [float(value)]
     else:
         out[path] = repr(value)
     return out
+
+
+def value_move(old, new):
+    """``max |new - old| / (1 + max(|old|, |new|))`` over the entries of a
+    field; 0 where equal entries are not finite, ``inf`` where one is."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    if same.all():
+        return 0.0
+    if not (np.isfinite(old[~same]).all() and np.isfinite(new[~same]).all()):
+        return math.inf
+    scale = 1.0 + max(np.abs(old[~same]).max(), np.abs(new[~same]).max())
+    return float(np.abs(new[~same] - old[~same]).max() / scale)
 
 
 def item_kind(workload, item):
@@ -84,10 +110,11 @@ def run_tree(tree, workload_name, seed, seconds):
         try:
             result = workload.execute(cd, item)
         except families as exc:
-            judgement, fields = type(exc).__name__, {"raised": f"{type(exc).__name__}: {exc}"}
+            judgement, fields, values = type(exc).__name__, {"raised": f"{type(exc).__name__}: {exc}"}, {}
         else:
-            judgement, fields = workload.judge(item, result), flatten(result)
-        records.append({"kind": item_kind(workload, item), "judgement": judgement, "fields": fields})
+            values = {}
+            judgement, fields = workload.judge(item, result), flatten(result, values=values)
+        records.append({"kind": item_kind(workload, item), "judgement": judgement, "fields": fields, "values": values})
     return records
 
 
@@ -101,11 +128,13 @@ def _label(judgement):
 
 
 def compare(parent, change):
-    """Summary of one seed: failure totals, judgement and field changes."""
+    """Summary of one seed: failure totals, judgement and field changes,
+    and the largest value move of each float field that moved."""
     if len(parent) != len(change):
         raise ValueError(f"pools differ in size: {len(parent)} against {len(change)} items")
     judgements = Counter()
     fields = Counter()
+    moves = {}
     regressions = 0
     for old, new in zip(parent, change):
         if old["judgement"] != new["judgement"]:
@@ -114,11 +143,16 @@ def compare(parent, change):
         for key in sorted(set(old["fields"]) | set(new["fields"])):
             if old["fields"].get(key) != new["fields"].get(key):
                 fields[f"{old['kind']} {key}"] += 1
+                a, b = old.get("values", {}).get(key), new.get("values", {}).get(key)
+                if a is not None and b is not None and len(a) == len(b):
+                    name = f"{old['kind']} {key}"
+                    moves[name] = max(moves.get(name, 0.0), value_move(a, b))
     return {
         "items": len(parent),
         "failed": [sum(r["judgement"] is not None for r in side) for side in (parent, change)],
         "judgement_changes": dict(sorted(judgements.items())),
         "field_changes": dict(sorted(fields.items())),
+        "value_moves": {key: move for key, move in sorted(moves.items()) if move > 0.0},
         "pass_to_fail": regressions,
     }
 
@@ -152,7 +186,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     per_seed = {}
-    totals_j, totals_f = Counter(), Counter()
+    totals_j, totals_f, moves = Counter(), Counter(), {}
     for seed in parse_seeds(args.seeds):
         procs = [start_worker(tree.resolve(), args.workload, seed, args.seconds) for tree in (args.parent, args.change)]
         outputs = [proc.communicate()[0] for proc in procs]
@@ -167,6 +201,8 @@ def main(argv=None):
         per_seed[seed] = summary
         totals_j.update(summary["judgement_changes"])
         totals_f.update(summary["field_changes"])
+        for key, move in summary["value_moves"].items():
+            moves[key] = max(moves.get(key, 0.0), move)
         print(f"seed {seed}: items {summary['items']}, failed {summary['failed'][0]} -> {summary['failed'][1]}")
 
     rises = [seed for seed, s in per_seed.items() if s["failed"][1] > s["failed"][0]]
@@ -177,6 +213,9 @@ def main(argv=None):
     print(f"items with a changed field, per kind and field: {len(totals_f)} fields")
     for key, count in sorted(totals_f.items()):
         print(f"  {key}: {count}")
+    print(f"largest relative value move, per kind and float field: {len(moves)} fields")
+    for key, move in sorted(moves.items()):
+        print(f"  {key}: {move:.3e}")
     print(f"seeds whose failure total rose: {rises or 'none'}; pass -> fail: {pass_to_fail}")
     if args.json is not None:
         doc = {
@@ -185,6 +224,7 @@ def main(argv=None):
             "seeds": per_seed,
             "judgement_changes": dict(sorted(totals_j.items())),
             "field_changes": dict(sorted(totals_f.items())),
+            "value_moves": dict(sorted(moves.items())),
             "seeds_where_failures_rose": rises,
             "pass_to_fail": pass_to_fail,
         }
