@@ -212,8 +212,18 @@ def _c2pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def _pair2c(p):
-    return complex(float(p[0]), float(p[1]))
+def _pairs2c(value, ndim, name):
+    """``value``, an ``ndim``-dimensional array of ``[re, im]`` pairs, as a
+    complex array."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"{name} must be a {ndim}-dimensional array of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def complex_spec_to_dict(spec):
@@ -230,9 +240,9 @@ def complex_spec_to_dict(spec):
 
 def complex_spec_from_dict(d):
     return ComplexLPSpec(
-        A=np.array([[_pair2c(v) for v in row] for row in d["A"]], dtype=complex),
-        b=np.array([_pair2c(v) for v in d["b"]], dtype=complex),
-        c=np.array([_pair2c(v) for v in d["c"]], dtype=complex),
+        A=_pairs2c(d["A"], 2, "A"),
+        b=_pairs2c(d["b"], 1, "b"),
+        c=_pairs2c(d["c"], 1, "c"),
         alpha=d["alpha"],
         beta=d["beta"],
         game_slice=bool(d.get("game_slice", False)),

@@ -422,6 +422,8 @@ def cone_from_dict(d):
     if kind == "generated":
         return generated(np.asarray(d["generators"], dtype=float).T)
     if kind == "product":
+        if not isinstance(d["factors"], list):
+            raise ValueError(f"factors must be a JSON array, got {type(d['factors']).__name__}")
         return product(*(cone_from_dict(f) for f in d["factors"]))
     if kind == "slice":
         return slice_cone(cone_from_dict(d["base"]), np.asarray(d["slice_normals"], dtype=float).T)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .cones import orthant
 from .duality import ConicProblem
-from .linops import OperatorSpec, _as_count, weighted_quadrature
+from .linops import OperatorSpec, _as_count, _as_object, weighted_quadrature
 
 __all__ = [
     "ContinuousLPSpec",
@@ -306,7 +306,7 @@ def clp_spec_to_dict(spec):
 
 
 def _field_from_dict(d, name, spec_dims):
-    kind = d.get("kind", "constant")
+    kind = _as_object(d, name).get("kind", "constant")
     data = d.get("data")
     if kind == "constant":
         return np.asarray(data, dtype=float)

@@ -4,8 +4,8 @@
 class SolverFailure(RuntimeError):
     """An iterative solver hit its iteration cap or a numerical guard.
 
-    The guards include the NNLS stall: an outer iteration that returns the
-    iterate it started from, which would otherwise repeat until the cap.
+    The NNLS raises it only at its iteration cap: an outer iteration that
+    does not lower the residual rejects its entering index instead.
     ``detail`` carries solver state useful for post-mortems (best iterate,
     basis indices, pivot magnitudes).
     """

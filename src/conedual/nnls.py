@@ -14,26 +14,31 @@ column is appended by Gram-Schmidt with one re-orthogonalization pass, and
 the new columns of ``R`` and of its inverse follow from the projection
 coefficients, O(m p + p^2) work; each subproblem ``R z_P = Q^T b`` is then
 solved by one triangular matrix-vector product.  When a blocking step
-removes indices, the surviving columns are re-factored once by
-``numpy.linalg.qr``.  The normal equations ``M^T M`` are never formed, so
-the conditioning of the subproblems is that of ``M[:, P]``.  When the
-passive columns are numerically dependent -- a diagonal entry of ``R`` at
-or below ``eps * max(m, k)`` times the largest, or more than ``min(m, k)``
-passive columns -- the subproblem is solved by ``numpy.linalg.lstsq`` on
-the passive columns instead, which returns the minimum-norm solution,
-until a blocking step leaves an independent set.
+removes indices, the factor of the columns before the first removed one is
+kept, and only the surviving columns after it are re-factored, inside the
+span of the trailing columns of ``Q``.  The normal equations ``M^T M`` are
+never formed, so the conditioning of the subproblems is that of
+``M[:, P]``.  When the passive columns are numerically dependent -- a
+diagonal entry of ``R`` at or below ``eps * max(m, k)`` times the largest,
+or more than ``min(m, k)`` passive columns -- the subproblem is solved by
+``numpy.linalg.lstsq`` on the passive columns instead, which returns the
+minimum-norm solution, until a blocking step leaves an independent set;
+the factor is then recomputed by ``numpy.linalg.qr``.
 
 In exact arithmetic every outer iteration strictly decreases the residual
-or grows the passive set, and the inner loop strictly shrinks it, so the
-iteration terminates.  In floating point it can stall instead: an index
-whose dual value lies just above ``kkt_tol`` enters, the least-squares step
-gives it a non-positive coefficient, it leaves again, and the iterate is
-unchanged bit for bit.  The state of an outer iteration is its iterate
-alone (the passive set is ``u > 0`` and the dual vector is computed from
-``u``), so such a repeat would recur until the iteration cap.  The solver
-detects it after the first repeat and raises :class:`SolverFailure` with
-the same ``detail`` the cap would carry.  ``max_iter`` still guards longer
-cycles.
+(the entering index gets a positive coefficient), so no passive set recurs
+and the iteration terminates.  In floating point an outer iteration can
+fail to: an index whose dual value lies just above ``kkt_tol`` enters on
+roundoff, the least-squares step gives it a non-positive coefficient, and
+it leaves again, returning to the iterate it started from or to one that
+differs from it by roundoff.  The same indices would then enter again until
+the iteration cap.  So an outer iteration that does not bring the squared
+residual below its smallest value so far rejects its entering index, and
+the next eligible index is tried (Lawson & Hanson's rule for a candidate
+whose coefficient is not positive).  The rejections are cleared whenever
+the residual falls.  When every eligible index is rejected the iterate is
+returned, and ``kkt_residual`` reports the largest dual value left over the
+free indices.  ``max_iter`` still guards the rest.
 """
 
 from __future__ import annotations
@@ -74,16 +79,16 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
     -------
     NNLSResult
         ``u`` is exactly nonnegative.  ``kkt_residual`` is the largest
-        positive entry of the dual vector at the returned point (zero when
-        the KKT conditions hold to working precision).
+        positive entry of the dual vector over the free indices at the
+        returned point: zero when the KKT conditions hold to working
+        precision, and above ``kkt_tol`` when every index left eligible was
+        rejected.
 
     Raises
     ------
     SolverFailure
-        If an outer iteration returns the iterate it started from (the
-        entering index left the passive set again), or if the iteration
-        cap trips.  The iterate is attached to ``detail["u"]`` and the
-        largest free dual value to ``detail["kkt"]``.
+        If the iteration cap trips.  The iterate is attached to
+        ``detail["u"]`` and the largest free dual value to ``detail["kkt"]``.
     """
     # + 0.0 turns -0.0 into +0.0: np.linalg.qr depends on the sign of zeros.
     M = np.asarray(M, dtype=float) + 0.0
@@ -101,24 +106,27 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
 
     u = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
+    rejected = set()
     factor = _PassiveFactor(M, b)
-    w = M.T @ b  # dual vector at u = 0
+    r = b  # residual at u = 0
+    w = M.T @ r  # dual vector
+    best = r @ r  # smallest squared residual so far
     iterations = 0
 
     while True:
         free = ~passive
         eligible = np.flatnonzero(free & (w > kkt_tol))
+        if rejected:
+            eligible = np.setdiff1d(eligible, list(rejected))
         if eligible.size == 0:
             break
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, free)})
-        # Smallest eligible index enters the passive set.  The inner loop
-        # rebinds ``u`` before changing it, so ``start`` keeps this iterate.
+        # Smallest eligible index enters the passive set.
         j = int(eligible[0])
         passive[j] = True
         factor.append(j)
-        start = u
 
         while True:
             idx, z_idx = factor.solve()
@@ -139,18 +147,19 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
             factor.keep(passive)
 
         u[~passive] = 0.0
-        w = M.T @ (b - M @ u)
-        # Only an iterate that lost ``j`` again can equal ``start``.
-        if not passive[j] and u.tobytes() == start.tobytes():
-            raise SolverFailure(
-                "NNLS stalled: the entering index left again and the iterate did not move",
-                detail={"u": u, "kkt": _kkt(w, ~passive)},
-            )
+        r = b - M @ u
+        rr = r @ r
+        # Only roundoff keeps an outer iteration from lowering the residual.
+        if rr < best:
+            best = rr
+            rejected.clear()
+        else:
+            rejected.add(j)
+        w = M.T @ r
 
-    residual = b - M @ u
     return NNLSResult(
         u=u,
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=float(np.linalg.norm(r)),
         iterations=iterations,
         kkt_residual=_kkt(w, ~passive),
     )
@@ -219,8 +228,43 @@ class _PassiveFactor:
         self.Rinv[n, n] = 1.0 / rho
 
     def keep(self, passive):
-        """Drop the columns that left ``passive`` and re-factor the rest."""
+        """Drop the columns that left ``passive``.
+
+        Let ``k`` be the position of the first dropped column.  The factor
+        of the columns before it stands.  The surviving columns after it lie
+        in the span of ``Q[:, :n]``, with coefficients ``P = Q[:, :n]^T
+        M[:, tail]``, so ``P[k:] = U T`` gives their new ``Q`` columns
+        ``Q[:, k:n] U``, the diagonal block ``T`` of ``R`` beside the block
+        ``P[:k]``, and by block inversion the new columns of ``Rinv``.  An
+        incomplete factor, or a downdate that fails the dependence check,
+        is recomputed from the surviving columns instead.
+        """
+        n = len(self.diag)
+        complete = n == len(self.cols)
+        k = next((i for i, j in enumerate(self.cols) if not passive[j]), n)
         self.cols = [j for j in self.cols if passive[j]]
+        if not complete:
+            self._refactor()
+            return
+        tail = self.cols[k:]
+        diag = self.diag[:k]
+        if tail:
+            P = self.Q[:, :n].T @ self.M[:, tail]
+            U, T = np.linalg.qr(P[k:])
+            diag += np.abs(np.diagonal(T)).tolist()
+            if min(diag) <= self.tol * max(diag):
+                self._refactor()
+                return
+            end = k + len(tail)
+            Tinv = np.linalg.inv(T)
+            self.Q[:, k:end] = self.Q[:, k:n] @ U
+            self.qtb[k:end] = U.T @ self.qtb[k:n]
+            self.Rinv[k:end, k:end] = Tinv
+            self.Rinv[:k, k:end] = -(self.Rinv[:k, :k] @ P[:k]) @ Tinv
+        self.diag = diag
+
+    def _refactor(self):
+        """Factor the columns ``cols`` afresh by ``numpy.linalg.qr``."""
         self.diag = []
         p = len(self.cols)
         if p == 0 or p > self.qtb.size:

@@ -163,8 +163,9 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     """The active-set NNLS with every passive subproblem solved by
     ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.
 
-    Same entering rule, blocking step, stall check and iteration cap as
-    ``conedual.nnls.nnls``, which solves the subproblems from an updated
+    Same entering rule, blocking step, rejection of the entering index of
+    an outer iteration that does not lower the residual, and iteration cap
+    as ``conedual.nnls.nnls``, which solves the subproblems from an updated
     QR factor instead.  Returns ``(u, iterations, kkt_residual)`` and raises
     ``SolverFailure`` where ``nnls`` would.
     """
@@ -179,18 +180,20 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
 
     u = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
+    rejected = np.zeros(k, dtype=bool)
     w = M.T @ b
+    best = b @ b
     iterations = 0
     while True:
         free = ~passive
-        if not np.any(free) or np.max(w[free], initial=-np.inf) <= kkt_tol:
+        eligible = np.flatnonzero(free & ~rejected & (w > kkt_tol))
+        if eligible.size == 0:
             break
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": kkt(w, free)})
-        j = int(np.flatnonzero(free & (w > kkt_tol))[0])
+        j = int(eligible[0])
         passive[j] = True
-        start = u
         while True:
             idx = np.flatnonzero(passive)
             z = np.zeros(k)
@@ -206,12 +209,13 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
             u[blocking[ratios <= alpha + 1e-15]] = 0.0
             passive &= u > 0.0
         u[~passive] = 0.0
-        w = M.T @ (b - M @ u)
-        if not passive[j] and u.tobytes() == start.tobytes():
-            raise SolverFailure(
-                "NNLS stalled: the entering index left again and the iterate did not move",
-                detail={"u": u, "kkt": kkt(w, ~passive)},
-            )
+        r = b - M @ u
+        if r @ r < best:
+            best = r @ r
+            rejected[:] = False
+        else:
+            rejected[j] = True
+        w = M.T @ r
     return u, iterations, kkt(w, ~passive)
 
 

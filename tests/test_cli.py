@@ -284,6 +284,19 @@ def clp_doc(**sizes):
     return doc
 
 
+def complex_doc(**fields):
+    doc = {
+        "type": "complex_lp",
+        "A": [[[1.0, 0.0]]],
+        "b": [[0.0, 1.0]],
+        "c": [[1.0, 1.0]],
+        "alpha": [math.pi / 4],
+        "beta": [math.pi / 6],
+    }
+    doc.update(fields)
+    return doc
+
+
 def conic_doc(rows=2, cols=1, **fields):
     doc = {
         "type": "conic",
@@ -318,9 +331,14 @@ def conic_doc(rows=2, cols=1, **fields):
         ("solve", conic_doc(pairing_X=[1])),
         ("solve", conic_doc(pairing_Y="euclidean_dot")),
         ("solve", conic_doc(S={"kind": "product", "factors": [1]})),
+        ("solve", conic_doc(S={"kind": "product", "factors": 3})),
         ("clp", clp_doc(m=1.5, n_grid=4.9)),
         ("clp", clp_doc(n="1")),
         ("clp", clp_doc(n_grid=None)),
+        ("clp", clp_doc(B=[1])),
+        ("complex", complex_doc(A=None)),
+        ("complex", complex_doc(b=[0.0, 1.0])),
+        ("complex", complex_doc(c=[[1.0, {}]])),
     ],
 )
 def test_malformed_problem_file_is_an_input_error(tmp_path, capsys, subcommand, doc):

@@ -30,7 +30,6 @@ from conedual.duality import (
     verify_interior_optima,
     verify_strict_feasibility,
 )
-from conedual.errors import SolverFailure
 from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, PairingSpec
@@ -271,19 +270,14 @@ def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     pairs = random_pairs("generated", 200, seed=23)
     spy = SimplexSpy(monkeypatch)
-    stalls = solve_lps = 0
+    solve_lps = 0
     for pb in pairs:
         solve_lps += solve_agrees_with_highs(optimize, spy, pb)
-        for q in (pb, pb.transpose()):
-            try:
-                duality._strict_member(q)
-            except SolverFailure as exc:
-                # After its LP, the interior probe of a point of order 1e4
-                # stalls in NNLS, whose KKT tolerance is absolute.  The
-                # strict gate of the pipeline keeps these pairs out.
-                assert "stalled" in str(exc)
-                stalls += 1
-    assert stalls == 2
+        # After its LP, the interior probe of a point of order 1e4 runs an
+        # NNLS whose KKT tolerance is absolute; an index that enters there
+        # on roundoff is rejected, so no SolverFailure is raised.
+        duality._strict_member(pb)
+        duality._strict_member(pb.transpose())
     seen = lps_agree_with_highs(optimize, spy)
     assert len(spy.lps) == solve_lps + 2 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
     assert len(pairs) < solve_lps < 2 * len(pairs)
