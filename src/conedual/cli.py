@@ -43,6 +43,7 @@ from .errors import IndeterminateAlternative, SolverFailure, TheoremViolation
 from .farkas import farkas_dual, farkas_primal, outcome_to_dict
 from .instances import farkas_batch, interior_batch, summarize_batch
 from .linops import adjoint_identity_check
+from .tolerances import DECISION_TOL, INTERIOR_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,7 +125,7 @@ def _cmd_farkas(args):
 def _cmd_complex(args):
     spec = parse_problem(args.input)
     _require(spec, ComplexLPSpec, "complex")
-    report = classify_boundary_optima(spec, tol=max(args.tol, 1e-6))
+    report = classify_boundary_optima(spec, tol=max(args.tol, INTERIOR_TOL))
     doc = {
         "v_primal": report.v_primal,
         "v_dual": report.v_dual,
@@ -155,6 +156,8 @@ def _cmd_clp(args):
 
 
 def _cmd_batch(args):
+    if args.count < 0:
+        raise ValueError("--count must be nonnegative")
     if args.suite == "interior":
         passes, violations, gaps = interior_batch(args.seed, args.count, tol=args.tol)
         doc = {
@@ -167,14 +170,16 @@ def _cmd_batch(args):
         _emit(doc, args)
         return EXIT_VIOLATION if violations else EXIT_OK
 
-    if args.jobs <= 1:
+    # At most one worker per instance; a single worker would only add a process.
+    jobs = min(args.jobs, args.count)
+    if jobs <= 1:
         rows = farkas_batch(args.seed, range(args.count), tol=args.tol)
     else:
-        bounds = np.linspace(0, args.count, args.jobs + 1).astype(int)
-        ranges = [range(bounds[i], bounds[i + 1]) for i in range(args.jobs)]
+        bounds = np.linspace(0, args.count, jobs + 1).astype(int)
+        ranges = [range(bounds[i], bounds[i + 1]) for i in range(jobs)]
         rows = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(farkas_batch, [args.seed] * args.jobs, ranges, [args.tol] * args.jobs):
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for chunk in pool.map(farkas_batch, [args.seed] * jobs, ranges, [args.tol] * jobs):
                 rows.extend(chunk)
     summary = summarize_batch(rows)
     doc = {"suite": "farkas", "seed": args.seed, **summary}
@@ -182,7 +187,7 @@ def _cmd_batch(args):
     return EXIT_OK
 
 
-_GLOBAL_DEFAULTS = {"tol": 1e-8, "seed": 0, "jobs": 1, "output": "text"}
+_GLOBAL_DEFAULTS = {"tol": DECISION_TOL, "seed": 0, "jobs": 1, "output": "text"}
 
 
 def _add_global_flags(parser):

@@ -28,7 +28,8 @@ import numpy as np
 from .cones import slice_cone, wedge
 from .duality import ConicProblem, verify_interior_optima
 from .farkas import verified_solution
-from .linops import OperatorSpec, complex_embed
+from .linops import OperatorSpec, _as_real, complex_embed
+from .tolerances import INTERIOR_TOL, REAL_COORD_CUTOFF
 
 __all__ = [
     "ComplexLPSpec",
@@ -38,8 +39,6 @@ __all__ = [
     "complex_spec_to_dict",
     "complex_spec_from_dict",
 ]
-
-REAL_COORD_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def _angle_rows(z, half_angles, tol):
     return rows
 
 
-def classify_boundary_optima(spec, tol=1e-6):
+def classify_boundary_optima(spec, tol=INTERIOR_TOL):
     """Locate the optimizers of an argument-cone pair on their wedges.
 
     When neither equality system (``A z = b`` over the primal cone,
@@ -238,12 +237,17 @@ def complex_spec_to_dict(spec):
     }
 
 
+def _angles(value, name):
+    """``value``, one half-angle or a list of them, as a list of floats."""
+    return [_as_real(a, name) for a in (value if isinstance(value, list) else [value])]
+
+
 def complex_spec_from_dict(d):
     return ComplexLPSpec(
         A=_pairs2c(d["A"], 2, "A"),
         b=_pairs2c(d["b"], 1, "b"),
         c=_pairs2c(d["c"], 1, "c"),
-        alpha=d["alpha"],
-        beta=d["beta"],
+        alpha=_angles(d["alpha"], "alpha"),
+        beta=_angles(d["beta"], "beta"),
         game_slice=bool(d.get("game_slice", False)),
     )

@@ -36,6 +36,7 @@ import numpy as np
 
 from .linops import _as_count, _as_object, _as_vector
 from .nnls import nnls
+from .tolerances import INTERIOR_TOL, MEMBERSHIP_TOL, PROBE_SLACK
 
 __all__ = [
     "ConeSpec",
@@ -53,8 +54,6 @@ __all__ = [
     "cone_to_dict",
     "cone_from_dict",
 ]
-
-DEFAULT_TOL = 1e-9
 
 _KINDS = ("orthant", "wedge", "generated", "product", "slice")
 
@@ -262,10 +261,10 @@ def distance(cone, v):
         for f, part in _blocks(cone, v):
             total += distance(f, part) ** 2
         return math.sqrt(total)
-    return nnls(cone.gens, v, kkt_tol=1e-12).residual_norm
+    return nnls(cone.gens, v).residual_norm
 
 
-def contains(cone, v, tol=DEFAULT_TOL):
+def contains(cone, v, tol=MEMBERSHIP_TOL):
     """True iff the distance from ``v`` to the cone is at most ``tol``."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -295,7 +294,7 @@ def is_solid(cone):
     return False
 
 
-def interior_contains(cone, v, tol=1e-6):
+def interior_contains(cone, v, tol=INTERIOR_TOL):
     """Margin test for relative-interior membership.
 
     Orthant: every coordinate at least ``tol``.  Wedge: every block has
@@ -303,7 +302,7 @@ def interior_contains(cone, v, tol=1e-6):
     cones and slices (whose generators are their own rays) use a
     cross-polytope probe in the span of their generators ``G``: with
     ``q_1 .. q_r`` an orthonormal basis of ``span(G)`` (the unit vectors
-    when ``G`` has full rank) and ``inner = 1e-12 (1 + |v|)``, every
+    when ``G`` has full rank) and ``inner = PROBE_SLACK (1 + |v|)``, every
     ``v +- (tol + inner) sqrt(r) q_i`` must lie within ``inner`` of the
     cone.  Then so does the ``(tol + inner)``-ball around ``v`` in
     ``span(G)``, and its ``tol``-ball lies inside the cone: the test is
@@ -327,7 +326,7 @@ def interior_contains(cone, v, tol=1e-6):
     if cone.kind == "product":
         return all(interior_contains(f, part, tol) for f, part in _blocks(cone, v))
     q = _span_basis(cone.gens)
-    inner = 1e-12 * (1.0 + float(np.linalg.norm(v)))
+    inner = PROBE_SLACK * (1.0 + float(np.linalg.norm(v)))
     if q.shape[1] == 0:
         return distance(cone, v) <= inner
     for e in ((tol + inner) * math.sqrt(q.shape[1]) * q).T:
@@ -374,7 +373,7 @@ def dual_distance(cone, v):
         for f, part in _blocks(cone, v):
             total += dual_distance(f, part) ** 2
         return math.sqrt(total)
-    u = nnls(cone.gens, -v, kkt_tol=1e-12).u
+    u = nnls(cone.gens, -v).u
     return float(np.linalg.norm(cone.gens @ u))
 
 

@@ -53,7 +53,8 @@ import numpy as np
 
 from .cones import orthant
 from .duality import ConicProblem
-from .linops import OperatorSpec, _as_count, _as_object, weighted_quadrature
+from .linops import OperatorSpec, _as_count, _as_object, _as_real, weighted_quadrature
+from .tolerances import ZERO_SAMPLE_TOL
 
 __all__ = [
     "ContinuousLPSpec",
@@ -81,7 +82,7 @@ class ContinuousLPSpec:
     ``b(t)``, ``c(t)``) or constants.  Constant kernels are interpreted as
     constant *on the support* ``s <= t``; genuine callables must vanish for
     ``s > t`` themselves and are probed at construction.  ``bound`` caps
-    the admissible magnitude of every sample.
+    the admissible magnitude of every sample; ``+inf`` sets no cap.
     """
 
     m: int
@@ -97,8 +98,10 @@ class ContinuousLPSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("state dimensions must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and positive")
+        if not self.bound > 0:
+            raise ValueError("bound must be positive")
         if self.n_grid < 2:
             raise ValueError("n_grid must be at least 2")
         for name, shape in self._shapes().items():
@@ -119,7 +122,7 @@ class ContinuousLPSpec:
             if s <= t:
                 continue
             val = np.asarray(k_fn(s, t), dtype=float)
-            if np.max(np.abs(val), initial=0.0) > 1e-12:
+            if np.max(np.abs(val), initial=0.0) > ZERO_SAMPLE_TOL:
                 raise ValueError(
                     f"kernel causality violated: K({s:.4f}, {t:.4f}) is nonzero for s > t"
                 )
@@ -265,16 +268,15 @@ def kernel_sign_condition(spec):
     discretized ``b`` lies in the dual cone (componentwise nonnegative).
     ``condition_ii``: ``B >= 0``, ``K <= 0`` and ``-c`` lies in the dual
     cone (``c`` componentwise nonpositive).  ``neither`` otherwise.  Every
-    sign test allows ``1e-12``.  A sign condition does not make both
-    equality systems solvable: ``B = K = b = 0`` with ``c = 1`` meets
+    sign test allows ``ZERO_SAMPLE_TOL``.  A sign condition does not make
+    both equality systems solvable: ``B = K = b = 0`` with ``c = 1`` meets
     ``condition_i``, and its dual system has no solution.
     """
-    tol = 1e-12
     grid = _grid(spec)
     kernel = grid.kernel_support()
-    if grid.B.max() <= tol and kernel.min() >= -tol and grid.b.min(initial=0.0) >= -tol:
+    if grid.B.max() <= ZERO_SAMPLE_TOL and kernel.min() >= -ZERO_SAMPLE_TOL and grid.b.min(initial=0.0) >= -ZERO_SAMPLE_TOL:
         return "condition_i"
-    if grid.B.min() >= -tol and kernel.max() <= tol and grid.c.max(initial=0.0) <= tol:
+    if grid.B.min() >= -ZERO_SAMPLE_TOL and kernel.max() <= ZERO_SAMPLE_TOL and grid.c.max(initial=0.0) <= ZERO_SAMPLE_TOL:
         return "condition_ii"
     return "neither"
 
@@ -318,7 +320,7 @@ def _field_from_dict(d, name, spec_dims):
         if grid.shape[:2] != (n_grid, n_grid):
             raise ValueError(f"kernel grid must be {n_grid} x {n_grid} in its node indices")
         magnitude = np.abs(grid).max(axis=tuple(range(2, grid.ndim)), initial=0.0)
-        lower = np.argwhere(np.tril(magnitude > 1e-12, -1))
+        lower = np.argwhere(np.tril(magnitude > ZERO_SAMPLE_TOL, -1))
         if lower.size:
             j, k = lower[0]
             raise ValueError(
@@ -339,15 +341,15 @@ def _field_from_dict(d, name, spec_dims):
 
 
 def clp_spec_from_dict(d):
-    dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": float(d["T"])}
+    dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": _as_real(d["T"], "T")}
     return ContinuousLPSpec(
         m=_as_count(d["m"], "m"),
         n=_as_count(d["n"], "n"),
-        horizon=float(d["T"]),
+        horizon=dims["T"],
         n_grid=dims["n_grid"],
         B=_field_from_dict(d["B"], "B", dims),
         K=_field_from_dict(d["K"], "K", dims),
         b=_field_from_dict(d["b"], "b", dims),
         c=_field_from_dict(d["c"], "c", dims),
-        bound=float(d.get("bound", 1e6)),
+        bound=_as_real(d.get("bound", 1e6), "bound"),
     )

@@ -81,6 +81,7 @@ from .errors import TheoremViolation
 from .farkas import verified_solution
 from .linops import OperatorSpec, PairingSpec, _as_count, _as_object, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
 from .simplex import _clamp, _phase_one_rows, simplex_solve
+from .tolerances import DECISION_TOL, INTERIOR_TOL, STRICT_MEMBER_MARGIN, STRICT_TOL
 
 __all__ = [
     "ConicProblem",
@@ -190,12 +191,12 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def feasible_primal(pb, x, tol=1e-8):
+def feasible_primal(pb, x, tol=DECISION_TOL):
     """``x in S`` and ``A x - b in T*``."""
     return contains(pb.S, x, tol) and dual_distance(pb.T, apply(pb.A, x) - pb.b) <= tol
 
 
-def feasible_dual(pb, y, tol=1e-8):
+def feasible_dual(pb, y, tol=DECISION_TOL):
     """``y in T`` and ``c - A^T y in S*``."""
     return feasible_primal(pb.transpose(), y, tol)
 
@@ -207,10 +208,6 @@ def feasible_dual(pb, y, tol=1e-8):
 
 # The primal value when no optimizer is attained; the dual value is its negation.
 _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
-
-# Margin of the interior flags: an optimizer within it of the boundary of
-# its cone counts as a boundary point.
-INTERIOR_TOL = 1e-6
 
 
 def _dual_rows(cone, M):
@@ -366,7 +363,7 @@ def complementarity(pb, x, y):
 # ---------------------------------------------------------------------------
 
 
-def verify_interior_optima(pb, tol=1e-8):
+def verify_interior_optima(pb, tol=DECISION_TOL):
     """Check the strong-duality statement driven by interior optima.
 
     Preconditions are evaluated on the returned optimizers only.  When the
@@ -455,7 +452,7 @@ def _strict_member(pb):
         return None
     point = g @ (res.x[:k] + 1.0)
     image = apply(pb.A, point)
-    strict = interior_contains(pb.S, point, 1e-9) and all(dual_distance(pb.T, z) <= 1e-7 for z in (image - pb.b, image))
+    strict = interior_contains(pb.S, point, STRICT_MEMBER_MARGIN) and all(dual_distance(pb.T, z) <= STRICT_TOL for z in (image - pb.b, image))
     return point if strict else None
 
 
@@ -475,7 +472,7 @@ def _system_solved(pb, tol):
     return verified_solution(pb.A, pb.b, pb.S, tol=tol, witness=np.zeros(pb.S.dim)) is not None
 
 
-def verify_strict_feasibility(pb, tol=1e-8):
+def verify_strict_feasibility(pb, tol=DECISION_TOL):
     """Check the strong-duality statement driven by strict feasibility.
 
     Pipeline: (0) check ``-b in T*`` and ``c in S*``; (1) find explicit
@@ -522,8 +519,8 @@ def verify_strict_feasibility(pb, tol=1e-8):
     failed = [
         name
         for name, ok in (
-            ("-b in T*", dual_distance(pb.T, -pb.b) <= 1e-7),
-            ("c in S*", dual_distance(pb.S, pb.c) <= 1e-7),
+            ("-b in T*", dual_distance(pb.T, -pb.b) <= STRICT_TOL),
+            ("c in S*", dual_distance(pb.S, pb.c) <= STRICT_TOL),
         )
         if not ok
     ]

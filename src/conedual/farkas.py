@@ -33,6 +33,7 @@ from .cones import _check_pairing_dual, distance, dual_distance, generators
 from .errors import IndeterminateAlternative
 from .linops import _as_vector, _pairing, adjoint_matrix, apply, pairing_norm, transposed
 from .residual import residual_minimize
+from .tolerances import DECISION_TOL
 
 __all__ = [
     "FarkasOutcome",
@@ -110,7 +111,7 @@ def _passes(branch, residuals, tol):
     return cone <= tol and (eq <= tol if branch == "solution" else margin > tol)
 
 
-def farkas_primal(A, b, S, tol=1e-8):
+def farkas_primal(A, b, S, tol=DECISION_TOL):
     """Decide ``{A x = b, x in S}`` against its separating system.
 
     Solution branch: ``x = G u`` from the nonnegative least-squares
@@ -144,7 +145,7 @@ def farkas_primal(A, b, S, tol=1e-8):
     )
 
 
-def farkas_dual(A, c, T, tol=1e-8):
+def farkas_dual(A, c, T, tol=DECISION_TOL):
     """Decide ``{A^T y = c, y in T}`` against its separating system.
 
     Solution branch: ``y in T`` with ``||A^T y - c|| <= tol``.  Certificate
@@ -159,7 +160,7 @@ def farkas_dual(A, c, T, tol=1e-8):
     return outcome
 
 
-def verify_outcome(outcome, A, rhs, cone, tol=1e-8):
+def verify_outcome(outcome, A, rhs, cone, tol=DECISION_TOL):
     """Re-check the populated branch from the raw problem data.
 
     Never consults solver internals: the residuals are recomputed from
@@ -172,7 +173,7 @@ def verify_outcome(outcome, A, rhs, cone, tol=1e-8):
     return _passes(outcome.branch, _residuals(outcome, A, rhs, cone), tol)
 
 
-def verified_solution(A, rhs, cone, tol=1e-8, witness=None):
+def verified_solution(A, rhs, cone, tol=DECISION_TOL, witness=None):
     """A solution of ``{A x = rhs, x in cone}`` that passes
     :func:`verify_outcome` at ``10 tol``; None when none passes.
 

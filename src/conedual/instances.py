@@ -17,6 +17,7 @@ from .duality import ConicProblem, verify_interior_optima
 from .errors import IndeterminateAlternative, TheoremViolation
 from .farkas import farkas_primal
 from .linops import OperatorSpec
+from .tolerances import DECISION_TOL
 
 __all__ = [
     "random_cone",
@@ -88,7 +89,7 @@ class InstanceOutcome:
     indeterminate: bool
 
 
-def classify_instance(a, b, cone, tol=1e-8):
+def classify_instance(a, b, cone, tol=DECISION_TOL):
     """Classify one instance as ``(solution_verified, certificate_verified,
     indeterminate)``: the branch :func:`farkas_primal` returns, which has
     verified, or indeterminate when neither branch verifies.  Exactly one
@@ -100,7 +101,7 @@ def classify_instance(a, b, cone, tol=1e-8):
     return branch == "solution", branch == "certificate", False
 
 
-def farkas_batch(seed, indices, tol=1e-8):
+def farkas_batch(seed, indices, tol=DECISION_TOL):
     """Classify the random instances ``(seed, index)`` for ``index`` in the
     range ``indices``; returns one :class:`InstanceOutcome` per index, so
     batches over consecutive ranges concatenate into one batch."""
@@ -121,7 +122,7 @@ def summarize_batch(rows):
     }
 
 
-def interior_batch(seed, count, tol=1e-8):
+def interior_batch(seed, count, tol=DECISION_TOL):
     """Run the interior-optima verification on constructed instances;
     returns (passes, violations, gaps).
 

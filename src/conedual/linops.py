@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import ADJOINT_TOL
+
 __all__ = [
     "PairingSpec",
     "EUCLIDEAN",
@@ -41,12 +43,23 @@ def _as_vector(v, dim=None, name="vector"):
     return arr
 
 
+def _is_number(value):
+    """Whether ``value`` is an int or a float, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _as_count(value, name):
     """``value`` as an int: an int, or a float with an integral value."""
-    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (numeric and float(value).is_integer()):
+    if not (_is_number(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_real(value, name):
+    """``value`` as a float: a finite int or float."""
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_object(value, name):
@@ -270,7 +283,7 @@ class AdjointCheckReport:
     passed: bool
 
 
-def adjoint_identity_check(op, n_samples=100, tol=1e-10, seed=0):
+def adjoint_identity_check(op, n_samples=100, tol=ADJOINT_TOL, seed=0):
     """Sample ``|<A x, y>_Y - <x, A^T y>_X|`` in the operator's pairings and
     compare against ``tol``.
 

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverFailure
+from .tolerances import BLOCKING_TIE_TOL, STATIONARITY_TOL
 
 __all__ = ["NNLSResult", "nnls"]
 
@@ -63,7 +64,7 @@ class NNLSResult:
     kkt_residual: float
 
 
-def nnls(M, b, kkt_tol=1e-10, max_iter=None):
+def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
     """Minimize ``||M u - b||_2`` over ``u >= 0``.
 
     Parameters
@@ -71,7 +72,8 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
     M : (m, k) array
     b : (m,) array
     kkt_tol : float
-        Stationarity tolerance on the dual vector ``M^T (b - M u)``.
+        Stationarity tolerance on the dual vector ``M^T (b - M u)``;
+        defaults to ``STATIONARITY_TOL``.
     max_iter : int, optional
         Outer-iteration cap; defaults to ``100 * (k + m)``.
 
@@ -142,7 +144,7 @@ def nnls(M, b, kkt_tol=1e-10, max_iter=None):
             ratios = np.divide(u[blocking], gap, out=np.zeros_like(gap), where=gap > 0)
             alpha = float(np.min(ratios))
             u = u + alpha * (z - u)
-            u[blocking[ratios <= alpha + 1e-15]] = 0.0
+            u[blocking[ratios <= alpha + BLOCKING_TIE_TOL]] = 0.0
             passive &= u > 0.0
             factor.keep(passive)
 

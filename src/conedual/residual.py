@@ -50,9 +50,9 @@ def residual_minimize(A, b, S):
         ``G u`` lies in the slice by construction.
 
     The objective is measured in the operator's codomain pairing, and the
-    active-set iteration stops at stationarity ``1e-12``.  The minimum
-    always exists: the objective is coercive on the closed polyhedral image
-    cone.
+    active-set iteration stops at stationarity ``STATIONARITY_TOL``.  The
+    minimum always exists: the objective is coercive on the closed
+    polyhedral image cone.
     """
     p = A.pairing_codomain
     b = np.asarray(b, dtype=float)
@@ -67,7 +67,7 @@ def residual_minimize(A, b, S):
     rows = m_img * sqrt_w[:, np.newaxis]
     rhs = b * sqrt_w
 
-    result = nnls(rows, rhs, kkt_tol=1e-12)
+    result = nnls(rows, rhs)
     u = result.u
     gamma = m_img @ u
     diff = gamma - b

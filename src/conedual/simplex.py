@@ -15,9 +15,9 @@ vector starts with that column basic (the smallest such index), and only
 the other rows get an artificial.  When every row has one, phase one does
 nothing.
 
-A leaving row is accepted only where its entry exceeds ``_PIVOT_TOL``
+A leaving row is accepted only where its entry exceeds ``PIVOT_TOL``
 times the largest positive entry of the entering column (and at least
-``_PIVOT_TOL``): only positive entries block the step, so an entry that is
+``PIVOT_TOL``): only positive entries block the step, so an entry that is
 roundoff beside a large blocking one is never pivoted on, whatever the
 scale of the data.  The ratio test clamps right-hand sides at 0, so a row
 whose basic value roundoff drove below zero blocks at ratio 0 instead of
@@ -26,14 +26,14 @@ which is bounded below, so an entering column that no row blocks is
 roundoff there: the next candidate in Bland's order is tried, and phase
 one ends when none has a blocking row.  Its objective then decides
 feasibility.  An artificial left basic after phase one is driven out on
-the largest entry of its row; a row with no entry above ``_PIVOT_TOL`` is
+the largest entry of its row; a row with no entry above ``PIVOT_TOL`` is
 dropped as redundant.
 
 An optimal result carries the final reduced costs ``d = c - A^T lambda``.
 ``lambda``, the multipliers of the optimal basis on the rows as given
 (before any sign flip; a dropped row has multiplier 0), is an optimizer of
 the dual LP ``max b^T lambda, A^T lambda <= c``: ``d >= 0`` holds to
-``_PIVOT_TOL``.  Where ``A`` has the column ``-e_i`` at zero cost, ``d``
+``PIVOT_TOL``.  Where ``A`` has the column ``-e_i`` at zero cost, ``d``
 holds ``lambda_i`` in that column.
 """
 
@@ -44,11 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverFailure
+from .tolerances import CLAMP_TOL, PHASE_ONE_TOL, PIVOT_TOL, RATIO_TIE_TOL
 
 __all__ = ["SimplexResult", "simplex_solve"]
-
-_PIVOT_TOL = 1e-9
-_RATIO_TOL = 1e-12
 
 
 @dataclass
@@ -63,8 +61,8 @@ class SimplexResult:
 
 
 def _clamp(v):
-    """``v`` with entries below 1e-12, roundoff-sized or negative, read as 0."""
-    return np.where(v < 1e-12, 0.0, v)
+    """``v`` with entries below ``CLAMP_TOL``, roundoff-sized or negative, read as 0."""
+    return np.where(v < CLAMP_TOL, 0.0, v)
 
 
 def _pivot(tableau, basis, row, col):
@@ -85,13 +83,13 @@ def _bland_leaving(tableau, basis, col, n_rows):
     column = tableau[:n_rows, col]
     # Relative pivot test: only positive entries block the step, so an entry
     # that is roundoff beside the column's largest positive one is no pivot.
-    cand = (column > _PIVOT_TOL * column.max(initial=1.0)).nonzero()[0]
+    cand = (column > PIVOT_TOL * column.max(initial=1.0)).nonzero()[0]
     if cand.size == 0:
         return None
     # A right-hand side that roundoff drove below zero blocks at ratio 0:
     # skipping its row would let the step drive it further negative.
     ratios = np.maximum(tableau[cand, -1], 0.0) / column[cand]
-    ties = cand[ratios <= ratios.min() + _RATIO_TOL]
+    ties = cand[ratios <= ratios.min() + RATIO_TIE_TOL]
     # Bland tie-break: leave the row whose basic variable has smallest index.
     return int(ties[basis[ties].argmin()])
 
@@ -106,7 +104,7 @@ def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count, bo
     blocking row.
     """
     while True:
-        for col in (tableau[-1, :n_eligible] < -_PIVOT_TOL).nonzero()[0]:
+        for col in (tableau[-1, :n_eligible] < -PIVOT_TOL).nonzero()[0]:
             row = _bland_leaving(tableau, basis, col, n_rows)
             if row is not None:
                 break
@@ -144,17 +142,17 @@ def _phase_one_rows(A, b):
     return int((_crash_basis(_nonnegative_rhs(A, b)[0]) < 0).sum())
 
 
-def simplex_solve(c, A, b, max_iter=None):
+def simplex_solve(c, A, b):
     """Two-phase simplex for ``min c^T x, A x = b, x >= 0``.
 
     Returns a :class:`SimplexResult`; ``status`` is ``"infeasible"`` when
-    phase one terminates with a positive artificial objective (above
-    ``1e-8`` scaled by the data), ``"unbounded"`` when phase two finds an
-    improving ray.  Only an optimal result carries ``x`` and the reduced
+    phase one terminates with an artificial objective above
+    ``PHASE_ONE_TOL (1 + max |b|)``, ``"unbounded"`` when phase two finds
+    an improving ray.  Only an optimal result carries ``x`` and the reduced
     costs.
 
-    Raises :class:`SolverFailure` on an iteration-cap trip, with the
-    current basis attached.
+    Raises :class:`SolverFailure` when the pivots exceed
+    ``200 (m + n + 10)``, with the current basis attached.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -166,8 +164,7 @@ def simplex_solve(c, A, b, max_iter=None):
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in LP data")
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
+    max_iter = 200 * (m + n + 10)
 
     # Normalize to b >= 0 so the starting basis is feasible.
     A, b = _nonnegative_rhs(A, b)
@@ -192,7 +189,7 @@ def simplex_solve(c, A, b, max_iter=None):
 
         phase1_obj = float(-tableau[-1, -1])
         scale = 1.0 + float(np.abs(b).max(initial=0.0))
-        if phase1_obj > 1e-8 * scale:
+        if phase1_obj > PHASE_ONE_TOL * scale:
             return SimplexResult(
                 status="infeasible",
                 x=None,
@@ -207,7 +204,7 @@ def simplex_solve(c, A, b, max_iter=None):
         keep = np.ones(m, dtype=bool)
         for i in (basis >= n).nonzero()[0]:
             row = np.abs(tableau[i, :n])
-            if row.max(initial=0.0) <= _PIVOT_TOL:
+            if row.max(initial=0.0) <= PIVOT_TOL:
                 keep[i] = False
             else:
                 _pivot(tableau, basis, i, int(row.argmax()))

@@ -237,6 +237,41 @@ def test_batch_parallel_matches_serial(capsys):
     assert json.loads(serial) == json.loads(parallel)
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count it is
+    asked for and maps in this process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, count, started", [(64, 3, [3]), (8, 1, []), (4, 0, []), (2, 30, [2])])
+def test_batch_starts_at_most_one_worker_per_instance(monkeypatch, capsys, jobs, count, started):
+    assert main(["--output", "json", "--seed", "9", "batch", "--count", str(count)]) == EXIT_OK
+    serial = capsys.readouterr().out
+    recorded = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: RecordingPool(recorded, max_workers))
+    assert main(["--output", "json", "--seed", "9", "--jobs", str(jobs), "batch", "--count", str(count)]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert recorded == started
+
+
+@pytest.mark.parametrize("suite", ["farkas", "interior"])
+def test_batch_negative_count_is_a_usage_error(capsys, suite):
+    assert main(["batch", "--suite", suite, "--count", "-3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --count must be nonnegative\n"
+
+
 def test_report_json_round_trip_bit_exact(tmp_path, capsys):
     path = write(tmp_path, "id.json", identity_doc())
     main(["--output", "json", "solve", "--input", path])
@@ -339,6 +374,12 @@ def conic_doc(rows=2, cols=1, **fields):
         ("complex", complex_doc(A=None)),
         ("complex", complex_doc(b=[0.0, 1.0])),
         ("complex", complex_doc(c=[[1.0, {}]])),
+        ("clp", clp_doc(T=None)),
+        ("clp", clp_doc(bound=None)),
+        ("complex", complex_doc(alpha=None)),
+        ("clp", clp_doc(T=math.inf)),
+        ("clp", clp_doc(bound=math.nan)),
+        ("clp", clp_doc(T=True)),
     ],
 )
 def test_malformed_problem_file_is_an_input_error(tmp_path, capsys, subcommand, doc):

@@ -210,6 +210,25 @@ def test_bound_enforced():
         discretize_clp(spec)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        scalar_spec(4, horizon=horizon)
+
+
+@pytest.mark.parametrize("bound", [math.nan, 0.0, -1.0])
+def test_bound_must_be_positive(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=4, B=1.0, K=0.0, b=1.0, c=1.0, bound=bound)
+
+
+def test_infinite_bound_sets_no_cap():
+    with pytest.raises(ValueError, match="bound"):
+        discretize_clp(scalar_spec(4, B=1e9))
+    spec = ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=4, B=1e9, K=0.0, b=1.0, c=1.0, bound=math.inf)
+    assert discretize_clp(spec).A.matrix[0, 0] == 1e9
+
+
 def test_grid_kernel_round_trip_and_causality():
     doc = clp_spec_to_dict(scalar_spec(4, K=0.25))
     back = clp_spec_from_dict(doc)

@@ -205,16 +205,16 @@ def test_matches_lstsq_reference_on_clp_farkas_matrices(monkeypatch, n_grid, m, 
     pb = discretize_clp(spec)
     calls = []
 
-    def recording_nnls(M, b, kkt_tol=1e-10, max_iter=None):
-        calls.append((M, b, kkt_tol))
-        return nnls(M, b, kkt_tol=kkt_tol, max_iter=max_iter)
+    def recording_nnls(M, b):
+        calls.append((M, b))
+        return nnls(M, b)
 
     monkeypatch.setattr(conedual.residual, "nnls", recording_nnls)
     farkas_primal(pb.operator(), pb.b, pb.S)
     farkas_dual(pb.operator(), pb.c, pb.T)
     assert len(calls) == 2
-    for M, b, kkt_tol in calls:
-        assert_matches_reference(M, b, kkt_tol)
+    for M, b in calls:
+        assert_matches_reference(M, b, kkt_tol=1e-12)
 
 
 def test_residual_matches_scipy_nnls():
@@ -260,16 +260,16 @@ def test_matches_scipy_nnls_on_clp_farkas_matrices(monkeypatch, seed):
     pb = discretize_clp(spec)
     calls = []
 
-    def recording_nnls(M, b, kkt_tol):
-        calls.append((M, b, kkt_tol))
-        return nnls(M, b, kkt_tol)
+    def recording_nnls(M, b):
+        calls.append((M, b))
+        return nnls(M, b)
 
     monkeypatch.setattr(conedual.residual, "nnls", recording_nnls)
     farkas_primal(pb.operator(), pb.b, pb.S)
     farkas_dual(pb.operator(), pb.c, pb.T)
-    assert [M.shape for M, _, _ in calls] == [(128, 128), (128, 128)]
-    for M, b, kkt_tol in calls:
-        assert_matches_scipy(optimize, M, b, kkt_tol)
+    assert [M.shape for M, _ in calls] == [(128, 128), (128, 128)]
+    for M, b in calls:
+        assert_matches_scipy(optimize, M, b, 1e-12)
 
 
 def assert_factor_holds(factor, scale):

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import conedual.simplex
 from conedual.errors import SolverFailure
 from conedual.simplex import _bland_leaving, _pivot, simplex_solve
 
@@ -123,12 +124,16 @@ def test_solution_nonnegative_and_feasible():
         assert np.max(np.abs(A @ res.x - b)) <= 1e-7
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    # Pivots that leave the tableau unchanged repeat the same step until the
+    # cap of 200 (m + n + 10) trips.
     rng = np.random.default_rng(151)
     A = rng.uniform(-1, 1, size=(4, 8))
     b = A @ rng.uniform(0, 1, size=8)
-    with pytest.raises(SolverFailure):
-        simplex_solve(rng.uniform(-1, 1, size=8), A, b, max_iter=1)
+    monkeypatch.setattr(conedual.simplex, "_pivot", lambda tableau, basis, row, col: None)
+    with pytest.raises(SolverFailure) as info:
+        simplex_solve(rng.uniform(-1, 1, size=8), A, b)
+    assert info.value.detail["iterations"] == 200 * (4 + 8 + 10) + 1
 
 
 def test_dimension_validation():
