@@ -69,15 +69,14 @@ class ComplexLPSpec:
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if c.shape != (m,):
             raise ValueError(f"c has shape {c.shape}, expected ({m},)")
-        alpha = tuple(float(x) for x in np.atleast_1d(self.alpha))
-        beta = tuple(float(x) for x in np.atleast_1d(self.beta))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        if len(alpha) != m:
-            raise ValueError(f"alpha has {len(alpha)} angles, expected {m}")
-        if len(beta) != n:
-            raise ValueError(f"beta has {len(beta)} angles, expected {n}")
-        for name, angles in (("alpha", alpha), ("beta", beta)):
+        for name, count in (("alpha", m), ("beta", n)):
+            # An object array keeps each angle as given, so a bool or a string
+            # is refused instead of converted.
+            given = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
+            angles = tuple(_as_real(x, name) for x in given)
+            object.__setattr__(self, name, angles)
+            if len(angles) != count:
+                raise ValueError(f"{name} has {len(angles)} angles, expected {count}")
             for i, ang in enumerate(angles):
                 if not (0.0 < ang < math.pi / 2):
                     raise ValueError(
@@ -237,17 +236,12 @@ def complex_spec_to_dict(spec):
     }
 
 
-def _angles(value, name):
-    """``value``, one half-angle or a list of them, as a list of floats."""
-    return [_as_real(a, name) for a in (value if isinstance(value, list) else [value])]
-
-
 def complex_spec_from_dict(d):
     return ComplexLPSpec(
         A=_pairs2c(d["A"], 2, "A"),
         b=_pairs2c(d["b"], 1, "b"),
         c=_pairs2c(d["c"], 1, "c"),
-        alpha=_angles(d["alpha"], "alpha"),
-        beta=_angles(d["beta"], "beta"),
+        alpha=d["alpha"],
+        beta=d["beta"],
         game_slice=bool(d.get("game_slice", False)),
     )

@@ -82,7 +82,8 @@ class ContinuousLPSpec:
     ``b(t)``, ``c(t)``) or constants.  Constant kernels are interpreted as
     constant *on the support* ``s <= t``; genuine callables must vanish for
     ``s > t`` themselves and are probed at construction.  ``bound`` caps
-    the admissible magnitude of every sample; ``+inf`` sets no cap.
+    the admissible magnitude of every sample; ``+inf`` sets no cap (``null``
+    in a file).
     """
 
     m: int
@@ -303,7 +304,8 @@ def clp_spec_to_dict(spec):
         "K": _field_to_dict(spec.K),
         "b": _field_to_dict(spec.b),
         "c": _field_to_dict(spec.c),
-        "bound": spec.bound,
+        # JSON has no infinity: null is "no cap".
+        "bound": None if spec.bound == np.inf else spec.bound,
     }
 
 
@@ -342,6 +344,7 @@ def _field_from_dict(d, name, spec_dims):
 
 def clp_spec_from_dict(d):
     dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": _as_real(d["T"], "T")}
+    bound = d.get("bound", 1e6)
     return ContinuousLPSpec(
         m=_as_count(d["m"], "m"),
         n=_as_count(d["n"], "n"),
@@ -351,5 +354,5 @@ def clp_spec_from_dict(d):
         K=_field_from_dict(d["K"], "K", dims),
         b=_field_from_dict(d["b"], "b", dims),
         c=_field_from_dict(d["c"], "c", dims),
-        bound=_as_real(d.get("bound", 1e6), "bound"),
+        bound=np.inf if bound is None else _as_real(bound, "bound"),
     )

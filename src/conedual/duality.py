@@ -24,9 +24,10 @@ written as ``G_T^T (A x - b) >= 0`` through the generators of ``T`` itself,
 and solved by two-phase simplex with Bland's rule.  The LP of
 ``pb.transpose()`` is the LP dual of this one, so one optimal simplex run
 gives both optimizers: ``x`` from its basic values and ``y`` from its row
-multipliers.  ``solve`` runs the LP whose phase one covers fewer rows, and
-the LP of the other side too only on a tie or when the first is not
-optimal; the rule sees only the two LPs, so a pair and its transpose still
+multipliers.  ``solve`` poses and runs the LP with fewer nonnegative
+right-hand sides, which are the rows its phase one covers, and the LP of
+the other side too only on a tie or when the first is not optimal; the
+rule sees only the two right-hand sides, so a pair and its transpose still
 give the same report with the sides exchanged.
 Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
@@ -80,7 +81,7 @@ from .cones import (
 from .errors import TheoremViolation
 from .farkas import verified_solution
 from .linops import OperatorSpec, PairingSpec, _as_count, _as_object, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
-from .simplex import _clamp, _phase_one_rows, simplex_solve
+from .simplex import _clamp, simplex_solve
 from .tolerances import DECISION_TOL, INTERIOR_TOL, STRICT_MEMBER_MARGIN, STRICT_TOL
 
 __all__ = [
@@ -240,9 +241,9 @@ def _copy(x):
 _last_solve = None
 
 
-def _optimizers(pb, lp):
-    """``(x*, y*, status)`` from one simplex run on ``lp``, the standard
-    form of ``pb``; the optimizers are None unless the LP is optimal.
+def _optimizers(pb):
+    """``(x*, y*, status)`` from one simplex run on the standard form of
+    ``pb``; the optimizers are None unless the LP is optimal.
 
     ``x* = G_S u``.  The slack block of the rows is ``-I``, so the row
     multipliers are the reduced costs of the slacks, ``lambda``, and
@@ -250,7 +251,7 @@ def _optimizers(pb, lp):
     G_T^T b`` is the LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the
     reduced cost of ``u``, nonnegative at an optimal basis.
     """
-    cost, a_eq, b_eq, g_s = lp
+    cost, a_eq, b_eq, g_s = _standard_form(pb)
     res = simplex_solve(cost, a_eq, b_eq)
     if res.status != "optimal":
         return None, None, res.status
@@ -266,20 +267,22 @@ def _optimal_pair(pb):
     """``(x*, primal status, y*, dual status)`` from the LPs of ``pb`` and
     ``pb.transpose()``, running one of them where that settles both sides.
 
-    The LP whose phase one must cover fewer rows runs first; if it ends
-    optimal, both sides are optimal and both optimizers come from it.  On a
-    tie, or when it does not end optimal, the other LP runs too, and each
-    side takes the optimizer and status of its own LP.  The choice depends
-    only on the two LPs, which ``pb.transpose()`` poses bit for bit the same
-    (swapped), so its report is this one with the sides exchanged.
+    The LP with fewer nonnegative right-hand sides runs first: a row with
+    ``b_i < 0`` is negated and starts on its slack, so these are the rows
+    phase one must cover unless a structural column happens to be an exact
+    unit vector.  If it ends optimal, both sides are optimal and both
+    optimizers come from it.  On a tie, or when it does not end optimal,
+    the other LP runs too, and each side takes the optimizer and status of
+    its own LP.  Only the LPs that run are posed.  The choice depends only
+    on the two right-hand sides, which ``pb.transpose()`` has bit for bit
+    the same (swapped), so its report is this one with the sides exchanged.
     """
     sides = (pb, pb.transpose())
-    lps = [_standard_form(q) for q in sides]
-    rows = [_phase_one_rows(lp[1], lp[2]) for lp in lps]
+    rows = [int((_dual_rows(q.T, q.b) >= 0).sum()) for q in sides]
     first = int(rows[1] < rows[0])
-    own, other, status = _optimizers(sides[first], lps[first])
+    own, other, status = _optimizers(sides[first])
     if status != "optimal" or rows[0] == rows[1]:
-        other, _, other_status = _optimizers(sides[1 - first], lps[1 - first])
+        other, _, other_status = _optimizers(sides[1 - first])
     else:
         other_status = status
     if first:
@@ -295,7 +298,8 @@ def solve(pb):
     basis of either gives both optimizers, one from the basic values and
     the other from the row multipliers (see :func:`_optimal_pair`).  The
     dual is solved as the primal of ``pb.transpose()`` only when the two
-    LPs tie on phase-one rows or the first one is not optimal.  Optimizers,
+    LPs tie on nonnegative right-hand sides or the first one is not
+    optimal.  Only the LP that runs is posed.  Optimizers,
     when attained, are mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
     within the margin band count as boundary, and a cone without interior
@@ -312,11 +316,9 @@ def solve(pb):
     notes = []
 
     memo = _last_solve
-    if memo is not None and memo[0]() is pb:
-        x_star, status_p, y_star, status_d = _copy(memo[1]), memo[2], _copy(memo[3]), memo[4]
-    else:
-        x_star, status_p, y_star, status_d = _optimal_pair(pb)
-        _last_solve = (weakref.ref(pb), _copy(x_star), status_p, _copy(y_star), status_d)
+    if memo is None or memo[0]() is not pb:
+        memo = _last_solve = (weakref.ref(pb), *_optimal_pair(pb))
+    x_star, status_p, y_star, status_d = _copy(memo[1]), memo[2], _copy(memo[3]), memo[4]
     # A finite dual value is <y*, b>, which is -(the transposed primal
     # value) up to the sign of an exact zero: both are formed from one y*.
     p_x, p_y = pb.A.pairing_domain, pb.A.pairing_codomain
@@ -366,10 +368,11 @@ def complementarity(pb, x, y):
 def verify_interior_optima(pb, tol=DECISION_TOL):
     """Check the strong-duality statement driven by interior optima.
 
-    Preconditions are evaluated on the returned optimizers only.  When the
-    dual optimizer is interior (and the dual value finite), the primal
-    equality system ``A x = b, x in S`` must be solvable; symmetrically for
-    the primal side.  When both preconditions hold the values must agree
+    Preconditions are evaluated on the returned optimizers only, which
+    ``solve`` returns only for an optimal LP, so their values are finite.
+    When the dual optimizer is interior, the primal equality system
+    ``A x = b, x in S`` must be solvable; symmetrically for the primal
+    side.  When both preconditions hold the values must agree
     within ``tol * (1 + |v_primal|)``.  The solutions of the two systems
     are then optimal by weak duality: ``<c, x> = <y, A x> = <y, b>`` lies
     between the two optimal values.  The statement needs ``int T`` (resp.
@@ -385,12 +388,10 @@ def verify_interior_optima(pb, tol=DECISION_TOL):
     """
     report = solve(pb)
     flags = report.flags
-    dual_interior = report.status_dual == "optimal" and flags.dual_interior_opt
-    primal_interior = report.status_primal == "optimal" and flags.primal_interior_opt
     solved = []
     for q, witness, side, other, precond in (
-        (pb, report.x_star, "primal", "dual", dual_interior),
-        (pb.transpose(), report.y_star, "dual", "primal", primal_interior),
+        (pb, report.x_star, "primal", "dual", flags.dual_interior_opt),
+        (pb.transpose(), report.y_star, "dual", "primal", flags.primal_interior_opt),
     ):
         if not precond:
             report.notes.append(f"precondition not met: {other} optimum not interior or not attained")

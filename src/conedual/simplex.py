@@ -136,12 +136,6 @@ def _nonnegative_rhs(A, b):
     return A * sign[:, None], b * sign
 
 
-def _phase_one_rows(A, b):
-    """How many rows of ``A x = b`` get an artificial in phase one: those
-    the crash basis leaves without a unit column."""
-    return int((_crash_basis(_nonnegative_rhs(A, b)[0]) < 0).sum())
-
-
 def simplex_solve(c, A, b):
     """Two-phase simplex for ``min c^T x, A x = b, x >= 0``.
 

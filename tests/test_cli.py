@@ -375,7 +375,7 @@ def conic_doc(rows=2, cols=1, **fields):
         ("complex", complex_doc(b=[0.0, 1.0])),
         ("complex", complex_doc(c=[[1.0, {}]])),
         ("clp", clp_doc(T=None)),
-        ("clp", clp_doc(bound=None)),
+        ("clp", clp_doc(bound="1e6")),
         ("complex", complex_doc(alpha=None)),
         ("clp", clp_doc(T=math.inf)),
         ("clp", clp_doc(bound=math.nan)),

@@ -43,6 +43,21 @@ def test_angle_range_rejected():
         scalar_spec(beta=0.0)
 
 
+@pytest.mark.parametrize("angle", [None, "0.5", True, math.nan], ids=["none", "string", "bool", "nan"])
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_half_angles_must_be_finite_numbers(side, angle):
+    # The constructor and the file reader refuse the same half-angles, given
+    # alone or in a list, with the same message.
+    message = f"{side} must be a finite number"
+    for given in (angle, [angle]):
+        with pytest.raises(ValueError, match=message):
+            ComplexLPSpec(**{"A": [[1.0]], "b": [1.0], "c": [1.0], "alpha": 0.5, "beta": 0.5, side: given})
+        doc = complex_spec_to_dict(scalar_spec())
+        doc[side] = given
+        with pytest.raises(ValueError, match=message):
+            complex_spec_from_dict(doc)
+
+
 def test_game_slice_adds_imaginary_sum_normal():
     spec = ComplexLPSpec(
         A=np.eye(2, dtype=complex),

@@ -1,6 +1,7 @@
 """Continuous programs: discretization, adjoint exactness, sign conditions."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -227,6 +228,27 @@ def test_infinite_bound_sets_no_cap():
         discretize_clp(scalar_spec(4, B=1e9))
     spec = ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=4, B=1e9, K=0.0, b=1.0, c=1.0, bound=math.inf)
     assert discretize_clp(spec).A.matrix[0, 0] == 1e9
+
+
+def test_uncapped_spec_round_trips_through_json():
+    # No cap is written as null, which strict JSON accepts, and read back as
+    # inf; a file without the key keeps the default cap.
+    spec = ContinuousLPSpec(m=1, n=1, horizon=1.0, n_grid=4, B=1e9, K=0.25, b=1.0, c=1.0, bound=math.inf)
+    text = json.dumps(clp_spec_to_dict(spec), allow_nan=False)
+    back = clp_spec_from_dict(json.loads(text))
+    assert back.bound == math.inf
+    got, want = discretize_clp(back), discretize_clp(spec)
+    for u, v in (
+        (got.A.matrix, want.A.matrix),
+        (got.b, want.b),
+        (got.c, want.c),
+        (got.A.pairing_domain.weights, want.A.pairing_domain.weights),
+        (got.A.pairing_codomain.weights, want.A.pairing_codomain.weights),
+    ):
+        assert u.tobytes() == v.tobytes()
+    doc = json.loads(text)
+    del doc["bound"]
+    assert clp_spec_from_dict(doc).bound == 1e6
 
 
 def test_grid_kernel_round_trip_and_causality():

@@ -1,5 +1,6 @@
 """The linear programs behind the theorem pipelines: the strict-member LP,
-the last-pair ``solve`` memo and the check-free transpose."""
+the choice of the LP that ``solve`` runs, the last-pair ``solve`` memo and
+the check-free transpose."""
 
 import gc
 import json
@@ -10,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conedual import duality
+from conedual import duality, simplex
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.cones import (
     contains,
@@ -368,6 +369,93 @@ def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
         value = -report.v_dual if side == 0 else report.v_primal
         assert abs(value - other) <= 1e-9 * (1.0 + abs(other))
     assert picked[0] >= 5 and picked[1] >= 5
+
+
+def integer_orthant_pairs(count, seed):
+    """Orthant pairs with ``A``, ``b`` and ``c`` drawn from {-1, 0, 1}.
+    Their LPs often have structural columns that are exact unit vectors,
+    which the simplex's crash basis starts on, so the count of nonnegative
+    right-hand sides and the count of rows phase one covers can rank the
+    LPs of a pair and its transpose differently."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(k) for k in rng.integers(2, 6, size=2))
+        a = rng.integers(-1, 2, size=(m, n)).astype(float)
+        b, c = rng.integers(-1, 2, size=m).astype(float), rng.integers(-1, 2, size=n).astype(float)
+        yield ConicProblem(A=OperatorSpec(matrix=a), b=b, c=c, S=orthant(n), T=orthant(m))
+
+
+def rhs_rows(pb):
+    """The nonnegative right-hand sides of the LPs of ``pb`` and of
+    ``pb.transpose()``, which ``solve`` ranks them by."""
+    return [int((duality._dual_rows(q.T, q.b) >= 0).sum()) for q in (pb, pb.transpose())]
+
+
+def crash_rows(q):
+    """The rows of the LP of ``q`` that the simplex's crash basis leaves to
+    phase one."""
+    _, a_eq, b_eq, _ = duality._standard_form(q)
+    return int((simplex._crash_basis(simplex._nonnegative_rhs(a_eq, b_eq)[0]) < 0).sum())
+
+
+def test_integer_pairs_rank_the_lps_apart_from_the_crash():
+    # The family reaches the pairs where ranking by right-hand sides and
+    # ranking by the crash basis's uncovered rows pick differently.
+    differ = 0
+    for pb in integer_orthant_pairs(300, seed=2041):
+        rows = rhs_rows(pb)
+        crash = [crash_rows(q) for q in (pb, pb.transpose())]
+        differ += np.sign(rows[1] - rows[0]) != np.sign(crash[1] - crash[0])
+    assert differ >= 20
+
+
+def test_integer_pairs_swap_under_transpose():
+    for pb in integer_orthant_pairs(300, seed=2041):
+        assert swaps_and_negates(solve(pb), solve(pb.transpose()))
+
+
+def test_integer_pairs_agree_with_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    seen = Counter()
+    for pb in integer_orthant_pairs(300, seed=2041):
+        report = solve(pb)
+        for q, status, value in (
+            (pb, report.status_primal, report.v_primal),
+            (pb.transpose(), report.status_dual, -report.v_dual),
+        ):
+            cost, a_eq, b_eq, _ = duality._standard_form(q)
+            ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert status == HIGHS_STATUSES[ref.status]
+            seen[status] += 1
+            if status == "optimal":
+                assert abs(value - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            else:
+                assert value == duality._UNATTAINED_VALUE[status]
+    assert min(seen.values()) >= 20 and len(seen) == 3
+
+
+def test_solve_poses_only_the_lps_it_runs(monkeypatch):
+    # The LP with fewer nonnegative right-hand sides is posed first (the
+    # primal's on a tie).  It is the only one posed when the counts differ
+    # and it ends optimal; otherwise the other LP is posed too.
+    posed = []
+    real = duality._standard_form
+
+    def spy(q):
+        posed.append(q)
+        return real(q)
+
+    monkeypatch.setattr(duality, "_standard_form", spy)
+    cases = Counter()
+    for pb in integer_orthant_pairs(300, seed=2041):
+        posed.clear()
+        report = solve(pb)
+        rows = rhs_rows(pb)
+        optimal = report.status_primal == report.status_dual == "optimal"
+        assert (posed[0] is pb) == (rows[0] <= rows[1])
+        assert len(posed) == (1 if rows[0] != rows[1] and optimal else 2)
+        cases[rows[0] == rows[1], optimal] += 1
+    assert all(cases[tie, optimal] for tie in (False, True) for optimal in (False, True))
 
 
 def test_multipliers_below_roundoff_read_as_zero():
