@@ -1,10 +1,8 @@
 """Active-set solver for nonnegative least squares.
 
 Solves ``min_u || M u - b ||_2  subject to  u >= 0`` by the classical
-passive/active set iteration, with the entering index chosen as the
-*smallest* index whose dual value exceeds the tolerance (Bland-style
-selection, which rules out cycling on degenerate problems just as it does
-for the simplex method).
+passive/active set iteration, in which the free index with the *largest*
+dual value above the tolerance enters (the smallest such index on a tie).
 
 The subproblems on the passive set are solved from a thin QR factor
 ``M[:, P] = Q R`` of the passive columns, kept in the order they entered
@@ -26,19 +24,21 @@ minimum-norm solution, until a blocking step leaves an independent set;
 the factor is then recomputed by ``numpy.linalg.qr``.
 
 In exact arithmetic every outer iteration strictly decreases the residual
-(the entering index gets a positive coefficient), so no passive set recurs
-and the iteration terminates.  In floating point an outer iteration can
-fail to: an index whose dual value lies just above ``kkt_tol`` enters on
+whichever eligible index enters (it gets a positive coefficient), so no
+passive set recurs and the iteration terminates: unlike the simplex method,
+NNLS needs no Bland rule.  In floating point an outer iteration can fail
+to: an index whose dual value lies just above ``kkt_tol`` enters on
 roundoff, the least-squares step gives it a non-positive coefficient, and
 it leaves again, returning to the iterate it started from or to one that
 differs from it by roundoff.  The same indices would then enter again until
 the iteration cap.  So an outer iteration that does not bring the squared
 residual below its smallest value so far rejects its entering index, and
-the next eligible index is tried (Lawson & Hanson's rule for a candidate
-whose coefficient is not positive).  The rejections are cleared whenever
-the residual falls.  When every eligible index is rejected the iterate is
-returned, and ``kkt_residual`` reports the largest dual value left over the
-free indices.  ``max_iter`` still guards the rest.
+the eligible index with the next largest dual value is tried (Lawson &
+Hanson's rule for a candidate whose coefficient is not positive).  The
+rejections are cleared whenever the residual falls.  When every eligible
+index is rejected the iterate is returned, and ``kkt_residual`` reports the
+largest dual value left over the free indices.  ``max_iter`` still guards
+the rest.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         raise ValueError("M must be a matrix")
     if b.ndim != 1 or b.shape[0] != M.shape[0]:
         raise ValueError(f"b has shape {b.shape}, expected ({M.shape[0]},)")
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
         raise ValueError("non-finite entries in NNLS data")
 
     m, k = M.shape
@@ -108,34 +108,31 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
 
     u = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
-    rejected = set()
+    rejected = []
     factor = _PassiveFactor(M, b)
-    r = b  # residual at u = 0
-    w = M.T @ r  # dual vector
-    best = r @ r  # smallest squared residual so far
+    w = M.T @ b  # dual vector at u = 0
+    rr = best = b @ b  # squared residual, and its smallest value so far
     iterations = 0
 
-    while True:
-        free = ~passive
-        eligible = np.flatnonzero(free & (w > kkt_tol))
+    while k:  # with no columns u = 0 is the answer
+        candidates = np.where(passive, -np.inf, w)
         if rejected:
-            eligible = np.setdiff1d(eligible, list(rejected))
-        if eligible.size == 0:
+            candidates[rejected] = -np.inf
+        # The largest dual value enters; argmax takes the smallest index of a tie.
+        j = int(candidates.argmax())
+        if not candidates[j] > kkt_tol:
             break
         iterations += 1
         if iterations > max_iter:
-            raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, free)})
-        # Smallest eligible index enters the passive set.
-        j = int(eligible[0])
+            raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, ~passive)})
         passive[j] = True
         factor.append(j)
 
         while True:
-            idx, z_idx = factor.solve()
+            cols, z_cols = factor.solve()
             z = np.zeros(k)
-            z[idx] = z_idx
-            if np.all(z_idx > 0):
-                u = z
+            z[cols] = z_cols
+            if (z_cols > 0).all():
                 break
             # Step toward z until the first passive component hits zero.
             # An index with u = z = 0 blocks at once: its ratio is 0, not 0/0.
@@ -148,7 +145,7 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
             passive &= u > 0.0
             factor.keep(passive)
 
-        u[~passive] = 0.0
+        u = z
         r = b - M @ u
         rr = r @ r
         # Only roundoff keeps an outer iteration from lowering the residual.
@@ -156,12 +153,12 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
             best = rr
             rejected.clear()
         else:
-            rejected.add(j)
+            rejected.append(j)
         w = M.T @ r
 
     return NNLSResult(
         u=u,
-        residual_norm=float(np.linalg.norm(r)),
+        residual_norm=math.sqrt(rr),
         iterations=iterations,
         kkt_residual=_kkt(w, ~passive),
     )
@@ -169,7 +166,7 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
 
 def _kkt(w, free):
     """The largest positive dual value over the free indices, or zero."""
-    return max(float(np.max(w[free], initial=0.0)), 0.0)
+    return float(w[free].max(initial=0.0))
 
 
 class _PassiveFactor:
@@ -178,11 +175,11 @@ class _PassiveFactor:
     ``cols`` lists the passive indices in the order they entered.  ``Q``,
     the inverse ``Rinv`` of the upper triangular ``R`` and ``qtb = Q^T b``
     are kept in buffers of ``min(m, k)`` columns, of which the first ``n``
-    are in use, and ``diag`` holds the magnitudes of the ``n`` diagonal
-    entries of ``R``.  A column that would make the factor numerically
-    dependent, or exceed ``min(m, k)`` columns, is listed in ``cols`` but
-    not factored, and neither is any column after it; while
-    ``n < len(cols)``, :meth:`solve` falls back to ``lstsq``.
+    are in use; ``diag`` holds the magnitudes of the ``n`` diagonal entries
+    of ``R``, and ``dmin`` and ``dmax`` their extremes.  A column that would
+    make the factor numerically dependent, or exceed ``min(m, k)`` columns,
+    is listed in ``cols`` but not factored, and neither is any column after
+    it; while ``n < len(cols)``, :meth:`solve` falls back to ``lstsq``.
     """
 
     def __init__(self, M, b):
@@ -190,7 +187,7 @@ class _PassiveFactor:
         self.M = M
         self.b = b
         self.cols = []
-        self.diag = []
+        self._set_diag([])
         self.tol = _EPS * max(m, k)
         size = min(m, k)
         self.Q = np.zeros((m, size))
@@ -218,10 +215,11 @@ class _PassiveFactor:
             v -= Q @ s
             r += s
         rho = math.sqrt(v @ v)
-        diag = self.diag + [rho]
-        if min(diag) <= self.tol * max(diag):
+        dmin, dmax = min(self.dmin, rho), max(self.dmax, rho)
+        if dmin <= self.tol * dmax:
             return
-        self.diag = diag
+        self.diag.append(rho)
+        self.dmin, self.dmax = dmin, dmax
         q = v / rho
         self.Q[:, n] = q
         self.qtb[n] = q @ self.b
@@ -263,11 +261,14 @@ class _PassiveFactor:
             self.qtb[k:end] = U.T @ self.qtb[k:n]
             self.Rinv[k:end, k:end] = Tinv
             self.Rinv[:k, k:end] = -(self.Rinv[:k, :k] @ P[:k]) @ Tinv
-        self.diag = diag
+        self._set_diag(diag)
+
+    def _set_diag(self, diag):
+        self.diag, self.dmin, self.dmax = diag, min(diag, default=math.inf), max(diag, default=0.0)
 
     def _refactor(self):
         """Factor the columns ``cols`` afresh by ``numpy.linalg.qr``."""
-        self.diag = []
+        self._set_diag([])
         p = len(self.cols)
         if p == 0 or p > self.qtb.size:
             return
@@ -275,16 +276,15 @@ class _PassiveFactor:
         diag = np.abs(np.diagonal(R))
         if diag.min() <= self.tol * diag.max():
             return
-        self.diag = diag.tolist()
+        self._set_diag(diag.tolist())
         self.Q[:, :p] = Q
         self.Rinv[:p, :p] = np.linalg.inv(R)
         self.qtb[:p] = Q.T @ self.b
 
     def solve(self):
         """The passive indices and the least-squares coefficients on them."""
-        idx = np.array(self.cols, dtype=int)
         n = len(self.diag)
-        if n < idx.size:
-            idx.sort()
+        if n < len(self.cols):
+            idx = sorted(self.cols)
             return idx, np.linalg.lstsq(self.M[:, idx], self.b, rcond=None)[0]
-        return idx, self.Rinv[:n, :n] @ self.qtb[:n]
+        return self.cols, self.Rinv[:n, :n] @ self.qtb[:n]

@@ -163,11 +163,12 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     """The active-set NNLS with every passive subproblem solved by
     ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.
 
-    Same entering rule, blocking step, rejection of the entering index of
-    an outer iteration that does not lower the residual, and iteration cap
-    as ``conedual.nnls.nnls``, which solves the subproblems from an updated
-    QR factor instead.  Returns ``(u, iterations, kkt_residual)`` and raises
-    ``SolverFailure`` where ``nnls`` would.
+    Same entering rule (the eligible index with the largest dual value
+    enters, the smallest such index on a tie), blocking step, rejection of
+    the entering index of an outer iteration that does not lower the
+    residual, and iteration cap as ``conedual.nnls.nnls``, which solves the
+    subproblems from an updated QR factor instead. Returns ``(u, iterations,
+    kkt_residual)`` and raises ``SolverFailure`` where ``nnls`` would.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -186,13 +187,13 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     iterations = 0
     while True:
         free = ~passive
-        eligible = np.flatnonzero(free & ~rejected & (w > kkt_tol))
-        if eligible.size == 0:
+        eligible = free & ~rejected & (w > kkt_tol)
+        if not eligible.any():
             break
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": kkt(w, free)})
-        j = int(eligible[0])
+        j = int(np.argmax(np.where(eligible, w, -np.inf)))
         passive[j] = True
         while True:
             idx = np.flatnonzero(passive)

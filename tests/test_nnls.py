@@ -47,6 +47,43 @@ def brute_force_grid_min(M, b, upper, step):
     return best
 
 
+def spy_outer_iterations(monkeypatch):
+    """Record ``[j, rr]`` per outer iteration of ``nnls``: the entering index
+    and the squared residual of the iterate the iteration ends at, computed
+    with the same operations as ``nnls``."""
+    log = []
+    append, solve = _PassiveFactor.append, _PassiveFactor.solve
+
+    def spy_append(self, j):
+        log.append([j, None])
+        append(self, j)
+
+    def spy_solve(self):
+        cols, z_cols = solve(self)
+        u = np.zeros(self.M.shape[1])
+        u[cols] = z_cols
+        r = self.b - self.M @ u
+        log[-1][1] = r @ r  # the last solve of an outer iteration is its iterate
+        return cols, z_cols
+
+    monkeypatch.setattr(_PassiveFactor, "append", spy_append)
+    monkeypatch.setattr(_PassiveFactor, "solve", spy_solve)
+    return log
+
+
+def rejected_indices(log, b):
+    """The entering indices of the outer iterations in ``log`` that did not
+    bring the squared residual below its smallest value so far: the ones
+    ``nnls`` rejects."""
+    best, rejected = b @ b, []
+    for j, rr in log:
+        if rr < best:
+            best = rr
+        else:
+            rejected.append(j)
+    return rejected
+
+
 def test_exact_fit():
     M = np.array([[1.0, 0.0], [0.0, 1.0]])
     res = nnls(M, np.array([2.0, 3.0]))
@@ -103,6 +140,13 @@ def test_rank_deficient_columns():
     assert np.all(res.u >= 0)
 
 
+def test_tie_enters_the_smallest_index():
+    # Both columns have dual value 1 at u = 0; column 0 enters and fits b,
+    # after which column 1's dual value is 0.
+    res = nnls(np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert res.u.tolist() == [1.0, 0.0] and res.iterations == 1
+
+
 def test_iteration_cap_raises():
     rng = np.random.default_rng(73)
     M = rng.normal(size=(10, 8))
@@ -118,6 +162,7 @@ def test_index_that_leaves_again_is_rejected(monkeypatch):
     # two passive solves per iteration.
     a, b, cone = random_farkas_instance(np.random.default_rng((7, 590)))
     assert cone.kind == "orthant" and a.matrix.shape == (3, 5)
+    log = spy_outer_iterations(monkeypatch)
     solve = _PassiveFactor.solve
     calls = []
 
@@ -129,19 +174,26 @@ def test_index_that_leaves_again_is_rejected(monkeypatch):
     res = nnls(a.matrix, 1e3 * b, kkt_tol=1e-12)
     assert len(calls) <= 20
     assert np.all(res.u >= 0.0)
+    assert rejected_indices(log, 1e3 * b) == [4]
 
 
-def test_rejected_index_lets_the_next_one_enter():
-    # b orthogonal to column 0 up to roundoff (w = [1.5e-17, 2.2]): with
-    # kkt_tol = 0 column 0 enters on roundoff and leaves again, and column
-    # 1, tried next, gives the optimum, where column 0's dual value is not
-    # positive.
+def test_rejected_index_lets_the_next_one_enter(monkeypatch):
+    # b orthogonal to column 1 up to roundoff, and column 0 scaled by 2^-60
+    # (exactly), so w = [1.9e-18, 1.5e-17]: with kkt_tol = 0 column 1 has
+    # the largest dual value on roundoff, enters, and leaves again, back at
+    # u = 0, where it would be the largest again.  It is rejected, and
+    # column 0, tried next, gives the optimum, where column 1's dual value
+    # is not positive.
     rng = np.random.default_rng(40)
-    M = rng.normal(size=(3, 2))
+    A = rng.normal(size=(3, 2))
     b = rng.normal(size=3)
-    b -= (M[:, 0] @ b) / (M[:, 0] @ M[:, 0]) * M[:, 0]
+    b -= (A[:, 0] @ b) / (A[:, 0] @ A[:, 0]) * A[:, 0]
+    M = np.column_stack([2.0**-60 * A[:, 1], A[:, 0]])
+    assert np.argmax(M.T @ b) == 1 and 0.0 < (M.T @ b)[1] < 1e-16
+    log = spy_outer_iterations(monkeypatch)
     res = nnls(M, b, kkt_tol=0.0)
-    assert res.u[0] == 0.0 and res.u[1] == pytest.approx(0.79874269, rel=1e-8)
+    assert [j for j, _ in log] == [1, 0] and rejected_indices(log, b) == [1]
+    assert res.u[1] == 0.0 and res.u[0] == pytest.approx(0.79874269 * 2.0**60, rel=1e-8)
     assert res.kkt_residual == 0.0
     assert_matches_reference(M, b, kkt_tol=0.0)
 
@@ -215,6 +267,14 @@ def test_matches_lstsq_reference_on_clp_farkas_matrices(monkeypatch, n_grid, m, 
     assert len(calls) == 2
     for M, b in calls:
         assert_matches_reference(M, b, kkt_tol=1e-12)
+    if (m, n) == (1, 2):
+        # The wide dual system, (n_grid, 2 n_grid): with the largest dual
+        # value entering, no index leaves again, so there is one iteration
+        # per positive entry of the solution (the smallest-index rule took
+        # 2 n_grid - 1).
+        res = nnls(*calls[1])
+        assert calls[1][0].shape == (n_grid, 2 * n_grid)
+        assert res.iterations == np.count_nonzero(res.u) == n_grid
 
 
 def test_residual_matches_scipy_nnls():
@@ -447,7 +507,8 @@ def test_column_entering_a_full_factor():
 def test_blocking_step_that_empties_the_passive_set(monkeypatch):
     # b orthogonal to the first column up to roundoff: with kkt_tol = 0 that
     # column can enter on a positive w_0 and get a non-positive coefficient,
-    # and the blocking step then leaves no passive column.
+    # and the blocking step then leaves no passive column.  The iterate is
+    # back at u = 0, so the entering index is rejected.
     keep = _PassiveFactor.keep
     emptied = []
 
@@ -456,13 +517,20 @@ def test_blocking_step_that_empties_the_passive_set(monkeypatch):
         emptied.append(not self.cols)
 
     monkeypatch.setattr(_PassiveFactor, "keep", recording_keep)
+    log = spy_outer_iterations(monkeypatch)
     rng = np.random.default_rng(103)
+    emptying = 0
     for _ in range(200):
         M = rng.normal(size=(3, 2))
         b = rng.normal(size=3)
         b -= (M[:, 0] @ b) / (M[:, 0] @ M[:, 0]) * M[:, 0]
+        emptied.clear()
+        log.clear()
         outcome_without_linalg_error(M, b, kkt_tol=0.0)
-    assert any(emptied)
+        if any(emptied):
+            emptying += 1
+            assert rejected_indices(log, b)
+    assert emptying
 
 
 def test_blocking_step_on_a_zero_coefficient_keeps_the_iterate():
