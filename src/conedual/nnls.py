@@ -14,7 +14,9 @@ coefficients, O(m p + p^2) work; each subproblem ``R z_P = Q^T b`` is then
 solved by one triangular matrix-vector product.  When a blocking step
 removes indices, the factor of the columns before the first removed one is
 kept, and only the surviving columns after it are re-factored, inside the
-span of the trailing columns of ``Q``.  The normal equations ``M^T M`` are
+span of the trailing columns of ``Q``; the inverse of their new diagonal
+block is read off the kept inverse and polished by one Newton step, so a
+blocking step inverts no matrix.  The normal equations ``M^T M`` are
 never formed, so the conditioning of the subproblems is that of
 ``M[:, P]``.  When the passive columns are numerically dependent -- a
 diagonal entry of ``R`` at or below ``eps * max(m, k)`` times the largest,
@@ -22,6 +24,19 @@ or more than ``min(m, k)`` passive columns -- the subproblem is solved by
 ``numpy.linalg.lstsq`` on the passive columns instead, which returns the
 minimum-norm solution, until a blocking step leaves an independent set;
 the factor is then recomputed by ``numpy.linalg.qr``.
+
+A system with ``2 < k <= m`` columns whose optimum uses every column would
+take ``k`` outer iterations.  So when the first outer iteration lowered
+the residual and every free dual value is still above ``kkt_tol``, the
+second one tries a dense shortcut (Van Benthem & Keenan, *J. Chemometrics*
+18, 2004, start from the unconstrained solution): one QR factor of
+``[M | b]`` gives ``R`` and ``Q^T b``; if the diagonal of ``R`` passes the
+dependence check above, the columns have full rank, and if the
+back-substituted unconstrained minimizer is positive it is feasible, hence
+the unique optimum, and is returned with ``kkt_residual`` zero.  Otherwise
+the iteration goes on from the passive factor, which the shortcut leaves
+untouched.  Waiting for the first iteration spares the attempt on most
+small systems whose optimum is not dense.
 
 In exact arithmetic every outer iteration strictly decreases the residual
 whichever eligible index enters (it gets a positive coefficient), so no
@@ -125,6 +140,14 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, ~passive)})
+        # The dense shortcut of the module docstring.
+        if iterations == 2 and not rejected and 2 < k <= m and (w[~passive] > kkt_tol).all():
+            z = _dense_solution(M, b, factor.tol)
+            if z is not None:
+                u, passive[:] = z, True
+                r = b - M @ u
+                rr = r @ r
+                break
         passive[j] = True
         factor.append(j)
 
@@ -162,6 +185,20 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         iterations=iterations,
         kkt_residual=_kkt(w, ~passive),
     )
+
+
+def _dense_solution(M, b, tol):
+    """The unconstrained least-squares minimizer, if the columns of ``M``
+    pass the factor's dependence check and it is positive, else None.
+
+    One QR factor of ``[M | b]`` gives ``R`` and ``Q^T b`` together."""
+    k = M.shape[1]
+    R = np.linalg.qr(np.column_stack([M, b]), mode="r")
+    diag = np.abs(np.diagonal(R[:, :k]))
+    if diag.min() <= tol * diag.max():
+        return None
+    z = np.linalg.solve(R[:k, :k], R[:k, k])
+    return z if (z > 0).all() else None
 
 
 def _kkt(w, free):
@@ -235,13 +272,20 @@ class _PassiveFactor:
         in the span of ``Q[:, :n]``, with coefficients ``P = Q[:, :n]^T
         M[:, tail]``, so ``P[k:] = U T`` gives their new ``Q`` columns
         ``Q[:, k:n] U``, the diagonal block ``T`` of ``R`` beside the block
-        ``P[:k]``, and by block inversion the new columns of ``Rinv``.  An
+        ``P[:k]``, and by block inversion the new columns of ``Rinv``.
+        ``T`` is not inverted: ``Rinv[k:n, k:n] P[k:]`` selects the identity
+        columns of the surviving positions ``pos``, so ``T^{-1} = Rinv[pos,
+        k:n] U``, made exactly triangular by ``triu``.  That product carries
+        the rounding of ``P`` through ``Rinv``, a residual ``I - T T^{-1}``
+        of order ``eps cond(R)`` that on ill-conditioned systems moves the
+        optimum, so one Newton step ``X + X (I - T X)`` squares it away.  An
         incomplete factor, or a downdate that fails the dependence check,
         is recomputed from the surviving columns instead.
         """
         n = len(self.diag)
         complete = n == len(self.cols)
         k = next((i for i, j in enumerate(self.cols) if not passive[j]), n)
+        pos = [i for i in range(k, n) if passive[self.cols[i]]]
         self.cols = [j for j in self.cols if passive[j]]
         if not complete:
             self._refactor()
@@ -256,7 +300,8 @@ class _PassiveFactor:
                 self._refactor()
                 return
             end = k + len(tail)
-            Tinv = np.linalg.inv(T)
+            Tinv = np.triu(self.Rinv[pos, k:n] @ U)
+            Tinv += Tinv @ (np.eye(len(tail)) - T @ Tinv)
             self.Q[:, k:end] = self.Q[:, k:n] @ U
             self.qtb[k:end] = U.T @ self.qtb[k:n]
             self.Rinv[k:end, k:end] = Tinv

@@ -167,8 +167,13 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     enters, the smallest such index on a tie), blocking step, rejection of
     the entering index of an outer iteration that does not lower the
     residual, and iteration cap as ``conedual.nnls.nnls``, which solves the
-    subproblems from an updated QR factor instead. Returns ``(u, iterations,
-    kkt_residual)`` and raises ``SolverFailure`` where ``nnls`` would.
+    subproblems from an updated QR factor instead.  The dense shortcut is
+    taken under the same conditions: at the second iteration of a system
+    with ``2 < k <= m``, when the first lowered the residual and every free
+    dual value is above ``kkt_tol``, the ``lstsq`` solution on all columns
+    is returned (as two iterations with a zero KKT residual) if they have
+    full rank and it is positive. Returns ``(u, iterations, kkt_residual)``
+    and raises ``SolverFailure`` where ``nnls`` would.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -193,6 +198,10 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": kkt(w, free)})
+        if iterations == 2 and not rejected.any() and 2 < k <= m and np.all(w[free] > kkt_tol):
+            z, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+            if rank == k and np.all(z > 0):
+                return z, 2, 0.0
         j = int(np.argmax(np.where(eligible, w, -np.inf)))
         passive[j] = True
         while True:

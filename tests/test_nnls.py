@@ -7,10 +7,11 @@ import pytest
 
 from oracles import reference_nnls
 
+import conedual.nnls
 import conedual.residual
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.errors import SolverFailure
-from conedual.farkas import farkas_dual, farkas_primal
+from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import random_farkas_instance
 from conedual.nnls import _PassiveFactor, nnls
 
@@ -68,6 +69,20 @@ def spy_outer_iterations(monkeypatch):
 
     monkeypatch.setattr(_PassiveFactor, "append", spy_append)
     monkeypatch.setattr(_PassiveFactor, "solve", spy_solve)
+    return log
+
+
+def spy_dense_shortcut(monkeypatch):
+    """Record, per attempt of the dense shortcut, whether it returned."""
+    log = []
+    dense = conedual.nnls._dense_solution
+
+    def spy(M, b, tol):
+        z = dense(M, b, tol)
+        log.append(z is not None)
+        return z
+
+    monkeypatch.setattr(conedual.nnls, "_dense_solution", spy)
     return log
 
 
@@ -231,50 +246,140 @@ def test_matches_lstsq_reference_on_random_problems(shape):
         assert_matches_reference(M, b)
 
 
-@pytest.mark.parametrize("shape", [(12, 8), (20, 6)])
-def test_matches_lstsq_reference_on_ill_conditioned_columns(shape):
-    # Hilbert columns (condition numbers 1.6e9 and 7.9e5): without the
-    # re-orthogonalization pass the coefficients drift by about 1e-8.
+def hilbert_columns(shape):
     i, j = np.indices(shape)
-    M = 1.0 / (i + j + 1.0)
-    assert_matches_reference(M, M @ np.linspace(1.0, 2.0, shape[1]))
+    return 1.0 / (i + j + 1.0)
 
 
-@pytest.mark.parametrize("n_grid", [16, 32])
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_matches_lstsq_reference_on_clp_farkas_matrices(monkeypatch, n_grid, m, n):
-    rng = np.random.default_rng([83, n_grid, m, n])
-    spec = ContinuousLPSpec(
-        m=m,
-        n=n,
-        horizon=1.0,
-        n_grid=n_grid,
-        B=rng.uniform(0.5, 1.5, size=(m, n)),
-        K=rng.uniform(-1.0, 1.0, size=(m, n)),
-        b=rng.uniform(0.1, 1.0, size=n),
-        c=rng.uniform(0.5, 1.5, size=m),
+@pytest.mark.parametrize("shape", [(12, 8), (20, 6)])
+def test_dense_shortcut_on_ill_conditioned_columns(monkeypatch, shape):
+    # Hilbert columns (condition numbers 1.6e9 and 7.9e5) and b inside
+    # their cone: the dense shortcut returns x within the forward error
+    # bound cond(M) eps |x| of a backward-stable solve, and a residual of
+    # roundoff size.
+    M = hilbert_columns(shape)
+    x = np.linspace(1.0, 2.0, shape[1])
+    b = M @ x
+    dense = spy_dense_shortcut(monkeypatch)
+    res = nnls(M, b)
+    assert dense == [True]
+    assert res.iterations == 2 and res.kkt_residual == 0.0
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(res.u - x)) <= np.linalg.cond(M) * eps * np.max(x)
+    assert res.residual_norm <= 100 * eps * np.linalg.norm(b)
+
+
+def test_matches_lstsq_reference_on_ill_conditioned_columns_past_the_dense_shortcut(monkeypatch):
+    # Hilbert columns (condition number 1.6e9) and every third coefficient
+    # of x negative: the unconstrained minimizer is not positive, so
+    # Lawson-Hanson goes on, for five iterations.  Without the
+    # re-orthogonalization pass the coefficients drift by about 3e-8.
+    M = hilbert_columns((12, 8))
+    x = np.linspace(1.0, 2.0, 8)
+    x[1::3] = -0.5
+    dense = spy_dense_shortcut(monkeypatch)
+    assert_matches_reference(M, M @ x)
+    assert dense == [False]
+
+
+def random_clp_data(rng, m, n):
+    """``(B, K, b, c)`` of a random CLP with constant data."""
+    return (
+        rng.uniform(0.5, 1.5, size=(m, n)),
+        rng.uniform(-1.0, 1.0, size=(m, n)),
+        rng.uniform(0.1, 1.0, size=n),
+        rng.uniform(0.5, 1.5, size=m),
     )
-    pb = discretize_clp(spec)
+
+
+def clp_farkas_calls(monkeypatch, n_grid, B, K, b, c):
+    """The ``(M, b)`` of the NNLS calls of ``farkas_primal`` and
+    ``farkas_dual`` on the CLP with constant data ``(B, K, b, c)``
+    discretized at ``n_grid``; both outcomes must verify."""
+    B, K, b, c = (np.asarray(x, dtype=float) for x in (B, K, b, c))
+    m, n = B.shape
+    pb = discretize_clp(ContinuousLPSpec(m=m, n=n, horizon=1.0, n_grid=n_grid, B=B, K=K, b=b, c=c))
+    op = pb.operator()
     calls = []
 
     def recording_nnls(M, b):
         calls.append((M, b))
         return nnls(M, b)
 
-    monkeypatch.setattr(conedual.residual, "nnls", recording_nnls)
-    farkas_primal(pb.operator(), pb.b, pb.S)
-    farkas_dual(pb.operator(), pb.c, pb.T)
+    with monkeypatch.context() as patch:
+        patch.setattr(conedual.residual, "nnls", recording_nnls)
+        assert verify_outcome(farkas_primal(op, pb.b, pb.S), op, pb.b, pb.S)
+        assert verify_outcome(farkas_dual(op, pb.c, pb.T), op, pb.c, pb.T)
     assert len(calls) == 2
+    return calls
+
+
+@pytest.mark.parametrize("n_grid", [16, 32])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_matches_lstsq_reference_on_clp_farkas_matrices(monkeypatch, n_grid, m, n):
+    calls = clp_farkas_calls(monkeypatch, n_grid, *random_clp_data(np.random.default_rng([83, n_grid, m, n]), m, n))
     for M, b in calls:
         assert_matches_reference(M, b, kkt_tol=1e-12)
     if (m, n) == (1, 2):
         # The wide dual system, (n_grid, 2 n_grid): with the largest dual
         # value entering, no index leaves again, so there is one iteration
         # per positive entry of the solution (the smallest-index rule took
-        # 2 n_grid - 1).
+        # 2 n_grid - 1).  With k > m the dense shortcut is not tried.
+        dense = spy_dense_shortcut(monkeypatch)
         res = nnls(*calls[1])
         assert calls[1][0].shape == (n_grid, 2 * n_grid)
         assert res.iterations == np.count_nonzero(res.u) == n_grid
+        assert dense == []
+
+
+@pytest.mark.parametrize("n_grid", [16, 32])
+def test_dense_shortcut_on_clp_farkas_matrices(monkeypatch, n_grid):
+    # At m = n = 1 both Farkas systems are (n_grid, n_grid), and on these
+    # the optimum is dense: the shortcut returns it at the second iteration.
+    optimize = pytest.importorskip("scipy.optimize")
+    calls = clp_farkas_calls(monkeypatch, n_grid, *random_clp_data(np.random.default_rng([139, 0, n_grid]), 1, 1))
+    dense = spy_dense_shortcut(monkeypatch)
+    for M, b in calls:
+        res = nnls(M, b, kkt_tol=1e-12)
+        assert M.shape == (n_grid, n_grid)
+        assert res.iterations == 2 and res.kkt_residual == 0.0
+        assert_matches_scipy(optimize, M, b, 1e-12)
+    assert dense == [True] * 4
+
+
+def test_dense_shortcut_needs_more_than_two_columns(monkeypatch):
+    M = np.random.default_rng(137).normal(size=(4, 2))
+    dense = spy_dense_shortcut(monkeypatch)
+    res = nnls(M, M @ np.array([1.0, 2.0]))
+    assert dense == [] and res.iterations == 2
+    np.testing.assert_allclose(res.u, [1.0, 2.0], rtol=1e-12)
+
+
+def test_dense_shortcut_needs_every_free_dual_value_eligible(monkeypatch):
+    # w = (1, 0.5, 0.45) at u = 0; once column 0 has entered, column 2's
+    # dual value is -0.05, so the shortcut is not tried.
+    M = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.1], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    b = np.array([1.0, 0.5, 0.0, 0.0])
+    dense = spy_dense_shortcut(monkeypatch)
+    res = nnls(M, b)
+    assert dense == [] and res.iterations == 2
+    np.testing.assert_allclose(res.u, [1.0, 0.5, 0.0], atol=1e-15)
+    assert_matches_reference(M, b)
+
+
+def test_dense_shortcut_refuses_dependent_columns(monkeypatch):
+    # Column 3 duplicates column 1, so the diagonal of R fails the
+    # dependence check: the shortcut is tried, does not return, and
+    # Lawson-Hanson reaches the reference's point.
+    rng = np.random.default_rng([131, 0])
+    A = rng.uniform(0.1, 1.0, size=(6, 3))
+    M = np.column_stack([A, A[:, 1]])
+    b = M @ np.ones(4)
+    diag = np.abs(np.diagonal(np.linalg.qr(M, mode="r")))
+    assert diag.min() <= np.finfo(float).eps * 6 * diag.max()
+    dense = spy_dense_shortcut(monkeypatch)
+    assert_matches_reference(M, b)
+    assert dense == [False]
 
 
 def test_residual_matches_scipy_nnls():
@@ -306,30 +411,40 @@ def test_matches_scipy_nnls_on_large_random_problems():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_scipy_nnls_on_clp_farkas_matrices(monkeypatch, seed):
     optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng([113, seed])
-    spec = ContinuousLPSpec(
-        m=2,
-        n=2,
-        horizon=1.0,
-        n_grid=64,
-        B=rng.uniform(0.5, 1.5, size=(2, 2)),
-        K=rng.uniform(-1.0, 1.0, size=(2, 2)),
-        b=rng.uniform(0.1, 1.0, size=2),
-        c=rng.uniform(0.5, 1.5, size=2),
-    )
-    pb = discretize_clp(spec)
-    calls = []
-
-    def recording_nnls(M, b):
-        calls.append((M, b))
-        return nnls(M, b)
-
-    monkeypatch.setattr(conedual.residual, "nnls", recording_nnls)
-    farkas_primal(pb.operator(), pb.b, pb.S)
-    farkas_dual(pb.operator(), pb.c, pb.T)
+    calls = clp_farkas_calls(monkeypatch, 64, *random_clp_data(np.random.default_rng([113, seed]), 2, 2))
     assert [M.shape for M, _ in calls] == [(128, 128), (128, 128)]
     for M, b in calls:
         assert_matches_scipy(optimize, M, b, 1e-12)
+
+
+def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkeypatch):
+    # Two (128, 128) Farkas systems of condition number 8.8e9 with 30
+    # blocking steps each.  Taking T^{-1} in keep from the kept Rinv
+    # without the Newton step left Rinv R - I at 5e-9 and 1e-7 after the
+    # last step (3e-14 with it, as with a fresh inverse of T), a dual value
+    # of 2e-11 at the returned point, and the primal certificate failed
+    # verification.
+    keep, residuals = _PassiveFactor.keep, []
+
+    def checked_keep(self, passive):
+        keep(self, passive)
+        n = len(self.cols)
+        R = self.Q[:, :n].T @ self.M[:, self.cols]
+        residuals.append(np.linalg.norm(self.Rinv[:n, :n] @ R - np.eye(n)))
+
+    data = (
+        [[0.8632149207072406, 0.6281331107159376], [1.1301054298132447, 0.7261000103387542]],
+        [[-0.9867443573494243, -0.14149084602576245], [0.8149693915073046, -0.9739657727735358]],
+        [0.4227116970471029, 0.5114031143783208],
+        [1.4486195861735265, 1.3060111736356919],
+    )
+    calls = clp_farkas_calls(monkeypatch, 64, *data)
+    monkeypatch.setattr(_PassiveFactor, "keep", checked_keep)
+    for M, b in calls:
+        res = nnls(M, b)
+        assert res.kkt_residual == 0.0
+        assert np.max(M.T @ (b - M @ res.u)) <= 1e-14 * np.max(np.abs(M.T @ b))
+    assert len(residuals) == 60 and max(residuals) <= 1e-12
 
 
 def assert_factor_holds(factor, scale):
@@ -354,11 +469,16 @@ def assert_factor_holds(factor, scale):
 def test_keep_downdates_the_trailing_block(monkeypatch):
     # Random append/keep sequences on independent columns: every blocking
     # step, one column or several, first (k = 0), last (k = n - 1) or in
-    # between, downdates the factor without a full re-factor.
+    # between, downdates the factor without a full re-factor and without
+    # inverting a matrix.
     def no_refactor(self):
         raise AssertionError("full re-factor of a complete factor")
 
+    def no_inv(a):
+        raise AssertionError("keep inverted a matrix")
+
     monkeypatch.setattr(_PassiveFactor, "_refactor", no_refactor)
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
     rng = np.random.default_rng(127)
     positions = set()
     for trial in range(60):
