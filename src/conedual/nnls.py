@@ -18,12 +18,19 @@ span of the trailing columns of ``Q``; the inverse of their new diagonal
 block is read off the kept inverse and polished by one Newton step, so a
 blocking step inverts no matrix.  The normal equations ``M^T M`` are
 never formed, so the conditioning of the subproblems is that of
-``M[:, P]``.  When the passive columns are numerically dependent -- a
+``M[:, P]``.
+
+A column that would make the passive columns numerically dependent -- a
 diagonal entry of ``R`` at or below ``eps * max(m, k)`` times the largest,
-or more than ``min(m, k)`` passive columns -- the subproblem is solved by
-``numpy.linalg.lstsq`` on the passive columns instead, which returns the
-minimum-norm solution, until a blocking step leaves an independent set;
-the factor is then recomputed by ``numpy.linalg.qr``.
+or more than ``min(m, k)`` passive columns -- is refused: it does not
+enter, the factor is left as it was, and the column is rejected as below
+(Lawson & Hanson's rule; in exact arithmetic such a column has the dual
+value ``M_j^T r = 0``, so only roundoff lets it be a candidate).  The
+passive columns are therefore always independent and every subproblem has
+one solve path.  A blocking step keeps them so: each surviving column's
+diagonal entry is its distance from the span of the kept columns before
+it, which are fewer than before, so it cannot shrink, and the inverse of
+the re-factored block divides by nothing.
 
 A system with ``2 < k <= m`` columns whose optimum uses every column would
 take ``k`` outer iterations.  So when the first outer iteration lowered
@@ -31,7 +38,7 @@ the residual and every free dual value is still above ``kkt_tol``, the
 second one tries a dense shortcut (Van Benthem & Keenan, *J. Chemometrics*
 18, 2004, start from the unconstrained solution): one QR factor of
 ``[M | b]`` gives ``R`` and ``Q^T b``; if the diagonal of ``R`` passes the
-dependence check above, the columns have full rank, and if the
+dependence test above, the columns have full rank, and if the
 back-substituted unconstrained minimizer is positive it is feasible, hence
 the unique optimum, and is returned with ``kkt_residual`` zero.  Otherwise
 the iteration goes on from the passive factor, which the shortcut leaves
@@ -99,7 +106,7 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         positive entry of the dual vector over the free indices at the
         returned point: zero when the KKT conditions hold to working
         precision, and above ``kkt_tol`` when every index left eligible was
-        rejected.
+        rejected, on roundoff or as a dependent column.
 
     Raises
     ------
@@ -148,8 +155,10 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
                 r = b - M @ u
                 rr = r @ r
                 break
+        if not factor.append(j):
+            rejected.append(j)  # a dependent column is refused and rejected
+            continue
         passive[j] = True
-        factor.append(j)
 
         while True:
             cols, z_cols = factor.solve()
@@ -211,12 +220,12 @@ class _PassiveFactor:
 
     ``cols`` lists the passive indices in the order they entered.  ``Q``,
     the inverse ``Rinv`` of the upper triangular ``R`` and ``qtb = Q^T b``
-    are kept in buffers of ``min(m, k)`` columns, of which the first ``n``
-    are in use; ``diag`` holds the magnitudes of the ``n`` diagonal entries
-    of ``R``, and ``dmin`` and ``dmax`` their extremes.  A column that would
-    make the factor numerically dependent, or exceed ``min(m, k)`` columns,
-    is listed in ``cols`` but not factored, and neither is any column after
-    it; while ``n < len(cols)``, :meth:`solve` falls back to ``lstsq``.
+    are kept in buffers of ``min(m, k)`` columns, of which the first
+    ``len(cols)`` are in use; ``diag`` holds the magnitudes of the diagonal
+    entries of ``R``, and ``dmin`` and ``dmax`` their extremes.  A column
+    that would make the factor numerically dependent, or exceed ``min(m,
+    k)`` columns, is refused by :meth:`append`, so the factored columns are
+    always all the passive ones.
     """
 
     def __init__(self, M, b):
@@ -232,17 +241,19 @@ class _PassiveFactor:
         self.qtb = np.zeros(size)
 
     def append(self, j):
-        """Add column ``j`` by Gram-Schmidt with one re-orthogonalization.
+        """Add column ``j`` by Gram-Schmidt with one re-orthogonalization,
+        and return whether it was added.
 
         With ``M[:, j] = Q r + rho q``, the new column of ``R`` is
         ``(r, rho)`` and that of its inverse is ``(-Rinv r / rho, 1 / rho)``,
         the recurrence by which LAPACK's ``trti2`` inverts a triangular
-        matrix.
+        matrix.  The column is refused, and the factor left untouched, when
+        the factor already has ``min(m, k)`` columns or when ``rho`` would
+        fail the dependence test ``dmin <= eps max(m, k) dmax``.
         """
-        n = len(self.diag)
-        self.cols.append(j)
-        if n + 1 < len(self.cols) or n == self.qtb.size:
-            return
+        n = len(self.cols)
+        if n == self.qtb.size:
+            return False
         v = self.M[:, j]
         if n:
             Q = self.Q[:, :n]
@@ -254,7 +265,8 @@ class _PassiveFactor:
         rho = math.sqrt(v @ v)
         dmin, dmax = min(self.dmin, rho), max(self.dmax, rho)
         if dmin <= self.tol * dmax:
-            return
+            return False
+        self.cols.append(j)
         self.diag.append(rho)
         self.dmin, self.dmax = dmin, dmax
         q = v / rho
@@ -263,6 +275,7 @@ class _PassiveFactor:
         if n:
             self.Rinv[:n, n] = (self.Rinv[:n, :n] @ r) / -rho
         self.Rinv[n, n] = 1.0 / rho
+        return True
 
     def keep(self, passive):
         """Drop the columns that left ``passive``.
@@ -278,27 +291,26 @@ class _PassiveFactor:
         k:n] U``, made exactly triangular by ``triu``.  That product carries
         the rounding of ``P`` through ``Rinv``, a residual ``I - T T^{-1}``
         of order ``eps cond(R)`` that on ill-conditioned systems moves the
-        optimum, so one Newton step ``X + X (I - T X)`` squares it away.  An
-        incomplete factor, or a downdate that fails the dependence check,
-        is recomputed from the surviving columns instead.
+        optimum, so one Newton step ``X + X (I - T X)`` squares it away.
+
+        The downdate is not tested for dependence again.  A surviving
+        column's diagonal entry is its distance from the span of the kept
+        columns before it, which are fewer than before, so it cannot shrink,
+        and ``T^{-1}`` comes from the kept ``Rinv`` and the Newton step,
+        dividing by nothing.  Only ``dmax`` can grow, and that reflects the
+        scale of the columns, not their dependence; ``dmin`` and ``dmax``
+        are refreshed for the next :meth:`append`.
         """
-        n = len(self.diag)
-        complete = n == len(self.cols)
+        n = len(self.cols)
         k = next((i for i, j in enumerate(self.cols) if not passive[j]), n)
         pos = [i for i in range(k, n) if passive[self.cols[i]]]
         self.cols = [j for j in self.cols if passive[j]]
-        if not complete:
-            self._refactor()
-            return
         tail = self.cols[k:]
         diag = self.diag[:k]
         if tail:
             P = self.Q[:, :n].T @ self.M[:, tail]
             U, T = np.linalg.qr(P[k:])
             diag += np.abs(np.diagonal(T)).tolist()
-            if min(diag) <= self.tol * max(diag):
-                self._refactor()
-                return
             end = k + len(tail)
             Tinv = np.triu(self.Rinv[pos, k:n] @ U)
             Tinv += Tinv @ (np.eye(len(tail)) - T @ Tinv)
@@ -311,25 +323,7 @@ class _PassiveFactor:
     def _set_diag(self, diag):
         self.diag, self.dmin, self.dmax = diag, min(diag, default=math.inf), max(diag, default=0.0)
 
-    def _refactor(self):
-        """Factor the columns ``cols`` afresh by ``numpy.linalg.qr``."""
-        self._set_diag([])
-        p = len(self.cols)
-        if p == 0 or p > self.qtb.size:
-            return
-        Q, R = np.linalg.qr(self.M[:, self.cols])
-        diag = np.abs(np.diagonal(R))
-        if diag.min() <= self.tol * diag.max():
-            return
-        self._set_diag(diag.tolist())
-        self.Q[:, :p] = Q
-        self.Rinv[:p, :p] = np.linalg.inv(R)
-        self.qtb[:p] = Q.T @ self.b
-
     def solve(self):
         """The passive indices and the least-squares coefficients on them."""
-        n = len(self.diag)
-        if n < len(self.cols):
-            idx = sorted(self.cols)
-            return idx, np.linalg.lstsq(self.M[:, idx], self.b, rcond=None)[0]
+        n = len(self.cols)
         return self.cols, self.Rinv[:n, :n] @ self.qtb[:n]

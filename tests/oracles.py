@@ -172,8 +172,13 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
     with ``2 < k <= m``, when the first lowered the residual and every free
     dual value is above ``kkt_tol``, the ``lstsq`` solution on all columns
     is returned (as two iterations with a zero KKT residual) if they have
-    full rank and it is positive. Returns ``(u, iterations, kkt_residual)``
-    and raises ``SolverFailure`` where ``nnls`` would.
+    full rank and it is positive.  A column is refused, and rejected like
+    an entering index that does not lower the residual, when it would make
+    more than ``min(m, k)`` passive columns or when the passive columns
+    followed by it fail the factor's dependence test: the smallest
+    ``|diag R|`` of ``numpy.linalg.qr(M[:, idx], mode="r")`` at or below
+    ``eps * max(m, k)`` times the largest.  Returns ``(u, iterations,
+    kkt_residual)`` and raises ``SolverFailure`` where ``nnls`` would.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -183,6 +188,10 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
 
     def kkt(w, free):
         return max(float(np.max(w[free], initial=0.0)), 0.0)
+
+    def dependent(cols):
+        diag = np.abs(np.diagonal(np.linalg.qr(cols, mode="r")))
+        return diag.min() <= np.finfo(float).eps * max(m, k) * diag.max()
 
     u = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
@@ -203,6 +212,10 @@ def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
             if rank == k and np.all(z > 0):
                 return z, 2, 0.0
         j = int(np.argmax(np.where(eligible, w, -np.inf)))
+        idx = [*np.flatnonzero(passive), j]
+        if len(idx) > min(m, k) or dependent(M[:, idx]):
+            rejected[j] = True
+            continue
         passive[j] = True
         while True:
             idx = np.flatnonzero(passive)

@@ -343,6 +343,20 @@ def test_every_returned_outcome_verifies():
     assert all(seen[side, branch] for side in ("primal", "dual") for branch in ("solution", "certificate"))
 
 
+def test_classification_does_not_move_when_b_is_scaled_by_1e6():
+    # The decision is invariant under b -> t b.  At 1e6 it needs NNLS to
+    # keep a numerically dependent column out of its passive set.  Larger
+    # and smaller scales still move branches through the absolute decision
+    # tolerance, so they are not pinned here.
+    rng = np.random.default_rng(7)
+    moved = []
+    for index in range(1500):
+        a, b, cone = random_farkas_instance(rng)
+        if classify_instance(a, 1e6 * b, cone) != classify_instance(a, b, cone):
+            moved.append(index)
+    assert moved == []
+
+
 def test_stored_residuals_are_the_verified_ones(monkeypatch):
     # Every outcome carries, bit for bit, the residuals verify_outcome
     # compares with its tolerance: one routine computes both.

@@ -51,13 +51,14 @@ def brute_force_grid_min(M, b, upper, step):
 def spy_outer_iterations(monkeypatch):
     """Record ``[j, rr]`` per outer iteration of ``nnls``: the entering index
     and the squared residual of the iterate the iteration ends at, computed
-    with the same operations as ``nnls``."""
+    with the same operations as ``nnls``; ``rr`` stays ``inf`` when the
+    factor refuses ``j``, whose iteration solves nothing and rejects it."""
     log = []
     append, solve = _PassiveFactor.append, _PassiveFactor.solve
 
     def spy_append(self, j):
-        log.append([j, None])
-        append(self, j)
+        log.append([j, np.inf])
+        return append(self, j)
 
     def spy_solve(self):
         cols, z_cols = solve(self)
@@ -469,15 +470,10 @@ def assert_factor_holds(factor, scale):
 def test_keep_downdates_the_trailing_block(monkeypatch):
     # Random append/keep sequences on independent columns: every blocking
     # step, one column or several, first (k = 0), last (k = n - 1) or in
-    # between, downdates the factor without a full re-factor and without
-    # inverting a matrix.
-    def no_refactor(self):
-        raise AssertionError("full re-factor of a complete factor")
-
+    # between, downdates the factor without inverting a matrix.
     def no_inv(a):
         raise AssertionError("keep inverted a matrix")
 
-    monkeypatch.setattr(_PassiveFactor, "_refactor", no_refactor)
     monkeypatch.setattr(np.linalg, "inv", no_inv)
     rng = np.random.default_rng(127)
     positions = set()
@@ -493,7 +489,7 @@ def test_keep_downdates_the_trailing_block(monkeypatch):
             for j in rng.permutation(free)[: rng.integers(1, free.size + 1)]:
                 passive[j] = True
                 order.append(int(j))
-                factor.append(int(j))
+                assert factor.append(int(j))
             n = len(order)
             first = {0: 0, 1: n - 1}.get(trial % 3, int(rng.integers(n)))
             dropped = [order[first]] + [j for j in order[first + 1 :] if rng.random() < 0.3]
@@ -521,17 +517,23 @@ def outcome_without_linalg_error(M, b, kkt_tol):
 
 
 @pytest.mark.parametrize("case", ["duplicate", "in_span", "wide"])
-def test_dependent_passive_columns_fall_back_to_lstsq(monkeypatch, case):
-    # kkt_tol = 0 lets roundoff in w admit a column already in the span of
-    # the passive set (or a column beyond m), so the dependent path runs.
-    lstsq = np.linalg.lstsq
-    calls = []
+def test_dependent_column_is_refused(monkeypatch, case):
+    # kkt_tol = 0 lets roundoff in w make a candidate of a column already in
+    # the span of the passive set (or a column beyond m).  The factor refuses
+    # it, nnls rejects it, and no subproblem is solved another way; the
+    # fitted point is the reference's, and the residual scipy's.
+    optimize = pytest.importorskip("scipy.optimize")
+    append, refused = _PassiveFactor.append, []
 
-    def counting_lstsq(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
+    def spy_append(self, j):
+        added = append(self, j)
+        if not added:
+            refused.append(j)
+        return added
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    def no_call(*args, **kwargs):
+        raise AssertionError("nnls solved a subproblem without its factor")
+
     rng = np.random.default_rng([97, len(case)])
     for _ in range(50):
         A = rng.normal(size=(4, 3))
@@ -544,8 +546,18 @@ def test_dependent_passive_columns_fall_back_to_lstsq(monkeypatch, case):
         else:
             M = rng.normal(size=(3, 6))
             b = M @ rng.uniform(0.0, 1.0, size=6) * 1e3
-        outcome_without_linalg_error(M, b, kkt_tol=0.0)
-    assert calls
+        u_ref, _, _ = reference_nnls(M, b, kkt_tol=0.0)
+        _, rnorm = optimize.nnls(M, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(_PassiveFactor, "append", spy_append)
+            patch.setattr(np.linalg, "lstsq", no_call)
+            patch.setattr(np.linalg, "inv", no_call)
+            res = nnls(M, b, kkt_tol=0.0)
+        # Dependent columns make u non-unique, and with kkt_tol = 0 the path
+        # turns on roundoff in w, so the fitted point M u is compared.
+        np.testing.assert_allclose(M @ res.u, M @ u_ref, rtol=0, atol=1e-9 * np.linalg.norm(b))
+        assert res.residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12 * np.linalg.norm(b))
+    assert refused
 
 
 def test_zero_column():
@@ -568,48 +580,40 @@ def test_wide_problem_with_m_columns_passive():
     assert_matches_reference(M, b)
 
 
-def test_factor_stays_dependent_until_the_dependent_column_leaves():
-    # Column 2 duplicates column 0, so the factor refuses it and the
-    # subproblems fall back to lstsq; removing column 3 keeps the duplicate,
-    # removing column 2 ends the fallback.
+def test_duplicate_column_is_refused_and_leaves_the_factor_untouched():
+    # Column 2 duplicates column 0, so the factor refuses it and keeps every
+    # buffer bit for bit; column 3 then enters as if column 2 had not come.
     M = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
     b = np.array([1.0, 2.0, 3.0, 4.0])
     factor = _PassiveFactor(M, b)
-    for j in range(4):
-        factor.append(j)
-    factor.keep(np.array([True, True, True, False]))
+    assert factor.append(0) and factor.append(1)
+    names = ["cols", "diag", "Q", "Rinv", "qtb"]
+    before = [np.array(getattr(factor, name)).tobytes() for name in names]
+    assert not factor.append(2)
+    assert [np.array(getattr(factor, name)).tobytes() for name in names] == before
+    assert factor.append(3)
     idx, z = factor.solve()
-    np.testing.assert_array_equal(idx, [0, 1, 2])
-    np.testing.assert_allclose(z, np.linalg.lstsq(M[:, :3], b, rcond=None)[0], atol=1e-12)
-    factor.keep(np.array([True, True, False, False]))
-    idx, z = factor.solve()
-    np.testing.assert_array_equal(idx, [0, 1])
-    np.testing.assert_allclose(z, np.linalg.lstsq(M[:, :2], b, rcond=None)[0], atol=1e-12)
+    assert idx == [0, 1, 3]
+    np.testing.assert_allclose(z, np.linalg.lstsq(M[:, idx], b, rcond=None)[0], atol=1e-12)
 
 
-def test_downdate_that_fails_the_dependence_check_is_refactored(monkeypatch):
+def test_downdate_keeps_its_factor_past_the_dependence_test():
     # Column 0 props up the scale of R's diagonal: without it, column 1 of
-    # norm 1e14 and column 2 of norm 1e-2 fail the relative check, so the
-    # downdate hands over to the full re-factor, which refuses them too.
-    refactor = _PassiveFactor._refactor
-    calls = []
-
-    def counting_refactor(self):
-        calls.append(list(self.cols))
-        refactor(self)
-
-    monkeypatch.setattr(_PassiveFactor, "_refactor", counting_refactor)
+    # norm 1e14 and column 2 of norm 1e-2 fail the relative test, which
+    # only the scale of column 1 trips.  The downdate keeps its factor and
+    # gives the exact least-squares coefficients; lstsq's rank cutoff
+    # would give 0 for column 2.
     M = np.array([[1.0, 1e14, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-2]])
     b = np.array([1.0, 2.0, 3.0])
     factor = _PassiveFactor(M, b)
-    for j in range(3):
-        factor.append(j)
-    assert len(factor.diag) == 3
+    assert all(factor.append(j) for j in range(3))
     factor.keep(np.array([False, True, True]))
-    assert calls == [[1, 2]] and factor.diag == []
+    assert factor.cols == [1, 2] and factor.dmin <= factor.tol * factor.dmax
+    R = factor.Q[:, :2].T @ M[:, 1:]
+    assert np.linalg.norm(factor.Rinv[:2, :2] @ R - np.eye(2)) <= 1e-12
     idx, z = factor.solve()
-    np.testing.assert_array_equal(idx, [1, 2])
-    np.testing.assert_allclose(z, np.linalg.lstsq(M[:, 1:], b, rcond=None)[0], rtol=1e-12)
+    assert idx == [1, 2]
+    np.testing.assert_allclose(z, [1e-14, 300.0], rtol=1e-12)
 
 
 def test_column_entering_a_full_factor():
