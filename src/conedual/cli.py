@@ -232,8 +232,8 @@ def main(argv=None):
     for name, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0.0 < args.tol < np.inf:  # also refuses nan
+        print("error: --tol must be a positive finite number", file=sys.stderr)
         return EXIT_USAGE
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

@@ -272,6 +272,10 @@ def kernel_sign_condition(spec):
     sign test allows ``ZERO_SAMPLE_TOL``.  A sign condition does not make
     both equality systems solvable: ``B = K = b = 0`` with ``c = 1`` meets
     ``condition_i``, and its dual system has no solution.
+
+    This describes the sampled data only: no theorem check or pipeline
+    reads it.  Its readers are the ``sign_condition`` field of ``conedual
+    clp`` and the ``clp_grid`` benchmark workload.
     """
     grid = _grid(spec)
     kernel = grid.kernel_support()

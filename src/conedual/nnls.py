@@ -32,35 +32,36 @@ diagonal entry is its distance from the span of the kept columns before
 it, which are fewer than before, so it cannot shrink, and the inverse of
 the re-factored block divides by nothing.
 
-A system with ``2 < k <= m`` columns whose optimum uses every column would
-take ``k`` outer iterations.  So when the first outer iteration lowered
-the residual and every free dual value is still above ``kkt_tol``, the
-second one tries a dense shortcut (Van Benthem & Keenan, *J. Chemometrics*
-18, 2004, start from the unconstrained solution): one QR factor of
-``[M | b]`` gives ``R`` and ``Q^T b``; if the diagonal of ``R`` passes the
-dependence test above, the columns have full rank, and if the
-back-substituted unconstrained minimizer is positive it is feasible, hence
-the unique optimum, and is returned with ``kkt_residual`` zero.  Otherwise
-the iteration goes on from the passive factor, which the shortcut leaves
-untouched.  Waiting for the first iteration spares the attempt on most
-small systems whose optimum is not dense.
+A system with ``2 < k <= m`` columns whose optimum uses every column
+would take ``k`` outer iterations.  So when the first outer iteration
+lowered the residual and every free dual value is still above
+``STATIONARITY_TOL``, the second one tries a dense shortcut (Van Benthem
+& Keenan, *J. Chemometrics* 18, 2004, start from the unconstrained
+solution): one QR factor of ``[M | b]`` gives ``R`` and ``Q^T b``; if
+the diagonal of ``R`` passes the dependence test above, the columns have
+full rank, and if the back-substituted unconstrained minimizer is
+positive it is feasible, hence the unique optimum, and is returned with
+``kkt_residual`` zero.  Otherwise the iteration goes on from the passive
+factor, which the shortcut leaves untouched.  Waiting for the first
+iteration spares the attempt on most small systems whose optimum is not
+dense.
 
 In exact arithmetic every outer iteration strictly decreases the residual
 whichever eligible index enters (it gets a positive coefficient), so no
 passive set recurs and the iteration terminates: unlike the simplex method,
 NNLS needs no Bland rule.  In floating point an outer iteration can fail
-to: an index whose dual value lies just above ``kkt_tol`` enters on
-roundoff, the least-squares step gives it a non-positive coefficient, and
-it leaves again, returning to the iterate it started from or to one that
-differs from it by roundoff.  The same indices would then enter again until
+to: an index whose dual value lies just above ``STATIONARITY_TOL`` enters
+on roundoff, the least-squares step gives it a non-positive coefficient,
+and it leaves again, returning to the iterate it started from or to one
+that differs from it by roundoff.  The same indices would then enter again until
 the iteration cap.  So an outer iteration that does not bring the squared
 residual below its smallest value so far rejects its entering index, and
 the eligible index with the next largest dual value is tried (Lawson &
 Hanson's rule for a candidate whose coefficient is not positive).  The
 rejections are cleared whenever the residual falls.  When every eligible
 index is rejected the iterate is returned, and ``kkt_residual`` reports the
-largest dual value left over the free indices.  ``max_iter`` still guards
-the rest.
+largest dual value left over the free indices.  The iteration cap still
+guards the rest.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .tolerances import BLOCKING_TIE_TOL, STATIONARITY_TOL
 __all__ = ["NNLSResult", "nnls"]
 
 _EPS = np.finfo(float).eps
+_ITERATIONS_PER_SIZE = 100  # the cap on outer iterations, per row and column of M
 
 
 @dataclass
@@ -86,18 +88,13 @@ class NNLSResult:
     kkt_residual: float
 
 
-def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
-    """Minimize ``||M u - b||_2`` over ``u >= 0``.
+def nnls(M, b):
+    """Minimize ``||M u - b||_2`` over ``u >= 0``, for an ``(m, k)`` matrix
+    ``M`` and an ``(m,)`` vector ``b``.
 
-    Parameters
-    ----------
-    M : (m, k) array
-    b : (m,) array
-    kkt_tol : float
-        Stationarity tolerance on the dual vector ``M^T (b - M u)``;
-        defaults to ``STATIONARITY_TOL``.
-    max_iter : int, optional
-        Outer-iteration cap; defaults to ``100 * (k + m)``.
+    An index is eligible to enter while its entry of the dual vector
+    ``M^T (b - M u)`` is above ``STATIONARITY_TOL``, and the iteration stops
+    after ``_ITERATIONS_PER_SIZE * (k + m)`` outer iterations.
 
     Returns
     -------
@@ -105,8 +102,8 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         ``u`` is exactly nonnegative.  ``kkt_residual`` is the largest
         positive entry of the dual vector over the free indices at the
         returned point: zero when the KKT conditions hold to working
-        precision, and above ``kkt_tol`` when every index left eligible was
-        rejected, on roundoff or as a dependent column.
+        precision, and above ``STATIONARITY_TOL`` when every index left
+        eligible was rejected, on roundoff or as a dependent column.
 
     Raises
     ------
@@ -125,8 +122,7 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         raise ValueError("non-finite entries in NNLS data")
 
     m, k = M.shape
-    if max_iter is None:
-        max_iter = 100 * (k + m)
+    cap = _ITERATIONS_PER_SIZE * (k + m)
 
     u = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
@@ -142,13 +138,13 @@ def nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
             candidates[rejected] = -np.inf
         # The largest dual value enters; argmax takes the smallest index of a tie.
         j = int(candidates.argmax())
-        if not candidates[j] > kkt_tol:
+        if not candidates[j] > STATIONARITY_TOL:
             break
         iterations += 1
-        if iterations > max_iter:
+        if iterations > cap:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": _kkt(w, ~passive)})
         # The dense shortcut of the module docstring.
-        if iterations == 2 and not rejected and 2 < k <= m and (w[~passive] > kkt_tol).all():
+        if iterations == 2 and not rejected and 2 < k <= m and (w[~passive] > STATIONARITY_TOL).all():
             z = _dense_solution(M, b, factor.tol)
             if z is not None:
                 u, passive[:] = z, True

@@ -94,7 +94,7 @@ def _bland_leaving(tableau, basis, col, n_rows):
     return int(ties[basis[ties].argmin()])
 
 
-def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count, bounded):
+def _run_phase(tableau, basis, n_rows, n_eligible, cap, iteration_count, bounded):
     """Pivot until no column below ``n_eligible`` has a negative reduced cost.
 
     The smallest such column enters.  If no row blocks it, the phase ends
@@ -113,7 +113,7 @@ def _run_phase(tableau, basis, n_rows, n_eligible, max_iter, iteration_count, bo
         else:
             return "optimal", iteration_count
         iteration_count += 1
-        if iteration_count > max_iter:
+        if iteration_count > cap:
             raise SolverFailure(
                 "simplex iteration cap exceeded (cycling guard)",
                 detail={"basis": basis.tolist(), "iterations": iteration_count},
@@ -158,7 +158,7 @@ def simplex_solve(c, A, b):
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("non-finite entries in LP data")
-    max_iter = 200 * (m + n + 10)
+    cap = 200 * (m + n + 10)
 
     # Normalize to b >= 0 so the starting basis is feasible.
     A, b = _nonnegative_rhs(A, b)
@@ -179,7 +179,7 @@ def simplex_solve(c, A, b):
         tableau[-1, :n] = -A[art].sum(axis=0)
         tableau[-1, -1] = -b[art].sum()
         # The sum of artificials is bounded below by 0, so phase one ends "optimal".
-        _, iterations = _run_phase(tableau, basis, m, n + n_art, max_iter, 0, bounded=True)
+        _, iterations = _run_phase(tableau, basis, m, n + n_art, cap, 0, bounded=True)
 
         phase1_obj = float(-tableau[-1, -1])
         scale = 1.0 + float(np.abs(b).max(initial=0.0))
@@ -214,7 +214,7 @@ def simplex_solve(c, A, b):
     for i in c[basis].nonzero()[0]:
         tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
 
-    status, iterations = _run_phase(tableau, basis, m2, n, max_iter, iterations, bounded=False)
+    status, iterations = _run_phase(tableau, basis, m2, n, cap, iterations, bounded=False)
     if status == "unbounded":
         return SimplexResult(
             status="unbounded",

@@ -27,18 +27,18 @@ from conedual.instances import random_farkas_instance
 from conedual.linops import OperatorSpec, adjoint_matrix, pairing, pairing_norm
 from conedual.residual import residual_minimize
 from conedual.simplex import simplex_solve
+from conedual.tolerances import STATIONARITY_TOL
 
 
-def grid_residual_min(A, cone, b, upper=3.0, step=1e-3):
-    """Exact minimum of ||A G u - b||^2 over the coefficient grid
-    [0, upper]^2.
+def grid_residual_min(M, b, upper=3.0, step=1e-3):
+    """Exact minimum of ||M u - b||^2 over the grid [0, upper]^2 of the
+    two coefficients ``u``.
 
     The full enumeration collapses column-wise: for each u1 the objective
     is a convex parabola in u2, so its grid minimum sits at the clamped
     neighbors of the unconstrained vertex.  The result equals the full
     grid scan exactly.
     """
-    M = A.matrix @ generators(cone)
     u1 = np.arange(0.0, upper + step / 2, step)
     m0, m1 = M[:, 0], M[:, 1]
     a22 = float(m1 @ m1)
@@ -56,6 +56,13 @@ def grid_residual_min(A, cone, b, upper=3.0, step=1e-3):
         vals = const[i] + 2.0 * lin[i] * cand + a22 * cand**2
         best = min(best, float(vals.min()))
     return best
+
+
+def same_bits(u, v):
+    """Two arrays, or two Nones, agree in dtype, shape and every bit."""
+    if u is None or v is None:
+        return u is None and v is None
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def polar_brute_force(spec, r_max=3.0, r_step=1e-3, theta_step=1e-3, chunk=200):
@@ -159,7 +166,7 @@ def slice_interior_by_base(cone, v, tol):
     return residual <= tol and cones.interior_contains(cone.base, v, tol)
 
 
-def reference_nnls(M, b, kkt_tol=1e-10, max_iter=None):
+def reference_nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
     """The active-set NNLS with every passive subproblem solved by
     ``numpy.linalg.lstsq`` (an SVD of the passive columns) from scratch.
 

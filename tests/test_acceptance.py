@@ -100,7 +100,7 @@ def _criterion_3_instances():
 
 def test_criterion_03_residual_grid_oracle():
     for a, b, cone, res in _criterion_3_instances():
-        oracle = grid_residual_min(a, cone, b, upper=3.0, step=1e-3)
+        oracle = grid_residual_min(a.matrix @ generators(cone), b, upper=3.0, step=1e-3)
         assert abs(res.value - oracle) <= 1e-5
     report_line(3, "residual-grid-oracle", "100 planar instances within 1e-5 of the 1e-3 grid scan")
 

@@ -298,6 +298,17 @@ def test_usage_errors():
     assert main(["solve", "--input", "/nonexistent/path.json"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8"])
+@pytest.mark.parametrize("subcommand", ["farkas", "batch"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, subcommand, tol):
+    # b = (-1, 0) is outside the orthant: at --tol inf the point (0, 0) would pass.
+    args = ["--input", write(tmp_path, "inf.json", identity_doc(b=(-1.0, 0.0)))] if subcommand == "farkas" else []
+    # "--tol=-1e-8": argparse reads a separate "-1e-8" as an option.
+    assert main([f"--tol={tol}", subcommand, *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --tol must be a positive finite number\n"
+
+
 def test_missing_type_field(tmp_path):
     path = write(tmp_path, "bad.json", {"foo": 1})
     assert main(["solve", "--input", path]) == EXIT_USAGE

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dual, rank_system_solved
+from oracles import dual, rank_system_solved, same_bits
 from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, duality, instances
@@ -593,12 +593,6 @@ def game_slice_problem():
         game_slice=True,
     )
     return build_complex_lp(spec)
-
-
-def same_bits(u, v):
-    if u is None or v is None:
-        return u is None and v is None
-    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("make", [weighted_clp_problem, game_slice_problem])

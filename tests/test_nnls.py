@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import reference_nnls
+from oracles import grid_residual_min, reference_nnls
 
 import conedual.nnls
 import conedual.residual
@@ -14,38 +14,6 @@ from conedual.errors import SolverFailure
 from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import random_farkas_instance
 from conedual.nnls import _PassiveFactor, nnls
-
-
-def brute_force_grid_min(M, b, upper, step):
-    """Exact minimum of ||M u - b||^2 over the grid [0, upper]^2.
-
-    Exploits 1-D convexity: for each u1 column the parabola in u2 attains
-    its grid minimum at the clamped neighbors of the unconstrained vertex,
-    so the full enumeration collapses to O(grid) candidate evaluations with
-    an identical result.
-    """
-    u1 = np.arange(0.0, upper + step / 2, step)
-    m0, m1 = M[:, 0], M[:, 1]
-    a22 = float(m1 @ m1)
-    best = np.inf
-    # residual(u1, u2) = ||u1 m0 - b||^2 + 2 u2 m1.(u1 m0 - b) + u2^2 ||m1||^2
-    base = np.outer(u1, m0) - b  # rows: residual at u2 = 0
-    const = np.einsum("ij,ij->i", base, base)
-    lin = base @ m1
-    if a22 <= 1e-300:
-        candidates = np.array([0.0, upper])
-    else:
-        candidates = None
-    for i in range(u1.size):
-        if candidates is None:
-            vertex = -lin[i] / a22
-            snapped = np.floor(vertex / step) * step
-            cand = np.unique(np.clip([snapped, snapped + step, 0.0, upper], 0.0, upper))
-        else:
-            cand = candidates
-        vals = const[i] + 2.0 * lin[i] * cand + a22 * cand**2
-        best = min(best, float(vals.min()))
-    return best
 
 
 def spy_outer_iterations(monkeypatch):
@@ -132,7 +100,7 @@ def test_matches_grid_oracle_on_2d():
         res = nnls(M, b)
         if np.max(res.u) > 2.5:  # keep the optimum inside the oracle box
             continue
-        oracle = brute_force_grid_min(M, b, upper=3.0, step=1e-3)
+        oracle = grid_residual_min(M, b, upper=3.0, step=1e-3)
         assert res.residual_norm**2 <= oracle + 1e-9
         assert abs(res.residual_norm**2 - oracle) <= 1e-5
 
@@ -163,19 +131,21 @@ def test_tie_enters_the_smallest_index():
     assert res.u.tolist() == [1.0, 0.0] and res.iterations == 1
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    # With no outer iteration allowed, the first one trips the cap.
     rng = np.random.default_rng(73)
     M = rng.normal(size=(10, 8))
     b = rng.normal(size=10)
+    monkeypatch.setattr(conedual.nnls, "_ITERATIONS_PER_SIZE", 0)
     with pytest.raises(SolverFailure):
-        nnls(M, b, max_iter=0)
+        nnls(M, b)
 
 
 def test_index_that_leaves_again_is_rejected(monkeypatch):
-    # An index with w_j just above kkt_tol enters, gets a non-positive
-    # coefficient and leaves, and the residual does not fall.  The index is
-    # rejected rather than tried again up to the cap of 800 iterations, at
-    # two passive solves per iteration.
+    # An index with w_j just above STATIONARITY_TOL enters, gets a
+    # non-positive coefficient and leaves, and the residual does not fall.
+    # The index is rejected rather than tried again up to the cap of 800
+    # iterations, at two passive solves per iteration.
     a, b, cone = random_farkas_instance(np.random.default_rng((7, 590)))
     assert cone.kind == "orthant" and a.matrix.shape == (3, 5)
     log = spy_outer_iterations(monkeypatch)
@@ -187,7 +157,7 @@ def test_index_that_leaves_again_is_rejected(monkeypatch):
         return solve(self)
 
     monkeypatch.setattr(_PassiveFactor, "solve", counting_solve)
-    res = nnls(a.matrix, 1e3 * b, kkt_tol=1e-12)
+    res = nnls(a.matrix, 1e3 * b)
     assert len(calls) <= 20
     assert np.all(res.u >= 0.0)
     assert rejected_indices(log, 1e3 * b) == [4]
@@ -195,23 +165,24 @@ def test_index_that_leaves_again_is_rejected(monkeypatch):
 
 def test_rejected_index_lets_the_next_one_enter(monkeypatch):
     # b orthogonal to column 1 up to roundoff, and column 0 scaled by 2^-60
-    # (exactly), so w = [1.9e-18, 1.5e-17]: with kkt_tol = 0 column 1 has
-    # the largest dual value on roundoff, enters, and leaves again, back at
-    # u = 0, where it would be the largest again.  It is rejected, and
-    # column 0, tried next, gives the optimum, where column 1's dual value
-    # is not positive.
+    # (exactly), so w = [1.9e-18, 1.5e-17]: with a stationarity tolerance
+    # of 0 column 1 has the largest dual value on roundoff, enters, and
+    # leaves again, back at u = 0, where it would be the largest again.  It
+    # is rejected, and column 0, tried next, gives the optimum, where column
+    # 1's dual value is not positive.
     rng = np.random.default_rng(40)
     A = rng.normal(size=(3, 2))
     b = rng.normal(size=3)
     b -= (A[:, 0] @ b) / (A[:, 0] @ A[:, 0]) * A[:, 0]
     M = np.column_stack([2.0**-60 * A[:, 1], A[:, 0]])
     assert np.argmax(M.T @ b) == 1 and 0.0 < (M.T @ b)[1] < 1e-16
+    monkeypatch.setattr(conedual.nnls, "STATIONARITY_TOL", 0.0)
     log = spy_outer_iterations(monkeypatch)
-    res = nnls(M, b, kkt_tol=0.0)
+    res = nnls(M, b)
     assert [j for j, _ in log] == [1, 0] and rejected_indices(log, b) == [1]
     assert res.u[1] == 0.0 and res.u[0] == pytest.approx(0.79874269 * 2.0**60, rel=1e-8)
     assert res.kkt_residual == 0.0
-    assert_matches_reference(M, b, kkt_tol=0.0)
+    assert_matches_reference(M, b)
 
 
 def test_qr_subproblems_resolve_svd_roundoff_stall():
@@ -219,20 +190,21 @@ def test_qr_subproblems_resolve_svd_roundoff_stall():
     # roundoff tie with a KKT residual of 4e-12; the triangular solves reach
     # the KKT point.
     a, b, _ = random_farkas_instance(np.random.default_rng((7, 240)))
-    res = nnls(a.matrix, 1e3 * b, kkt_tol=1e-12)
+    res = nnls(a.matrix, 1e3 * b)
     assert res.kkt_residual <= 1e-12
     assert np.all(res.u >= 0.0)
 
 
-def assert_matches_reference(M, b, kkt_tol=1e-10):
-    """``nnls`` and the lstsq reference take the same path to the same point."""
+def assert_matches_reference(M, b):
+    """``nnls`` and the lstsq reference take the same path to the same point,
+    the reference at the tolerance ``nnls`` reads."""
     try:
-        u_ref, iterations, _ = reference_nnls(M, b, kkt_tol=kkt_tol)
+        u_ref, iterations, _ = reference_nnls(M, b, kkt_tol=conedual.nnls.STATIONARITY_TOL)
     except SolverFailure as exc:
         with pytest.raises(SolverFailure, match=f"^{exc.args[0]}$"):
-            nnls(M, b, kkt_tol=kkt_tol)
+            nnls(M, b)
         return
-    res = nnls(M, b, kkt_tol=kkt_tol)
+    res = nnls(M, b)
     assert res.iterations == iterations
     np.testing.assert_array_equal(res.u > 0, u_ref > 0)
     assert np.max(np.abs(res.u - u_ref)) <= 1e-10 * np.max(np.abs(u_ref), initial=1.0)
@@ -320,7 +292,7 @@ def clp_farkas_calls(monkeypatch, n_grid, B, K, b, c):
 def test_matches_lstsq_reference_on_clp_farkas_matrices(monkeypatch, n_grid, m, n):
     calls = clp_farkas_calls(monkeypatch, n_grid, *random_clp_data(np.random.default_rng([83, n_grid, m, n]), m, n))
     for M, b in calls:
-        assert_matches_reference(M, b, kkt_tol=1e-12)
+        assert_matches_reference(M, b)
     if (m, n) == (1, 2):
         # The wide dual system, (n_grid, 2 n_grid): with the largest dual
         # value entering, no index leaves again, so there is one iteration
@@ -341,10 +313,10 @@ def test_dense_shortcut_on_clp_farkas_matrices(monkeypatch, n_grid):
     calls = clp_farkas_calls(monkeypatch, n_grid, *random_clp_data(np.random.default_rng([139, 0, n_grid]), 1, 1))
     dense = spy_dense_shortcut(monkeypatch)
     for M, b in calls:
-        res = nnls(M, b, kkt_tol=1e-12)
+        res = nnls(M, b)
         assert M.shape == (n_grid, n_grid)
         assert res.iterations == 2 and res.kkt_residual == 0.0
-        assert_matches_scipy(optimize, M, b, 1e-12)
+        assert_matches_scipy(optimize, M, b)
     assert dense == [True] * 4
 
 
@@ -394,9 +366,9 @@ def test_residual_matches_scipy_nnls():
             assert nnls(M, b).residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12)
 
 
-def assert_matches_scipy(optimize, M, b, kkt_tol):
+def assert_matches_scipy(optimize, M, b):
     x, rnorm = optimize.nnls(M, b)
-    res = nnls(M, b, kkt_tol=kkt_tol)
+    res = nnls(M, b)
     assert res.residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12)
     assert np.max(np.abs(res.u - x)) <= 1e-9 * np.max(np.abs(x))
 
@@ -406,7 +378,7 @@ def test_matches_scipy_nnls_on_large_random_problems():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(109)
     for _ in range(3):
-        assert_matches_scipy(optimize, rng.normal(size=(128, 128)), rng.normal(size=128), 1e-10)
+        assert_matches_scipy(optimize, rng.normal(size=(128, 128)), rng.normal(size=128))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -415,7 +387,7 @@ def test_matches_scipy_nnls_on_clp_farkas_matrices(monkeypatch, seed):
     calls = clp_farkas_calls(monkeypatch, 64, *random_clp_data(np.random.default_rng([113, seed]), 2, 2))
     assert [M.shape for M, _ in calls] == [(128, 128), (128, 128)]
     for M, b in calls:
-        assert_matches_scipy(optimize, M, b, 1e-12)
+        assert_matches_scipy(optimize, M, b)
 
 
 def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkeypatch):
@@ -504,11 +476,11 @@ def test_keep_downdates_the_trailing_block(monkeypatch):
     assert {(True, False, True), (False, True, False), (False, False, True)} <= positions
 
 
-def outcome_without_linalg_error(M, b, kkt_tol):
+def outcome_without_linalg_error(M, b):
     """Run ``nnls``; a ``LinAlgError`` or any exception but ``SolverFailure``
     propagates and fails the test."""
     try:
-        res = nnls(M, b, kkt_tol=kkt_tol)
+        res = nnls(M, b)
     except SolverFailure as exc:
         assert np.all(exc.detail["u"] >= 0.0)
         return None
@@ -518,10 +490,11 @@ def outcome_without_linalg_error(M, b, kkt_tol):
 
 @pytest.mark.parametrize("case", ["duplicate", "in_span", "wide"])
 def test_dependent_column_is_refused(monkeypatch, case):
-    # kkt_tol = 0 lets roundoff in w make a candidate of a column already in
-    # the span of the passive set (or a column beyond m).  The factor refuses
-    # it, nnls rejects it, and no subproblem is solved another way; the
-    # fitted point is the reference's, and the residual scipy's.
+    # A stationarity tolerance of 0 lets roundoff in w make a candidate of a
+    # column already in the span of the passive set (or a column beyond m).
+    # The factor refuses it, nnls rejects it, and no subproblem is solved
+    # another way; the fitted point is the reference's, and the residual
+    # scipy's.
     optimize = pytest.importorskip("scipy.optimize")
     append, refused = _PassiveFactor.append, []
 
@@ -552,20 +525,22 @@ def test_dependent_column_is_refused(monkeypatch, case):
             patch.setattr(_PassiveFactor, "append", spy_append)
             patch.setattr(np.linalg, "lstsq", no_call)
             patch.setattr(np.linalg, "inv", no_call)
-            res = nnls(M, b, kkt_tol=0.0)
-        # Dependent columns make u non-unique, and with kkt_tol = 0 the path
-        # turns on roundoff in w, so the fitted point M u is compared.
+            patch.setattr(conedual.nnls, "STATIONARITY_TOL", 0.0)
+            res = nnls(M, b)
+        # Dependent columns make u non-unique, and with a tolerance of 0 the
+        # path turns on roundoff in w, so the fitted point M u is compared.
         np.testing.assert_allclose(M @ res.u, M @ u_ref, rtol=0, atol=1e-9 * np.linalg.norm(b))
         assert res.residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12 * np.linalg.norm(b))
     assert refused
 
 
-def test_zero_column():
+def test_zero_column(monkeypatch):
     M = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     b = np.array([1.0, 2.0, -1.0])
-    res = outcome_without_linalg_error(M, b, kkt_tol=0.0)
+    monkeypatch.setattr(conedual.nnls, "STATIONARITY_TOL", 0.0)
+    res = outcome_without_linalg_error(M, b)
     assert res is not None and res.u[1] == 0.0
-    assert_matches_reference(M, b, kkt_tol=0.0)
+    assert_matches_reference(M, b)
 
 
 def test_wide_problem_with_m_columns_passive():
@@ -616,23 +591,25 @@ def test_downdate_keeps_its_factor_past_the_dependence_test():
     np.testing.assert_allclose(z, [1e-14, 300.0], rtol=1e-12)
 
 
-def test_column_entering_a_full_factor():
+def test_column_entering_a_full_factor(monkeypatch):
     # m columns span R^m and a column of norm 1e24 enters on roundoff in w;
     # its Gram-Schmidt remainder is not small next to the diagonal of R, so
     # only the column count marks the passive set as dependent.
+    monkeypatch.setattr(conedual.nnls, "STATIONARITY_TOL", 1e-10)
     rng = np.random.default_rng(107)
     for _ in range(20):
         A = rng.normal(size=(3, 3))
         b = A @ rng.uniform(0.5, 1.5, size=3)
         v = -1e24 * b / np.linalg.norm(b) + 1e23 * rng.normal(size=3)
-        outcome_without_linalg_error(np.column_stack([A, v]), b, kkt_tol=1e-10)
+        outcome_without_linalg_error(np.column_stack([A, v]), b)
 
 
 def test_blocking_step_that_empties_the_passive_set(monkeypatch):
-    # b orthogonal to the first column up to roundoff: with kkt_tol = 0 that
-    # column can enter on a positive w_0 and get a non-positive coefficient,
-    # and the blocking step then leaves no passive column.  The iterate is
-    # back at u = 0, so the entering index is rejected.
+    # b orthogonal to the first column up to roundoff: with a stationarity
+    # tolerance of 0 that column can enter on a positive w_0 and get a
+    # non-positive coefficient, and the blocking step then leaves no passive
+    # column.  The iterate is back at u = 0, so the entering index is
+    # rejected.
     keep = _PassiveFactor.keep
     emptied = []
 
@@ -641,6 +618,7 @@ def test_blocking_step_that_empties_the_passive_set(monkeypatch):
         emptied.append(not self.cols)
 
     monkeypatch.setattr(_PassiveFactor, "keep", recording_keep)
+    monkeypatch.setattr(conedual.nnls, "STATIONARITY_TOL", 0.0)
     log = spy_outer_iterations(monkeypatch)
     rng = np.random.default_rng(103)
     emptying = 0
@@ -650,20 +628,21 @@ def test_blocking_step_that_empties_the_passive_set(monkeypatch):
         b -= (M[:, 0] @ b) / (M[:, 0] @ M[:, 0]) * M[:, 0]
         emptied.clear()
         log.clear()
-        outcome_without_linalg_error(M, b, kkt_tol=0.0)
+        outcome_without_linalg_error(M, b)
         if any(emptied):
             emptying += 1
             assert rejected_indices(log, b)
     assert emptying
 
 
-def test_blocking_step_on_a_zero_coefficient_keeps_the_iterate():
+def test_blocking_step_on_a_zero_coefficient_keeps_the_iterate(monkeypatch):
     # The entering coefficient underflows to exactly 0, so that index's
     # blocking ratio would be 0/0: it blocks at once instead, the index is
     # rejected, and the iterate (1, 0) is returned, with no warning.
+    monkeypatch.setattr(conedual.nnls, "STATIONARITY_TOL", 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = nnls(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 5e-324]), kkt_tol=0.0)
+        res = nnls(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 5e-324]))
     assert res.u.tolist() == [1.0, 0.0]
     assert res.kkt_residual > 0.0
 

@@ -35,7 +35,7 @@ from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, PairingSpec
 from conedual.simplex import simplex_solve
-from oracles import dual, margin_row_strict_lp
+from oracles import dual, margin_row_strict_lp, same_bits
 from test_duality import degenerate_orthant_pairs, swaps_and_negates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one.json")
@@ -110,12 +110,6 @@ class SimplexSpy:
             return res
 
         monkeypatch.setattr(duality, "simplex_solve", spy)
-
-
-def same_bits(u, v):
-    if u is None or v is None:
-        return u is None and v is None
-    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def same_report(r1, r2):

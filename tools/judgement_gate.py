@@ -96,17 +96,31 @@ def item_kind(workload, item):
     return workload.name
 
 
-def run_tree(tree, workload_name, seed, seconds):
-    """Execute and judge every pool item in this process; returns records."""
+def load_tree(tree):
+    """Put the checkout's ``perfbench/`` on the path and import ``conedual``
+    from its ``src/`` by that ``bench.load_package``; returns the modules."""
     sys.path.insert(0, str(Path(tree) / "perfbench"))
     import bench
+
+    return bench.load_package(tree)
+
+
+def load_pool(tree, workload_name, seed, seconds):
+    """``(cd, workload, families, items)``: the checkout's modules, the
+    workload, its failure families and the item pool of ``seconds``."""
+    cd = load_tree(tree)
     from workloads import FAILURE_FAMILIES, WORKLOADS, pool_size
 
-    cd = bench.load_package(tree)
     workload = WORKLOADS[workload_name]
     families = tuple(getattr(cd.errors, name) for name in FAILURE_FAMILIES)
+    return cd, workload, families, workload.make_items(cd, seed, pool_size(workload, seconds))
+
+
+def run_tree(tree, workload_name, seed, seconds):
+    """Execute and judge every pool item in this process; returns records."""
+    cd, workload, families, items = load_pool(tree, workload_name, seed, seconds)
     records = []
-    for item in workload.make_items(cd, seed, pool_size(workload, seconds)):
+    for item in items:
         try:
             result = workload.execute(cd, item)
         except families as exc:

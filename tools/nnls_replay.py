@@ -3,12 +3,12 @@
     python3 tools/nnls_replay.py PARENT CHANGE --workload clp_grid --seed 5 --seconds 20
 
 PARENT and CHANGE are roots of two checkouts.  The calls are recorded on
-PARENT: one Python process imports ``conedual`` from PARENT's ``src/`` and
-the workload from its ``perfbench/`` (read-only, no bytecode written),
-builds the item pool of ``--seconds`` and runs the workload's ``execute``
-on every item, keeping the arguments of every ``nnls`` call.  Each
-checkout then replays the same calls in its own process, with the BLAS
-threads pinned to 1, and times each call as the best of 5 runs.
+PARENT: one Python process loads PARENT's package and the item pool of
+``--seconds`` as ``tools/judgement_gate.py`` does (read-only, no bytecode
+written) and runs the workload's ``execute`` on every item, keeping the
+``(M, b)`` of every ``nnls`` call.  Each checkout then replays the same
+calls in its own process, with the BLAS threads pinned to 1, and times
+each call as the best of 5 runs.
 
 Printed per shape ``(m, k)`` of ``M``, then over all calls: the number of
 calls; the mean over the calls of the best-of-5 time per call on each
@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from judgement_gate import THREAD_VARIABLES, load_pool, load_tree
+
 REPEATS = 5
 
 
@@ -42,26 +43,20 @@ REPEATS = 5
 
 
 def record(tree, workload_name, seed, seconds):
-    """The ``(M, b, kwargs)`` of every ``nnls`` call of the pool's items."""
-    sys.path.insert(0, str(Path(tree) / "perfbench"))
-    import bench
-    from workloads import FAILURE_FAMILIES, WORKLOADS, pool_size
-
-    cd = bench.load_package(tree)
-    workload = WORKLOADS[workload_name]
-    families = tuple(getattr(cd.errors, name) for name in FAILURE_FAMILIES)
+    """The ``(M, b)`` of every ``nnls`` call of the pool's items."""
+    cd, workload, families, items = load_pool(tree, workload_name, seed, seconds)
     nnls = cd.nnls.nnls
     calls = []
 
-    def recording_nnls(M, b, **kwargs):
-        calls.append((np.array(M, dtype=float), np.array(b, dtype=float), kwargs))
-        return nnls(M, b, **kwargs)
+    def recording_nnls(M, b):
+        calls.append((np.array(M, dtype=float), np.array(b, dtype=float)))
+        return nnls(M, b)
 
     # The modules that call nnls imported it by name.
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("conedual.") and getattr(module, "nnls", None) is nnls:
             module.nnls = recording_nnls
-    for item in workload.make_items(cd, seed, pool_size(workload, seconds)):
+    for item in items:
         try:
             workload.execute(cd, item)
         except families:
@@ -72,22 +67,15 @@ def record(tree, workload_name, seed, seconds):
 def replay(tree, calls):
     """Per call: the best-of-``REPEATS`` time, and the iterations and ``u``
     of the result, or the failure message."""
-    src = Path(tree) / "src"
-    sys.path.insert(0, str(src))
-    import conedual
-    from conedual.errors import SolverFailure
-    from conedual.nnls import nnls
-
-    if Path(conedual.__file__).resolve().parent != (src / "conedual").resolve():
-        raise RuntimeError(f"conedual was imported from {conedual.__file__}, not from {src}")
-
+    cd = load_tree(tree)
+    nnls, SolverFailure = cd.nnls.nnls, cd.errors.SolverFailure
     out = []
-    for M, b, kwargs in calls:
+    for M, b in calls:
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
             try:
-                res = nnls(M, b, **kwargs)
+                res = nnls(M, b)
             except SolverFailure as exc:
                 res = str(exc)
             best = min(best, time.perf_counter() - start)
@@ -171,7 +159,7 @@ def main(argv=None):
     blob = run_worker(["--record", str(parent), args.workload, str(args.seed), str(args.seconds)])
     calls = pickle.loads(blob)
     sides = [json.loads(run_worker(["--replay", str(tree)], stdin=blob)) for tree in (parent, change)]
-    summary = summarize([M.shape for M, _, _ in calls], *sides)
+    summary = summarize([M.shape for M, _ in calls], *sides)
 
     print(f"{args.workload} seed {args.seed}: {len(calls)} nnls calls, best of {REPEATS} per call")
     print(f"{'shape':>12} {'calls':>6} {'ms/call parent':>15} {'change':>8} {'iterations parent':>18} {'change':>8}"
