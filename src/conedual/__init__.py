@@ -39,7 +39,6 @@ from .linops import (
     adjoint_apply,
     adjoint_identity_check,
     apply,
-    complex_embed,
     pairing,
     transposed,
     weighted_quadrature,
@@ -63,7 +62,6 @@ __all__ = [
     "adjoint_identity_check",
     "apply",
     "complementarity",
-    "complex_embed",
     "contains",
     "dual",
     "dual_distance",

@@ -199,8 +199,17 @@ def _add_global_flags(parser):
     parser.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, so that it exits 1 with one
+    ``error:`` line like any other input error; ``add_subparsers`` builds
+    the subcommand parsers with this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="conedual", description="Conic duality toolkit")
+    parser = _Parser(prog="conedual", description="Conic duality toolkit")
     _add_global_flags(parser)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -226,19 +235,21 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _parse(argv):
+    args = build_parser().parse_args(argv)
     for name, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)
     if not 0.0 < args.tol < np.inf:  # also refuses nan
-        print("error: --tol must be a positive finite number", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--tol must be a positive finite number")
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--jobs must be at least 1")
+    return args
+
+
+def main(argv=None):
     try:
+        args = _parse(argv)
         return args.handler(args)
     except TheoremViolation as exc:
         print(f"theorem-violation: {exc}", file=sys.stderr)

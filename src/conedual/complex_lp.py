@@ -6,12 +6,15 @@ A complex program
 
 with argument cones ``S = {z : |arg z_i| <= alpha_i}`` and
 ``T = {w : |arg w_j| <= beta_j}`` becomes an ordinary conic pair over
-``R^(2m)`` / ``R^(2n)``: each complex coordinate embeds as a ``(Re, Im)``
-pair, each matrix entry as a 2x2 rotation-scaling block, the real-part
-pairing as the Euclidean dot product, and each argument cone as a product
-of planar wedges.  Conjugate transposition of the matrix corresponds to
-plain transposition of the embedding, so the realified pair is exactly the
-real conic pair of :mod:`conedual.duality`.
+``R^(2m)`` / ``R^(2n)``.  This module owns that realification: each
+complex coordinate ``z_i`` becomes the pair ``(Re z_i, Im z_i)``, each
+matrix entry ``p + qi`` the 2x2 rotation-scaling block ``[[p, -q], [q, p]]``,
+the real-part pairing ``Re(z, w) = Re(sum conj(z_i) w_i)`` the Euclidean dot
+product, and each argument cone a product of planar wedges.  Conjugate
+transposition of the matrix corresponds to plain transposition of its
+blocks, so the realified pair is exactly the real conic pair of
+:mod:`conedual.duality`, and a real optimizer ``x`` lifts back to
+``x[0::2] + 1j * x[1::2]``.
 
 The optional ``game_slice`` adds the zero-imaginary-sum equality to both
 cones, the extra structure carried by strategy cones of complex matrix
@@ -28,7 +31,7 @@ import numpy as np
 from .cones import slice_cone, wedge
 from .duality import ConicProblem, verify_interior_optima
 from .farkas import verified_solution
-from .linops import OperatorSpec, _as_real, complex_embed
+from .linops import OperatorSpec, _as_real
 from .tolerances import INTERIOR_TOL, REAL_COORD_CUTOFF
 
 __all__ = [
@@ -65,6 +68,8 @@ class ComplexLPSpec:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         n, m = a.shape
+        if n < 1 or m < 1:
+            raise ValueError(f"A has shape {a.shape}, both complex dimensions must be at least 1")
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if c.shape != (m,):
@@ -98,19 +103,30 @@ def _imag_sum_normal(dim_complex):
     return normal
 
 
+def _realify(a):
+    """The real image of a complex vector or matrix: each coordinate
+    ``z_i`` as the pair ``(Re z_i, Im z_i)``, each matrix entry ``p + qi``
+    as the block ``[[p, -q], [q, p]]``."""
+    if a.ndim == 1:
+        return np.stack([a.real, a.imag], axis=1).ravel()
+    out = np.empty((2 * a.shape[0], 2 * a.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = a.real
+    out[0::2, 1::2] = -a.imag
+    out[1::2, 0::2] = a.imag
+    return out
+
+
 def build_complex_lp(spec):
     """Realify a :class:`ComplexLPSpec` into a :class:`ConicProblem`."""
-    emb_x = complex_embed(spec.m)
-    emb_y = complex_embed(spec.n)
     s_cone = wedge(spec.alpha)
     t_cone = wedge(spec.beta)
     if spec.game_slice:
         s_cone = slice_cone(s_cone, _imag_sum_normal(spec.m))
         t_cone = slice_cone(t_cone, _imag_sum_normal(spec.n))
     return ConicProblem(
-        A=OperatorSpec(matrix=emb_y.embed_matrix(spec.A)),
-        b=emb_y.embed_vector(spec.b),
-        c=emb_x.embed_vector(spec.c),
+        A=OperatorSpec(matrix=_realify(spec.A)),
+        b=_realify(spec.b),
+        c=_realify(spec.c),
         S=s_cone,
         T=t_cone,
     )
@@ -169,32 +185,22 @@ def classify_boundary_optima(spec, tol=INTERIOR_TOL):
     pb = build_complex_lp(spec)
     report = verify_interior_optima(pb)
     # The dual system is the primal system of the transposed pair.
-    primal_solvable, dual_solvable = (
-        solved or verified_solution(q.A, q.b, q.S, witness=witness) is not None
-        for solved, q, witness in zip(
-            report.flags.systems_solved, (pb, pb.transpose()), (report.x_star, report.y_star)
-        )
-    )
+    solvable, angles = [], []
+    for q, solved, x, half_angles in zip(
+        (pb, pb.transpose()), report.flags.systems_solved, (report.x_star, report.y_star), (spec.alpha, spec.beta)
+    ):
+        solvable.append(solved or verified_solution(q.A, q.b, q.S, witness=x) is not None)
+        angles.append([] if x is None else _angle_rows(x[0::2] + 1j * x[1::2], half_angles, tol))
 
-    emb_x = complex_embed(spec.m)
-    emb_y = complex_embed(spec.n)
-    z_star = None if report.x_star is None else emb_x.lift_vector(report.x_star)
-    w_star = None if report.y_star is None else emb_y.lift_vector(report.y_star)
-
-    applies = (
-        not primal_solvable
-        and not dual_solvable
-        and math.isfinite(report.v_primal)
-        and math.isfinite(report.v_dual)
-    )
+    applies = not any(solvable) and math.isfinite(report.v_primal) and math.isfinite(report.v_dual)
     result = BoundaryAngleReport(
-        primal_system_solvable=primal_solvable,
-        dual_system_solvable=dual_solvable,
+        primal_system_solvable=solvable[0],
+        dual_system_solvable=solvable[1],
         v_primal=report.v_primal,
         v_dual=report.v_dual,
         characterization_applies=applies,
-        primal_angles=[] if z_star is None else _angle_rows(z_star, spec.alpha, tol),
-        dual_angles=[] if w_star is None else _angle_rows(w_star, spec.beta, tol),
+        primal_angles=angles[0],
+        dual_angles=angles[1],
     )
     if not applies:
         result.note = "systems solvable or values infinite, characterization vacuous"

@@ -424,12 +424,13 @@ def _strict_member(pb):
     image also lies in the dual cone: ``x = G_S u`` with ``u >= 1``,
     ``A x - b in T*`` and ``A x in T*``.
 
-    Both rows are posed as in :func:`_standard_form`: ``M u - G_T^T b = w1``
-    and ``M u = w2`` with ``M = G_T^T A G_S`` and ``w1, w2 >= 0``.  The
-    margin is fixed at 1 and substituted out: ``u = r + 1`` with
-    ``r >= 0``, so both row blocks move ``M 1`` to the right-hand side, and
-    the point is ``G_S (r + 1)``.  What is left is a feasibility LP with
-    zero cost.  No positive margin is lost: with ``A G u in T*``,
+    The rows are those of :func:`_standard_form`, ``M u - w = max(G_T^T b,
+    0)`` with ``M = G_T^T A G_S`` and ``w >= 0``: row by row they say
+    ``M u >= G_T^T b`` and ``M u >= 0``, which is ``A x - b in T*`` and
+    ``A x in T*``.  The margin is fixed at 1 and substituted out: ``u = r +
+    1`` with ``r >= 0``, so ``M 1`` moves to the right-hand side, and the
+    point is ``G_S (r + 1)``.  What is left is a feasibility LP with zero
+    cost.  No positive margin is lost: with ``A G u in T*``,
     ``t A G u - b = (A G u - b) + (t - 1) A G u in T*`` for ``t >= 1``, so
     the feasible set is closed under ``u -> t u`` and any positive margin
     scales up to 1.  A slice ``S`` needs no rows of its own, since its
@@ -441,14 +442,9 @@ def _strict_member(pb):
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
     """
-    g = generators(pb.S)
-    m = _dual_rows(pb.T, pb.A.matrix @ g)
-    kd, k = m.shape
-    eye, zero = np.eye(kd), np.zeros((kd, kd))
-    # Variables: [r(k), w1(kd), w2(kd)].
-    shift = m.sum(axis=1)
-    a_eq = np.vstack([np.hstack([m, -eye, zero]), np.hstack([m, zero, -eye])])
-    res = simplex_solve(np.zeros(k + 2 * kd), a_eq, np.concatenate([_dual_rows(pb.T, pb.b) - shift, -shift]))
+    cost, a_eq, beta, g = _standard_form(pb)
+    k = g.shape[1]
+    res = simplex_solve(np.zeros_like(cost), a_eq, np.maximum(beta, 0.0) - a_eq[:, :k].sum(axis=1))
     if res.status != "optimal":
         return None
     point = g @ (res.x[:k] + 1.0)

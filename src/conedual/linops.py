@@ -1,4 +1,4 @@
-"""Dense linear operators, bilinear pairings, and the complex-to-real embedding.
+"""Dense linear operators and bilinear pairings.
 
 Operators are plain dense matrices.  Each operator knows the pairing of its
 domain and codomain so that ``adjoint_apply`` satisfies the identity
@@ -27,8 +27,6 @@ __all__ = [
     "adjoint_apply",
     "adjoint_matrix",
     "transposed",
-    "ComplexEmbedding",
-    "complex_embed",
     "AdjointCheckReport",
     "adjoint_identity_check",
 ]
@@ -214,60 +212,6 @@ def transposed(op):
         pairing_codomain=op.pairing_domain,
         adjoint_override=-op.matrix,
     )
-
-
-# ---------------------------------------------------------------------------
-# Complex-to-real embedding
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComplexEmbedding:
-    """The realification C^m -> R^(2m), z -> (Re z_1, Im z_1, ..., Re z_m, Im z_m).
-
-    A complex matrix entry a = p + qi becomes the 2x2 block [[p, -q], [q, p]]
-    and conjugate transposition becomes block transposition.  The real-part
-    pairing Re(z, w) = Re(sum conj(z_i) w_i) equals the Euclidean dot product
-    of the embeddings.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("complex dimension must be at least 1")
-
-    def embed_vector(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim != 1 or z.shape[0] != self.m:
-            raise ValueError(f"expected complex vector of dimension {self.m}")
-        out = np.empty(2 * self.m)
-        out[0::2] = z.real
-        out[1::2] = z.imag
-        return out
-
-    def lift_vector(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != 2 * self.m:
-            raise ValueError(f"expected real vector of dimension {2 * self.m}")
-        return x[0::2] + 1j * x[1::2]
-
-    def embed_matrix(self, a):
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("expected a complex matrix")
-        rows, cols = a.shape
-        out = np.zeros((2 * rows, 2 * cols))
-        out[0::2, 0::2] = a.real
-        out[0::2, 1::2] = -a.imag
-        out[1::2, 0::2] = a.imag
-        out[1::2, 1::2] = a.real
-        return out
-
-
-def complex_embed(m):
-    """Embedding descriptor for ``C^m``."""
-    return ComplexEmbedding(m)
 
 
 # ---------------------------------------------------------------------------

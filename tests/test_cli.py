@@ -309,6 +309,32 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, subcommand, tol):
     assert captured.out == "" and captured.err == "error: --tol must be a positive finite number\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["farkas"],
+        ["farkas", "--input", "{path}", "--bogus"],
+        ["--tol", "-1e-8", "farkas", "--input", "{path}"],
+        ["--output", "yaml", "farkas", "--input", "{path}"],
+        ["bogus", "--input", "{path}"],
+    ],
+    ids=["missing-input", "unknown-flag", "negative-tol-token", "bad-output-choice", "unknown-subcommand"],
+)
+def test_argparse_errors_exit_with_one_error_line(tmp_path, capsys, argv):
+    path = write(tmp_path, "id.json", identity_doc())
+    assert main([arg.format(path=path) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: conedual" in capsys.readouterr().out
+
+
 def test_missing_type_field(tmp_path):
     path = write(tmp_path, "bad.json", {"foo": 1})
     assert main(["solve", "--input", path]) == EXIT_USAGE

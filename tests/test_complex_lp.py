@@ -12,6 +12,7 @@ from oracles import check_arg_condition, polar_brute_force
 from conedual.complex_lp import (
     BoundaryAngleReport,
     ComplexLPSpec,
+    _realify,
     build_complex_lp,
     classify_boundary_optima,
     complex_spec_from_dict,
@@ -20,6 +21,7 @@ from conedual.complex_lp import (
 from conedual import duality
 from conedual.cones import contains, generated, generators, wedge
 from conedual.duality import feasible_dual, feasible_primal, solve
+from conedual.linops import EUCLIDEAN, pairing
 
 
 def scalar_spec(a=1.0, b=1.0, c=1.0, alpha=math.pi / 4, beta=math.pi / 4):
@@ -56,6 +58,50 @@ def test_half_angles_must_be_finite_numbers(side, angle):
         doc[side] = given
         with pytest.raises(ValueError, match=message):
             complex_spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 1)], ids=["m=0", "n=0"])
+def test_zero_complex_dimension_rejected(shape):
+    n, m = shape
+    with pytest.raises(ValueError, match="at least 1"):
+        ComplexLPSpec(A=np.zeros(shape), b=[1j] * n, c=[1j] * m, alpha=[0.5] * m, beta=[0.5] * n)
+
+
+def test_complex_embedding_examples():
+    np.testing.assert_allclose(_realify(np.array([1 + 2j])), [1.0, 2.0])
+    # a = i as a 2x2 block sends (1, 0) to (0, 1), matching i * 1 = i.
+    block = _realify(np.array([[1j]]))
+    np.testing.assert_allclose(block, [[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(block @ np.array([1.0, 0.0]), [0.0, 1.0])
+
+
+def test_embedding_pairing_matches_complex_arithmetic():
+    # z = i, c = i embedded: Re(conj(z) c) = Re(-i * i) = 1.
+    z = _realify(np.array([1j]))
+    c = _realify(np.array([1j]))
+    assert pairing(EUCLIDEAN, z, c) == pytest.approx(1.0)
+    # z = 1 + i, w = 1 - i: Re(conj(z) w) = Re(-2i) = 0.
+    z = _realify(np.array([1 + 1j]))
+    w = _realify(np.array([1 - 1j]))
+    assert pairing(EUCLIDEAN, z, w) == pytest.approx(0.0)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        zc = rng.normal(size=3) + 1j * rng.normal(size=3)
+        wc = rng.normal(size=3) + 1j * rng.normal(size=3)
+        expected = float(np.real(np.vdot(zc, wc)))
+        got = pairing(EUCLIDEAN, _realify(zc), _realify(wc))
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_embedding_matrix_multiplication_consistent():
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    block = _realify(a)
+    for _ in range(100):
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        np.testing.assert_allclose(block @ _realify(z), _realify(a @ z), atol=1e-12)
+    # Conjugate transposition is block transposition.
+    np.testing.assert_allclose(_realify(a.conj().T), block.T, atol=1e-14)
 
 
 def test_game_slice_adds_imaginary_sum_normal():

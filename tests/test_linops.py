@@ -1,4 +1,4 @@
-"""Operators, adjoints, pairings, and the complex embedding."""
+"""Operators, adjoints and pairings."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from oracles import reference_adjoint_identity_check
 
 from conedual.linops import (
-    EUCLIDEAN,
     OperatorSpec,
     adjoint_apply,
     adjoint_identity_check,
     adjoint_matrix,
     apply,
-    complex_embed,
     pairing,
     transposed,
     weighted_quadrature,
@@ -83,11 +81,6 @@ def test_double_transposed_reproduces_operator():
 
 def test_pairing_examples():
     assert pairing(None, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    # z = i, c = i embedded: Re(conj(z) c) = Re(-i * i) = 1.
-    emb = complex_embed(1)
-    z = emb.embed_vector(np.array([1j]))
-    c = emb.embed_vector(np.array([1j]))
-    assert pairing(EUCLIDEAN, z, c) == pytest.approx(1.0)
 
 
 def test_weighted_quadrature_integrates_ones():
@@ -115,43 +108,6 @@ def test_linearity_of_apply():
         lhs = apply(op, a * u + b * v)
         rhs = a * apply(op, u) + b * apply(op, v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
-
-
-def test_complex_embedding_examples():
-    emb = complex_embed(1)
-    np.testing.assert_allclose(emb.embed_vector(np.array([1 + 2j])), [1.0, 2.0])
-    # a = i as a 2x2 block sends (1, 0) to (0, 1), matching i * 1 = i.
-    block = emb.embed_matrix(np.array([[1j]]))
-    np.testing.assert_allclose(block, [[0.0, -1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(block @ np.array([1.0, 0.0]), [0.0, 1.0])
-
-
-def test_embedding_pairing_matches_complex_arithmetic():
-    # z = 1 + i, w = 1 - i: Re(conj(z) w) = Re(-2i) = 0.
-    emb = complex_embed(1)
-    z = emb.embed_vector(np.array([1 + 1j]))
-    w = emb.embed_vector(np.array([1 - 1j]))
-    assert pairing(EUCLIDEAN, z, w) == pytest.approx(0.0)
-    rng = np.random.default_rng(41)
-    emb3 = complex_embed(3)
-    for _ in range(200):
-        zc = rng.normal(size=3) + 1j * rng.normal(size=3)
-        wc = rng.normal(size=3) + 1j * rng.normal(size=3)
-        expected = float(np.real(np.vdot(zc, wc)))
-        got = pairing(EUCLIDEAN, emb3.embed_vector(zc), emb3.embed_vector(wc))
-        assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_embedding_matrix_multiplication_consistent():
-    rng = np.random.default_rng(43)
-    emb_in, emb_out = complex_embed(3), complex_embed(2)
-    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    block = emb_out.embed_matrix(a)
-    for _ in range(100):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        np.testing.assert_allclose(block @ emb_in.embed_vector(z), emb_out.embed_vector(a @ z), atol=1e-12)
-    # Conjugate transposition is block transposition.
-    np.testing.assert_allclose(emb_in.embed_matrix(a.conj().T), block.T, atol=1e-14)
 
 
 def test_adjoint_identity_check_exact_pair():

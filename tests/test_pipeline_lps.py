@@ -170,8 +170,9 @@ def test_strict_member_lp_matches_margin_row_formulation(family, monkeypatch):
             status, delta = margin_row_strict_lp(p)
             spy.lps.clear()
             point = duality._strict_member(p)
-            ((cost, _, _),) = spy.lps
-            assert not cost.any()
+            ((cost, a_eq, _),) = spy.lps
+            # One row per row of M = G_T^T A G_S.
+            assert not cost.any() and a_eq.shape[0] == duality._dual_rows(p.T, p.A.matrix @ generators(p.S)).shape[0]
             assert (point is not None) == (status == "optimal" and delta >= 1e-7)
             if point is None:
                 continue

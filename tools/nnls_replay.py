@@ -2,13 +2,15 @@
 
     python3 tools/nnls_replay.py PARENT CHANGE --workload clp_grid --seed 5 --seconds 20
 
-PARENT and CHANGE are roots of two checkouts.  The calls are recorded on
-PARENT: one Python process loads PARENT's package and the item pool of
-``--seconds`` as ``tools/judgement_gate.py`` does (read-only, no bytecode
-written) and runs the workload's ``execute`` on every item, keeping the
-``(M, b)`` of every ``nnls`` call.  Each checkout then replays the same
-calls in its own process, with the BLAS threads pinned to 1, and times
-each call as the best of 5 runs.
+PARENT and CHANGE are roots of two checkouts.  One worker process, with
+the BLAS threads pinned to 1, does all the work.  It loads PARENT's package
+and the item pool of ``--seconds`` as ``tools/judgement_gate.py`` does
+(read-only, no bytecode written) and runs the workload's ``execute`` on
+every item, keeping the ``(M, b)`` of every ``nnls`` call.  It then loads
+CHANGE's package beside it and replays every call on both ``nnls``
+functions, timing each as the best of 5 runs, with the side that goes
+first alternating from one call to the next, so that drift of the machine
+falls on both sides alike.
 
 Printed per shape ``(m, k)`` of ``M``, then over all calls: the number of
 calls; the mean over the calls of the best-of-5 time per call on each
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -38,12 +39,13 @@ REPEATS = 5
 
 
 # ---------------------------------------------------------------------------
-# Workers
+# Worker
 # ---------------------------------------------------------------------------
 
 
 def record(tree, workload_name, seed, seconds):
-    """The ``(M, b)`` of every ``nnls`` call of the pool's items."""
+    """``(nnls, SolverFailure, calls)``: the checkout's kernel and failure
+    class, and the ``(M, b)`` of every ``nnls`` call of the pool's items."""
     cd, workload, families, items = load_pool(tree, workload_name, seed, seconds)
     nnls = cd.nnls.nnls
     calls = []
@@ -61,35 +63,40 @@ def record(tree, workload_name, seed, seconds):
             workload.execute(cd, item)
         except families:
             pass
-    return calls
+    return nnls, cd.errors.SolverFailure, calls
 
 
-def replay(tree, calls):
-    """Per call: the best-of-``REPEATS`` time, and the iterations and ``u``
-    of the result, or the failure message."""
-    cd = load_tree(tree)
-    nnls, SolverFailure = cd.nnls.nnls, cd.errors.SolverFailure
-    out = []
-    for M, b in calls:
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            try:
-                res = nnls(M, b)
-            except SolverFailure as exc:
-                res = str(exc)
-            best = min(best, time.perf_counter() - start)
-        if isinstance(res, str):
-            out.append({"time": best, "failure": res})
-        else:
-            out.append({"time": best, "iterations": res.iterations, "u": res.u.tolist()})
-    return out
+def replay_call(nnls, failure, M, b):
+    """The best-of-``REPEATS`` time of one call, and the iterations and
+    ``u`` of its result, or the failure message."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        try:
+            res = nnls(M, b)
+        except failure as exc:
+            res = str(exc)
+        best = min(best, time.perf_counter() - start)
+    if isinstance(res, str):
+        return {"time": best, "failure": res}
+    return {"time": best, "iterations": res.iterations, "u": res.u.tolist()}
 
 
-def run_worker(args, stdin=None):
-    env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
-    cmd = [sys.executable, "-B", __file__, *args]
-    return subprocess.run(cmd, input=stdin, capture_output=True, env=env, check=True).stdout
+def measure(parent, change, workload_name, seed, seconds):
+    """Record the calls on ``parent``, then replay each on both checkouts,
+    the side that goes first alternating; returns the shapes of ``M`` and
+    the replays of each side."""
+    nnls, failure, calls = record(parent, workload_name, seed, seconds)
+    sides = [(nnls, failure)]
+    # Dropping PARENT's modules leaves its kernel working: the function
+    # keeps its own module globals.
+    cd = load_tree(change)
+    sides.append((cd.nnls.nnls, cd.errors.SolverFailure))
+    replays = ([], [])
+    for i, (M, b) in enumerate(calls):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            replays[side].append(replay_call(*sides[side], M, b))
+    return {"shapes": [M.shape for M, _ in calls], "parent": replays[0], "change": replays[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +145,9 @@ def summarize(shapes, parent, change):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "--record":
-        tree, workload, seed, seconds = argv[1:5]
-        pickle.dump(record(tree, workload, int(seed), float(seconds)), sys.stdout.buffer)
-        return 0
-    if argv and argv[0] == "--replay":
-        json.dump(replay(argv[1], pickle.load(sys.stdin.buffer)), sys.stdout)
+    if argv and argv[0] == "--worker":
+        parent, change, workload, seed, seconds = argv[1:6]
+        json.dump(measure(parent, change, workload, int(seed), float(seconds)), sys.stdout)
         return 0
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -155,13 +159,14 @@ def main(argv=None):
     parser.add_argument("--json", type=Path, help="write the summary here")
     args = parser.parse_args(argv)
 
-    parent, change = args.parent.resolve(), args.change.resolve()
-    blob = run_worker(["--record", str(parent), args.workload, str(args.seed), str(args.seconds)])
-    calls = pickle.loads(blob)
-    sides = [json.loads(run_worker(["--replay", str(tree)], stdin=blob)) for tree in (parent, change)]
-    summary = summarize([M.shape for M, _ in calls], *sides)
+    trees = [str(tree.resolve()) for tree in (args.parent, args.change)]
+    env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
+    cmd = [sys.executable, "-B", __file__, "--worker", *trees, args.workload, str(args.seed), str(args.seconds)]
+    run = json.loads(subprocess.run(cmd, capture_output=True, env=env, check=True).stdout)
+    summary = summarize(run["shapes"], run["parent"], run["change"])
 
-    print(f"{args.workload} seed {args.seed}: {len(calls)} nnls calls, best of {REPEATS} per call")
+    print(f"{args.workload} seed {args.seed}: {len(run['shapes'])} nnls calls, best of {REPEATS} per call,"
+          " sides alternating")
     print(f"{'shape':>12} {'calls':>6} {'ms/call parent':>15} {'change':>8} {'iterations parent':>18} {'change':>8}"
           f" {'support changes':>16} {'max u move':>11}")
     for key, row in summary.items():
