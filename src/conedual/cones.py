@@ -251,16 +251,12 @@ def distance(cone, v):
     v = _as_vector(v, cone.dim)
     if cone.kind == "orthant":
         return float(np.linalg.norm(np.minimum(v, 0.0)))
+    # hypot, not the root of a sum of squares, which overflows on finite data.
     if cone.kind == "wedge":
-        total = 0.0
-        for i, a in enumerate(cone.half_angles):
-            total += _wedge_block_distance(v[2 * i], v[2 * i + 1], a) ** 2
-        return math.sqrt(total)
+        blocks = (_wedge_block_distance(v[2 * i], v[2 * i + 1], a) for i, a in enumerate(cone.half_angles))
+        return math.hypot(*blocks)
     if cone.kind == "product":
-        total = 0.0
-        for f, part in _blocks(cone, v):
-            total += distance(f, part) ** 2
-        return math.sqrt(total)
+        return math.hypot(*(distance(f, part) for f, part in _blocks(cone, v)))
     return nnls(cone.gens, v).residual_norm
 
 
@@ -369,10 +365,7 @@ def dual_distance(cone, v):
         return distance(dual(cone), v)
     v = _as_vector(v, cone.dim)
     if cone.kind == "product":
-        total = 0.0
-        for f, part in _blocks(cone, v):
-            total += dual_distance(f, part) ** 2
-        return math.sqrt(total)
+        return math.hypot(*(dual_distance(f, part) for f, part in _blocks(cone, v)))
     u = nnls(cone.gens, -v).u
     return float(np.linalg.norm(cone.gens @ u))
 

@@ -174,12 +174,19 @@ def reference_nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
     enters, the smallest such index on a tie), blocking step, rejection of
     the entering index of an outer iteration that does not lower the
     residual, and iteration cap as ``conedual.nnls.nnls``, which solves the
-    subproblems from an updated QR factor instead.  The dense shortcut is
-    taken under the same conditions: at the second iteration of a system
-    with ``2 < k <= m``, when the first lowered the residual and every free
-    dual value is above ``kkt_tol``, the ``lstsq`` solution on all columns
-    is returned (as two iterations with a zero KKT residual) if they have
-    full rank and it is positive.  A column is refused, and rejected like
+    subproblems from an updated QR factor instead.  The two dense attempts
+    are made under the same conditions, on a system with ``2 < k <= m``
+    and no index rejected: at the second iteration when every free dual
+    value is above ``kkt_tol``, and at the fifth.  The ``lstsq`` solution
+    ``z`` on all columns is returned (with the iteration count and a zero
+    KKT residual) if they have full rank and it is positive.  At the fifth
+    iteration a full-rank ``z`` that is not positive, but has more positive
+    entries than there are passive columns, is a warm start: the columns
+    with ``z_j > 0`` are taken in order of decreasing ``z_j``, each kept
+    unless the refusal test below refuses it, then the nonpositive
+    coefficients of the ``lstsq`` solution on the kept ones are dropped
+    until every one is positive, and the smallest residual so far is reset
+    to that of the point reached.  A column is refused, and rejected like
     an entering index that does not lower the residual, when it would make
     more than ``min(m, k)`` passive columns or when the passive columns
     followed by it fail the factor's dependence test: the smallest
@@ -214,10 +221,26 @@ def reference_nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
         iterations += 1
         if iterations > max_iter:
             raise SolverFailure("NNLS iteration cap exceeded", detail={"u": u, "kkt": kkt(w, free)})
-        if iterations == 2 and not rejected.any() and 2 < k <= m and np.all(w[free] > kkt_tol):
+        if not rejected.any() and 2 < k <= m and (iterations == 5 or iterations == 2 and np.all(w[free] > kkt_tol)):
             z, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
             if rank == k and np.all(z > 0):
-                return z, 2, 0.0
+                return z, iterations, 0.0
+            if rank == k and iterations == 5 and np.count_nonzero(z > 0) > np.count_nonzero(passive):
+                cols = []
+                for j in np.argsort(-z, kind="stable")[: np.count_nonzero(z > 0)]:
+                    if len(cols) < min(m, k) and not dependent(M[:, [*cols, j]]):
+                        cols.append(j)
+                while True:
+                    u = np.zeros(k)
+                    u[cols] = np.linalg.lstsq(M[:, cols], b, rcond=None)[0] if cols else []
+                    if np.all(u[cols] > 0):
+                        break
+                    cols = [j for j in cols if u[j] > 0]
+                passive = u > 0
+                r = b - M @ u
+                best = r @ r
+                w = M.T @ r
+                continue
         j = int(np.argmax(np.where(eligible, w, -np.inf)))
         idx = [*np.flatnonzero(passive), j]
         if len(idx) > min(m, k) or dependent(M[:, idx]):

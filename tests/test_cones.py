@@ -57,6 +57,16 @@ def test_wedge_boundary_ray_member():
     assert contains(wedge(math.pi / 4), v, 1e-9)
 
 
+def test_wedge_and_product_distances_do_not_overflow_on_finite_data():
+    # The squares of these block distances overflow; their hypot does not.
+    assert distance(wedge([0.5]), [-1e308, -1e308]) == math.hypot(1e308, 1e308)
+    cone = product(wedge([0.5]), orthant(1))
+    assert distance(cone, [-1e160, -1e160, 1.0]) == math.hypot(1e160, 1e160)
+    # The dual wedge has half-angle pi/2 - 0.5, exceeded by pi/4 + 0.5.
+    expected = math.hypot(1e160, 1e160) * math.sin(math.pi / 4 + 0.5)
+    assert dual_distance(cone, [-1e160, -1e160, 1.0]) == pytest.approx(expected)
+
+
 def test_wedge_membership_matches_angle_oracle():
     rng = np.random.default_rng(7)
     w = wedge(math.pi / 3)

@@ -42,16 +42,36 @@ def spy_outer_iterations(monkeypatch):
 
 
 def spy_dense_shortcut(monkeypatch):
-    """Record, per attempt of the dense shortcut, whether it returned."""
+    """Record, per dense attempt, whether it returned the unconstrained
+    minimizer: whether that passed the dependence test and was positive."""
     log = []
     dense = conedual.nnls._dense_solution
 
     def spy(M, b, tol):
         z = dense(M, b, tol)
-        log.append(z is not None)
+        log.append(z is not None and bool((z > 0).all()))
         return z
 
     monkeypatch.setattr(conedual.nnls, "_dense_solution", spy)
+    return log
+
+
+def spy_warm_start(monkeypatch):
+    """Record, per warm start, the number of columns it was given and the
+    squared residuals of the iterate it replaces and of its own point."""
+    log = []
+    fit = conedual.nnls._fit_columns
+
+    def spy(factor, order):
+        cols, z_cols = factor.solve()
+        r = factor.b - factor.M[:, cols] @ z_cols
+        before = r @ r
+        u, passive = fit(factor, order)
+        r = factor.b - factor.M @ u
+        log.append((len(order), before, r @ r))
+        return u, passive
+
+    monkeypatch.setattr(conedual.nnls, "_fit_columns", spy)
     return log
 
 
@@ -245,14 +265,15 @@ def test_dense_shortcut_on_ill_conditioned_columns(monkeypatch, shape):
 def test_matches_lstsq_reference_on_ill_conditioned_columns_past_the_dense_shortcut(monkeypatch):
     # Hilbert columns (condition number 1.6e9) and every third coefficient
     # of x negative: the unconstrained minimizer is not positive, so
-    # Lawson-Hanson goes on, for five iterations.  Without the
-    # re-orthogonalization pass the coefficients drift by about 3e-8.
+    # Lawson-Hanson goes on, warm-starts at iteration 5 and ends at 7.
+    # Without the re-orthogonalization pass the coefficients drift by
+    # about 3e-8.
     M = hilbert_columns((12, 8))
     x = np.linspace(1.0, 2.0, 8)
     x[1::3] = -0.5
     dense = spy_dense_shortcut(monkeypatch)
     assert_matches_reference(M, M @ x)
-    assert dense == [False]
+    assert dense == [False, False] and nnls(M, M @ x).iterations == 7
 
 
 def random_clp_data(rng, m, n):
@@ -390,13 +411,65 @@ def test_matches_scipy_nnls_on_clp_farkas_matrices(monkeypatch, seed):
         assert_matches_scipy(optimize, M, b)
 
 
-def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkeypatch):
-    # Two (128, 128) Farkas systems of condition number 8.8e9 with 30
-    # blocking steps each.  Taking T^{-1} in keep from the kept Rinv
-    # without the Newton step left Rinv R - I at 5e-9 and 1e-7 after the
-    # last step (3e-14 with it, as with a fresh inverse of T), a dual value
-    # of 2e-11 at the returned point, and the primal certificate failed
-    # verification.
+@pytest.mark.parametrize("seed, cold", [(0, [64, 169]), (1, [86, 64])])
+def test_warm_start_cuts_the_outer_iterations_on_clp_farkas_matrices(monkeypatch, seed, cold):
+    # The (128, 128) Farkas systems of the previous test.  Without the warm
+    # start they take the cold counts; from the positive part of the
+    # unconstrained minimizer, at iteration 5, they take at most 7.
+    calls = clp_farkas_calls(monkeypatch, 64, *random_clp_data(np.random.default_rng([113, seed]), 2, 2))
+    warm = spy_warm_start(monkeypatch)
+    iterations = [nnls(M, b).iterations for M, b in calls]
+    assert len(warm) == 2 and max(iterations) <= 7
+    monkeypatch.setattr(conedual.nnls, "_WARM_START_ITERATION", 0)
+    assert [nnls(M, b).iterations for M, b in calls] == cold and len(warm) == 2
+
+
+def test_no_warm_start_from_a_minimizer_that_is_nowhere_positive(monkeypatch):
+    # Independent columns and b near -M 1: the unconstrained minimizer has
+    # no positive entry, fewer than the passive set of iteration 4, so
+    # Lawson-Hanson goes on without a warm start and reaches scipy's
+    # optimum at iteration 5; a restart from u = 0 would take 10.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng([151, 2])
+    M = rng.normal(size=(10, 8))
+    b = -M @ rng.uniform(0.5, 1.5, size=8) + 0.5 * rng.normal(size=10)
+    assert np.linalg.matrix_rank(M) == 8 and np.all(np.linalg.lstsq(M, b, rcond=None)[0] <= 0.0)
+    dense, warm = spy_dense_shortcut(monkeypatch), spy_warm_start(monkeypatch)
+    assert nnls(M, b).iterations == 5
+    assert dense == [False] and warm == []
+    assert_matches_scipy(optimize, M, b)
+    assert_matches_reference(M, b)
+
+
+def test_warm_start_above_the_iterate_it_replaces(monkeypatch):
+    # The six columns with z_j > 0, two more than the passive set of
+    # iteration 4, fit b worse than its iterate did.  The smallest residual
+    # so far is reset to the warm start's, or the next iterations, which
+    # lower the residual from there, would be rejected.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng([151, 17])
+    M = rng.normal(size=(10, 8))
+    b = rng.normal(size=10)
+    warm = spy_warm_start(monkeypatch)
+    assert nnls(M, b).iterations == 8
+    [(given, before, after)] = warm
+    assert given == 6 and after > before
+    assert_matches_scipy(optimize, M, b)
+    assert_matches_reference(M, b)
+
+
+@pytest.mark.parametrize("warm_start, downdates", [(True, 56), (False, 60)])
+def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkeypatch, warm_start, downdates):
+    # Two (128, 128) Farkas systems of condition number 8.8e9.  Without the
+    # warm start they take 30 blocking steps each: taking T^{-1} in keep
+    # from the kept Rinv without the Newton step then left Rinv R - I at
+    # 5e-9 and 1e-7 after the last step (3e-14 with it, as with a fresh
+    # inverse of T), a dual value of 2e-11 at the returned point, and the
+    # primal certificate failed verification.  The warm start's downdates
+    # and blocking steps, 56 between the two systems, need the Newton step
+    # less, so the path without it stays pinned too.
+    if not warm_start:
+        monkeypatch.setattr(conedual.nnls, "_WARM_START_ITERATION", 0)
     keep, residuals = _PassiveFactor.keep, []
 
     def checked_keep(self, passive):
@@ -417,7 +490,7 @@ def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkey
         res = nnls(M, b)
         assert res.kkt_residual == 0.0
         assert np.max(M.T @ (b - M @ res.u)) <= 1e-14 * np.max(np.abs(M.T @ b))
-    assert len(residuals) == 60 and max(residuals) <= 1e-12
+    assert len(residuals) == downdates and max(residuals) <= 1e-12
 
 
 def assert_factor_holds(factor, scale):

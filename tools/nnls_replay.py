@@ -14,10 +14,14 @@ falls on both sides alike.
 
 Printed per shape ``(m, k)`` of ``M``, then over all calls: the number of
 calls; the mean over the calls of the best-of-5 time per call on each
-side; the mean iterations on each side; the calls whose support
-(``u > 0``) or outcome (a raised ``SolverFailure``) changed; and the
-largest relative move of ``u``, ``max |new - old| / max(|old|, |new|)``
-over the entries of a call.  ``--json PATH`` writes the same summary.
+side; the mean iterations on each side; the calls that returned on both
+sides with a different support (``u > 0``); the calls whose outcome
+changed (a ``SolverFailure`` raised on one side only, or with another
+message); and the largest relative move of ``u``, ``max |new - old| /
+max(|old|, |new|)`` over the entries of a call.  ``--json PATH`` writes
+the same summary.  The exit status is 1 when an outcome changed, and 0
+otherwise: a degenerate optimum may move its support on roundoff, so
+support changes are reported but do not fail the run.
 """
 
 from __future__ import annotations
@@ -117,27 +121,28 @@ def _mean(values):
 
 def summarize(shapes, parent, change):
     """Per shape and over ``"all"``: calls, mean times and iterations per
-    side (iterations over the calls that returned), changed supports or
-    outcomes, and the largest move of ``u``."""
+    side (iterations over the calls that returned), changed supports and
+    changed outcomes, and the largest move of ``u``."""
     groups = defaultdict(list)
     for i, shape in enumerate(shapes):
         groups[f"({shape[0]}, {shape[1]})"].append(i)
     groups["all"] = list(range(len(shapes)))
     summary = {}
     for key, idx in groups.items():
-        changed, move = 0, 0.0
+        supports, outcomes, move = 0, 0, 0.0
         for i in idx:
             old, new = parent[i], change[i]
             if "u" in old and "u" in new:
-                changed += not np.array_equal(np.greater(old["u"], 0.0), np.greater(new["u"], 0.0))
+                supports += not np.array_equal(np.greater(old["u"], 0.0), np.greater(new["u"], 0.0))
                 move = max(move, u_move(old["u"], new["u"]))
             else:
-                changed += old.get("failure") != new.get("failure")
+                outcomes += old.get("failure") != new.get("failure")
         summary[key] = {
             "calls": len(idx),
             "time_ms": [1e3 * float(np.mean([side[i]["time"] for i in idx])) for side in (parent, change)],
             "iterations": [_mean([side[i]["iterations"] for i in idx if "u" in side[i]]) for side in (parent, change)],
-            "support_changes": changed,
+            "support_changes": supports,
+            "outcome_changes": outcomes,
             "u_move": move,
         }
     return summary
@@ -168,16 +173,16 @@ def main(argv=None):
     print(f"{args.workload} seed {args.seed}: {len(run['shapes'])} nnls calls, best of {REPEATS} per call,"
           " sides alternating")
     print(f"{'shape':>12} {'calls':>6} {'ms/call parent':>15} {'change':>8} {'iterations parent':>18} {'change':>8}"
-          f" {'support changes':>16} {'max u move':>11}")
+          f" {'support changes':>16} {'outcome changes':>16} {'max u move':>11}")
     for key, row in summary.items():
         print(f"{key:>12} {row['calls']:>6} {row['time_ms'][0]:>15.3f} {row['time_ms'][1]:>8.3f}"
               f" {row['iterations'][0]:>18.2f} {row['iterations'][1]:>8.2f} {row['support_changes']:>16}"
-              f" {row['u_move']:>11.2e}")
+              f" {row['outcome_changes']:>16} {row['u_move']:>11.2e}")
     if args.json is not None:
         doc = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "repeats": REPEATS,
                "shapes": summary}
         args.json.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return 1 if summary["all"]["outcome_changes"] else 0
 
 
 if __name__ == "__main__":
