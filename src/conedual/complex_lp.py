@@ -31,7 +31,7 @@ import numpy as np
 from .cones import slice_cone, wedge
 from .duality import ConicProblem, verify_interior_optima
 from .farkas import verified_solution
-from .linops import OperatorSpec, _as_real
+from .linops import OperatorSpec, _as_array
 from .tolerances import INTERIOR_TOL, REAL_COORD_CUTOFF
 
 __all__ = [
@@ -75,13 +75,11 @@ class ComplexLPSpec:
         if c.shape != (m,):
             raise ValueError(f"c has shape {c.shape}, expected ({m},)")
         for name, count in (("alpha", m), ("beta", n)):
-            # An object array keeps each angle as given, so a bool or a string
-            # is refused instead of converted.
-            given = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
-            angles = tuple(_as_real(x, name) for x in given)
+            angles = np.atleast_1d(_as_array(getattr(self, name), name))
+            if angles.shape != (count,):
+                raise ValueError(f"{name} has shape {angles.shape}, expected ({count},)")
+            angles = tuple(angles.tolist())
             object.__setattr__(self, name, angles)
-            if len(angles) != count:
-                raise ValueError(f"{name} has {len(angles)} angles, expected {count}")
             for i, ang in enumerate(angles):
                 if not (0.0 < ang < math.pi / 2):
                     raise ValueError(
@@ -219,14 +217,9 @@ def _c2pair(z):
 def _pairs2c(value, ndim, name):
     """``value``, an ``ndim``-dimensional array of ``[re, im]`` pairs, as a
     complex array."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        raise ValueError(f"{name} must be a {ndim}-dimensional array of [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    arr = _as_array(value, name, ndim + 1)
+    if arr.shape[-1] != 2:
+        raise ValueError(f"{name} has shape {arr.shape}, expected a last axis of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -243,11 +236,14 @@ def complex_spec_to_dict(spec):
 
 
 def complex_spec_from_dict(d):
+    game_slice = d.get("game_slice", False)
+    if not isinstance(game_slice, bool):
+        raise ValueError(f"game_slice must be a JSON boolean, got {game_slice!r}")
     return ComplexLPSpec(
         A=_pairs2c(d["A"], 2, "A"),
         b=_pairs2c(d["b"], 1, "b"),
         c=_pairs2c(d["c"], 1, "c"),
         alpha=d["alpha"],
         beta=d["beta"],
-        game_slice=bool(d.get("game_slice", False)),
+        game_slice=game_slice,
     )

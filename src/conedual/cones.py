@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _as_count, _as_object, _as_vector
+from .linops import _as_array, _as_count, _as_object
 from .nnls import nnls
 from .tolerances import INTERIOR_TOL, MEMBERSHIP_TOL, PROBE_SLACK
 
@@ -97,11 +97,10 @@ def wedge(half_angles):
     ``half_angles`` is one angle per coordinate pair, each strictly inside
     ``(0, pi/2)``; the ambient dimension is twice the number of angles.
     """
-    if np.isscalar(half_angles):
-        half_angles = (float(half_angles),)
-    angles = tuple(float(a) for a in np.atleast_1d(half_angles))
-    if not angles:
-        raise ValueError("at least one half-angle is required")
+    angles = np.atleast_1d(_as_array(half_angles, "half_angles"))
+    if angles.ndim != 1 or not angles.size:
+        raise ValueError(f"half_angles has shape {angles.shape}, expected one angle or a nonempty vector")
+    angles = tuple(angles.tolist())
     for i, a in enumerate(angles):
         if not (0.0 < a < math.pi / 2):
             raise ValueError(f"half_angles[{i}] = {a} outside the open interval (0, pi/2)")
@@ -110,11 +109,9 @@ def wedge(half_angles):
 
 def generated(gens):
     """The cone ``{G u : u >= 0}`` for a matrix of generator columns."""
-    g = np.asarray(gens, dtype=float)
-    if g.ndim != 2 or g.shape[1] == 0:
+    g = _as_array(gens, "generator matrix", 2)
+    if g.shape[1] == 0:
         raise ValueError("generator matrix must have at least one column")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("generator matrix contains non-finite entries")
     norms = np.linalg.norm(g, axis=0)
     if np.any(norms == 0):
         raise ValueError("generator columns must be nonzero")
@@ -166,13 +163,11 @@ def slice_cone(base, normals):
     that would need more than ``_MAX_SLICE_RAYS`` of them raises
     ValueError.
     """
-    n = np.asarray(normals, dtype=float)
+    n = _as_array(normals, "slice normals")
     if n.ndim == 1:
         n = n[:, np.newaxis]
-    if n.shape[0] != base.dim:
-        raise ValueError(f"normals have dimension {n.shape[0]}, expected {base.dim}")
-    if not np.all(np.isfinite(n)):
-        raise ValueError("slice normals contain non-finite entries")
+    if n.ndim != 2 or n.shape[0] != base.dim:
+        raise ValueError(f"slice normals have shape {n.shape}, expected ({base.dim}, q)")
     if np.any(np.linalg.norm(n, axis=0) == 0):
         raise ValueError("slice normals must be nonzero")
     if base.kind == "slice":
@@ -248,7 +243,7 @@ def distance(cone, v):
     slices it is the residual of the nonnegative least-squares projection
     onto the generators (a slice's own rays).
     """
-    v = _as_vector(v, cone.dim)
+    v = _as_array(v, "vector", 1, cone.dim)
     if cone.kind == "orthant":
         return float(np.linalg.norm(np.minimum(v, 0.0)))
     # hypot, not the root of a sum of squares, which overflows on finite data.
@@ -305,7 +300,7 @@ def interior_contains(cone, v, tol=INTERIOR_TOL):
     never optimistic, at any scale.  With ``r = 0`` (the slice ``{0}``)
     it is plain membership.
     """
-    v = _as_vector(v, cone.dim)
+    v = _as_array(v, "vector", 1, cone.dim)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     if cone.kind == "orthant":
@@ -346,7 +341,7 @@ def dual(cone):
     if cone.kind == "orthant":
         return cone
     if cone.kind == "wedge":
-        return wedge(tuple(math.pi / 2 - a for a in cone.half_angles))
+        return wedge(math.pi / 2 - np.array(cone.half_angles))
     if cone.kind == "product":
         return product(*(dual(f) for f in cone.factors))
     raise ValueError(f"dual cone of kind {cone.kind!r} has no closed form; use dual_distance")
@@ -363,7 +358,7 @@ def dual_distance(cone, v):
     """
     if cone.kind in ("orthant", "wedge"):
         return distance(dual(cone), v)
-    v = _as_vector(v, cone.dim)
+    v = _as_array(v, "vector", 1, cone.dim)
     if cone.kind == "product":
         return math.hypot(*(dual_distance(f, part) for f, part in _blocks(cone, v)))
     u = nnls(cone.gens, -v).u
@@ -412,11 +407,11 @@ def cone_from_dict(d):
             raise ValueError("wedge dim inconsistent with half_angles")
         return c
     if kind == "generated":
-        return generated(np.asarray(d["generators"], dtype=float).T)
+        return generated(_as_array(d["generators"], "generators", 2).T)
     if kind == "product":
         if not isinstance(d["factors"], list):
             raise ValueError(f"factors must be a JSON array, got {type(d['factors']).__name__}")
         return product(*(cone_from_dict(f) for f in d["factors"]))
     if kind == "slice":
-        return slice_cone(cone_from_dict(d["base"]), np.asarray(d["slice_normals"], dtype=float).T)
+        return slice_cone(cone_from_dict(d["base"]), _as_array(d["slice_normals"], "slice_normals").T)
     raise ValueError(f"unknown cone kind {kind!r}")

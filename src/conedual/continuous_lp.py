@@ -53,7 +53,7 @@ import numpy as np
 
 from .cones import orthant
 from .duality import ConicProblem
-from .linops import OperatorSpec, _as_count, _as_object, _as_real, weighted_quadrature
+from .linops import OperatorSpec, _as_array, _as_count, _as_object, weighted_quadrature
 from .tolerances import ZERO_SAMPLE_TOL
 
 __all__ = [
@@ -315,13 +315,13 @@ def clp_spec_to_dict(spec):
 
 def _field_from_dict(d, name, spec_dims):
     kind = _as_object(d, name).get("kind", "constant")
-    data = d.get("data")
+    data = _as_array(d.get("data"), name)
     if kind == "constant":
-        return np.asarray(data, dtype=float)
+        return data
     if kind == "grid":
         if name != "K":
             raise ValueError(f"grid data is only supported for the kernel, not {name}")
-        grid = np.asarray(data, dtype=float)
+        grid = data
         n_grid = spec_dims["n_grid"]
         if grid.shape[:2] != (n_grid, n_grid):
             raise ValueError(f"kernel grid must be {n_grid} x {n_grid} in its node indices")
@@ -338,7 +338,7 @@ def _field_from_dict(d, name, spec_dims):
         def k_fn(s, t, _g=grid, _h=h):
             j = min(int(s / _h), n_grid - 1)
             k = min(int(t / _h), n_grid - 1)
-            cell = np.atleast_2d(np.asarray(_g[j, k], dtype=float))
+            cell = np.atleast_2d(_g[j, k])
             # A diagonal cell also covers pairs s > t, where the kernel vanishes.
             return np.zeros_like(cell) if s > t else cell
 
@@ -347,7 +347,7 @@ def _field_from_dict(d, name, spec_dims):
 
 
 def clp_spec_from_dict(d):
-    dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": _as_real(d["T"], "T")}
+    dims = {"n_grid": _as_count(d["n_grid"], "n_grid"), "T": _as_array(d["T"], "T", 0).item()}
     bound = d.get("bound", 1e6)
     return ContinuousLPSpec(
         m=_as_count(d["m"], "m"),
@@ -358,5 +358,5 @@ def clp_spec_from_dict(d):
         K=_field_from_dict(d["K"], "K", dims),
         b=_field_from_dict(d["b"], "b", dims),
         c=_field_from_dict(d["c"], "c", dims),
-        bound=np.inf if bound is None else _as_real(bound, "bound"),
+        bound=np.inf if bound is None else _as_array(bound, "bound", 0).item(),
     )

@@ -80,7 +80,7 @@ from .cones import (
 )
 from .errors import TheoremViolation
 from .farkas import verified_solution
-from .linops import OperatorSpec, PairingSpec, _as_count, _as_object, _as_vector, adjoint_apply, apply, pairing, pairing_norm, transposed
+from .linops import OperatorSpec, PairingSpec, _as_array, _as_count, _as_object, adjoint_apply, apply, pairing, pairing_norm, transposed
 from .simplex import _clamp, simplex_solve
 from .tolerances import DECISION_TOL, INTERIOR_TOL, STRICT_MEMBER_MARGIN, STRICT_TOL
 
@@ -123,8 +123,8 @@ class ConicProblem:
     T: ConeSpec
 
     def __post_init__(self):
-        b = _as_vector(self.b, name="b")
-        c = _as_vector(self.c, name="c")
+        b = _as_array(self.b, "b", 1)
+        c = _as_array(self.c, "c", 1)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if self.A.codomain_dim != b.shape[0]:
@@ -589,18 +589,15 @@ def problem_from_dict(d):
     ``pairing_Y`` go on the operator."""
     a_doc = _as_object(d["A"], "A")
     rows, cols = _as_count(a_doc["rows"], "rows"), _as_count(a_doc["cols"], "cols")
-    data = np.asarray(a_doc["data"], dtype=float)
-    if data.size != rows * cols:
-        raise ValueError(f"operator data has {data.size} entries, expected {rows * cols}")
     a = OperatorSpec(
-        matrix=data.reshape(rows, cols),
+        matrix=_as_array(a_doc["data"], "A.data", 1, rows * cols).reshape(rows, cols),
         pairing_domain=_pairing_from_dict(d.get("pairing_X")),
         pairing_codomain=_pairing_from_dict(d.get("pairing_Y")),
     )
     return ConicProblem(
         A=a,
-        b=np.asarray(d["b"], dtype=float),
-        c=np.asarray(d["c"], dtype=float),
+        b=d["b"],
+        c=d["c"],
         S=cone_from_dict(d["S"]),
         T=cone_from_dict(d["T"]),
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cones import _check_pairing_dual, distance, dual_distance, generators
 from .errors import IndeterminateAlternative
-from .linops import _as_vector, _pairing, adjoint_matrix, apply, pairing_norm, transposed
+from .linops import _as_array, _pairing, adjoint_matrix, apply, pairing_norm, transposed
 from .residual import residual_minimize
 from .tolerances import DECISION_TOL
 
@@ -91,17 +91,17 @@ def _residuals(outcome, A, rhs, cone):
     for a certificate, which raises ValueError where the Euclidean dual
     cone is not the dual in ``X``'s pairing.  A dual-side outcome is measured as the
     primal outcome of ``(transposed(A), -rhs)``."""
-    if outcome.side == "dual":
-        A, rhs = transposed(A), -np.asarray(rhs, dtype=float)
-    elif outcome.side != "primal":
+    if outcome.side not in ("primal", "dual"):
         raise ValueError(f"unknown outcome side {outcome.side!r}")
+    rhs = _as_array(rhs, "rhs", 1, A.codomain_dim if outcome.side == "primal" else A.domain_dim)
+    if outcome.side == "dual":
+        A, rhs = transposed(A), -rhs
     p = A.pairing_codomain
-    rhs = _as_vector(rhs, A.codomain_dim, "rhs")
     if outcome.branch == "solution":
         x = outcome.point
         return pairing_norm(p, apply(A, x) - rhs), distance(cone, x), 0.0
     _check_pairing_dual(cone, A.pairing_domain, "S")
-    alpha = _as_vector(outcome.certificate, A.codomain_dim, "certificate")
+    alpha = _as_array(outcome.certificate, "certificate", 1, A.codomain_dim)
     # The margin -<alpha, -rhs> is <alpha, rhs>, bit for bit up to the sign of a zero.
     return 0.0, dual_distance(cone, -(adjoint_matrix(A) @ alpha)), _pairing(p, alpha, rhs)
 

@@ -31,33 +31,41 @@ __all__ = [
     "adjoint_identity_check",
 ]
 
-def _as_vector(v, dim=None, name="vector"):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or (dim is not None and arr.shape[0] != dim):
-        expected = "one dimension" if dim is None else f"({dim},)"
+def _as_array(value, name, ndim=None, length=None):
+    """``value`` as a float ndarray: a number, or rectangular nested lists
+    of numbers, ``ndim`` deep (any depth when None).  A vector
+    (``ndim=1``) must have ``length`` entries when that is given.
+
+    This is the one reader of numeric input.  A number is an int or a
+    float, and not a bool; an int reads as its float value, also one too
+    large for int64.  Every entry must be finite.  Anything else raises one
+    ValueError that names ``name``.  An int or float ndarray is converted
+    without a pass over its entries; a float64 one is returned as it is.
+    """
+    arr = None
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = value.astype(float, copy=False)
+    else:
+        given = np.asarray(value, dtype=object)
+        if all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) for x in given.flat):
+            try:
+                arr = given.astype(float)
+            except OverflowError:  # an int beyond the float range is not finite
+                pass
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a finite number or a rectangular array of finite numbers")
+    if (ndim is not None and arr.ndim != ndim) or (length is not None and arr.shape[0] != length):
+        expected = f"{ndim}-dimensional" if length is None else f"({length},)"
         raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def _is_number(value):
-    """Whether ``value`` is an int or a float, and not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def _as_count(value, name):
-    """``value`` as an int: an int, or a float with an integral value."""
-    if not (_is_number(value) and float(value).is_integer()):
+    """``value`` as an int: a number with an integral value."""
+    count = _as_array(value, name, 0).item()
+    if not count.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_real(value, name):
-    """``value`` as a float: a finite int or float."""
-    if not (_is_number(value) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return int(count)
 
 
 def _as_object(value, name):
@@ -81,9 +89,9 @@ class PairingSpec:
 
     def __post_init__(self):
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("quadrature weights must be a finite positive vector")
+            w = _as_array(self.weights, "pairing weights", 1)
+            if np.any(w <= 0):
+                raise ValueError("quadrature weights must be positive")
             object.__setattr__(self, "weights", w)
 
     def weight_vector(self, dim):
@@ -107,8 +115,8 @@ def pairing(p, u, v):
     The product ``u * v`` is formed before any weighting so the value is
     exactly symmetric in its arguments.
     """
-    u = _as_vector(u, name="u")
-    return _pairing(p, u, _as_vector(v, dim=u.shape[0], name="v"))
+    u = _as_array(u, "u", 1)
+    return _pairing(p, u, _as_array(v, "v", 1, u.shape[0]))
 
 
 def _pairing(p, u, v):
@@ -120,7 +128,7 @@ def _pairing(p, u, v):
 
 def pairing_norm(p, u):
     """``sqrt(<u, u>)`` under pairing ``p``."""
-    u = _as_vector(u, name="u")
+    u = _as_array(u, "u", 1)
     return math.sqrt(max(_pairing(p, u, u), 0.0))
 
 
@@ -144,11 +152,7 @@ class OperatorSpec:
     adjoint_override: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"operator matrix must be two-dimensional, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator matrix contains non-finite entries")
+        m = _as_array(self.matrix, "operator matrix", 2)
         object.__setattr__(self, "matrix", m)
         if self.adjoint_override is not None:
             a = np.asarray(self.adjoint_override, dtype=float)
@@ -172,7 +176,7 @@ class OperatorSpec:
 
 def apply(op, x):
     """``y = A x``."""
-    x = _as_vector(x, dim=op.domain_dim, name="x")
+    x = _as_array(x, "x", 1, op.domain_dim)
     return op.matrix @ x
 
 
@@ -194,7 +198,7 @@ def adjoint_matrix(op):
 
 def adjoint_apply(op, y):
     """``x = A^T y`` with the adjoint taken against the declared pairings."""
-    y = _as_vector(y, dim=op.codomain_dim, name="y")
+    y = _as_array(y, "y", 1, op.codomain_dim)
     return adjoint_matrix(op) @ y
 
 

@@ -417,6 +417,17 @@ def conic_doc(rows=2, cols=1, **fields):
         ("clp", clp_doc(T=math.inf)),
         ("clp", clp_doc(bound=math.nan)),
         ("clp", clp_doc(T=True)),
+        ("solve", conic_doc(A={"rows": 2, "cols": 1, "data": {}})),
+        ("solve", conic_doc(b=["1", "2"])),
+        ("solve", conic_doc(b=[1.0, True])),
+        ("solve", conic_doc(T={"kind": "slice", "base": {"kind": "orthant", "dim": 2}, "slice_normals": None})),
+        ("solve", conic_doc(T={"kind": "wedge", "half_angles": [None]})),
+        ("solve", conic_doc(T={"kind": "wedge", "half_angles": [True]})),
+        ("solve", conic_doc(S={"kind": "generated", "generators": [[{}]]})),
+        ("clp", clp_doc(K={"kind": "grid", "data": [{}]})),
+        ("solve", conic_doc(pairing_Y={"kind": "weighted_quadrature", "weights": [{}, 1]})),
+        ("solve", conic_doc(pairing_Y={"kind": "weighted_quadrature", "weights": [True, True]})),
+        ("complex", complex_doc(game_slice="false")),
     ],
 )
 def test_malformed_problem_file_is_an_input_error(tmp_path, capsys, subcommand, doc):
@@ -432,3 +443,8 @@ def test_integral_sizes_may_be_floats(tmp_path):
     assert (pb.A.matrix.shape, pb.S.dim, pb.T.dim) == ((2, 1), 1, 2)
     spec = parse_problem(write(tmp_path, "clp.json", clp_doc(m=1.0, n=1.0, n_grid=4.0)))
     assert (spec.m, spec.n, spec.n_grid) == (1, 1, 4)
+
+
+def test_integers_beyond_int64_read_as_floats(tmp_path):
+    pb = parse_problem(write(tmp_path, "big.json", conic_doc(A={"rows": 2, "cols": 1, "data": [10**30, 1.0]})))
+    assert pb.A.matrix[:, 0].tolist() == [1e30, 1.0]

@@ -1,8 +1,12 @@
-"""The README's library tour runs and shows the values its comments state."""
+"""The README's library tour runs and shows the values its comments state,
+and its problem file is one that the CLI reads and solves."""
 
 import ast
 import re
 from pathlib import Path
+
+from conedual.cli import EXIT_OK, main, parse_problem
+from conedual.duality import ConicProblem
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,3 +64,12 @@ def test_library_tour_values():
     assert (angles.primal_system_solvable, angles.dual_system_solvable) == (False, False)
     assert angles.characterization_applies
     assert namespace["pb"].A.matrix.shape == (64, 64)
+
+
+def test_conic_problem_file_example(tmp_path):
+    text = README.read_text()
+    (example,) = re.findall(r"A conic problem file:\n\n```json\n(.*?)```", text, flags=re.S)
+    path = tmp_path / "problem.json"
+    path.write_text(example)
+    assert isinstance(parse_problem(str(path)), ConicProblem)
+    assert main(["solve", "--input", str(path)]) == EXIT_OK
