@@ -57,6 +57,9 @@ __all__ = [
 
 _KINDS = ("orthant", "wedge", "generated", "product", "slice")
 
+# Largest orthant-distance entry whose square is summed unscaled.
+_SCALED_NORM_FROM = 1e150
+
 # Largest generator count of a slice.  Each normal can square the count (a
 # pair per opposite-sign couple, redundant ones included), so a cone read
 # from a file could otherwise exhaust memory while it is built.
@@ -245,7 +248,14 @@ def distance(cone, v):
     """
     v = _as_array(v, "vector", 1, cone.dim)
     if cone.kind == "orthant":
-        return float(np.linalg.norm(np.minimum(v, 0.0)))
+        neg = np.minimum(v, 0.0)
+        # Past _SCALED_NORM_FROM the sum of squares may overflow: scale by a
+        # power of two, which changes no bit of a sum that does not.
+        big = -neg[neg.argmin()]
+        if big > _SCALED_NORM_FROM:
+            scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+            return scale * float(np.linalg.norm(neg / scale))
+        return float(np.linalg.norm(neg))
     # hypot, not the root of a sum of squares, which overflows on finite data.
     if cone.kind == "wedge":
         blocks = (_wedge_block_distance(v[2 * i], v[2 * i + 1], a) for i, a in enumerate(cone.half_angles))

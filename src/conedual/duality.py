@@ -17,18 +17,18 @@ between them is
 
 with the dual optimizer ``y`` the primal optimizer of the transposed pair.
 So only the primal half of each computation is written here; the dual half
-is the same code on ``pb.transpose()``.  The primal is reduced to a
-standard-form linear program through the generator parameterization
+is the same code on ``pb.transpose()``.  The primal is reduced to an
+inequality-form linear program through the generator parameterization
 ``x = G_S u`` (``u >= 0``) with the conic constraint ``A x - b in T*``
 written as ``G_T^T (A x - b) >= 0`` through the generators of ``T`` itself,
-and solved by two-phase simplex with Bland's rule.  The LP of
+and solved by the self-dual simplex of :mod:`conedual.simplex`.  The LP of
 ``pb.transpose()`` is the LP dual of this one, so one optimal simplex run
 gives both optimizers: ``x`` from its basic values and ``y`` from its row
 multipliers.  ``solve`` poses and runs the LP with fewer nonnegative
-right-hand sides, which are the rows its phase one covers, and the LP of
-the other side too only on a tie or when the first is not optimal; the
-rule sees only the two right-hand sides, so a pair and its transpose still
-give the same report with the sides exchanged.
+right-hand sides, and the LP of the other side too only on a tie or when
+the first is not optimal; the rule sees only the two right-hand sides, so
+a pair and its transpose still give the same report with the sides
+exchanged.
 Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
 unbounded problems.
@@ -81,7 +81,7 @@ from .cones import (
 from .errors import TheoremViolation
 from .farkas import verified_solution
 from .linops import OperatorSpec, PairingSpec, _as_array, _as_count, _as_object, adjoint_apply, apply, pairing, pairing_norm, transposed
-from .simplex import _clamp, simplex_solve
+from .simplex import simplex_solve
 from .tolerances import DECISION_TOL, INTERIOR_TOL, STRICT_MEMBER_MARGIN, STRICT_TOL
 
 __all__ = [
@@ -218,17 +218,15 @@ def _dual_rows(cone, M):
 
 
 def _standard_form(pb):
-    """``min <c, G_S u>`` s.t. ``G_T^T (A G_S u - b) = w`` and ``u, w >= 0``:
-    the rows say ``A G_S u - b in T*`` through the generators of ``T``.
-    With Euclidean pairings the LP of ``pb.transpose()`` has the matrix
-    ``G_S^T (-A^T) G_T``, this one's transposed and negated: each LP is the
-    other's LP dual."""
+    """``(cost, M, beta, G_S)`` of the LP ``min <c, G_S u>`` s.t. ``M u >=
+    beta``, ``u >= 0``, with ``M = G_T^T A G_S`` and ``beta = G_T^T b``: the
+    rows say ``A G_S u - b in T*`` through the generators of ``T``.  With
+    Euclidean pairings the LP of ``pb.transpose()`` has the matrix ``G_S^T
+    (-A^T) G_T``, this one's transposed and negated: each LP is the other's
+    LP dual."""
     g_s = generators(pb.S)
-    rows = _dual_rows(pb.T, pb.A.matrix @ g_s)
-    a_eq = np.hstack([rows, -np.eye(rows.shape[0])])
     weighted_c = pb.A.pairing_domain.weight_vector(pb.S.dim) * pb.c
-    cost = np.concatenate([g_s.T @ weighted_c, np.zeros(rows.shape[0])])
-    return cost, a_eq, _dual_rows(pb.T, pb.b), g_s
+    return g_s.T @ weighted_c, _dual_rows(pb.T, pb.A.matrix @ g_s), _dual_rows(pb.T, pb.b), g_s
 
 
 def _copy(x):
@@ -242,40 +240,36 @@ _last_solve = None
 
 
 def _optimizers(pb):
-    """``(x*, y*, status)`` from one simplex run on the standard form of
-    ``pb``; the optimizers are None unless the LP is optimal.
+    """``(x*, y*, status)`` from one simplex run on the LP of ``pb`` (see
+    :func:`_standard_form`); the optimizers are None unless it is optimal.
 
-    ``x* = G_S u``.  The slack block of the rows is ``-I``, so the row
-    multipliers are the reduced costs of the slacks, ``lambda``, and
+    ``x* = G_S u``.  With the row multipliers ``lambda`` of the LP,
     ``y* = W_Y^-1 G_T lambda``: then ``y* in T``, ``<y*, b> = lambda^T
     G_T^T b`` is the LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the
-    reduced cost of ``u``, nonnegative at an optimal basis.
+    LP dual slack of ``u``, nonnegative at an optimal basis.
     """
-    cost, a_eq, b_eq, g_s = _standard_form(pb)
-    res = simplex_solve(cost, a_eq, b_eq)
+    cost, rows, beta, g_s = _standard_form(pb)
+    res = simplex_solve(cost, rows, beta)
     if res.status != "optimal":
         return None, None, res.status
-    k = g_s.shape[1]
-    lam = _clamp(res.reduced_costs[k:])
-    if pb.T.kind != "orthant":
-        lam = generators(pb.T) @ lam
+    lam = res.y if pb.T.kind == "orthant" else generators(pb.T) @ res.y
     y = lam / pb.A.pairing_codomain.weight_vector(pb.T.dim)
-    return g_s @ res.x[:k], y, res.status
+    return g_s @ res.x, y, res.status
 
 
 def _optimal_pair(pb):
     """``(x*, primal status, y*, dual status)`` from the LPs of ``pb`` and
     ``pb.transpose()``, running one of them where that settles both sides.
 
-    The LP with fewer nonnegative right-hand sides runs first: a row with
-    ``b_i < 0`` is negated and starts on its slack, so these are the rows
-    phase one must cover unless a structural column happens to be an exact
-    unit vector.  If it ends optimal, both sides are optimal and both
-    optimizers come from it.  On a tie, or when it does not end optimal,
-    the other LP runs too, and each side takes the optimizer and status of
-    its own LP.  Only the LPs that run are posed.  The choice depends only
-    on the two right-hand sides, which ``pb.transpose()`` has bit for bit
-    the same (swapped), so its report is this one with the sides exchanged.
+    The LP with fewer nonnegative right-hand sides runs first.  If it ends
+    optimal, both sides are optimal and both optimizers come from it.  On
+    a tie, or when it does not end optimal, the other LP runs too, and
+    each side takes the optimizer and status of its own LP.  Only the LPs
+    that run are posed.  The rule, the tie included, is what makes the
+    report of ``pb.transpose()`` this one with the sides exchanged bit for
+    bit: it sees only the two right-hand sides, which ``pb.transpose()``
+    has the same (swapped), so the transposed pair runs the same LPs and
+    reads each optimizer from the same run.
     """
     sides = (pb, pb.transpose())
     rows = [int((_dual_rows(q.T, q.b) >= 0).sum()) for q in sides]
@@ -299,7 +293,8 @@ def solve(pb):
     the other from the row multipliers (see :func:`_optimal_pair`).  The
     dual is solved as the primal of ``pb.transpose()`` only when the two
     LPs tie on nonnegative right-hand sides or the first one is not
-    optimal.  Only the LP that runs is posed.  Optimizers,
+    optimal, so ``solve(pb.transpose())`` gives this report with the sides
+    exchanged.  Only the LP that runs is posed.  Optimizers,
     when attained, are mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
     within the margin band count as boundary, and a cone without interior
@@ -424,12 +419,12 @@ def _strict_member(pb):
     image also lies in the dual cone: ``x = G_S u`` with ``u >= 1``,
     ``A x - b in T*`` and ``A x in T*``.
 
-    The rows are those of :func:`_standard_form`, ``M u - w = max(G_T^T b,
-    0)`` with ``M = G_T^T A G_S`` and ``w >= 0``: row by row they say
-    ``M u >= G_T^T b`` and ``M u >= 0``, which is ``A x - b in T*`` and
-    ``A x in T*``.  The margin is fixed at 1 and substituted out: ``u = r +
-    1`` with ``r >= 0``, so ``M 1`` moves to the right-hand side, and the
-    point is ``G_S (r + 1)``.  What is left is a feasibility LP with zero
+    The rows are those of :func:`_standard_form`, ``M u >= max(G_T^T b,
+    0)`` with ``M = G_T^T A G_S``: row by row they say ``M u >= G_T^T b``
+    and ``M u >= 0``, which is ``A x - b in T*`` and ``A x in T*``.  The
+    margin is fixed at 1 and substituted out: ``u = r + 1`` with ``r >=
+    0``, so ``M 1`` moves to the right-hand side, and the point is ``G_S (r
+    + 1)``.  What is left is a feasibility LP with zero
     cost.  No positive margin is lost: with ``A G u in T*``,
     ``t A G u - b = (A G u - b) + (t - 1) A G u in T*`` for ``t >= 1``, so
     the feasible set is closed under ``u -> t u`` and any positive margin
@@ -442,12 +437,11 @@ def _strict_member(pb):
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
     """
-    cost, a_eq, beta, g = _standard_form(pb)
-    k = g.shape[1]
-    res = simplex_solve(np.zeros_like(cost), a_eq, np.maximum(beta, 0.0) - a_eq[:, :k].sum(axis=1))
+    cost, rows, beta, g = _standard_form(pb)
+    res = simplex_solve(np.zeros_like(cost), rows, np.maximum(beta, 0.0) - rows.sum(axis=1))
     if res.status != "optimal":
         return None
-    point = g @ (res.x[:k] + 1.0)
+    point = g @ (res.x + 1.0)
     image = apply(pb.A, point)
     strict = interior_contains(pb.S, point, STRICT_MEMBER_MARGIN) and all(dual_distance(pb.T, z) <= STRICT_TOL for z in (image - pb.b, image))
     return point if strict else None

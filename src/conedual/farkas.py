@@ -126,7 +126,7 @@ def farkas_primal(A, b, S, tol=DECISION_TOL):
     it is at most ``tol^2``), then the other.  Raises
     :class:`~conedual.errors.IndeterminateAlternative` if neither passes.
     """
-    b = np.asarray(b, dtype=float)
+    b = _as_array(b, "b", 1, A.codomain_dim)
     res = residual_minimize(A, b, S)
     branches = ("solution", "certificate") if res.value <= tol * tol else ("certificate", "solution")
     for branch in branches:
@@ -155,7 +155,7 @@ def farkas_dual(A, c, T, tol=DECISION_TOL):
     """
     # 0.0 - c, not -c: a zero entry of c then gives +0.0 in the certificate
     # b - gamma, where -0.0 - 0.0 would give -0.0.
-    outcome = farkas_primal(transposed(A), 0.0 - np.asarray(c, dtype=float), T, tol=tol)
+    outcome = farkas_primal(transposed(A), 0.0 - _as_array(c, "c", 1, A.domain_dim), T, tol=tol)
     outcome.side = "dual"
     return outcome
 

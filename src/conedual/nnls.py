@@ -146,8 +146,10 @@ def nnls(M, b):
     Raises
     ------
     SolverFailure
-        If the iteration cap trips.  The iterate is attached to
-        ``detail["u"]`` and the largest free dual value to ``detail["kkt"]``.
+        If the iteration cap trips, or if the least-squares coefficients
+        or the squared residual are not finite (data near the overflow
+        threshold).  The iterate is attached to ``detail["u"]`` and the
+        largest free dual value to ``detail["kkt"]``.
     """
     # + 0.0 turns -0.0 into +0.0: np.linalg.qr depends on the sign of zeros.
     M = np.asarray(M, dtype=float) + 0.0
@@ -217,6 +219,11 @@ def nnls(M, b):
             # Step toward z until the first passive component hits zero.
             # An index with u = z = 0 blocks at once: its ratio is 0, not 0/0.
             blocking = np.flatnonzero(passive & (z <= 0))
+            if not blocking.size:
+                # Only a coefficient that is not a number neither passes nor blocks.
+                raise SolverFailure(
+                    "NNLS least-squares coefficients are not finite", detail={"u": u, "kkt": _kkt(w, ~passive)}
+                )
             gap = u[blocking] - z[blocking]
             ratios = np.divide(u[blocking], gap, out=np.zeros_like(gap), where=gap > 0)
             alpha = float(np.min(ratios))
@@ -236,6 +243,8 @@ def nnls(M, b):
             rejected.append(j)
         w = M.T @ r
 
+    if not math.isfinite(rr):
+        raise SolverFailure("NNLS residual is not finite", detail={"u": u, "kkt": _kkt(w, ~passive)})
     return NNLSResult(
         u=u,
         residual_norm=math.sqrt(rr),

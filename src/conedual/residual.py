@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import generators
-from .linops import pairing
+from .linops import _as_array, pairing
 from .nnls import nnls
 
 __all__ = ["ResidualResult", "residual_minimize"]
@@ -55,9 +55,7 @@ def residual_minimize(A, b, S):
     polyhedral image cone.
     """
     p = A.pairing_codomain
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.codomain_dim,):
-        raise ValueError(f"b has shape {b.shape}, expected ({A.codomain_dim},)")
+    b = _as_array(b, "b", 1, A.codomain_dim)
     g = generators(S)
     if g.shape[0] != A.domain_dim:
         raise ValueError(f"cone dimension {g.shape[0]} does not match operator domain {A.domain_dim}")

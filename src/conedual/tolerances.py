@@ -32,16 +32,16 @@ BLOCKING_TIE_TOL = 1e-15
 """NNLS blocking step: absolute band on the step ratio, in ``[0, 1]``, within which every blocking index leaves."""
 
 PIVOT_TOL = 1e-9
-"""Simplex pivot entries relative to the entering column's largest, at least absolute; absolute on reduced costs and on rows that drive artificials out."""
+"""Simplex pivot entries relative to the largest entry of their sign in the pivot row or column, at least absolute."""
 
 RATIO_TIE_TOL = 1e-12
-"""Simplex ratio test: absolute band above the smallest ratio within which rows tie for Bland's rule."""
+"""Simplex ratio test: absolute band above the smallest ratio within which candidates tie, the smallest variable index taking the pivot."""
 
 CLAMP_TOL = 1e-12
-"""Absolute size below which a final basic value of the simplex is roundoff, read as 0."""
+"""Absolute size below which a final basic value or row multiplier of the simplex is roundoff, read as 0."""
 
-PHASE_ONE_TOL = 1e-8
-"""Simplex phase one: bound on the artificial objective for feasibility, relative to ``1 + max |b|``."""
+MU_TOL = 1e-9
+"""Self-dual simplex: bound on the perturbation ``mu`` at which a basis counts as optimal, relative to ``1 + max |b| + max |c|``."""
 
 PROBE_SLACK = 1e-12
 """Interior probe of generated cones: distance a probe point may lie from the cone, relative to ``1 + ||v||``."""

@@ -272,6 +272,13 @@ def reference_nnls(M, b, kkt_tol=STATIONARITY_TOL, max_iter=None):
     return u, iterations, kkt(w, ~passive)
 
 
+def equality_lp(c, A, b):
+    """``simplex_solve`` on ``min c^T x, A x = b, x >= 0``, posed in the
+    engine's inequality form as ``[A; -A] x >= [b; -b]``."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return simplex_solve(c, np.vstack([A, -A]), np.concatenate([b, -b]))
+
+
 def margin_row_strict_lp(pb):
     """The strict-member margin LP with explicit margin rows.
 
@@ -324,7 +331,7 @@ def margin_row_strict_lp(pb):
         rhs.append(np.zeros(cone.normals.shape[1]))
     cost = np.zeros(n_var)
     cost[k + 2 * kd] = -1.0
-    res = simplex_solve(cost, np.vstack(rows), np.concatenate(rhs))
+    res = equality_lp(cost, np.vstack(rows), np.concatenate(rhs))
     if res.status != "optimal":
         return res.status, None
     return res.status, float(res.x[k + 2 * kd])
@@ -516,7 +523,7 @@ def check_classical_conditions(spec):
         rhs = np.concatenate([np.zeros(m), np.ones(n)])
         cost = np.zeros(n_var)
         cost[:n] = -1.0
-        res = simplex_solve(cost, a_eq, rhs)
+        res = equality_lp(cost, a_eq, rhs)
         trivial = res.status == "optimal" and -res.objective <= tol
         recession.append(trivial)
         if not trivial:

@@ -496,3 +496,24 @@ def test_cone_json_round_trip():
         for _ in range(50):
             v = rng.uniform(-1, 1, size=cone.dim)
             assert contains(cone, v, 1e-9) == contains(back, v, 1e-9)
+
+
+def test_orthant_distance_near_overflow():
+    # The sum of squares of [-1e200, -1e200] overflows; the scaled path
+    # gives the distance with no warning, through every orthant test.
+    v = [-1e200, -1e200]
+    assert distance(orthant(2), v) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert dual_distance(orthant(2), v) == distance(orthant(2), v)
+    assert not contains(orthant(2), v) and contains(orthant(2), [1e200, 1e300])
+    assert distance(product(orthant(1), orthant(2)), [-1e308, -1e308, 0.0]) == pytest.approx(math.sqrt(2.0) * 1e308)
+    # Where the unscaled sum does not overflow, the scaled path (entries past
+    # 1e150) changes no bit.
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        v = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(148.0, 154.1, size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plain = float(np.linalg.norm(np.minimum(v, 0.0)))
+        if math.isfinite(plain):
+            assert np.float64(distance(orthant(n), v)).tobytes() == np.float64(plain).tobytes()

@@ -393,3 +393,18 @@ def test_stored_residuals_are_the_verified_ones(monkeypatch):
                 assert out.cone_residual == distance(cone, out.point)
             seen.add((out.side, out.branch))
     assert seen == {(side, branch) for side in ("primal", "dual") for branch in ("solution", "certificate")}
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda op, v: farkas_primal(op, v, orthant(2)), "b"),
+        (lambda op, v: farkas_dual(op, v, orthant(2)), "c"),
+        (lambda op, v: residual_minimize(op, v, orthant(2)), "b"),
+    ],
+    ids=["farkas_primal", "farkas_dual", "residual_minimize"],
+)
+def test_bool_right_hand_side_is_refused(call, field):
+    # numpy would read [1.0, True] as [1.0, 1.0]; the one reader refuses it.
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        call(OperatorSpec(matrix=np.eye(2)), [1.0, True])

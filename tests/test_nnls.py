@@ -751,3 +751,13 @@ def test_result_does_not_depend_on_the_sign_of_zero_entries():
         twin_M, twin_b = np.where(M == 0, -0.0, M), np.where(b == 0, -0.0, b)
         assert _bits(M, b) == _bits(twin_M, twin_b)
     assert with_zeros > 1500
+
+
+@pytest.mark.parametrize(
+    "M, b, message",
+    [([[1.0, 1e308], [0.0, 1.0]], [1.0, 1.0], "coefficients are not finite"), ([[1e-10]], [1e300], "residual is not finite")],
+)
+def test_overflowing_data_raises_solver_failure(M, b, message):
+    # Finite data whose least-squares coefficients or residual overflow.
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match=message):
+        nnls(np.array(M), np.array(b))

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conedual import duality, simplex
+from conedual import duality
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.cones import (
     contains,
@@ -96,16 +96,16 @@ def random_pairs(family, count, seed):
 
 class SimplexSpy:
     """Records the ``simplex_solve`` calls made from ``duality``: their
-    ``(cost, a_eq, b_eq)`` and their results."""
+    ``(cost, M, beta)`` and their results."""
 
     def __init__(self, monkeypatch):
         self.lps = []
         self.results = []
         real = duality.simplex_solve
 
-        def spy(cost, a_eq, b_eq, **kwargs):
-            res = real(cost, a_eq, b_eq, **kwargs)
-            self.lps.append((cost, a_eq, b_eq))
+        def spy(cost, M, beta, **kwargs):
+            res = real(cost, M, beta, **kwargs)
+            self.lps.append((cost, M, beta))
             self.results.append(res)
             return res
 
@@ -132,8 +132,8 @@ def lps_agree_with_highs(optimize, spy):
     """Check every LP the spy saw against HiGHS: the same status, and the
     same optimal value; returns the statuses seen."""
     seen = set()
-    for (cost, a_eq, b_eq), res in zip(spy.lps, spy.results):
-        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    for (cost, M, beta), res in zip(spy.lps, spy.results):
+        ref = optimize.linprog(cost, A_ub=-M, b_ub=-beta, bounds=(0, None), method="highs")
         assert res.status == HIGHS_STATUSES[ref.status]
         seen.add(res.status)
         if res.status == "optimal":
@@ -148,8 +148,8 @@ def solve_agrees_with_highs(optimize, spy, pb):
     before = len(spy.lps)
     report = solve(pb)
     for q, status in ((pb, report.status_primal), (pb.transpose(), report.status_dual)):
-        cost, a_eq, b_eq, _ = duality._standard_form(q)
-        ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        cost, M, beta, _ = duality._standard_form(q)
+        ref = optimize.linprog(cost, A_ub=-M, b_ub=-beta, bounds=(0, None), method="highs")
         assert status == HIGHS_STATUSES[ref.status]
     return len(spy.lps) - before
 
@@ -170,9 +170,9 @@ def test_strict_member_lp_matches_margin_row_formulation(family, monkeypatch):
             status, delta = margin_row_strict_lp(p)
             spy.lps.clear()
             point = duality._strict_member(p)
-            ((cost, a_eq, _),) = spy.lps
+            ((cost, M, _),) = spy.lps
             # One row per row of M = G_T^T A G_S.
-            assert not cost.any() and a_eq.shape[0] == duality._dual_rows(p.T, p.A.matrix @ generators(p.S)).shape[0]
+            assert not cost.any() and M.shape[0] == duality._dual_rows(p.T, p.A.matrix @ generators(p.S)).shape[0]
             assert (point is not None) == (status == "optimal" and delta >= 1e-7)
             if point is None:
                 continue
@@ -222,8 +222,8 @@ def test_strict_regression_lps_agree_with_highs(case, monkeypatch):
     for p in (pb, pb.transpose()):
         spy.lps.clear()
         found = duality._strict_member(p) is not None
-        cost, a_eq, b_eq = spy.lps[0]
-        res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        cost, M, beta = spy.lps[0]
+        res = optimize.linprog(cost, A_ub=-M, b_ub=-beta, bounds=(0, None), method="highs")
         assert res.status == (0 if found else 2)
 
 
@@ -359,19 +359,17 @@ def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
         assert abs(report.gap) <= 1e-8 * (1.0 + abs(report.v_primal))
         # The value of the side read from the multipliers, against its own LP.
         q = pb.transpose() if side == 0 else pb
-        cost, a_eq, b_eq, _ = duality._standard_form(q)
-        other = simplex_solve(cost, a_eq, b_eq).objective
+        cost, M, beta, _ = duality._standard_form(q)
+        other = simplex_solve(cost, M, beta).objective
         value = -report.v_dual if side == 0 else report.v_primal
         assert abs(value - other) <= 1e-9 * (1.0 + abs(other))
     assert picked[0] >= 5 and picked[1] >= 5
 
 
 def integer_orthant_pairs(count, seed):
-    """Orthant pairs with ``A``, ``b`` and ``c`` drawn from {-1, 0, 1}.
-    Their LPs often have structural columns that are exact unit vectors,
-    which the simplex's crash basis starts on, so the count of nonnegative
-    right-hand sides and the count of rows phase one covers can rank the
-    LPs of a pair and its transpose differently."""
+    """Orthant pairs with ``A``, ``b`` and ``c`` drawn from {-1, 0, 1}, so
+    that right-hand sides and costs of 0 are common and the LPs of a pair
+    and its transpose often tie on nonnegative right-hand sides."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m, n = (int(k) for k in rng.integers(2, 6, size=2))
@@ -384,24 +382,6 @@ def rhs_rows(pb):
     """The nonnegative right-hand sides of the LPs of ``pb`` and of
     ``pb.transpose()``, which ``solve`` ranks them by."""
     return [int((duality._dual_rows(q.T, q.b) >= 0).sum()) for q in (pb, pb.transpose())]
-
-
-def crash_rows(q):
-    """The rows of the LP of ``q`` that the simplex's crash basis leaves to
-    phase one."""
-    _, a_eq, b_eq, _ = duality._standard_form(q)
-    return int((simplex._crash_basis(simplex._nonnegative_rhs(a_eq, b_eq)[0]) < 0).sum())
-
-
-def test_integer_pairs_rank_the_lps_apart_from_the_crash():
-    # The family reaches the pairs where ranking by right-hand sides and
-    # ranking by the crash basis's uncovered rows pick differently.
-    differ = 0
-    for pb in integer_orthant_pairs(300, seed=2041):
-        rows = rhs_rows(pb)
-        crash = [crash_rows(q) for q in (pb, pb.transpose())]
-        differ += np.sign(rows[1] - rows[0]) != np.sign(crash[1] - crash[0])
-    assert differ >= 20
 
 
 def test_integer_pairs_swap_under_transpose():
@@ -418,8 +398,14 @@ def test_integer_pairs_agree_with_highs():
             (pb, report.status_primal, report.v_primal),
             (pb.transpose(), report.status_dual, -report.v_dual),
         ):
-            cost, a_eq, b_eq, _ = duality._standard_form(q)
-            ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            # The reference poses the rows with surplus columns: on one LP of
+            # this family, feasible and unbounded, HiGHS's presolve reports
+            # the inequality form ``A_ub = -M`` infeasible.
+            cost, M, beta, _ = duality._standard_form(q)
+            m = M.shape[0]
+            ref = optimize.linprog(
+                np.concatenate([cost, np.zeros(m)]), A_eq=np.hstack([M, -np.eye(m)]), b_eq=beta, bounds=(0, None), method="highs"
+            )
             assert status == HIGHS_STATUSES[ref.status]
             seen[status] += 1
             if status == "optimal":
@@ -454,9 +440,9 @@ def test_solve_poses_only_the_lps_it_runs(monkeypatch):
 
 
 def test_multipliers_below_roundoff_read_as_zero():
-    # On degenerate orthant pairs some reduced costs of the slacks end
-    # slightly negative; read as 0, as basic values are, the optimizer from
-    # the multipliers lies in its orthant exactly.
+    # On degenerate orthant pairs some row multipliers end slightly
+    # negative; read as 0, as basic values are, the optimizer from the
+    # multipliers lies in its orthant exactly.
     optimal = 0
     for pb in degenerate_orthant_pairs(1000):
         report = solve(pb)

@@ -1,4 +1,4 @@
-"""Two-phase simplex on standard-form programs."""
+"""Self-dual simplex on inequality-form programs."""
 
 import itertools
 import json
@@ -9,12 +9,15 @@ import pytest
 
 import conedual.simplex
 from conedual.errors import SolverFailure
-from conedual.simplex import _bland_leaving, _pivot, simplex_solve
+from conedual.simplex import _pivot, _ratio, simplex_solve
+from oracles import equality_lp
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ROUNDOFF_PIVOT_LP = os.path.join(FIXTURES, "roundoff_pivot_lp.json")
 RATIO_CLAMP_LPS = os.path.join(FIXTURES, "ratio_clamp_lps.json")
 PHASE_ONE_ROUNDOFF_COLUMN = os.path.join(FIXTURES, "phase_one_roundoff_column.json")
+
+HIGHS_STATUSES = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def brute_force_vertices(A, b):
@@ -39,14 +42,13 @@ def test_simple_bounded_lp():
     c = np.array([-1.0, -1.0, 0.0, 0.0])
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
     b = np.array([4.0, 6.0])
-    res = simplex_solve(c, A, b)
+    res = equality_lp(c, A, b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-4.0)
 
 
 def test_matches_vertex_enumeration():
-    # The second pass appends an identity block, so every row starts from
-    # its own unit column.
+    # The second pass appends an identity block.
     for identity_block in (False, True):
         rng = np.random.default_rng(139)
         for _ in range(40):
@@ -58,7 +60,7 @@ def test_matches_vertex_enumeration():
             x0 = rng.uniform(0, 1, size=n)
             b = A @ x0  # feasible by construction
             c = rng.uniform(-1, 1, size=n)
-            res = simplex_solve(c, A, b)
+            res = equality_lp(c, A, b)
             vertices = brute_force_vertices(A, b)
             if not vertices:
                 continue
@@ -74,37 +76,37 @@ def test_matches_vertex_enumeration():
 def test_infeasible_detection():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
-    res = simplex_solve(np.zeros(2), A, b)
+    res = equality_lp(np.zeros(2), A, b)
     assert res.status == "infeasible"
 
 
 def test_unbounded_detection():
     # min -x1 with only x1 - x2 = 1: x1 can grow along (1, 1).
-    res = simplex_solve(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+    res = equality_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
     assert res.status == "unbounded"
 
 
 def test_negative_rhs_handled():
-    res = simplex_solve(np.array([1.0, 1.0]), np.array([[-1.0, 0.0]]), np.array([-2.0]))
+    res = equality_lp(np.array([1.0, 1.0]), np.array([[-1.0, 0.0]]), np.array([-2.0]))
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.0)
 
 
 def test_degenerate_problem_terminates():
-    # Redundant constraints produce degenerate vertices; Bland's rule must
+    # Redundant constraints produce degenerate vertices; the iteration must
     # still terminate at the optimum.
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
     b = np.array([1.0, 1.0, 2.0])
     c = np.array([-1.0, -2.0, 0.0, 0.0])
-    res = simplex_solve(c, A, b)
+    res = equality_lp(c, A, b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-2.0)
 
 
-def test_redundant_row_dropped():
+def test_redundant_row_solves():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    res = simplex_solve(np.array([1.0, 0.0]), A, b)
+    res = equality_lp(np.array([1.0, 0.0]), A, b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0)
 
@@ -117,7 +119,7 @@ def test_solution_nonnegative_and_feasible():
         A = rng.uniform(-1, 1, size=(m, n))
         b = A @ rng.uniform(0, 1, size=n)
         c = rng.uniform(-1, 1, size=n)
-        res = simplex_solve(c, A, b)
+        res = equality_lp(c, A, b)
         if res.status != "optimal":
             continue
         assert np.all(res.x >= 0)
@@ -130,7 +132,7 @@ def test_iteration_cap_raises(monkeypatch):
     rng = np.random.default_rng(151)
     A = rng.uniform(-1, 1, size=(4, 8))
     b = A @ rng.uniform(0, 1, size=8)
-    monkeypatch.setattr(conedual.simplex, "_pivot", lambda tableau, basis, row, col: None)
+    monkeypatch.setattr(conedual.simplex, "_pivot", lambda t, r, s: None)
     with pytest.raises(SolverFailure) as info:
         simplex_solve(rng.uniform(-1, 1, size=8), A, b)
     assert info.value.detail["iterations"] == 200 * (4 + 8 + 10) + 1
@@ -141,51 +143,24 @@ def test_dimension_validation():
         simplex_solve(np.ones(2), np.ones((2, 3)), np.ones(2))
 
 
+def test_non_finite_tableau_raises():
+    # The only step divides -1e305 by 1e-5: the basic value overflows.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverFailure, match="not finite"):
+        simplex_solve(np.ones(1), np.array([[1e-5]]), np.array([1e305]))
+
+
 # ---------------------------------------------------------------------------
-# Crash start and the relative pivot test
+# Start, statuses and multipliers
 # ---------------------------------------------------------------------------
 
 
-def test_crash_start_needs_no_pivot():
-    # [M | I] x = b with b >= 0: the slack basis is feasible, and with c = 0
-    # it is optimal as it stands.
+def test_slack_start_needs_no_pivot():
+    # With b <= 0 and c >= 0 the slack basis is optimal as it stands.
     rng = np.random.default_rng(157)
-    M = rng.uniform(-1, 1, size=(4, 5))
-    b = rng.uniform(0, 1, size=4)
-    res = simplex_solve(np.zeros(9), np.hstack([M, np.eye(4)]), b)
+    A = rng.uniform(-1, 1, size=(4, 5))
+    res = simplex_solve(rng.uniform(0, 1, size=5), A, -rng.uniform(0, 1, size=4))
     assert res.status == "optimal" and res.iterations == 0
-    assert res.basis == [5, 6, 7, 8]
-    assert np.array_equal(res.x, np.concatenate([np.zeros(5), b]))
-
-
-def test_crash_start_after_row_flip():
-    # A row with b_i < 0 and slack -e_i is negated first, so its slack is a
-    # unit column and starts basic.
-    M = np.array([[1.0, 2.0], [3.0, -1.0]])
-    A = np.hstack([M, -np.eye(2)])
-    b = np.array([-1.0, -2.0])
-    res = simplex_solve(np.zeros(4), A, b)
-    assert res.status == "optimal" and res.iterations == 0
-    assert res.basis == [2, 3]
-    assert np.array_equal(res.x, [0.0, 0.0, 1.0, 2.0])
-
-
-def test_crash_start_takes_smallest_unit_column():
-    # Columns 1 and 3 are both e_0 and column 2 is e_1 (column 0 has a second
-    # nonzero, so it is no unit column).
-    A = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 0.0]])
-    res = simplex_solve(np.zeros(4), A, np.array([1.0, 1.0]))
-    assert res.status == "optimal" and res.iterations == 0
-    assert res.basis == [1, 2]
-
-
-def test_partial_crash_start():
-    # Row 0 has a unit column, row 1 starts from an artificial.
-    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-    res = simplex_solve(np.array([1.0, 2.0, 0.0]), A, np.array([2.0, 0.5]))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(0.5)
-    assert np.allclose(A @ res.x, [2.0, 0.5])
+    assert not res.x.any() and not res.y.any()
 
 
 @pytest.mark.parametrize("b, status", [((1.0, 0.0), "infeasible"), ((0.0, 0.0), "optimal")])
@@ -194,55 +169,109 @@ def test_no_columns(b, status):
     assert res.status == status and res.iterations == 0
 
 
-def test_bland_leaving_rejects_roundoff_pivot():
-    # Row 0's entry is roundoff beside row 1's; an absolute 1e-9 test would
-    # take it (ratio 0) and divide the tableau by it.
-    tableau = np.array([[1.82e-9, 0.0], [5.3e3, 1.0], [0.0, 0.0]])
-    basis = np.array([0, 1])
-    assert _bland_leaving(tableau, basis, 0, 2) == 1
-    # A negative entry never blocks, so it does not make row 0's entry small.
-    tableau[1, 0] = -5.3e3
-    assert _bland_leaving(tableau, basis, 0, 2) == 0
-    # A small column is judged against 1, not against its own scale.
-    tableau[:2, 0] = [1.82e-9, 0.0]
-    assert _bland_leaving(tableau, basis, 0, 2) == 0
+def integer_lps(count, seed):
+    """Inequality-form LPs ``(c, A, b)`` with entries in ``[-2, 2]`` and
+    about half of the right-hand sides zero, of 1-5 rows and columns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(k) for k in rng.integers(1, 6, size=2))
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m) * (rng.random(m) < 0.5)
+        yield rng.integers(-2, 3, size=n).astype(float), A, b.astype(float)
+
+
+def test_integer_lps_agree_with_highs():
+    # Degenerate steps and ties are common on this data.  Statuses equal
+    # HiGHS's, optimal values agree, and the multipliers solve the LP dual.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    seen = set()
+    for c, A, b in integer_lps(600, seed=41):
+        res = simplex_solve(c, A, b)
+        ref = linprog(c, A_ub=-A, b_ub=-b, bounds=(0, None), method="highs")
+        assert res.status == HIGHS_STATUSES[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            scale = 1.0 + abs(ref.fun)
+            assert abs(res.objective - ref.fun) <= 1e-9 * scale
+            assert (A @ res.x - b).min() >= -1e-9 and (c - A.T @ res.y).min() >= -1e-9
+            assert abs(b @ res.y - res.objective) <= 1e-9 * scale
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_dual_ends_in_the_mirrored_status():
+    # The LP dual of (c, A, b) is (-b, -A^T, -c): an optimal LP has an
+    # optimal dual of the negated value, and an infeasible one has an
+    # unbounded or infeasible dual.
+    seen = set()
+    for c, A, b in integer_lps(600, seed=43):
+        res, dual = simplex_solve(c, A, b), simplex_solve(-b, -A.T, -c)
+        seen.add((res.status, dual.status))
+        if res.status == "optimal":
+            assert dual.status == "optimal"
+            assert abs(res.objective + dual.objective) <= 1e-9 * (1.0 + abs(res.objective))
+        else:
+            mirrored = {"infeasible": ("unbounded", "infeasible"), "unbounded": ("infeasible",)}
+            assert dual.status in mirrored[res.status]
+    assert {("infeasible", "unbounded"), ("unbounded", "infeasible"), ("infeasible", "infeasible")} <= seen
+
+
+# ---------------------------------------------------------------------------
+# The relative pivot test and the pivot update
+# ---------------------------------------------------------------------------
 
 
 def test_small_blocking_entry_beside_large_negative_one():
-    # x0 enters with column (1e-6, -2e3): only row 0 blocks, at x0 = 1e6.
+    # x0 has the column (1e-6, -2e3) in the equality rows: only row 0
+    # blocks, at x0 = 1e6, and the large entry does not make 1e-6 roundoff.
     A = np.array([[1e-6, 1.0, 0.0], [-2e3, 0.0, 1.0]])
-    res = simplex_solve(np.array([-1.0, 0.0, 0.0]), A, np.array([1.0, 5.0]))
+    res = equality_lp(np.array([-1.0, 0.0, 0.0]), A, np.array([1.0, 5.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1e6, rel=1e-12)
 
 
+def test_ratio_rejects_roundoff_entries_and_clamps_values():
+    # Entry 1.82e-9 is roundoff beside 5.3e3 and is no pivot; only entries
+    # of the counting sign set the scale, and a small column is judged
+    # against 1.
+    labels = np.array([0, 1])
+    assert _ratio(np.array([1.82e-9, 5.3e3]), np.array([0.0, 1.0]), labels) == 1
+    assert _ratio(np.array([1.82e-9, -5.3e3]), np.array([0.0, 1.0]), labels) == 0
+    assert _ratio(np.array([1e-10, 1e-10]), np.array([0.0, 1.0]), labels) is None
+    # A value that roundoff drove below zero steps at ratio 0, tied with a
+    # degenerate one; the smaller label takes the pivot.
+    assert _ratio(np.ones(2), np.array([0.0, -1e-10]), np.array([3, 5])) == 0
+
+
 def test_roundoff_pivot_regression():
     # A margin LP of the strict-member search: with a slack start and an
-    # absolute pivot test, phase one pivoted on an entry of 1.8e-9 beside
-    # entries of 5.3e3 and reported "unbounded" although the LP is bounded.
+    # absolute pivot test, an earlier engine pivoted on an entry of 1.8e-9
+    # beside entries of 5.3e3 and reported "unbounded" although the LP is
+    # bounded.
     with open(ROUNDOFF_PIVOT_LP) as fh:
         case = json.load(fh)
-    res = simplex_solve(np.array(case["c"]), np.array(case["A"]), np.array(case["b"]))
+    res = equality_lp(np.array(case["c"]), np.array(case["A"]), np.array(case["b"]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_pivot_matches_full_update():
-    # Rows above the first nonzero factor are skipped; they would compute
-    # t - 0 p = t, so the tableau equals the full rank-one update.
+    # The Tucker exchange of row 5 and column 4.  Rows with a zero factor
+    # are skipped; they would compute t - 0 p = t, so the tableau equals
+    # the full update.
     rng = np.random.default_rng(17)
-    for lo in (0, 3, 6):
-        tableau = rng.normal(size=(7, 9))
-        tableau[:lo, 4] = 0.0
-        tableau[5, 4] = 2.5
-        expected = tableau.copy()
-        expected[5] /= expected[5, 4]
-        factors = expected[:, 4].copy()
-        factors[5] = 0.0
-        expected -= factors[:, None] * expected[5]
-        basis = np.arange(6)
-        _pivot(tableau, basis, 5, 4)
-        assert np.array_equal(tableau, expected) and basis[5] == 4
+    for zeros in ((), (0, 1, 2), (0, 2, 4, 6)):
+        t = rng.normal(size=(7, 9))
+        t[list(zeros), 4] = 0.0
+        t[5, 4] = 2.5
+        p = t[5, 4]
+        expected = t - np.outer(t[:, 4], t[5] / p)
+        expected[:, 4] = t[:, 4] / p
+        expected[5] = -t[5] / p
+        expected[5, 4] = 1.0 / p
+        before = t.copy()
+        _pivot(t, 5, 4)
+        assert np.array_equal(t, expected)
+        assert all(np.array_equal(t[i], before[i]) for i in zeros)
 
 
 def ratio_clamp_cases():
@@ -253,26 +282,25 @@ def ratio_clamp_cases():
 @pytest.mark.parametrize("case", ratio_clamp_cases(), ids=["item18", "item19"])
 def test_ratio_clamp_regression(case):
     # A row whose right-hand side roundoff made negative must block the step
-    # at ratio 0; skipping it let phase one drive it to -0.23 and report
-    # "unbounded" on these strict-member LPs.
+    # at ratio 0; skipping it let an earlier engine drive it to -0.23 and
+    # report "unbounded" on these strict-member LPs.
     A, b = np.array(case["A"]), np.array(case["b"])
-    res = simplex_solve(np.array(case["c"]), A, b)
+    res = equality_lp(np.array(case["c"]), A, b)
     assert res.status == "optimal"
     assert res.x.min() >= 0.0
     assert np.abs(A @ res.x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
 
 
-def test_phase_one_skips_roundoff_column():
-    # A CLP LP on which Bland's rule entered a column of reduced cost
-    # -1.09e-9 that no row blocks; phase one is bounded below, so the column
-    # is roundoff and the next candidate enters.
+def test_roundoff_column_regression():
+    # A CLP LP on which an earlier engine entered a column of reduced cost
+    # -1.09e-9 that no row blocks, and reported "unbounded".
     linprog = pytest.importorskip("scipy.optimize").linprog
     with open(PHASE_ONE_ROUNDOFF_COLUMN) as fh:
         case = json.load(fh)
     A = np.zeros(case["shape"])
     A[case["rows"], case["cols"]] = np.array(case["values"])[case["index"]]
     b, c = np.array(case["b"]), np.array(case["c"])
-    res = simplex_solve(c, A, b)
+    res = equality_lp(c, A, b)
     ref = linprog(c, A_eq=A, b_eq=b, method="highs")
     assert ref.status == 0 and res.status == "optimal"
     assert res.objective == pytest.approx(ref.fun, rel=1e-9)
