@@ -90,10 +90,10 @@ def _residuals(outcome, A, rhs, cone):
     distance from ``-A^T alpha`` to the dual cone and ``-<alpha, -rhs>``
     for a certificate, which raises ValueError where the Euclidean dual
     cone is not the dual in ``X``'s pairing.  A dual-side outcome is measured as the
-    primal outcome of ``(transposed(A), -rhs)``."""
+    primal outcome of ``(transposed(A), -rhs)``.  ``rhs`` is already read
+    as a float vector."""
     if outcome.side not in ("primal", "dual"):
         raise ValueError(f"unknown outcome side {outcome.side!r}")
-    rhs = _as_array(rhs, "rhs", 1, A.codomain_dim if outcome.side == "primal" else A.domain_dim)
     if outcome.side == "dual":
         A, rhs = transposed(A), -rhs
     p = A.pairing_codomain
@@ -126,7 +126,11 @@ def farkas_primal(A, b, S, tol=DECISION_TOL):
     it is at most ``tol^2``), then the other.  Raises
     :class:`~conedual.errors.IndeterminateAlternative` if neither passes.
     """
-    b = _as_array(b, "b", 1, A.codomain_dim)
+    return _decide(A, _as_array(b, "b", 1, A.codomain_dim), S, tol)
+
+
+def _decide(A, b, S, tol):
+    """:func:`farkas_primal` for a ``b`` already read as a float vector."""
     res = residual_minimize(A, b, S)
     branches = ("solution", "certificate") if res.value <= tol * tol else ("certificate", "solution")
     for branch in branches:
@@ -155,7 +159,7 @@ def farkas_dual(A, c, T, tol=DECISION_TOL):
     """
     # 0.0 - c, not -c: a zero entry of c then gives +0.0 in the certificate
     # b - gamma, where -0.0 - 0.0 would give -0.0.
-    outcome = farkas_primal(transposed(A), 0.0 - _as_array(c, "c", 1, A.domain_dim), T, tol=tol)
+    outcome = _decide(transposed(A), 0.0 - _as_array(c, "c", 1, A.domain_dim), T, tol)
     outcome.side = "dual"
     return outcome
 
@@ -170,6 +174,7 @@ def verify_outcome(outcome, A, rhs, cone, tol=DECISION_TOL):
     """
     if (outcome.point if outcome.branch == "solution" else outcome.certificate) is None:
         return False
+    rhs = _as_array(rhs, "rhs", 1, A.domain_dim if outcome.side == "dual" else A.codomain_dim)
     return _passes(outcome.branch, _residuals(outcome, A, rhs, cone), tol)
 
 

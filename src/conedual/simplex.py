@@ -2,26 +2,28 @@
 
 Solves ``min c^T x  subject to  A x >= b, x >= 0`` on a Tucker tableau
 (Dantzig, *Linear Programming and Extensions*, 1963; Vanderbei, *Linear
-Programming*, ch. 7).  With the surplus ``w = A x - b`` every row
-reads ``basic = sum_j t_ij nonbasic_j + t_i,n + mu t_i,n+1`` and the cost
-row reads the reduced costs the same way::
+Programming*, ch. 7).  With the surplus ``w = A x - b`` every row reads
+``basic = sum_j t_ij nonbasic_j + t_i,n + mu t_i,n+1`` and the cost row
+reads the reduced costs the same way::
 
-    [[A, -b, 1],
-     [c,  0, 0],
-     [1,  0, 0]]
+    [[A,            -b, 1 + max |b|],
+     [c,             0, 0],
+     [1 + max |c|,   0, 0]]
 
-so the slack basis (``w`` basic, ``x`` nonbasic) is optimal for the
-problem whose right-hand side and costs are perturbed by ``mu`` ones, as
-soon as ``mu >= max(max b, max -c)``.  Each step lowers ``mu`` to the
-smallest value at which the basis stays optimal.  Where a reduced cost
-reaches zero there, its column enters on a primal ratio test; where a
-basic value does, its row leaves on a dual ratio test.  Primal and dual
+so ``mu`` perturbs each side in its own units and has none itself.  The
+slack basis (``w`` basic, ``x`` nonbasic) is optimal once ``mu`` is at
+least every ``b_i / (1 + max |b|)`` and ``-c_j / (1 + max |c|)``, so below
+1.  Each step lowers ``mu`` to the smallest value at which the basis stays
+optimal.  Where a reduced cost reaches zero there, its column enters on a
+primal ratio test; where a basic value does, its row leaves on a dual
+ratio test; entries that reach zero within ``RATIO_TIE_TOL`` of the same
+``mu`` tie, and the smallest variable label moves.  Primal and dual
 infeasibility are treated alike, so there is no phase one: the basis is
-optimal for the problem as given once ``mu <= MU_TOL (1 + max |b| + max
-|c|)``.  A row that no column can raise proves ``A x >= b`` infeasible.  A
-column that no row blocks proves the LP dual infeasible; the cost rows are
-then zeroed and the steps go on from the same basis, which decides
-between a feasible (so ``"unbounded"``) and an infeasible problem.
+optimal for the problem as given once ``mu <= MU_TOL``.  A row that no
+column can raise proves ``A x >= b`` infeasible.  A column that no row
+blocks proves the LP dual infeasible; the cost rows are then zeroed and
+the steps go on from the same basis, which decides between a feasible (so
+``"unbounded"``) and an infeasible problem.
 
 A pivot entry is accepted only where it exceeds ``PIVOT_TOL`` times the
 largest entry of its sign in the row or column (and at least
@@ -31,7 +33,9 @@ values and reduced costs at 0, so one that roundoff drove below zero
 blocks at ratio 0 instead of being driven further negative; ratios within
 ``RATIO_TIE_TOL`` of the smallest tie, and the smallest variable index
 among them is taken.  Every pivot is one vectorized update of the rows
-from the first one with a nonzero entry in the pivot column on.
+from the first one with a nonzero entry in the pivot column on.  No pivot
+rule here is proved not to cycle: on a degenerate LP, termination rests on
+the iteration cap, past which :class:`SolverFailure` is raised.
 
 An optimal result carries ``x`` and the row multipliers ``y``, an
 optimizer of the dual LP ``max b^T y, A^T y <= c, y >= 0``: ``y_i`` is the
@@ -113,13 +117,12 @@ def simplex_solve(c, A, b):
     t = np.zeros((m + 2, n + 2))
     t[:m, :n] = A
     t[:m, n] = -b
-    t[:m, n + 1] = 1.0
+    t[:m, n + 1] = 1.0 + np.abs(b).max(initial=0.0)
     t[m, :n] = c
-    t[m + 1, :n] = 1.0
+    t[m + 1, :n] = 1.0 + np.abs(c).max(initial=0.0)
     if not np.isfinite(t).all():
         raise ValueError("non-finite entries in LP data")
     cap = 200 * (m + n + 10)
-    stop = MU_TOL * (1.0 + np.abs(b).max(initial=0.0) + np.abs(c).max(initial=0.0))
     # Variable labels, x_j is j and w_i is n + i, nonbasic by column and
     # then basic by row.
     labels = np.arange(n + m)
@@ -134,13 +137,14 @@ def simplex_solve(c, A, b):
         if rising.size == 0:
             break
         ratios = value[rising] / coef[rising]
-        k = ratios.argmin()
-        mu = -ratios[k]
-        if mu <= stop:
+        mu = -ratios.min()
+        if not mu > MU_TOL:  # also a NaN of an overflowed tableau
             break
+        ties = rising[ratios <= RATIO_TIE_TOL - mu]
+        k = ties[labels[ties].argmin()] if ties.size > 1 else ties[0]
         at_mu = value + mu * coef
-        if rising[k] < n:
-            s = rising[k]
+        if k < n:
+            s = k
             r = _ratio(-t[:m, s], at_mu[n:], labels[n:])
             if r is None:
                 # The LP dual is infeasible: go on with zero costs to decide
@@ -149,7 +153,7 @@ def simplex_solve(c, A, b):
                 t[m:] = 0.0
                 continue
         else:
-            r = rising[k] - n
+            r = k - n
             s = _ratio(t[r, :n], at_mu[:n], labels[:n])
             if s is None:
                 status = "infeasible"

@@ -35,13 +35,13 @@ PIVOT_TOL = 1e-9
 """Simplex pivot entries relative to the largest entry of their sign in the pivot row or column, at least absolute."""
 
 RATIO_TIE_TOL = 1e-12
-"""Simplex ratio test: absolute band above the smallest ratio within which candidates tie, the smallest variable index taking the pivot."""
+"""Simplex ratio tests and ``mu`` steps: absolute band above the smallest ratio within which candidates tie, the smallest variable index taking the pivot."""
 
 CLAMP_TOL = 1e-12
 """Absolute size below which a final basic value or row multiplier of the simplex is roundoff, read as 0."""
 
 MU_TOL = 1e-9
-"""Self-dual simplex: bound on the perturbation ``mu`` at which a basis counts as optimal, relative to ``1 + max |b| + max |c|``."""
+"""Self-dual simplex: bound on the unitless perturbation ``mu`` at which a basis counts as optimal; ``mu`` moves ``b`` by ``mu (1 + max |b|)`` and ``c`` by ``mu (1 + max |c|)``."""
 
 PROBE_SLACK = 1e-12
 """Interior probe of generated cones: distance a probe point may lie from the cone, relative to ``1 + ||v||``."""

@@ -244,6 +244,18 @@ def test_unbounded_dual_convention():
     assert report.status_primal == "infeasible"
 
 
+def test_mixed_scale_orthant_pair_solves():
+    # Costs nine orders above the right-hand side: neither LP may read as
+    # optimal at 0.
+    pb = ConicProblem(
+        A=OperatorSpec(matrix=np.eye(1)), b=np.array([0.5]), c=np.array([1e9]), S=orthant(1), T=orthant(1)
+    )
+    report = solve(pb)
+    assert report.status_primal == report.status_dual == "optimal"
+    assert report.v_primal == report.v_dual == 5e8
+    assert report.x_star[0] == 0.5 and report.y_star[0] == 1e9
+
+
 def test_complementarity_examples():
     pb = identity_problem()
     report = solve(pb)

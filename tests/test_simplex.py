@@ -143,10 +143,19 @@ def test_dimension_validation():
         simplex_solve(np.ones(2), np.ones((2, 3)), np.ones(2))
 
 
-def test_non_finite_tableau_raises():
-    # The only step divides -1e305 by 1e-5: the basic value overflows.
+@pytest.mark.parametrize(
+    "c, A, b",
+    [
+        # The only step divides -1e305 by 1e-5: the basic value overflows.
+        ([1.0], [[1e-5]], [1e305]),
+        # The pivot on -0.1 overflows 8e307; the ratio of x0's reduced cost
+        # to its mu coefficient is then -inf / inf = NaN, not a step of mu.
+        ([-0.5, -1.0], [[8e307, -0.1]], [-1.0]),
+    ],
+)
+def test_non_finite_tableau_raises(c, A, b):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverFailure, match="not finite"):
-        simplex_solve(np.ones(1), np.array([[1e-5]]), np.array([1e305]))
+        simplex_solve(np.array(c), np.array(A), np.array(b))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +176,19 @@ def test_slack_start_needs_no_pivot():
 def test_no_columns(b, status):
     res = simplex_solve(np.zeros(0), np.zeros((2, 0)), np.array(b))
     assert res.status == status and res.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "c, b, status, x",
+    [(1e9, 0.5, "optimal", 0.5), (0.5, 1e9, "optimal", 1e9), (-0.5, -1e9, "unbounded", None), (-1e9, 0.5, "unbounded", None)],
+)
+def test_each_side_perturbed_in_its_own_units(c, b, status, x):
+    # min c x, x >= b on data of scales nine orders apart: a large cost does
+    # not loosen the test on b, nor a large |b| the test on c.
+    res = simplex_solve(np.array([c]), np.ones((1, 1)), np.array([b]))
+    assert res.status == status
+    if x is not None:
+        assert res.x[0] == x and res.y[0] == c and res.objective == c * x
 
 
 def integer_lps(count, seed):
@@ -196,6 +218,18 @@ def test_integer_lps_agree_with_highs():
             assert (A @ res.x - b).min() >= -1e-9 and (c - A.T @ res.y).min() >= -1e-9
             assert abs(b @ res.y - res.objective) <= 1e-9 * scale
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_statuses_and_values_scale_with_b_and_c():
+    # Scaling b and c apart, by up to six orders each, keeps every status and
+    # scales every optimal value by the product of the two scales.
+    rng = np.random.default_rng(47)
+    for c, A, b in integer_lps(600, seed=47):
+        sb, sc = 10.0 ** rng.integers(-6, 7, size=2)
+        res, scaled = simplex_solve(c, A, b), simplex_solve(sc * c, A, sb * b)
+        assert scaled.status == res.status
+        if res.status == "optimal":
+            assert abs(scaled.objective - sb * sc * res.objective) <= 1e-9 * sb * sc * (1.0 + abs(res.objective))
 
 
 def test_lp_dual_ends_in_the_mirrored_status():
