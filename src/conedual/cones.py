@@ -213,6 +213,19 @@ def generators(cone):
     return cone.gens.copy()
 
 
+def _by_generators(cone, M, side="left"):
+    """``G @ M`` (``side="left"``), ``G.T @ M`` (``"transpose"``) or ``M @
+    G`` (``"right"``) for the generators ``G`` of ``cone``.  For an orthant
+    ``G = I``, and ``M`` itself is returned, uncopied: the dense product
+    would only turn ``-0.0`` into ``+0.0``."""
+    if cone.kind == "orthant":
+        return M
+    g = generators(cone)
+    if side == "right":
+        return M @ g
+    return (g.T if side == "transpose" else g) @ M
+
+
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------

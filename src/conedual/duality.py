@@ -69,12 +69,12 @@ import numpy as np
 
 from .cones import (
     ConeSpec,
+    _by_generators,
     _check_pairing_dual,
     contains,
     cone_from_dict,
     cone_to_dict,
     dual_distance,
-    generators,
     interior_contains,
     is_solid,
 )
@@ -211,22 +211,17 @@ def feasible_dual(pb, y, tol=DECISION_TOL):
 _UNATTAINED_VALUE = {"infeasible": math.inf, "unbounded": -math.inf}
 
 
-def _dual_rows(cone, M):
-    """``G^T M`` for the generators ``G`` of ``cone``, so that ``G^T M v >= 0``
-    says ``M v in cone*``; ``M`` itself for an orthant, where ``G = I``."""
-    return M if cone.kind == "orthant" else generators(cone).T @ M
-
-
 def _standard_form(pb):
-    """``(cost, M, beta, G_S)`` of the LP ``min <c, G_S u>`` s.t. ``M u >=
-    beta``, ``u >= 0``, with ``M = G_T^T A G_S`` and ``beta = G_T^T b``: the
-    rows say ``A G_S u - b in T*`` through the generators of ``T``.  With
+    """``(cost, M, beta)`` of the LP ``min <c, G_S u>`` s.t. ``M u >= beta``,
+    ``u >= 0``, with ``M = G_T^T A G_S`` and ``beta = G_T^T b``: the rows
+    say ``A G_S u - b in T*`` through the generators of ``T``.  With
     Euclidean pairings the LP of ``pb.transpose()`` has the matrix ``G_S^T
     (-A^T) G_T``, this one's transposed and negated: each LP is the other's
-    LP dual."""
-    g_s = generators(pb.S)
+    LP dual.  An orthant's identity generators are not multiplied, so the
+    arrays can be the problem's own: callers only read them."""
     weighted_c = pb.A.pairing_domain.weight_vector(pb.S.dim) * pb.c
-    return g_s.T @ weighted_c, _dual_rows(pb.T, pb.A.matrix @ g_s), _dual_rows(pb.T, pb.b), g_s
+    rows = _by_generators(pb.T, _by_generators(pb.S, pb.A.matrix, "right"), "transpose")
+    return _by_generators(pb.S, weighted_c, "transpose"), rows, _by_generators(pb.T, pb.b, "transpose")
 
 
 def _copy(x):
@@ -248,13 +243,11 @@ def _optimizers(pb):
     G_T^T b`` is the LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the
     LP dual slack of ``u``, nonnegative at an optimal basis.
     """
-    cost, rows, beta, g_s = _standard_form(pb)
-    res = simplex_solve(cost, rows, beta)
+    res = simplex_solve(*_standard_form(pb))
     if res.status != "optimal":
         return None, None, res.status
-    lam = res.y if pb.T.kind == "orthant" else generators(pb.T) @ res.y
-    y = lam / pb.A.pairing_codomain.weight_vector(pb.T.dim)
-    return g_s @ res.x, y, res.status
+    y = _by_generators(pb.T, res.y) / pb.A.pairing_codomain.weight_vector(pb.T.dim)
+    return _by_generators(pb.S, res.x), y, res.status
 
 
 def _optimal_pair(pb):
@@ -272,7 +265,7 @@ def _optimal_pair(pb):
     reads each optimizer from the same run.
     """
     sides = (pb, pb.transpose())
-    rows = [int((_dual_rows(q.T, q.b) >= 0).sum()) for q in sides]
+    rows = [int((_by_generators(q.T, q.b, "transpose") >= 0).sum()) for q in sides]
     first = int(rows[1] < rows[0])
     own, other, status = _optimizers(sides[first])
     if status != "optimal" or rows[0] == rows[1]:
@@ -437,11 +430,11 @@ def _strict_member(pb):
     ray is its cut point, dividing by the largest entry of ``A G`` would
     turn roundoff into unit rows.  Returns the point or None.
     """
-    cost, rows, beta, g = _standard_form(pb)
+    cost, rows, beta = _standard_form(pb)
     res = simplex_solve(np.zeros_like(cost), rows, np.maximum(beta, 0.0) - rows.sum(axis=1))
     if res.status != "optimal":
         return None
-    point = g @ (res.x + 1.0)
+    point = _by_generators(pb.S, res.x + 1.0)
     image = apply(pb.A, point)
     strict = interior_contains(pb.S, point, STRICT_MEMBER_MARGIN) and all(dual_distance(pb.T, z) <= STRICT_TOL for z in (image - pb.b, image))
     return point if strict else None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _check_pairing_dual, distance, dual_distance, generators
+from .cones import _by_generators, _check_pairing_dual, distance, dual_distance
 from .errors import IndeterminateAlternative
 from .linops import _as_array, _pairing, adjoint_matrix, apply, pairing_norm, transposed
 from .residual import residual_minimize
@@ -76,7 +76,7 @@ def _candidate(A, b, S, res, branch):
     of ``(A, b, S)``, without residuals: ``x = G u``, or ``b - gamma`` at
     unit length in ``Y``'s pairing."""
     if branch == "solution":
-        x = generators(S) @ res.coefficients
+        x = _by_generators(S, res.coefficients)
         return FarkasOutcome(branch="solution", side="primal", point=x, residual_value=res.value)
     alpha = b - res.gamma
     alpha = alpha / pairing_norm(A.pairing_codomain, alpha)

@@ -54,26 +54,33 @@ The second attempt is made at outer iteration ``_WARM_START_ITERATION``,
 have full rank but ``z`` is not positive, and has more positive entries
 than the passive set has columns, it becomes a warm start, as in BVLS
 (Stark & Parker, *Comput. Stat.* 10, 1995) and FNNLS (Bro & De Jong,
-*J. Chemometrics* 11, 1997): the factor is cleared; the columns with
-``z_j > 0`` are appended in order of decreasing ``z_j``, a refused one
-staying free; then, until every coefficient of the least-squares
-solution on the passive columns is positive, each nonpositive one is
-dropped and the rest re-solved.  The iteration goes on from that point.
-No step is taken toward the solution from the iterate before: from ``u =
-0`` the first negative coefficient would empty the passive set.  The
-columns with the largest ``z_j`` are the likeliest to stay, so appending
-them first puts the drops late in the factor, where
-:meth:`_PassiveFactor.keep` re-factors a short tail.
+*J. Chemometrics* 11, 1997): the columns with ``z_j > 0``, in order of
+decreasing ``z_j``, replace the factor by one Householder QR
+(:meth:`_PassiveFactor.start`), which keeps the longest prefix of them
+that passes the dependence test; only the columns after a refused one
+are appended one at a time, a refused one staying free.  Then, until
+every coefficient of the least-squares solution on the passive columns
+is positive, each nonpositive one is dropped and the rest re-solved.
+The iteration goes on from that point.  No step is taken toward the
+solution from the iterate before: from ``u = 0`` the first negative
+coefficient would empty the passive set.  The columns with the largest
+``z_j`` are the likeliest to stay, so putting them first puts the drops
+late in the factor, where :meth:`_PassiveFactor.keep` re-factors a short
+tail.
 
 The measurements behind these choices replay the NNLS calls of the
 benchmark workloads (``tools/nnls_replay.py``, seed 11 unless named).
 On the ``(128, 128)`` Farkas systems of ``clp_grid`` the warm start took
 the mean outer iterations from 91 to 18, the ``keep`` calls from 15 to 8
 and the time per call from 8.0 to 4.0 ms, with the same supports;
-appended in index order it cost 22 % more per call.  On ``farkas_batch``
-the time per call did not move; the warm start at iteration 2 (without
-the eligibility test) would have cost 24 % more, at iteration 3 13 % and
-at iteration 4 4 %: most small systems end before iteration 5.  A warm
+appended in index order it cost 22 % more per call.  Factoring its
+columns by one QR, where it appended them one Gram-Schmidt step at a
+time, took the time per call from 5.6 to 4.6 ms, with the same supports
+and iterations (17.6 per call) and ``u`` moved by at most 3.4e-13
+relative.  On ``farkas_batch`` the time per call did not move; the warm
+start at iteration 2 (without the eligibility test) would have cost 24 %
+more, at iteration 3 13 % and at iteration 4 4 %: most small systems end
+before iteration 5.  A warm
 start from no more columns than the passive set rarely saves an
 iteration: on the ``(5, 5)`` to ``(6, 6)`` systems of ``farkas_batch``
 seed 2311, 158 of 234 warm starts were of that kind, they added 276
@@ -269,15 +276,17 @@ def _dense_solution(M, b, tol):
 def _fit_columns(factor, order):
     """The warm start: ``(u, passive)`` from the columns ``order``, in order.
 
-    The factor is cleared and each column appended, a refused one staying
-    free; then each nonpositive coefficient is dropped and the rest
-    re-solved until every coefficient is positive.  No step is taken from
-    the previous iterate: from ``u = 0`` the first negative coefficient
-    would empty the passive set."""
+    The factor is restarted from the longest prefix of ``order`` that
+    :meth:`_PassiveFactor.append` would take, and each column after it is
+    appended, a refused one staying free; then each nonpositive
+    coefficient is dropped and the rest re-solved until every coefficient
+    is positive.  No step is taken from the previous iterate: from ``u =
+    0`` the first negative coefficient would empty the passive set."""
     k = factor.M.shape[1]
     passive = np.zeros(k, dtype=bool)
-    factor.keep(passive)
-    for j in order:
+    n = factor.start(order)
+    passive[order[:n]] = True
+    for j in order[n:]:
         passive[j] = factor.append(j)
     cols, z_cols = factor.solve()
     while not (z_cols > 0).all():
@@ -355,6 +364,34 @@ class _PassiveFactor:
             self.Rinv[:n, n] = (self.Rinv[:n, :n] @ r) / -rho
         self.Rinv[n, n] = 1.0 / rho
         return True
+
+    def start(self, order):
+        """Replace the factor by one of the columns ``order`` and return how
+        many of them it took: the longest prefix that :meth:`append` would
+        take one at a time, from one Householder QR ``M[:, order] = Q R``.
+
+        The prefix ends before the first column at which the running
+        extremes of ``|diag R|`` fail the dependence test of :meth:`append`,
+        and at ``min(m, k)`` columns.  The first columns of a Householder
+        factor are the factor of the first columns, so the rest of
+        ``order`` does not change them.  The signs of the columns of ``Q``
+        and the rows of ``R`` are flipped to make the diagonal of ``R``
+        positive, as :meth:`append` keeps it, and ``Rinv`` is one solve
+        ``R X = I``, made exactly triangular by ``triu``.
+        """
+        Q, R = np.linalg.qr(self.M[:, order])
+        diag = np.diagonal(R)
+        d = np.abs(diag)
+        independent = np.minimum.accumulate(d) > self.tol * np.maximum.accumulate(d)
+        n = d.size if independent.all() else int(independent.argmin())
+        sign = np.where(diag[:n] < 0.0, -1.0, 1.0)
+        R = R[:n, :n] * sign[:, np.newaxis]
+        self.cols = order[:n]
+        self._set_diag(d[:n].tolist())
+        self.Q[:, :n] = Q[:, :n] * sign
+        self.qtb[:n] = self.Q[:, :n].T @ self.b
+        self.Rinv[:n, :n] = np.triu(np.linalg.solve(R, np.eye(n)))
+        return n
 
     def keep(self, passive):
         """Drop the columns that left ``passive``.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import generators
+from .cones import _by_generators
 from .linops import _as_array, pairing
 from .nnls import nnls
 
@@ -56,11 +56,10 @@ def residual_minimize(A, b, S):
     """
     p = A.pairing_codomain
     b = _as_array(b, "b", 1, A.codomain_dim)
-    g = generators(S)
-    if g.shape[0] != A.domain_dim:
-        raise ValueError(f"cone dimension {g.shape[0]} does not match operator domain {A.domain_dim}")
+    if S.dim != A.domain_dim:
+        raise ValueError(f"cone dimension {S.dim} does not match operator domain {A.domain_dim}")
 
-    m_img = A.matrix @ g
+    m_img = _by_generators(S, A.matrix, "right")
     sqrt_w = np.sqrt(p.weight_vector(A.codomain_dim))
     rows = m_img * sqrt_w[:, np.newaxis]
     rhs = b * sqrt_w

@@ -11,16 +11,20 @@ instances solvable or unsolvable by construction, and the classical
 regularity checks of a continuous program) are used only by tests.
 """
 
+import importlib.util
 import itertools
 import math
+import sys
+import types
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from conedual import cones, duality
+from conedual import complex_lp, cones, continuous_lp, duality, farkas, instances, linops
 from conedual.complex_lp import build_complex_lp
 from conedual.cones import generated, generators, product
-from conedual.continuous_lp import _grid, grid_points
+from conedual.continuous_lp import _grid, _GridSamples, _shaped, grid_points
 from conedual.errors import SolverFailure, TheoremViolation
 from conedual.farkas import verified_solution
 from conedual.instances import random_farkas_instance
@@ -109,6 +113,50 @@ def clp_minimal_feasible(spec):
         x[k] = float(spec.sample_b(ts[k])[0]) + h * acc
     value = h * sum(float(spec.sample_c(ts[k])[0]) * x[k] for k in range(n))
     return value, x
+
+
+def reference_sample_grid(spec):
+    """The samples of a :class:`~conedual.continuous_lp.ContinuousLPSpec`
+    on its grid by the per-node loop of an earlier design: a callable gets
+    each node as the ``np.float64`` entry of the grid and each sample is
+    broadcast on its own, a constant is broadcast over a list of node
+    tuples, and each field is validated by the spec's own check, in the
+    order ``B``, ``K``, ``b``, ``c``."""
+    ts, h = grid_points(spec)
+
+    def sample(name, nodes):
+        value = getattr(spec, name)
+        shape = spec._shapes()[name]
+        if callable(value):
+            arr = np.empty((len(nodes),) + shape)
+            for i, args in enumerate(nodes):
+                arr[i] = _shaped(value(*args), shape)
+        else:
+            arr = np.broadcast_to(_shaped(value, shape), (len(nodes),) + shape).copy()
+        return spec._check(arr, name)
+
+    nodes = [(t,) for t in ts]
+    big_b = sample("B", nodes)
+    upper = np.triu_indices(spec.n_grid)
+    kernel = np.zeros((spec.n_grid, spec.n_grid, spec.m, spec.n))
+    kernel[upper] = sample("K", list(zip(ts[upper[0]], ts[upper[1]])))
+    return _GridSamples(ts=ts, h=h, B=big_b, K=kernel, b=sample("b", nodes), c=sample("c", nodes))
+
+
+def benchmark_items(name, seed, seconds=20):
+    """The item pool of the benchmark workload ``name`` at ``seed``, sized
+    for ``seconds`` as ``perfbench/run.py`` sizes it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # Registered first: the module's dataclasses look themselves up there.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    cd = types.SimpleNamespace(
+        complex_lp=complex_lp, cones=cones, continuous_lp=continuous_lp, duality=duality, farkas=farkas,
+        instances=instances, linops=linops,
+    )
+    workload = workloads.WORKLOADS[name]
+    return workload.make_items(cd, seed, workloads.pool_size(workload, seconds))
 
 
 def dual(cone):

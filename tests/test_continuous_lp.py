@@ -1,5 +1,6 @@
 """Continuous programs: discretization, adjoint exactness, sign conditions."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import check_classical_conditions, clp_minimal_feasible
+from oracles import benchmark_items, check_classical_conditions, clp_minimal_feasible, reference_sample_grid, same_bits
 
 from conedual import continuous_lp
 from conedual.continuous_lp import (
@@ -415,3 +416,94 @@ def test_sign_condition_matches_pointwise_verdicts():
     verdicts = [kernel_sign_condition(spec) for spec in specs]
     assert verdicts == [pointwise_sign_condition(spec) for spec in specs]
     assert set(verdicts) == {"condition_i", "condition_ii", "neither"}
+
+
+def ragged_b(t):
+    # (1,) on the first half of the horizon, broadcast to (2,); (2,) after it.
+    return [0.5] if t < 0.5 else np.array([t, -0.0])
+
+
+SAMPLING_SPECS = {
+    "grid_kernel": grid_kernel_spec,
+    "scalar_for_1x1": lambda: scalar_spec(
+        9, B=lambda t: 1.0 + t, K=lambda s, t: 0.5 * (t - s) if s <= t else 0.0, b=lambda t: -0.0, c=lambda t: t
+    ),
+    "nested_lists": lambda: ContinuousLPSpec(
+        m=2, n=2, horizon=1.0, n_grid=7,
+        B=lambda t: [[1.0, t], [-0.0, 2.0]],
+        K=lambda s, t: [[s, -t], [0.0, s * t]] if s <= t else [[0.0, 0.0], [0.0, 0.0]],
+        b=lambda t: [t, -0.0], c=lambda t: (1.0 + t, 2.0),
+    ),
+    "ragged": lambda: ContinuousLPSpec(
+        m=1, n=2, horizon=1.0, n_grid=6, B=lambda t: [[1.0, t]] if t < 0.5 else [[2.0]],
+        K=lambda s, t: 0.25 if s < t else ([[0.0, -0.0]] if s == t else 0.0), b=ragged_b, c=[1.0],
+    ),
+}
+
+
+def sampling_cases():
+    """The first cycle of the ``clp_grid`` benchmark pool, every ``(m, n)``
+    with constant and with callable data, and the specs above."""
+    items = benchmark_items("clp_grid", 11)[:8]
+    cases = {f"clp_grid_{i}": (lambda spec=item.spec: spec) for i, item in enumerate(items)}
+    return {**cases, **SAMPLING_SPECS}
+
+
+@pytest.mark.parametrize("name, make", sorted(sampling_cases().items()))
+def test_sampling_matches_the_per_node_loop_bit_for_bit(monkeypatch, name, make):
+    # Same bytes, so the sign of every zero too: the specs above return
+    # -0.0 entries of b.
+    spec = make()
+    pb = discretize_clp(spec)
+    monkeypatch.setattr(continuous_lp, "_sample_grid", reference_sample_grid)
+    ref = discretize_clp(dataclasses.replace(spec))
+    assert same_bits(pb.A.matrix, ref.A.matrix)
+    assert same_bits(pb.b, ref.b) and same_bits(pb.c, ref.c)
+    assert np.signbit(pb.b).any() == (name in SAMPLING_SPECS and name != "grid_kernel")
+
+
+def first_sample_error(spec):
+    with pytest.raises(ValueError) as error:
+        discretize_clp(spec)
+    return str(error.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, 10.0, [1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("form", ["scalar", "ragged"])
+def test_sample_errors_match_the_per_node_loop(monkeypatch, value, form):
+    # One bad sample, at the last node, in a field of shape (2,): a NaN, a
+    # sample above the bound 5 or one that cannot broadcast, among samples
+    # that are scalars (broadcast one by one) or ragged.
+    def b(t):
+        if t > 0.9:
+            return value
+        return 0.5 if form == "scalar" else ([0.5] if t < 0.5 else [0.5, 0.25])
+
+    def spec():
+        return ContinuousLPSpec(m=1, n=2, horizon=1.0, n_grid=8, B=[[1.0, 1.0]], K=0.0, b=b, c=1.0, bound=5.0)
+
+    message = first_sample_error(spec())
+    monkeypatch.setattr(continuous_lp, "_sample_grid", reference_sample_grid)
+    assert first_sample_error(spec()) == message
+    if not isinstance(value, list):
+        assert message == ("b returned non-finite values" if math.isnan(value) else "b sample exceeds the declared bound 5.0")
+
+
+def test_callables_receive_float_nodes():
+    seen = []
+
+    def record(value):
+        def field(*nodes):
+            seen.extend(type(t) for t in nodes)
+            return value
+        return field
+
+    spec = ContinuousLPSpec(
+        m=1, n=1, horizon=1.0, n_grid=5, B=record(1.0), K=record(0.0), b=record(1.0), c=record(1.0)
+    )
+    seen.clear()  # the causality probe draws its own points
+    discretize_clp(spec)
+    spec.sample_B(np.float64(0.3))
+    spec.sample_K(np.float64(0.1), np.float64(0.3))
+    assert len(seen) == 5 + 15 * 2 + 5 + 5 + 1 + 2
+    assert set(seen) == {float}

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import grid_residual_min, reference_nnls
+from oracles import benchmark_items, grid_residual_min, reference_nnls
 
 import conedual.nnls
 import conedual.residual
@@ -458,7 +458,7 @@ def test_warm_start_above_the_iterate_it_replaces(monkeypatch):
     assert_matches_reference(M, b)
 
 
-@pytest.mark.parametrize("warm_start, downdates", [(True, 56), (False, 60)])
+@pytest.mark.parametrize("warm_start, downdates", [(True, 54), (False, 60)])
 def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkeypatch, warm_start, downdates):
     # Two (128, 128) Farkas systems of condition number 8.8e9.  Without the
     # warm start they take 30 blocking steps each: taking T^{-1} in keep
@@ -466,7 +466,7 @@ def test_blocking_steps_keep_the_optimum_on_an_ill_conditioned_clp_system(monkey
     # 5e-9 and 1e-7 after the last step (3e-14 with it, as with a fresh
     # inverse of T), a dual value of 2e-11 at the returned point, and the
     # primal certificate failed verification.  The warm start's downdates
-    # and blocking steps, 56 between the two systems, need the Newton step
+    # and blocking steps, 54 between the two systems, need the Newton step
     # less, so the path without it stays pinned too.
     if not warm_start:
         monkeypatch.setattr(conedual.nnls, "_WARM_START_ITERATION", 0)
@@ -547,6 +547,84 @@ def test_keep_downdates_the_trailing_block(monkeypatch):
             idx, z = factor.solve()
             np.testing.assert_allclose(z, np.linalg.lstsq(M[:, idx], factor.b, rcond=None)[0], rtol=1e-9)
     assert {(True, False, True), (False, True, False), (False, False, True)} <= positions
+
+
+def clp_grid_farkas_system(monkeypatch, seed):
+    """The ``(M, b)`` of the primal Farkas NNLS call on the first ``(2, 2)``
+    item of the ``clp_grid`` benchmark pool at ``seed``."""
+    item = next(item for item in benchmark_items("clp_grid", seed) if item.spec.m == item.spec.n == 2)
+    pb = discretize_clp(item.spec)
+    calls = []
+
+    def recording_nnls(M, b):
+        calls.append((M, b))
+        return nnls(M, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conedual.residual, "nnls", recording_nnls)
+        farkas_primal(pb.operator(), pb.b, pb.S)
+    [(M, b)] = calls
+    return M, b
+
+
+def test_warm_start_factors_its_columns_in_one_block(monkeypatch):
+    # The warm start of a (128, 128) clp_grid Farkas system takes all its
+    # columns from one QR: no append runs inside it, where appending them
+    # one at a time took one call per column.
+    M, b = clp_grid_farkas_system(monkeypatch, 11)
+    assert M.shape == (128, 128)
+    append, start, fit = _PassiveFactor.append, _PassiveFactor.start, conedual.nnls._fit_columns
+    inside, appended, started = [False], [], []
+
+    def spy_append(self, j):
+        if inside[0]:
+            appended.append(j)
+        return append(self, j)
+
+    def spy_start(self, order):
+        n = start(self, order)
+        started.append((len(order), n))
+        assert self.cols == order[:n]
+        assert_factor_holds(self, np.linalg.norm(M))
+        R = self.Q[:, :n].T @ self.M[:, self.cols]
+        assert np.all(np.diagonal(R) > 0.0)
+        return n
+
+    def spy_fit(factor, order):
+        inside[0] = True
+        try:
+            return fit(factor, order)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_PassiveFactor, "append", spy_append)
+    monkeypatch.setattr(_PassiveFactor, "start", spy_start)
+    monkeypatch.setattr(conedual.nnls, "_fit_columns", spy_fit)
+    res = nnls(M, b)
+    [(given, taken)] = started
+    assert given == taken > 60 and appended == []
+    assert res.kkt_residual == 0.0 and np.max(M.T @ (b - M @ res.u)) <= 1e-14 * np.max(np.abs(M.T @ b))
+
+
+def test_warm_start_refuses_what_append_refuses():
+    # A planted dependent column ends the block of the QR; the columns
+    # after it are appended one at a time, and the factor takes the same
+    # columns as appending every one from an empty factor.
+    rng = np.random.default_rng(157)
+    A = rng.normal(size=(12, 6))
+    M = np.column_stack([A, A[:, 0] - 2.0 * A[:, 3]])
+    order = [3, 0, 6, 1, 4, 2]
+    b = rng.normal(size=12)
+    block = _PassiveFactor(M, b)
+    assert block.start(order) == 2 and block.cols == [3, 0]
+    one_by_one = _PassiveFactor(M, b)
+    taken = [j for j in order if one_by_one.append(j)]
+    assert taken == [3, 0, 1, 4, 2]
+    for j in order[2:]:
+        block.append(j)
+    assert block.cols == one_by_one.cols == taken
+    assert_factor_holds(block, np.linalg.norm(M))
+    np.testing.assert_allclose(block.solve()[1], one_by_one.solve()[1], rtol=1e-12)
 
 
 def outcome_without_linalg_error(M, b):

@@ -148,7 +148,7 @@ def solve_agrees_with_highs(optimize, spy, pb):
     before = len(spy.lps)
     report = solve(pb)
     for q, status in ((pb, report.status_primal), (pb.transpose(), report.status_dual)):
-        cost, M, beta, _ = duality._standard_form(q)
+        cost, M, beta = duality._standard_form(q)
         ref = optimize.linprog(cost, A_ub=-M, b_ub=-beta, bounds=(0, None), method="highs")
         assert status == HIGHS_STATUSES[ref.status]
     return len(spy.lps) - before
@@ -172,7 +172,7 @@ def test_strict_member_lp_matches_margin_row_formulation(family, monkeypatch):
             point = duality._strict_member(p)
             ((cost, M, _),) = spy.lps
             # One row per row of M = G_T^T A G_S.
-            assert not cost.any() and M.shape[0] == duality._dual_rows(p.T, p.A.matrix @ generators(p.S)).shape[0]
+            assert not cost.any() and M.shape[0] == generators(p.T).shape[1]
             assert (point is not None) == (status == "optimal" and delta >= 1e-7)
             if point is None:
                 continue
@@ -359,7 +359,7 @@ def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
         assert abs(report.gap) <= 1e-8 * (1.0 + abs(report.v_primal))
         # The value of the side read from the multipliers, against its own LP.
         q = pb.transpose() if side == 0 else pb
-        cost, M, beta, _ = duality._standard_form(q)
+        cost, M, beta = duality._standard_form(q)
         other = simplex_solve(cost, M, beta).objective
         value = -report.v_dual if side == 0 else report.v_primal
         assert abs(value - other) <= 1e-9 * (1.0 + abs(other))
@@ -381,7 +381,7 @@ def integer_orthant_pairs(count, seed):
 def rhs_rows(pb):
     """The nonnegative right-hand sides of the LPs of ``pb`` and of
     ``pb.transpose()``, which ``solve`` ranks them by."""
-    return [int((duality._dual_rows(q.T, q.b) >= 0).sum()) for q in (pb, pb.transpose())]
+    return [int((generators(q.T).T @ q.b >= 0).sum()) for q in (pb, pb.transpose())]
 
 
 def test_integer_pairs_swap_under_transpose():
@@ -401,7 +401,7 @@ def test_integer_pairs_agree_with_highs():
             # The reference poses the rows with surplus columns: on one LP of
             # this family, feasible and unbounded, HiGHS's presolve reports
             # the inequality form ``A_ub = -M`` infeasible.
-            cost, M, beta, _ = duality._standard_form(q)
+            cost, M, beta = duality._standard_form(q)
             m = M.shape[0]
             ref = optimize.linprog(
                 np.concatenate([cost, np.zeros(m)]), A_eq=np.hstack([M, -np.eye(m)]), b_eq=beta, bounds=(0, None), method="highs"

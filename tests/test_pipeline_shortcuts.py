@@ -2,19 +2,16 @@
 equality-system witness, and the ``-b in T*``, ``c in S*`` gate of the
 strict pipeline."""
 
-import importlib.util
 import json
 import math
-import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import dual, nnls_first_system_solvability, ungated_strict_feasibility
+from oracles import benchmark_items, dual, nnls_first_system_solvability, ungated_strict_feasibility
 
-from conedual import complex_lp, cones, duality, farkas, instances, linops
+from conedual import complex_lp, duality, farkas
 from conedual.cones import contains, generators, interior_contains, orthant, slice_cone, wedge
 from conedual.duality import (
     ConicProblem,
@@ -248,17 +245,9 @@ def test_rejected_witness_falls_back_to_farkas(monkeypatch):
     assert (report.v_primal, report.v_dual, report.gap) == (expected.v_primal, expected.v_dual, expected.gap)
 
 
-def pipelines_complex_specs(seed, seconds=20):
+def pipelines_complex_specs(seed):
     """The complex specs of the ``pipelines`` benchmark pool."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # Registered first: the module's dataclasses look themselves up there.
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    cd = types.SimpleNamespace(complex_lp=complex_lp, cones=cones, duality=duality, instances=instances, linops=linops)
-    pipelines = workloads.WORKLOADS["pipelines"]
-    items = pipelines.make_items(cd, seed, workloads.pool_size(pipelines, seconds))
-    return [data for kind, data in items if kind == "complex"]
+    return [data for kind, data in benchmark_items("pipelines", seed) if kind == "complex"]
 
 
 @pytest.mark.parametrize("seed", [11, 12])
