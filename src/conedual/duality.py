@@ -22,13 +22,12 @@ inequality-form linear program through the generator parameterization
 ``x = G_S u`` (``u >= 0``) with the conic constraint ``A x - b in T*``
 written as ``G_T^T (A x - b) >= 0`` through the generators of ``T`` itself,
 and solved by the self-dual simplex of :mod:`conedual.simplex`.  The LP of
-``pb.transpose()`` is the LP dual of this one, so one optimal simplex run
-gives both optimizers: ``x`` from its basic values and ``y`` from its row
-multipliers.  ``solve`` poses and runs the LP with fewer nonnegative
-right-hand sides, and the LP of the other side too only on a tie or when
-the first is not optimal; the rule sees only the two right-hand sides, so
-a pair and its transpose still give the same report with the sides
-exchanged.
+``pb.transpose()`` is the LP dual of this one, so one simplex run decides
+both sides, and an optimal one gives both optimizers: ``x`` from its basic
+values and ``y`` from its row multipliers.  ``solve`` runs the LP of one
+side only, chosen by a key of the pair's data alone (see
+:func:`_optimal_pair`), so a pair and its transpose run the same LP and
+give the same report with the sides exchanged.
 Optimal values follow the usual conventions: ``+inf`` for an infeasible
 primal, ``-inf`` for an infeasible dual, and the opposite infinities for
 unbounded problems.
@@ -229,65 +228,61 @@ def _copy(x):
 
 
 # ``(weakref to pb, x*, primal status, y*, dual status)`` of the
-# last pair ``solve`` ran its linear programs on, or None.  It is replaced
+# last pair ``solve`` ran its linear program on, or None.  It is replaced
 # as a whole, so concurrent calls can miss it but never mix two entries.
 _last_solve = None
 
 
-def _optimizers(pb):
-    """``(x*, y*, status)`` from one simplex run on the LP of ``pb`` (see
-    :func:`_standard_form`); the optimizers are None unless it is optimal.
-
-    ``x* = G_S u``.  With the row multipliers ``lambda`` of the LP,
-    ``y* = W_Y^-1 G_T lambda``: then ``y* in T``, ``<y*, b> = lambda^T
-    G_T^T b`` is the LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the
-    LP dual slack of ``u``, nonnegative at an optimal basis.
-    """
-    res = simplex_solve(*_standard_form(pb))
-    if res.status != "optimal":
-        return None, None, res.status
-    y = _by_generators(pb.T, res.y) / pb.A.pairing_codomain.weight_vector(pb.T.dim)
-    return _by_generators(pb.S, res.x), y, res.status
-
-
 def _optimal_pair(pb):
-    """``(x*, primal status, y*, dual status)`` from the LPs of ``pb`` and
-    ``pb.transpose()``, running one of them where that settles both sides.
+    """``(x*, primal status, y*, dual status)`` from one simplex run on the
+    LP of ``pb`` or of ``pb.transpose()`` (see :func:`_standard_form`),
+    each the other's LP dual; the optimizers are None unless it is optimal.
 
-    The LP with fewer nonnegative right-hand sides runs first.  If it ends
-    optimal, both sides are optimal and both optimizers come from it.  On
-    a tie, or when it does not end optimal, the other LP runs too, and
-    each side takes the optimizer and status of its own LP.  Only the LPs
-    that run are posed.  The rule, the tie included, is what makes the
-    report of ``pb.transpose()`` this one with the sides exchanged bit for
-    bit: it sees only the two right-hand sides, which ``pb.transpose()``
-    has the same (swapped), so the transposed pair runs the same LPs and
-    reads each optimizer from the same run.
+    The LP that runs orders first by the count of its nonnegative
+    right-hand sides, then by their bytes, and where both tie by the bytes
+    of the posed LPs; only then are both posed.  The key sees only the
+    pair's data, so ``pb.transpose()`` runs the same LP and reads each
+    optimizer from the same run: its report is this one with the sides
+    exchanged bit for bit.
+
+    With ``q`` the side that runs, ``x* = G_S u`` from the basic values and
+    the other side's optimizer is ``W_Y^-1 G_T lambda`` from the row
+    multipliers: it lies in ``T``, ``<y*, b> = lambda^T G_T^T b`` is the
+    LP dual value, and ``G_S^T W_X (c - A^T y*)`` is the LP dual slack of
+    ``u``.  Two LPs that are the same bits are one self-dual LP, and the
+    other side reads ``G_T u`` from the basic values too.
     """
     sides = (pb, pb.transpose())
-    rows = [int((_by_generators(q.T, q.b, "transpose") >= 0).sum()) for q in sides]
-    first = int(rows[1] < rows[0])
-    own, other, status = _optimizers(sides[first])
-    if status != "optimal" or rows[0] == rows[1]:
-        other, _, other_status = _optimizers(sides[1 - first])
-    else:
-        other_status = status
-    if first:
-        return other, other_status, own, status
-    return own, status, other, other_status
+    rhs = [_by_generators(q.T, q.b, "transpose") for q in sides]
+    keys = [((beta >= 0).sum(), beta.tobytes()) for beta in rhs]
+    lps = [None, None]
+    if keys[0] == keys[1]:
+        lps = [_standard_form(q) for q in sides]
+        keys = [(cost.tobytes(), M.tobytes()) for cost, M, _ in lps]
+    first = int(keys[1] < keys[0])
+    q = sides[first]
+    res = simplex_solve(*(lps[first] or _standard_form(q)))
+    x = y = None
+    if res.x is not None:
+        x = _by_generators(q.S, res.x)
+        if keys[0] == keys[1]:
+            y = _by_generators(q.T, res.x)
+        else:
+            y = _by_generators(q.T, res.y) / q.A.pairing_codomain.weight_vector(q.T.dim)
+    pair = (x, res.status, y, res.dual_status)
+    return pair[2:] + pair[:2] if first else pair
 
 
 def solve(pb):
     """Solve both problems of the pair and assemble a :class:`SolveReport`.
 
-    One simplex run usually settles both sides: the LP of the primal and
-    the LP of ``pb.transpose()`` are each other's LP duals, so an optimal
-    basis of either gives both optimizers, one from the basic values and
-    the other from the row multipliers (see :func:`_optimal_pair`).  The
-    dual is solved as the primal of ``pb.transpose()`` only when the two
-    LPs tie on nonnegative right-hand sides or the first one is not
-    optimal, so ``solve(pb.transpose())`` gives this report with the sides
-    exchanged.  Only the LP that runs is posed.  Optimizers,
+    One simplex run settles both sides: the LP of the primal and the LP of
+    ``pb.transpose()`` are each other's LP duals, so the run on either
+    decides both statuses, and an optimal one gives both optimizers, one
+    from the basic values and the other from the row multipliers (see
+    :func:`_optimal_pair`).  Which LP runs depends only on the pair's
+    data, so ``solve(pb.transpose())`` gives this report with the sides
+    exchanged.  Optimizers,
     when attained, are mapped back through the generators.  Interior flags
     classify the returned optimizers with margin ``INTERIOR_TOL``; points
     within the margin band count as boundary, and a cone without interior
@@ -297,7 +292,7 @@ def solve(pb):
 
     A repeat call on the same problem object takes copies of the optimizers
     and statuses of the previous call instead of solving the linear
-    programs again; everything else in the report is computed afresh.  Only
+    program again; everything else in the report is computed afresh.  Only
     the last pair is remembered, and only by a weak reference.
     """
     global _last_solve

@@ -1,29 +1,33 @@
 """Dense self-dual parametric simplex for inequality-form linear programs.
 
-Solves ``min c^T x  subject to  A x >= b, x >= 0`` on a Tucker tableau
-(Dantzig, *Linear Programming and Extensions*, 1963; Vanderbei, *Linear
-Programming*, ch. 7).  With the surplus ``w = A x - b`` every row reads
-``basic = sum_j t_ij nonbasic_j + t_i,n + mu t_i,n+1`` and the cost row
-reads the reduced costs the same way::
+Solves ``min c^T x  subject to  A x >= b, x >= 0`` and its LP dual ``max
+b^T y, A^T y <= c, y >= 0`` in one run on a Tucker tableau (Dantzig,
+*Linear Programming and Extensions*, 1963; Vanderbei, *Linear
+Programming*, ch. 7).  ``b`` and ``c`` are divided exactly by the powers
+of two ``2^e_b`` and ``2^e_c`` within a factor 2 above ``1 + max |b|`` and
+``1 + max |c|``, so finite data cannot overflow them.  With the surplus
+``w = A x - b`` every row reads ``basic = sum_j t_ij nonbasic_j + t_i,n +
+mu t_i,n+1`` and the cost row reads the reduced costs the same way::
 
-    [[A,            -b, 1 + max |b|],
-     [c,             0, 0],
-     [1 + max |c|,   0, 0]]
+    [[A,  -b / 2^e_b,  1],
+     [c / 2^e_c,    0, 0],
+     [1,            0, 0]]
 
 so ``mu`` perturbs each side in its own units and has none itself.  The
 slack basis (``w`` basic, ``x`` nonbasic) is optimal once ``mu`` is at
-least every ``b_i / (1 + max |b|)`` and ``-c_j / (1 + max |c|)``, so below
-1.  Each step lowers ``mu`` to the smallest value at which the basis stays
-optimal.  Where a reduced cost reaches zero there, its column enters on a
-primal ratio test; where a basic value does, its row leaves on a dual
-ratio test; entries that reach zero within ``RATIO_TIE_TOL`` of the same
-``mu`` tie, and the smallest variable label moves.  Primal and dual
-infeasibility are treated alike, so there is no phase one: the basis is
-optimal for the problem as given once ``mu <= MU_TOL``.  A row that no
-column can raise proves ``A x >= b`` infeasible.  A column that no row
-blocks proves the LP dual infeasible; the cost rows are then zeroed and
-the steps go on from the same basis, which decides between a feasible (so
-``"unbounded"``) and an infeasible problem.
+least every scaled ``b_i`` and ``-c_j``, so below 1.  Each step lowers
+``mu`` to the smallest value at which the basis stays optimal.  Where a
+reduced cost reaches zero there, its column enters on a primal ratio
+test; where a basic value does, its row leaves on a dual ratio test;
+entries that reach zero within ``RATIO_TIE_TOL`` of the same ``mu`` tie,
+and the smallest variable label moves.  Primal and dual infeasibility are
+treated alike, so there is no phase one: the basis is optimal for the
+problem as given once ``mu <= MU_TOL``.  The other two ends mirror each
+other.  A column that no row blocks proves the LP dual infeasible and
+zeroes the cost rows; a row that no column can raise proves ``A x >= b``
+infeasible and zeroes the right-hand-side columns.  Either way the steps
+go on from the same basis to decide the other side, until nothing rises;
+a side not proved infeasible is then ``"unbounded"``.
 
 A pivot entry is accepted only where it exceeds ``PIVOT_TOL`` times the
 largest entry of its sign in the row or column (and at least
@@ -38,8 +42,9 @@ rule here is proved not to cycle: on a degenerate LP, termination rests on
 the iteration cap, past which :class:`SolverFailure` is raised.
 
 An optimal result carries ``x`` and the row multipliers ``y``, an
-optimizer of the dual LP ``max b^T y, A^T y <= c, y >= 0``: ``y_i`` is the
-final reduced cost of the surplus ``w_i``.
+optimizer of the LP dual (``y_i`` is the final reduced cost of the surplus
+``w_i``), both multiplied back by ``2^e_b`` and ``2^e_c`` before entries
+below ``CLAMP_TOL`` are read as 0.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ __all__ = ["SimplexResult", "simplex_solve"]
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
+    dual_status: str  # the same, of the LP dual
     x: np.ndarray | None
     y: np.ndarray | None
-    objective: float | None
     iterations: int
 
 
@@ -96,15 +101,17 @@ def _ratio(entries, value, labels):
 
 
 def simplex_solve(c, A, b):
-    """Self-dual simplex for ``min c^T x, A x >= b, x >= 0``.
+    """Self-dual simplex for ``min c^T x, A x >= b, x >= 0`` and its LP dual.
 
     Returns a :class:`SimplexResult`; ``status`` is ``"infeasible"`` when
     ``A x >= b, x >= 0`` has no solution and ``"unbounded"`` when it has
-    one but the objective is unbounded below.  Only an optimal result
+    one but the objective is unbounded below, and ``dual_status`` says the
+    same of ``max b^T y, A^T y <= c, y >= 0``.  Only an optimal result
     carries ``x`` and ``y``.
 
     Raises :class:`SolverFailure` when the pivots exceed
-    ``200 (m + n + 10)``, or when the final tableau is not finite.
+    ``200 (m + n + 10)``, when the final tableau is not finite, or when an
+    optimal end has an ``x``, ``y`` or ``c^T x`` that is not.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,19 +121,21 @@ def simplex_solve(c, A, b):
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("non-finite entries in LP data")
+    eb, ec = (int(np.frexp(1.0 + np.abs(v).max(initial=0.0))[1]) for v in (b, c))
     t = np.zeros((m + 2, n + 2))
     t[:m, :n] = A
-    t[:m, n] = -b
-    t[:m, n + 1] = 1.0 + np.abs(b).max(initial=0.0)
-    t[m, :n] = c
-    t[m + 1, :n] = 1.0 + np.abs(c).max(initial=0.0)
-    if not np.isfinite(t).all():
-        raise ValueError("non-finite entries in LP data")
+    t[:m, n] = -np.ldexp(b, -eb)
+    t[:m, n + 1] = 1.0
+    t[m, :n] = np.ldexp(c, -ec)
+    t[m + 1, :n] = 1.0
     cap = 200 * (m + n + 10)
     # Variable labels, x_j is j and w_i is n + i, nonbasic by column and
     # then basic by row.
     labels = np.arange(n + m)
-    status = "optimal"
+    # Whether A x >= b, and then the LP dual, is proved infeasible.
+    infeasible = [False, False]
     iterations = 0
     while True:
         # Per column and then per row, the value and the mu coefficient of
@@ -146,18 +155,16 @@ def simplex_solve(c, A, b):
         if k < n:
             s = k
             r = _ratio(-t[:m, s], at_mu[n:], labels[n:])
-            if r is None:
-                # The LP dual is infeasible: go on with zero costs to decide
-                # whether A x >= b, x >= 0 is.
-                status = "unbounded"
-                t[m:] = 0.0
-                continue
         else:
             r = k - n
             s = _ratio(t[r, :n], at_mu[:n], labels[:n])
-            if s is None:
-                status = "infeasible"
-                break
+        if r is None or s is None:
+            # A column that no row blocks proves the LP dual infeasible, a
+            # row that no column raises A x >= b: zero that side's costs or
+            # right-hand side and go on to decide the other side.
+            infeasible[int(k < n)] = True
+            (t[m:] if k < n else t[:, n:])[:] = 0.0
+            continue
         iterations += 1
         if iterations > cap:
             raise SolverFailure("simplex iteration cap exceeded (cycling guard)", detail={"iterations": iterations})
@@ -166,11 +173,17 @@ def simplex_solve(c, A, b):
 
     if not np.isfinite(t).all():
         raise SolverFailure("simplex tableau is not finite", detail={"iterations": iterations})
-    if status != "optimal":
-        return SimplexResult(status=status, x=None, y=None, objective=None, iterations=iterations)
+    if any(infeasible):
+        # A side not proved infeasible is feasible, so unbounded.
+        status, dual_status = ("infeasible" if side else "unbounded" for side in infeasible)
+        return SimplexResult(status=status, dual_status=dual_status, x=None, y=None, iterations=iterations)
     values = np.zeros(n + m)
     values[labels[n:]] = t[:m, n]
     costs = np.zeros(n + m)
     costs[labels[:n]] = t[m, :n]
-    x = _clamp(values[:n])
-    return SimplexResult(status="optimal", x=x, y=_clamp(costs[n:]), objective=float(c @ x), iterations=iterations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _clamp(np.ldexp(values[:n], eb)), _clamp(np.ldexp(costs[n:], ec))
+        finite = np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(c @ x)
+    if not finite:
+        raise SolverFailure("simplex optimum is not finite", detail={"iterations": iterations})
+    return SimplexResult(status="optimal", dual_status="optimal", x=x, y=y, iterations=iterations)

@@ -41,7 +41,7 @@ CLAMP_TOL = 1e-12
 """Absolute size below which a final basic value or row multiplier of the simplex is roundoff, read as 0."""
 
 MU_TOL = 1e-9
-"""Self-dual simplex: bound on the unitless perturbation ``mu`` at which a basis counts as optimal; ``mu`` moves ``b`` by ``mu (1 + max |b|)`` and ``c`` by ``mu (1 + max |c|)``."""
+"""Self-dual simplex: bound on the unitless perturbation ``mu`` at which a basis counts as optimal; ``mu`` moves ``b`` and ``c`` by ``mu`` times a power of two within a factor 2 above ``1 + max |b|`` and ``1 + max |c|``."""
 
 PROBE_SLACK = 1e-12
 """Interior probe of generated cones: distance a probe point may lie from the cone, relative to ``1 + ||v||``."""

@@ -572,7 +572,7 @@ def check_classical_conditions(spec):
         cost = np.zeros(n_var)
         cost[:n] = -1.0
         res = equality_lp(cost, a_eq, rhs)
-        trivial = res.status == "optimal" and -res.objective <= tol
+        trivial = res.status == "optimal" and -(cost @ res.x) <= tol
         recession.append(trivial)
         if not trivial:
             failures.append(f"node {idx}: nontrivial nonnegative solution of B(t) z <= 0")

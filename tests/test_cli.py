@@ -10,7 +10,7 @@ import pytest
 from test_pipeline_shortcuts import gate_pairs
 
 from conedual import cli, continuous_lp, duality
-from conedual.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_problem
+from conedual.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VIOLATION, main, parse_problem
 
 
 def write(tmp_path, name, doc):
@@ -291,6 +291,32 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "id.json", identity_doc())
     assert main(["solve", "--input", path]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # Optimal at 2 on both sides, y* = (0, 2) with c_2 = 1e308.
+        ({**identity_doc(c=(1.0, 1e308)), "A": {"rows": 2, "cols": 2, "data": [1.0, 2.0, 0.5, 1.0]}}, EXIT_OK),
+        # x* = 1e308 and <c, x*> = 1e616: no finite optimal value to report.
+        (
+            {"type": "conic", "A": {"rows": 1, "cols": 1, "data": [1.0]}, "b": [1e308], "c": [1e308],
+             "S": {"kind": "orthant", "dim": 1}, "T": {"kind": "orthant", "dim": 1}},
+            EXIT_SOLVER,
+        ),
+    ],
+    ids=["finite_optimum", "infinite_optimum"],
+)
+def test_solve_on_data_near_the_largest_float(tmp_path, capsys, doc, code):
+    path = write(tmp_path, "big.json", doc)
+    assert main(["--output", "json", "solve", "--input", path]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        report = json.loads(out)
+        assert report["v_primal"] == report["v_dual"] == 2.0 and report["y_star"] == [0.0, 2.0]
+        assert report["status_primal"] == report["status_dual"] == "optimal"
+    else:
+        assert err.startswith("solver failure:") and err.count("\n") == 1
 
 
 def test_usage_errors():

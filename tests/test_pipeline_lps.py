@@ -1,6 +1,6 @@
 """The linear programs behind the theorem pipelines: the strict-member LP,
-the choice of the LP that ``solve`` runs, the last-pair ``solve`` memo and
-the check-free transpose."""
+the one LP that ``solve`` runs, the last-pair ``solve`` memo and the
+check-free transpose."""
 
 import gc
 import json
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conedual import duality
+from conedual.complex_lp import build_complex_lp
 from conedual.continuous_lp import ContinuousLPSpec, discretize_clp
 from conedual.cones import (
     contains,
@@ -35,7 +36,7 @@ from conedual.farkas import farkas_dual, farkas_primal, verify_outcome
 from conedual.instances import interior_optimum_problem
 from conedual.linops import OperatorSpec, PairingSpec
 from conedual.simplex import simplex_solve
-from oracles import dual, margin_row_strict_lp, same_bits
+from oracles import benchmark_items, dual, margin_row_strict_lp, same_bits
 from test_duality import degenerate_orthant_pairs, swaps_and_negates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "strict_phase_one.json")
@@ -137,14 +138,14 @@ def lps_agree_with_highs(optimize, spy):
         assert res.status == HIGHS_STATUSES[ref.status]
         seen.add(res.status)
         if res.status == "optimal":
-            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert abs(cost @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
     return seen
 
 
 def solve_agrees_with_highs(optimize, spy, pb):
     """Solve ``pb`` and check both reported statuses against HiGHS on the
-    LPs of ``pb`` and ``pb.transpose()``, posed here whether or not
-    ``solve`` ran them; returns how many LPs ``solve`` ran."""
+    LPs of ``pb`` and ``pb.transpose()``, both posed here although
+    ``solve`` runs one; returns how many LPs ``solve`` ran."""
     before = len(spy.lps)
     report = solve(pb)
     for q, status in ((pb, report.status_primal), (pb.transpose(), report.status_dual)):
@@ -230,8 +231,8 @@ def test_strict_regression_lps_agree_with_highs(case, monkeypatch):
 def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
     # Every LP that solve and the strict-member search pose on a small
     # seeded set gets the status HiGHS gives it, and the same optimal value.
-    # So does every status solve reports, also for a side whose LP it did
-    # not run; some pairs take one LP and some two.
+    # So does every status solve reports, also for the side whose LP it did
+    # not run; every pair takes one LP.
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(17)
     pairs = [p for family in ("orthant", "wedge", "slice") for p in random_pairs(family, 6, seed=5)]
@@ -256,13 +257,14 @@ def test_pipeline_lp_statuses_agree_with_highs(monkeypatch):
         duality._strict_member(pb.transpose())
     seen = lps_agree_with_highs(optimize, spy)
     assert len(spy.lps) == solve_lps + 2 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
-    assert len(pairs) < solve_lps < 2 * len(pairs)
+    assert solve_lps == len(pairs)
 
 
 def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
     # Pairs with generated cones on both sides: every LP that solve and the
     # strict-member search pose gets the status HiGHS gives it, and the
-    # same optimal value, and so does every status solve reports.
+    # same optimal value, and so does every status solve reports, the one
+    # of the side whose LP did not run included.
     optimize = pytest.importorskip("scipy.optimize")
     pairs = random_pairs("generated", 200, seed=23)
     spy = SimplexSpy(monkeypatch)
@@ -276,7 +278,7 @@ def test_generated_cone_pairs_pose_the_lps_highs_solves(monkeypatch):
         duality._strict_member(pb.transpose())
     seen = lps_agree_with_highs(optimize, spy)
     assert len(spy.lps) == solve_lps + 2 * len(pairs) and seen == {"optimal", "infeasible", "unbounded"}
-    assert len(pairs) < solve_lps < 2 * len(pairs)
+    assert solve_lps == len(pairs)
 
 
 def test_generated_cone_pairs_run_both_pipelines_and_both_farkas_sides():
@@ -315,28 +317,26 @@ def weighted_orthant_pairs(count, seed):
 
 def solved_by_one_lp(spy, pb):
     """``(report, side)`` of ``solve(pb)``, where ``side`` is 0 or 1 when
-    the one LP it ran is that of ``pb`` or of ``pb.transpose()``, and None
-    when it ran two."""
+    the one LP it ran is that of ``pb`` or of ``pb.transpose()``."""
     spy.lps.clear()
     report = solve(pb)
-    if len(spy.lps) != 1:
-        return report, None
+    assert len(spy.lps) == 1
     return report, int(not same_bits(spy.lps[0][1], duality._standard_form(pb)[1]))
 
 
 def test_optimizer_from_the_multipliers_is_optimal(monkeypatch):
-    # Where solve runs one LP, the other side's optimizer is read from its
-    # row multipliers.  With either LP run, both optimizers are feasible and
-    # the gap is within tol (1 + |v|).
+    # solve runs one LP and reads the other side's optimizer from its row
+    # multipliers.  With either LP run, both optimizers of an optimal pair
+    # are feasible and the gap is within tol (1 + |v|).
     spy = SimplexSpy(monkeypatch)
     picked = Counter()
     for family in ("orthant", "wedge", "slice", "generated"):
         for pb in random_pairs(family, 40, seed=7):
             report, side = solved_by_one_lp(spy, pb)
-            if side is None:
+            if report.status_primal != "optimal":
                 continue
             picked[family, side] += 1
-            assert report.status_primal == report.status_dual == "optimal"
+            assert report.status_dual == "optimal"
             assert feasible_primal(pb, report.x_star) and feasible_dual(pb, report.y_star)
             assert abs(report.gap) <= 1e-8 * (1.0 + abs(report.v_primal))
     assert all(picked[family, side] for family in ("orthant", "wedge", "slice", "generated") for side in (0, 1))
@@ -344,15 +344,15 @@ def test_optimizer_from_the_multipliers_is_optimal(monkeypatch):
 
 def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
     # On weighted orthant pairs a pair and its transpose give bit-swapped
-    # reports.  Where one LP ran, the optimizer read from its multipliers is
-    # feasible in the weighted pairings and its value is the optimal value
-    # of the LP that was not run.
+    # reports.  Where the pair is optimal, the optimizer read from the
+    # multipliers is feasible in the weighted pairings and its value is the
+    # optimal value of the LP that was not run.
     spy = SimplexSpy(monkeypatch)
     picked = Counter()
     for pb in weighted_orthant_pairs(200, seed=31):
         report, side = solved_by_one_lp(spy, pb)
         assert swaps_and_negates(report, solve(pb.transpose()))
-        if side is None:
+        if report.status_primal != "optimal":
             continue
         picked[side] += 1
         assert feasible_primal(pb, report.x_star) and feasible_dual(pb, report.y_star)
@@ -360,7 +360,7 @@ def test_weighted_pairs_read_the_multipliers_through_the_weights(monkeypatch):
         # The value of the side read from the multipliers, against its own LP.
         q = pb.transpose() if side == 0 else pb
         cost, M, beta = duality._standard_form(q)
-        other = simplex_solve(cost, M, beta).objective
+        other = cost @ simplex_solve(cost, M, beta).x
         value = -report.v_dual if side == 0 else report.v_primal
         assert abs(value - other) <= 1e-9 * (1.0 + abs(other))
     assert picked[0] >= 5 and picked[1] >= 5
@@ -378,10 +378,11 @@ def integer_orthant_pairs(count, seed):
         yield ConicProblem(A=OperatorSpec(matrix=a), b=b, c=c, S=orthant(n), T=orthant(m))
 
 
-def rhs_rows(pb):
-    """The nonnegative right-hand sides of the LPs of ``pb`` and of
-    ``pb.transpose()``, which ``solve`` ranks them by."""
-    return [int((generators(q.T).T @ q.b >= 0).sum()) for q in (pb, pb.transpose())]
+def rhs_key(pb):
+    """The key ``solve`` orders the LPs of ``pb`` and ``pb.transpose()``
+    by, on orthant pairs, whose right-hand sides are ``b`` and ``-c``: the
+    count of nonnegative right-hand sides, then their bytes."""
+    return [(int((q.b >= 0).sum()), q.b.tobytes()) for q in (pb, pb.transpose())]
 
 
 def test_integer_pairs_swap_under_transpose():
@@ -416,9 +417,10 @@ def test_integer_pairs_agree_with_highs():
 
 
 def test_solve_poses_only_the_lps_it_runs(monkeypatch):
-    # The LP with fewer nonnegative right-hand sides is posed first (the
-    # primal's on a tie).  It is the only one posed when the counts differ
-    # and it ends optimal; otherwise the other LP is posed too.
+    # The LP with fewer nonnegative right-hand sides is posed and runs; on
+    # a tie in that count, the one whose right-hand side has the smaller
+    # bytes.  Both LPs are posed only where the right-hand sides are the
+    # same bits, which this data never draws.
     posed = []
     real = duality._standard_form
 
@@ -431,11 +433,9 @@ def test_solve_poses_only_the_lps_it_runs(monkeypatch):
     for pb in integer_orthant_pairs(300, seed=2041):
         posed.clear()
         report = solve(pb)
-        rows = rhs_rows(pb)
-        optimal = report.status_primal == report.status_dual == "optimal"
-        assert (posed[0] is pb) == (rows[0] <= rows[1])
-        assert len(posed) == (1 if rows[0] != rows[1] and optimal else 2)
-        cases[rows[0] == rows[1], optimal] += 1
+        keys = rhs_key(pb)
+        assert len(posed) == 1 and (posed[0] is pb) == (keys[0] < keys[1])
+        cases[keys[0][0] == keys[1][0], report.status_primal == report.status_dual == "optimal"] += 1
     assert all(cases[tie, optimal] for tie in (False, True) for optimal in (False, True))
 
 
@@ -450,6 +450,76 @@ def test_multipliers_below_roundoff_read_as_zero():
             optimal += 1
             assert (report.x_star >= 0.0).all() and (report.y_star >= 0.0).all()
     assert optimal >= 100
+
+
+def test_every_solve_runs_one_simplex(monkeypatch):
+    # Whatever the statuses, one run decides both sides.  The other
+    # corpora are pinned to one LP per solve where they are tested.
+    spy = SimplexSpy(monkeypatch)
+    statuses = Counter()
+    for pb in degenerate_orthant_pairs(3000):
+        spy.lps.clear()
+        report = solve(pb)
+        assert len(spy.lps) == 1
+        statuses[report.status_primal, report.status_dual] += 1
+    assert {("optimal", "optimal"), ("infeasible", "unbounded"), ("unbounded", "infeasible"), ("infeasible", "infeasible")} <= set(statuses)
+
+
+def self_dual_pairs(seed):
+    """Pairs with a skew ``A`` (so ``-A^T = A`` up to the sign of its zero
+    diagonal), ``b = -c`` and ``S = T``: each is its own transposed pair.
+    On a wedge or a generated cone the products with the generators turn
+    ``-0.0`` into ``+0.0``, so the LPs of the two sides are the same bits;
+    on an orthant they differ in the sign of the diagonal zeros."""
+    rng = np.random.default_rng(seed)
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    cones = (orthant(2), wedge(np.array([0.5])), generated(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
+    for cone in cones:
+        yield ConicProblem(A=OperatorSpec(matrix=skew), b=np.array([1.0, -1.0]), c=np.array([-1.0, 1.0]), S=cone, T=cone)
+    for i in range(60):
+        cone = cones[i % 3]
+        k = rng.uniform(-1.0, 1.0, size=(2, 2))
+        b = rng.uniform(-1.0, 1.0, size=2)
+        yield ConicProblem(A=OperatorSpec(matrix=k - k.T), b=b, c=-b, S=cone, T=cone)
+
+
+def test_self_dual_pairs_swap_from_one_run(monkeypatch):
+    # Where the two LPs are the same bits, the run on it gives both
+    # optimizers from its basic values, so with S = T they are the same
+    # point; either way the transposed pair runs the same LP and the
+    # reports are bit-swapped.
+    spy = SimplexSpy(monkeypatch)
+    seen = Counter()
+    for pb in self_dual_pairs(seed=53):
+        spy.lps.clear()
+        report = solve(pb)
+        assert len(spy.lps) == 1
+        lps = [duality._standard_form(q) for q in (pb, pb.transpose())]
+        one_lp = all(same_bits(u, v) for u, v in zip(*lps))
+        assert one_lp == (pb.S.kind != "orthant")
+        assert report.status_primal == report.status_dual in ("optimal", "infeasible")
+        if report.status_primal == "optimal":
+            assert abs(report.gap) <= 1e-9 and feasible_primal(pb, report.x_star) and feasible_dual(pb, report.y_star)
+            assert same_bits(report.x_star, report.y_star) or not one_lp
+        assert swaps_and_negates(report, solve(pb.transpose()))
+        seen[one_lp, report.status_primal] += 1
+    assert all(seen[one_lp, status] for one_lp in (False, True) for status in ("optimal", "infeasible"))
+
+
+def benchmark_pairs():
+    """The conic pairs of the ``pipelines`` pool at seed 11 (interior,
+    strict and complex pairs) and of the first ``clp_grid`` cycle."""
+    pairs = [data if kind != "complex" else build_complex_lp(data) for kind, data in benchmark_items("pipelines", 11)]
+    return pairs + [discretize_clp(item.spec) for item in benchmark_items("clp_grid", 11)[:8]]
+
+
+def test_benchmark_pairs_swap_under_transpose(monkeypatch):
+    spy = SimplexSpy(monkeypatch)
+    for pb in benchmark_pairs():
+        spy.lps.clear()
+        report = solve(pb)
+        assert len(spy.lps) == 1
+        assert swaps_and_negates(report, solve(pb.transpose()))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +576,13 @@ def test_memo_holds_only_a_weak_reference():
 
 def test_pipelines_share_one_solve(monkeypatch):
     calls = []
-    real = duality._optimizers
+    real = duality._optimal_pair
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(duality, "_optimizers", counting)
+    monkeypatch.setattr(duality, "_optimal_pair", counting)
     pb = interior_pair()
     verify_interior_optima(pb)
     assert len(calls) == 1

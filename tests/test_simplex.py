@@ -44,7 +44,7 @@ def test_simple_bounded_lp():
     b = np.array([4.0, 6.0])
     res = equality_lp(c, A, b)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-4.0)
+    assert c @ res.x == pytest.approx(-4.0)
 
 
 def test_matches_vertex_enumeration():
@@ -66,7 +66,7 @@ def test_matches_vertex_enumeration():
                 continue
             best = min(float(c @ v) for v in vertices)
             if res.status == "optimal":
-                assert res.objective == pytest.approx(best, abs=1e-7)
+                assert c @ res.x == pytest.approx(best, abs=1e-7)
             else:
                 # Unbounded: some direction d >= 0 with A d = 0 and c d < 0
                 # exists; verify by a small LP on the recession cone.
@@ -100,15 +100,16 @@ def test_degenerate_problem_terminates():
     c = np.array([-1.0, -2.0, 0.0, 0.0])
     res = equality_lp(c, A, b)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-2.0)
+    assert c @ res.x == pytest.approx(-2.0)
 
 
 def test_redundant_row_solves():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    res = equality_lp(np.array([1.0, 0.0]), A, b)
+    c = np.array([1.0, 0.0])
+    res = equality_lp(c, A, b)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(0.0)
+    assert c @ res.x == pytest.approx(0.0)
 
 
 def test_solution_nonnegative_and_feasible():
@@ -158,6 +159,30 @@ def test_non_finite_tableau_raises(c, A, b):
         simplex_solve(np.array(c), np.array(A), np.array(b))
 
 
+def test_right_hand_side_near_the_largest_float():
+    # b and c are divided by powers of two before the perturbation is added,
+    # so 1e308 does not overflow the tableau.
+    res = simplex_solve(np.ones(1), np.ones((1, 1)), np.array([1e308]))
+    assert res.status == "optimal" and res.x[0] == 1e308 and res.y[0] == 1.0
+
+
+def test_multipliers_scaled_back_before_the_clamp():
+    # y = (0, 2) is 2^-1023 in the units of c = (1, 1e308): clamped there it
+    # would read 0 and leave a gap of 2.
+    c, A, b = np.array([1.0, 1e308]), np.array([[1.0, 2.0], [0.5, 1.0]]), np.ones(2)
+    res = simplex_solve(c, A, b)
+    assert res.status == res.dual_status == "optimal"
+    assert res.x.tolist() == [2.0, 0.0] and res.y.tolist() == [0.0, 2.0]
+    assert c @ res.x == b @ res.y == 2.0
+
+
+def test_optimum_beyond_the_largest_float_raises():
+    # x = 1e308 is finite, c^T x = 1e616 is not: no value to report, and no
+    # numpy warning on the way (the suite turns warnings into errors).
+    with pytest.raises(SolverFailure, match="not finite"):
+        simplex_solve(np.array([1e308]), np.ones((1, 1)), np.array([1e308]))
+
+
 # ---------------------------------------------------------------------------
 # Start, statuses and multipliers
 # ---------------------------------------------------------------------------
@@ -188,7 +213,7 @@ def test_each_side_perturbed_in_its_own_units(c, b, status, x):
     res = simplex_solve(np.array([c]), np.ones((1, 1)), np.array([b]))
     assert res.status == status
     if x is not None:
-        assert res.x[0] == x and res.y[0] == c and res.objective == c * x
+        assert res.x[0] == x and res.y[0] == c
 
 
 def integer_lps(count, seed):
@@ -214,9 +239,9 @@ def test_integer_lps_agree_with_highs():
         seen.add(res.status)
         if res.status == "optimal":
             scale = 1.0 + abs(ref.fun)
-            assert abs(res.objective - ref.fun) <= 1e-9 * scale
+            assert abs(c @ res.x - ref.fun) <= 1e-9 * scale
             assert (A @ res.x - b).min() >= -1e-9 and (c - A.T @ res.y).min() >= -1e-9
-            assert abs(b @ res.y - res.objective) <= 1e-9 * scale
+            assert abs(b @ res.y - c @ res.x) <= 1e-9 * scale
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
@@ -229,20 +254,23 @@ def test_statuses_and_values_scale_with_b_and_c():
         res, scaled = simplex_solve(c, A, b), simplex_solve(sc * c, A, sb * b)
         assert scaled.status == res.status
         if res.status == "optimal":
-            assert abs(scaled.objective - sb * sc * res.objective) <= 1e-9 * sb * sc * (1.0 + abs(res.objective))
+            value = c @ res.x
+            assert abs(sc * c @ scaled.x - sb * sc * value) <= 1e-9 * sb * sc * (1.0 + abs(value))
 
 
 def test_lp_dual_ends_in_the_mirrored_status():
     # The LP dual of (c, A, b) is (-b, -A^T, -c): an optimal LP has an
     # optimal dual of the negated value, and an infeasible one has an
-    # unbounded or infeasible dual.
+    # unbounded or infeasible dual.  One run on the LP decides the status
+    # of its dual as the run on the explicit dual does.
     seen = set()
     for c, A, b in integer_lps(600, seed=43):
         res, dual = simplex_solve(c, A, b), simplex_solve(-b, -A.T, -c)
         seen.add((res.status, dual.status))
+        assert res.dual_status == dual.status and dual.dual_status == res.status
         if res.status == "optimal":
             assert dual.status == "optimal"
-            assert abs(res.objective + dual.objective) <= 1e-9 * (1.0 + abs(res.objective))
+            assert abs(c @ res.x - b @ dual.x) <= 1e-9 * (1.0 + abs(c @ res.x))
         else:
             mirrored = {"infeasible": ("unbounded", "infeasible"), "unbounded": ("infeasible",)}
             assert dual.status in mirrored[res.status]
@@ -257,10 +285,10 @@ def test_lp_dual_ends_in_the_mirrored_status():
 def test_small_blocking_entry_beside_large_negative_one():
     # x0 has the column (1e-6, -2e3) in the equality rows: only row 0
     # blocks, at x0 = 1e6, and the large entry does not make 1e-6 roundoff.
-    A = np.array([[1e-6, 1.0, 0.0], [-2e3, 0.0, 1.0]])
-    res = equality_lp(np.array([-1.0, 0.0, 0.0]), A, np.array([1.0, 5.0]))
+    A, c = np.array([[1e-6, 1.0, 0.0], [-2e3, 0.0, 1.0]]), np.array([-1.0, 0.0, 0.0])
+    res = equality_lp(c, A, np.array([1.0, 5.0]))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-1e6, rel=1e-12)
+    assert c @ res.x == pytest.approx(-1e6, rel=1e-12)
 
 
 def test_ratio_rejects_roundoff_entries_and_clamps_values():
@@ -283,9 +311,10 @@ def test_roundoff_pivot_regression():
     # bounded.
     with open(ROUNDOFF_PIVOT_LP) as fh:
         case = json.load(fh)
-    res = equality_lp(np.array(case["c"]), np.array(case["A"]), np.array(case["b"]))
+    c = np.array(case["c"])
+    res = equality_lp(c, np.array(case["A"]), np.array(case["b"]))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-1.0, abs=1e-9)
+    assert c @ res.x == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_pivot_matches_full_update():
@@ -337,4 +366,4 @@ def test_roundoff_column_regression():
     res = equality_lp(c, A, b)
     ref = linprog(c, A_eq=A, b_eq=b, method="highs")
     assert ref.status == 0 and res.status == "optimal"
-    assert res.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert c @ res.x == pytest.approx(ref.fun, rel=1e-9)
